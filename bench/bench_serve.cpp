@@ -1,8 +1,8 @@
-// E-serve — the serving layer: FRT-ensemble build cost and batched O(1)
-// query throughput (src/serve/).
+// E-serve — the serving layer: FRT-ensemble build cost and batched query
+// throughput (src/serve/).
 //
-// Claims carried: FrtIndex::distance is O(1) (two sparse-table probes per
-// query, counted exactly), ensembles amortise one hop set across k trees,
+// Claims carried: FrtIndex::distance reads two ancestor rows per query
+// (counted exactly), ensembles amortise one hop set across k trees,
 // and batch serving is embarrassingly parallel with bit-identical outputs
 // at any thread count.
 //
@@ -127,8 +127,8 @@ CounterScenario cached_query_scenario(const std::string& name,
                           {"result_hash32", result_hash32(out)}}};
 }
 
-/// The load-path contract as counter scenarios: persist `e` once (format
-/// v3), load it back by stream copy and by mmap, and replay `pairs`
+/// The load-path contract as counter scenarios: persist `e` once, load it
+/// back by stream copy and by mmap, and replay `pairs`
 /// uniform queries on each.  Both rows must reproduce the live ensemble's
 /// result_hash32; the mapped row's bulk_bytes_copied baseline is 0, so
 /// the gate fails on the first copied payload byte.
@@ -222,8 +222,9 @@ void run_counters() {
 void run(const Cli& cli) {
   print_header(
       "E-serve: ensemble serving throughput",
-      "O(1) LCA-based tree-distance queries; k-tree ensembles cut the "
-      "served stretch (Blelloch-Gu-Sun style) at k flat lookups per query");
+      "tree-distance queries from two ancestor rows per tree; k-tree "
+      "ensembles cut the served stretch (Blelloch-Gu-Sun style) at k flat "
+      "lookups per query");
   const Vertex n = quick(cli) ? 1024 : 4096;
   const std::size_t queries = quick(cli) ? 100000 : 1000000;
   Rng rng(cli.seed());

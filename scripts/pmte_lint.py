@@ -32,7 +32,8 @@ place and apply identical rules, so findings agree wherever both run.
 
 Usage:
   scripts/pmte_lint.py [paths...]         lint the tree (default roots:
-                                          src tests bench examples)
+                                          src tests bench examples
+                                          lifecycle_bench)
   scripts/pmte_lint.py --list-rules       machine-readable JSON rule table
   scripts/pmte_lint.py --self-test        run the fixture suite under
                                           tests/lint_fixtures/ (CTest: lint_selftest)
@@ -48,7 +49,7 @@ import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CXX_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc", ".cxx")
-DEFAULT_ROOTS = ("src", "tests", "bench", "examples")
+DEFAULT_ROOTS = ("src", "tests", "bench", "examples", "lifecycle_bench")
 FIXTURE_DIR = os.path.join("tests", "lint_fixtures")
 
 
@@ -56,7 +57,7 @@ class Rule:
     """One named determinism rule: regexes applied to comment-stripped code."""
 
     def __init__(self, rule_id, summary, rationale, patterns,
-                 scope=("src", "tests", "bench", "examples"), exempt=()):
+                 scope=DEFAULT_ROOTS, exempt=()):
         self.id = rule_id
         self.summary = summary
         self.rationale = rationale

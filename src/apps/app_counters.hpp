@@ -5,10 +5,10 @@
 // FrtTree::Node records — heap-allocated children vectors, parent chains,
 // one cache miss per hop.  After the rebase onto the flat serving layer
 // (serve::FrtIndex / serve::FrtEnsemble) the same questions are flat array
-// reads and O(1) sparse-table LCA probes.  These counters make the switch
-// auditable: they are logical-operation counts (thread-count independent,
-// machine independent), emitted by the app benches' --counters modes and
-// gated in CI next to the engine counters
+// reads, and an LCA is two ancestor-row reads.  These counters make the
+// switch auditable: they are logical-operation counts (thread-count
+// independent, machine independent), emitted by the app benches'
+// --counters modes and gated in CI next to the engine counters
 // (scripts/check_bench_regression.py).
 //
 //   tree_node_visits — FrtTree::Node dereferences (pointer chases).  The
@@ -17,7 +17,7 @@
 //   tree_lookups     — flat node/array reads against an FrtIndex (cheap,
 //                      contiguous; counted for transparency) and, for
 //                      ensemble-served batches, per-tree index lookups.
-//   lca_probes       — sparse-table RMQ probes (2 per O(1) LCA).
+//   lca_probes       — ancestor rows read (2 per LCA).
 
 #include <cstdint>
 

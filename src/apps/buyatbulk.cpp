@@ -121,7 +121,7 @@ BabResult buy_at_bulk(const Graph& g, const std::vector<Demand>& demands,
       if (d.s == d.t) continue;
       const auto la = index.leaf_node(d.s);
       const auto lb = index.leaf_node(d.t);
-      const auto top = index.lca(d.s, d.t);  // O(1): two RMQ probes
+      const auto top = index.lca(d.s, d.t);  // two ancestor rows read
       out.counters.lca_probes += serve::FrtIndex::kLcaProbesPerQuery;
       updo[la] += d.amount;
       updo[lb] += d.amount;

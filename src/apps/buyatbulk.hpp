@@ -13,8 +13,8 @@
 // fractional lower bound Σ_j d_j·dist(s_j,t_j)·min_i c_i/u_i.
 //
 // Step (2) runs on the flat serving index by default: the sampled tree is
-// compacted into a serve::FrtIndex, demand LCAs are O(1) sparse-table
-// probes instead of lockstep parent climbs, and the bottom-up flow
+// compacted into a serve::FrtIndex, demand LCAs compare two ancestor rows
+// instead of climbing parents in lockstep, and the bottom-up flow
 // accumulation folds over the index's CSR children in the tree's child
 // order — flows, costs, and loaded-edge counts are bit-identical to the
 // pointer-climbing reference (pinned by test_buyatbulk's differential

@@ -16,7 +16,7 @@
 //
 // The HST step runs on the flat serving index by default: the sampled
 // FrtTree is compacted into a serve::FrtIndex and the condensation walks
-// the index's Euler-tour/CSR arrays instead of FrtTree::Node pointers —
+// the index's CSR children arrays instead of FrtTree::Node pointers —
 // bit-identical condensed tree, DP table, centers, and costs (pinned by
 // test_kmedian's differential suite over the 50-graph corpus), zero
 // pointer chasing on the query path (AppQueryCounters).

@@ -14,13 +14,13 @@
 //                   [--metrics-out=FILE] [--trace-out=FILE]
 //
 // The embedding lifecycle end to end: sample k FRT trees (one master
-// seed, split per tree), compact them into O(1)-query FrtIndex layouts,
+// seed, split per tree), compact them into FrtIndex ancestor rows,
 // optionally persist/restore the whole ensemble in the versioned binary
 // format, then serve batched pair queries via the parallel batch API.
 // --roundtrip additionally pushes the ensemble through an in-memory
 // save→load cycle and fails loudly if anything changes.
 // --mmap switches the replay onto the zero-copy serving path: the
-// ensemble is mapped straight from a format-v3 artefact (--load/--save
+// ensemble is mapped straight from an artefact on disk (--load/--save
 // when given, else a temp file written and unlinked on the spot), the
 // load-path counters must report zero bulk bytes copied, and the mapped
 // ensemble must compare equal to the built/loaded one before it takes
@@ -45,8 +45,10 @@
 // count — the same quantities the CI gate pins in BENCH_server.json.
 //
 // --update-file FILE replays live edge-weight updates through the
-// dynamic-maintenance path (docs/DYNAMIC.md): each non-comment line is
-// "<batch> <edge-index> <factor>" — before serving batch <batch>, edge
+// dynamic-maintenance path (docs/DYNAMIC.md): each non-blank, non-comment
+// line is exactly "<batch> <edge-index> <factor>", every token parsed in
+// full, with a finite factor > 0 (anything else fails the run, naming
+// file:line) — before serving batch <batch>, edge
 // <edge-index> of the graph's canonical edge list re-weights to
 // old·<factor> in a maintained DynamicEnsemble, and the fresh snapshot is
 // loaded and staged to *every* tenant, so the new metric flips in at the
@@ -57,11 +59,13 @@
 // text exposition / Chrome trace-event JSON for the whole run.  Purely
 // additive: enabling them never changes served doubles or counters.
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -90,6 +94,15 @@ serve::EnsemblePipeline parse_pipeline(const std::string& name) {
   if (name == "sequential") return serve::EnsemblePipeline::sequential;
   std::cerr << "unknown pipeline: " << name << "\n";
   std::exit(2);
+}
+
+/// Parse a whole token with std::from_chars; false unless it converts
+/// without error and consumes every character.
+template <typename T>
+bool parse_token(const std::string& token, T& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc{} && ptr == end;
 }
 
 std::string fp_hex(std::uint64_t fp) {
@@ -171,10 +184,10 @@ int run_tenant_scenario(const Graph& g, serve::FrtEnsemble base,
   }
 
   // --- Dynamic update replay (--update-file, docs/DYNAMIC.md). ----------
-  // Each non-comment line is "<batch> <edge-index> <factor>": before
-  // serving that batch, the edge re-weights to old·factor through the
-  // maintained DynamicEnsemble and the fresh snapshot is staged to every
-  // tenant — the new metric flips in at the batch boundary.
+  // Each non-blank, non-comment line is "<batch> <edge-index> <factor>":
+  // before serving that batch, the edge re-weights to old·factor through
+  // the maintained DynamicEnsemble and the fresh snapshot is staged to
+  // every tenant — the new metric flips in at the batch boundary.
   struct UpdateEvent {
     std::size_t batch;
     std::size_t edge;
@@ -190,22 +203,32 @@ int run_tenant_scenario(const Graph& g, serve::FrtEnsemble base,
       std::cerr << "cannot open " << update_path << "\n";
       return 1;
     }
+    // Every malformed line is reported before the run fails, so one pass
+    // over a bad file shows all of its problems.
     std::string line;
-    while (std::getline(in, line)) {
+    std::size_t bad_lines = 0;
+    for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
       const auto hash = line.find('#');
       if (hash != std::string::npos) line.resize(hash);
       std::istringstream ls(line);
-      UpdateEvent ev;
-      if (ls >> ev.batch >> ev.edge >> ev.factor) {
-        if (ev.factor <= 0.0 || ev.edge >= g.num_edges()) {
-          std::cerr << "bad update line (want \"<batch> <edge-index> "
-                       "<factor>\" with factor > 0 and a valid edge): "
-                    << line << "\n";
-          return 1;
-        }
-        updates.push_back(ev);
+      const std::vector<std::string> tokens{
+          std::istream_iterator<std::string>(ls), {}};
+      if (tokens.empty()) continue;
+      UpdateEvent ev{};
+      if (tokens.size() != 3 || !parse_token(tokens[0], ev.batch) ||
+          !parse_token(tokens[1], ev.edge) ||
+          !parse_token(tokens[2], ev.factor) || !std::isfinite(ev.factor) ||
+          ev.factor <= 0.0 || ev.edge >= g.num_edges()) {
+        std::cerr << update_path << ':' << line_no
+                  << ": bad update line (want \"<batch> <edge-index> "
+                     "<factor>\" with a valid edge and a finite factor > 0): "
+                  << line << "\n";
+        ++bad_lines;
+        continue;
       }
+      updates.push_back(ev);
     }
+    if (bad_lines > 0) return 1;
     if (cli.get("pipeline", "oracle") != std::string("oracle")) {
       std::cerr << "--update-file needs --pipeline=oracle (the dynamic "
                    "path maintains the oracle's level caches)\n";
@@ -397,10 +420,9 @@ int main(int argc, char** argv) {
   // --- Zero-copy mmap serving path. --------------------------------------
   if (cli.has("mmap")) {
     // Map an existing artefact when one is on disk (--load, or the file
-    // --save just wrote — both must be v3 for the mapped reader);
-    // otherwise persist to a temp file named after the registry
-    // fingerprint and unlink it right after mapping (POSIX keeps the
-    // inode alive for the mapping's lifetime).
+    // --save just wrote); otherwise persist to a temp file named after the
+    // registry fingerprint and unlink it right after mapping (POSIX keeps
+    // the inode alive for the mapping's lifetime).
     std::string map_path = !load_path.empty() ? load_path : save_path;
     bool unlink_after = false;
     if (map_path.empty()) {

@@ -1,7 +1,6 @@
 #include "src/serve/frt_ensemble.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -50,89 +49,29 @@ EnsembleObs& ensemble_obs() {
 }
 #endif  // PMTE_OBS
 
-inline void prefetch_ro(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);
-#else
-  (void)p;
-#endif
-}
-
-/// Flat per-tree pointers for the batch kernel — one cheap array of these
-/// per batch keeps the hot loop free of FrtIndex indirection.  The
-/// pointers alias the indices' sections (owned or mapped), which outlive
-/// the batch.
-struct TreeView {
-  const std::uint32_t* sparse;       ///< RMQ table, row-major
-  const std::uint32_t* euler_level;  ///< tour position → level
-  std::size_t tour_len;              ///< sparse-table row stride
-  const Weight* dist_by_level;       ///< LCA level → dist_T
-};
-
-[[nodiscard]] std::vector<TreeView> tree_views(
-    const std::vector<FrtIndex>& indices) {
-  std::vector<TreeView> views(indices.size());
-  for (std::size_t t = 0; t < indices.size(); ++t) {
-    const FrtIndex& idx = indices[t];
-    views[t] = TreeView{idx.sparse_table().data(), idx.euler_levels().data(),
-                        idx.euler_levels().size(),
-                        idx.distance_by_lca_level().data()};
-  }
-  return views;
-}
-
-/// Per-thread workspace of the kernel: k distances plus the per-tree probe
-/// coordinates staged between the two phases.
-struct KernelScratch {
-  Weight* dist;               ///< k aggregation inputs, contiguous
-  const std::uint32_t** row;  ///< k sparse-table rows
-  std::uint32_t* lo;          ///< k left probe columns
-  std::uint32_t* hi;          ///< k right probe columns
-};
-
-/// The min-over-k / median-over-k aggregate for one u ≠ v pair, reading
-/// the SoA leaf positions.  Two phases over the trees: phase 1 computes
-/// every probe address and prefetches the two sparse-table words per tree
-/// (the only cache-cold reads — each tree's table is ~N·log N words);
-/// phase 2 consumes them and writes the k distances contiguously, so the
-/// min fold is a vectorizable horizontal reduction.  Fold order and
-/// values are identical to the scalar FrtIndex::distance path —
-/// bit-identical serving, just denser.
-[[nodiscard]] Weight aggregate_soa(const TreeView* tv, std::size_t k,
-                                   const std::uint32_t* pos_u,
-                                   const std::uint32_t* pos_v,
-                                   AggregatePolicy policy,
-                                   const KernelScratch& ws) {
+/// The min-over-k / median-over-k aggregate for one u ≠ v pair: one
+/// plain loop over the trees reads the pair's two ancestor rows per tree
+/// and writes the k distances to `dist` in tree order, then the policy
+/// folds them.  Each per-tree value equals FrtIndex::distance, so serving
+/// is bit-identical to the scalar path.
+[[nodiscard]] Weight aggregate(const std::vector<FrtIndex>& trees, Vertex u,
+                               Vertex v, AggregatePolicy policy,
+                               Weight* dist) {
+  const std::size_t k = trees.size();
   for (std::size_t t = 0; t < k; ++t) {
-    std::uint32_t a = pos_u[t];
-    std::uint32_t b = pos_v[t];
-    if (a > b) std::swap(a, b);
-    const std::uint32_t len = b - a + 1;
-    const unsigned j = static_cast<unsigned>(std::bit_width(len)) - 1U;
-    const std::uint32_t* row =
-        tv[t].sparse + static_cast<std::size_t>(j) * tv[t].tour_len;
-    ws.row[t] = row;
-    ws.lo[t] = a;
-    ws.hi[t] = b + 1 - (std::uint32_t{1} << j);
-    prefetch_ro(row + a);
-    prefetch_ro(row + ws.hi[t]);
-  }
-  for (std::size_t t = 0; t < k; ++t) {
-    const std::uint32_t p1 = ws.row[t][ws.lo[t]];
-    const std::uint32_t p2 = ws.row[t][ws.hi[t]];
-    const std::uint32_t l1 = tv[t].euler_level[p1];
-    const std::uint32_t l2 = tv[t].euler_level[p2];
-    ws.dist[t] = tv[t].dist_by_level[l1 >= l2 ? l1 : l2];
+    const FrtIndex& idx = trees[t];
+    dist[t] = idx.distance_at_lca_level(
+        idx.differing_levels(idx.row(u), idx.row(v)));
   }
   if (policy == AggregatePolicy::min) {
-    Weight best = ws.dist[0];
-    for (std::size_t t = 1; t < k; ++t) best = std::min(best, ws.dist[t]);
+    Weight best = dist[0];
+    for (std::size_t t = 1; t < k; ++t) best = std::min(best, dist[t]);
     return best;
   }
   // Upper median: stays a per-tree value (no averaging), and every tree
   // dominates dist_G, so the served value does too.
-  std::nth_element(ws.dist, ws.dist + k / 2, ws.dist + k);
-  return ws.dist[k / 2];
+  std::nth_element(dist, dist + k / 2, dist + k);
+  return dist[k / 2];
 }
 
 }  // namespace
@@ -165,21 +104,6 @@ std::uint64_t FrtEnsemble::fingerprint(const Graph& g) {
 std::uint64_t FrtEnsemble::registry_fingerprint() const noexcept {
   return serve::registry_fingerprint(kEnsembleMagic, master_seed_,
                                      graph_fingerprint_, indices_.size());
-}
-
-void FrtEnsemble::finalize_query_layout() {
-  const std::size_t k = indices_.size();
-  const std::size_t n = indices_.empty()
-                            ? 0
-                            : static_cast<std::size_t>(
-                                  indices_.front().num_leaves());
-  leaf_pos_soa_.assign(n * k, 0);
-  for (std::size_t t = 0; t < k; ++t) {
-    const auto lp = indices_[t].leaf_positions();
-    for (std::size_t v = 0; v < n; ++v) {
-      leaf_pos_soa_[v * k + t] = lp[v];
-    }
-  }
 }
 
 FrtEnsemble FrtEnsemble::build(const Graph& g, std::uint64_t master_seed,
@@ -245,7 +169,6 @@ FrtEnsemble FrtEnsemble::build(const Graph& g, std::uint64_t master_seed,
   e.stats_.relaxations = scope.relaxations_delta();
   e.stats_.edges_touched = scope.edges_touched_delta();
   e.stats_.seconds = timer.seconds();
-  e.finalize_query_layout();
   return e;
 }
 
@@ -261,7 +184,6 @@ FrtEnsemble FrtEnsemble::assemble(std::vector<FrtIndex> indices,
   e.indices_ = std::move(indices);
   e.master_seed_ = master_seed;
   e.graph_fingerprint_ = graph_fingerprint;
-  e.finalize_query_layout();
   return e;
 }
 
@@ -270,16 +192,8 @@ Weight FrtEnsemble::query(Vertex u, Vertex v, AggregatePolicy policy) const {
   PMTE_CHECK(u < num_vertices() && v < num_vertices(),
              "FrtEnsemble::query: vertex out of range");
   if (u == v) return 0.0;
-  const std::size_t k = indices_.size();
-  const auto views = tree_views(indices_);
-  std::vector<Weight> dist(k);
-  std::vector<const std::uint32_t*> row(k);
-  std::vector<std::uint32_t> cols(2 * k);
-  const KernelScratch ws{dist.data(), row.data(), cols.data(),
-                         cols.data() + k};
-  return aggregate_soa(views.data(), k,
-                       leaf_pos_soa_.data() + std::size_t{u} * k,
-                       leaf_pos_soa_.data() + std::size_t{v} * k, policy, ws);
+  std::vector<Weight> dist(indices_.size());
+  return aggregate(indices_, u, v, policy, dist.data());
 }
 
 FrtEnsemble::BatchStats FrtEnsemble::query_batch(
@@ -298,31 +212,22 @@ FrtEnsemble::BatchStats FrtEnsemble::query_batch(
 
   // Validate every pair *before* touching the cache or the parallel
   // phases: probe() claims slots at classification time, and the kernel
-  // below indexes the SoA arrays unchecked.
+  // below reads the ancestor rows unchecked.
   const auto n = static_cast<Vertex>(indices_.front().num_leaves());
   for (const auto& [u, v] : pairs) {
     PMTE_CHECK(u < n && v < n,
                "FrtEnsemble::query_batch: vertex out of range");
   }
 
-  // Kernel workspace: one k-slot slice per thread, allocated once per
-  // batch; the per-tree TreeView table is shared read-only.
-  const auto views = tree_views(indices_);
+  // Kernel workspace: one k-slot slice of distances per thread, allocated
+  // once per batch.
   const auto nthreads =
       static_cast<std::size_t>(std::max(num_threads(), 1));
   std::vector<Weight> dist_ws(nthreads * k);
-  std::vector<const std::uint32_t*> row_ws(nthreads * k);
-  std::vector<std::uint32_t> col_ws(nthreads * 2 * k);
   auto compute = [&](Vertex u, Vertex v) -> Weight {
     if (u == v) return 0.0;
     const auto ti = static_cast<std::size_t>(thread_index());
-    const KernelScratch ws{dist_ws.data() + ti * k, row_ws.data() + ti * k,
-                           col_ws.data() + ti * 2 * k,
-                           col_ws.data() + ti * 2 * k + k};
-    return aggregate_soa(views.data(), k,
-                         leaf_pos_soa_.data() + std::size_t{u} * k,
-                         leaf_pos_soa_.data() + std::size_t{v} * k, policy,
-                         ws);
+    return aggregate(indices_, u, v, policy, dist_ws.data() + ti * k);
   };
 
   BatchStats stats;
@@ -334,8 +239,8 @@ FrtEnsemble::BatchStats FrtEnsemble::query_batch(
         [&](std::size_t i) {
           out[i] = compute(pairs[i].first, pairs[i].second);
         });
-    // Logical costs: every pair consults every tree; each u ≠ v lookup is
-    // exactly kLcaProbesPerQuery sparse-table probes (u==v short-circuits).
+    // Logical costs: every pair consults every tree; each u ≠ v lookup
+    // reads exactly kLcaProbesPerQuery ancestor rows (u==v short-circuits).
     stats.tree_lookups = static_cast<std::uint64_t>(q) * k;
     std::uint64_t distinct = 0;
     for (const auto& [u, v] : pairs) distinct += u != v ? 1 : 0;
@@ -433,11 +338,11 @@ FrtEnsemble::BatchStats FrtEnsemble::query_batch(
   return stats;
 }
 
-void FrtEnsemble::save(std::ostream& os, std::uint32_t version) const {
+void FrtEnsemble::save(std::ostream& os) const {
   // One writer spans the whole artefact: section padding is computed from
   // the absolute in-artefact offset, so the embedded index payloads stay
   // 64-byte aligned for the mmap path.
-  BinaryWriter w(os, version);
+  BinaryWriter w(os);
   w.magic(kEnsembleMagic);
   w.u64(master_seed_);
   w.u64(graph_fingerprint_);
@@ -449,7 +354,7 @@ FrtEnsemble FrtEnsemble::load(std::istream& is) {
   PMTE_OBS_SPAN("ensemble.load");
   PMTE_OBS_ONLY(if (obs::metrics_on()) ensemble_obs().loads_copied.add(1));
   // One reader spans the whole artefact: the stream size is probed once,
-  // and the running position drives the v3 padding arithmetic.
+  // and the running position drives the section padding arithmetic.
   BinaryReader r(is);
   r.expect_magic(kEnsembleMagic);
   FrtEnsemble e;
@@ -465,7 +370,6 @@ FrtEnsemble FrtEnsemble::load(std::istream& is) {
                    e.indices_.front().num_leaves(),
                "FrtEnsemble::load: indices disagree on the vertex set");
   }
-  e.finalize_query_layout();
   return e;
 }
 
@@ -494,7 +398,6 @@ FrtEnsemble FrtEnsemble::load_mapped(MappedFile file) {
                "FrtEnsemble::load_mapped: indices disagree on the vertex "
                "set");
   }
-  e.finalize_query_layout();
   return e;
 }
 

@@ -16,14 +16,14 @@
 //                 per-tree engine loops detect the enclosing region and
 //                 run serially).  The oracle pipeline shares one simulated
 //                 graph across all trees, amortising the hop set.
-//   Queries     — query(u, v, policy) aggregates the k O(1) index lookups
+//   Queries     — query(u, v, policy) aggregates the k index lookups
 //                 with `min` (tightest dominating estimate; every tree
 //                 dominates dist_G, hence so does the min) or `median`
 //                 (robust distance-weighted-stretch estimate; the upper
 //                 median for even k, so it stays dominating too).
 //   Batches     — query_batch answers a pair list via
 //                 parallel_for_balanced and reports deterministic logical
-//                 counters (pairs, per-tree lookups, sparse-table probes)
+//                 counters (pairs, per-tree lookups, ancestor-row reads)
 //                 for the CI bench gate; outputs are bit-identical across
 //                 thread counts.
 //   Hot pairs   — an optional caller-owned HotPairCache short-circuits
@@ -35,20 +35,18 @@
 //                 thread count (see hot_pair_cache.hpp).
 //
 // save()/load() persist the whole ensemble (master seed + every index)
-// in the versioned binary format; round-trips are exact.  load_mapped()
-// mmaps a v3 artefact instead: every index's persisted arrays become
-// views into the file image (zero bulk bytes copied — the load-path
-// counters in serialize.hpp prove it) and only the derived tables are
-// rebuilt.  The ensemble owns the mapping via shared_ptr, so registry
-// entries, tenants, and copies of the shared_ptr keep it alive for as
-// long as any query can touch it; served doubles and all logical
-// counters are bit-identical between the two load paths.
+// in the binary format; round-trips are exact.  load_mapped() mmaps the
+// artefact instead: every index's persisted arrays become views into the
+// file image (zero bulk bytes copied — the load-path counters in
+// serialize.hpp prove it) and only the O(n·L) structure maps are derived.
+// The ensemble owns the mapping via shared_ptr, so registry entries,
+// tenants, and copies of the shared_ptr keep it alive for as long as any
+// query can touch it; served doubles and all logical counters are
+// bit-identical between the two load paths.
 //
-// Query path layout: alongside the per-index arrays the ensemble keeps a
-// structure-of-arrays copy of the leaf tour positions (leaf_pos_soa_,
-// [vertex·k + tree]) so the min-over-k inner loop reads its k inputs
-// contiguously, plus a two-phase kernel that software-prefetches the k
-// sparse-table rows before consuming them (see frt_ensemble.cpp).
+// Query path: per u ≠ v pair the batch kernel loops over the trees, reads
+// the pair's two ancestor rows in each (frt_index.hpp), and folds the k
+// distances in tree order.
 
 #include <cstdint>
 #include <iosfwd>
@@ -127,7 +125,7 @@ class FrtEnsemble {
   [[nodiscard]] static std::uint64_t fingerprint(const Graph& g);
 
   /// Registry identity of this ensemble: serve::registry_fingerprint over
-  /// its serialized v2 prelude (header + master seed + graph fingerprint +
+  /// its serialized prelude (header + master seed + graph fingerprint +
   /// tree count).  A pure function of the deterministic build inputs, so a
   /// freshly built ensemble and its save→load round-trip fingerprint
   /// identically; the many-tenant server keys its EnsembleRegistry on it.
@@ -145,7 +143,7 @@ class FrtEnsemble {
     return stats_;
   }
 
-  /// Aggregated point query: k O(1) lookups + the policy fold.
+  /// Aggregated point query: k two-row lookups + the policy fold.
   [[nodiscard]] Weight query(Vertex u, Vertex v,
                              AggregatePolicy policy) const;
 
@@ -155,7 +153,7 @@ class FrtEnsemble {
   struct BatchStats {
     std::uint64_t pairs = 0;
     std::uint64_t tree_lookups = 0;  ///< computed pairs × trees
-    std::uint64_t lca_probes = 0;    ///< sparse-table probes (u≠v only)
+    std::uint64_t lca_probes = 0;    ///< ancestor rows read (u≠v only)
     std::uint64_t cache_hits = 0;    ///< pairs served from the cache
     std::uint64_t cache_misses = 0;  ///< cacheable pairs computed
     std::uint64_t cache_admissions = 0;  ///< misses that claimed a slot
@@ -172,15 +170,14 @@ class FrtEnsemble {
                          AggregatePolicy policy, std::vector<Weight>& out,
                          HotPairCache* cache = nullptr) const;
 
-  /// Persist / restore through the versioned format (one position-tracking
-  /// writer/reader spans the whole artefact).  `version` exists for
-  /// compatibility fixtures — production saves use the default (v3).
-  void save(std::ostream& os, std::uint32_t version = kFormatVersion) const;
+  /// Persist / restore through the binary format (one position-tracking
+  /// writer/reader spans the whole artefact).
+  void save(std::ostream& os) const;
   [[nodiscard]] static FrtEnsemble load(std::istream& is);
-  /// Zero-copy load: mmap `path` (format v3 required) and point every
-  /// index's persisted arrays straight at the mapping; only the derived
-  /// tables are rebuilt.  The returned ensemble owns the mapping (shared,
-  /// so moves/copies through the registry keep it alive).
+  /// Zero-copy load: mmap `path` and point every index's persisted arrays
+  /// straight at the mapping; only the O(n·L) structure maps are derived.
+  /// The returned ensemble owns the mapping (shared, so moves/copies
+  /// through the registry keep it alive).
   [[nodiscard]] static FrtEnsemble load_mapped(const std::string& path);
   [[nodiscard]] static FrtEnsemble load_mapped(MappedFile file);
 
@@ -191,18 +188,10 @@ class FrtEnsemble {
   }
 
  private:
-  /// Rebuild the derived structure-of-arrays query layout (leaf_pos_soa_).
-  /// Every path that produces a servable ensemble (build/load/load_mapped)
-  /// ends here.
-  void finalize_query_layout();
-
   std::vector<FrtIndex> indices_;
   std::uint64_t master_seed_ = 0;
   std::uint64_t graph_fingerprint_ = 0;
   EnsembleBuildStats stats_{};  // build-time only; not persisted
-  // Derived: leaf tour positions interleaved [vertex·k + tree] so the
-  // batch kernel's per-pair loop over trees reads contiguous words.
-  std::vector<std::uint32_t> leaf_pos_soa_;
   // Keeps a mapped file image alive for the indices' views (null when the
   // ensemble owns its arrays).  shared_ptr: registry entries and tenant
   // references all pin the same mapping.

@@ -1,59 +1,51 @@
 #pragma once
 // Flat, read-only serving index over one FRT tree.
 //
-// FrtTree is a build-time structure: nodes own std::vector children, and
-// distance() walks tuple suffixes — fine for construction-side checks, too
-// pointer-heavy for query traffic.  FrtIndex compacts a finished tree into
-// a handful of flat arrays sized once at build time:
+// FrtTree is a build-time structure: nodes own std::vector children —
+// fine for construction-side checks, too pointer-heavy for query traffic.
+// An FRT tree is not a general tree either (Section 7.1): the leaf of v is
+// the tuple (v_{i0}, …, v_{itop}) and its ancestors are the tuple's
+// suffixes.  So n rows of L ancestor ids describe the whole tree, and
+// FrtIndex persists exactly that plus two per-level tables:
 //
-//   euler_node_ / euler_level_   Euler tour of the tree (2·nodes − 1
-//                                positions); the tour visits a node once
-//                                per child boundary, so the LCA of two
-//                                leaves is the maximum-level node between
-//                                their tour positions.
-//   sparse_                      sparse-table RMQ (range *max* of
-//                                euler_level_, ⌈log₂⌉ rows): any range
-//                                query is 2 table probes → O(1) LCA.
-//   wdepth_                      per-node prefix sum of root-path edge
-//                                weights, so in general
-//                                dist_T(u,v) = wdepth[u] + wdepth[v]
-//                                              − 2·wdepth[lca].
-//   dist_by_lca_level_           the same quantity specialised to FRT
-//                                trees: all leaves sit at level 0 and edge
-//                                weights are uniform per level, so
-//                                2·(wdepth[leaf] − wdepth[lca]) depends
-//                                only on the LCA level.  The table is
-//                                copied verbatim from
-//                                FrtTree::distance_by_lca_level(), which
-//                                makes distance() bit-identical to
-//                                FrtTree::distance — no re-derived
-//                                floating-point sums.
-//   edge_weight_by_level_        per-level parent-edge weight, copied
-//                                verbatim from FrtTree::edge_weight(l); the
-//                                apps' flat tree walks (buy-at-bulk flow
-//                                pricing) read it instead of per-node
-//                                parent_edge fields.
+//   anc_                   anc[v·L + l] = node id of v's level-l ancestor
+//                          (entry 0 is v's leaf, entry L−1 the root).  Two
+//                          rows agree from their LCA upwards and differ
+//                          below it, so the LCA level of u, v is the number
+//                          of levels at which their rows differ, and the
+//                          LCA itself is anc[u·L + lca_level].
+//   dist_by_lca_level_     dist_T for an LCA at each level: all leaves sit
+//                          at level 0 and edge weights are uniform per
+//                          level, so the tree metric depends only on the
+//                          LCA level.  Copied verbatim from
+//                          FrtTree::distance_by_lca_level(), which makes
+//                          distance() bit-identical to FrtTree::distance —
+//                          no re-derived floating-point sums.
+//   edge_weight_by_level_  per-level parent-edge weight, copied verbatim
+//                          from FrtTree::edge_weight(l); the apps' flat
+//                          tree walks (buy-at-bulk flow pricing) read it
+//                          instead of per-node parent_edge fields.
 //
-// distance() is O(1): two array reads to map leaves to tour positions, two
-// sparse-table probes, one compare, one table lookup.  No allocation, no
-// pointer chasing; the index is immutable after build, so concurrent
+// distance() reads two rows of L words and one table entry: no allocation,
+// no pointer chasing.  The index is immutable after build, so concurrent
 // queries from any number of threads are safe.
 //
 // Beyond point queries the index exposes the flat tree *structure* so the
 // applications (src/apps/) never touch FrtTree's pointer-based nodes on
-// their query paths: euler_nodes()/euler_levels() (the tour itself),
-// children(id) (CSR adjacency derived from the tour, in the source tree's
-// child order), leaf_vertex(id), and root().  Node ids are the source
-// tree's numbering, and parents always precede children, so iterating ids
+// their query paths: level(id), children(id) (CSR adjacency in ascending
+// id order, which is the source tree's child order), leaf_vertex(id),
+// leaf_node(v), and root().  Node ids are the source tree's numbering and
+// every parent id is smaller than its children's, so iterating ids
 // descending is a valid bottom-up (children-first) order.
 //
-// save()/load() persist every non-derived array through the versioned
-// binary format of serialize.hpp (normative layout: docs/FORMAT.md); the
-// sparse table and the CSR/leaf-vertex maps are rebuilt deterministically
-// on load, so save→load→save is byte-identical.  The persisted arrays are
-// ArraySections — owned vectors after build() or a stream load, zero-copy
-// views into a file mapping after load_mapped_from() (only the derived
-// tables are materialised then; the mapping's owner keeps it alive, see
+// save()/load() persist the three arrays through the binary format of
+// serialize.hpp (normative layout: docs/FORMAT.md), so save→load→save is
+// byte-identical.  build() and both loaders end in the same O(n·L) pass,
+// which rejects rows that do not form an FRT tree and derives the node
+// levels, the children CSR and the leaf map; an FrtIndex that exists is
+// valid.  The persisted arrays are ArraySections — owned vectors after
+// build() or a stream load, zero-copy views into a file mapping after
+// load_mapped_from() (the mapping's owner keeps it alive, see
 // FrtEnsemble).  Queries read through the view either way, so served
 // doubles are bit-identical between the two load paths.
 
@@ -74,27 +66,24 @@ class FrtIndex {
 
   FrtIndex() = default;
 
-  /// Flatten a built FRT tree.  O(nodes·log nodes) time and space (the
-  /// sparse table dominates).
+  /// Flatten a built FRT tree into its ancestor rows.  O(n·levels).
   [[nodiscard]] static FrtIndex build(const FrtTree& tree);
 
   [[nodiscard]] Vertex num_leaves() const noexcept {
-    return static_cast<Vertex>(leaf_pos_.size());
+    return static_cast<Vertex>(anc_.size() / levels_);
   }
   [[nodiscard]] std::size_t num_nodes() const noexcept {
     return node_level_.size();
   }
   [[nodiscard]] unsigned num_levels() const noexcept { return levels_; }
   [[nodiscard]] double beta() const noexcept { return beta_; }
-  [[nodiscard]] bool empty() const noexcept { return node_level_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return anc_.empty(); }
   /// Whether the persisted arrays view a file mapping (zero-copy load).
-  [[nodiscard]] bool is_mapped() const noexcept {
-    return node_level_.is_mapped();
-  }
+  [[nodiscard]] bool is_mapped() const noexcept { return anc_.is_mapped(); }
 
-  /// Tree distance between the leaves of u and v — O(1), two sparse-table
-  /// probes (kLcaProbesPerQuery), no per-query allocation.  Bit-identical
-  /// to FrtTree::distance of the source tree.
+  /// Tree distance between the leaves of u and v — two ancestor rows read
+  /// (kLcaProbesPerQuery), no per-query allocation.  Bit-identical to
+  /// FrtTree::distance of the source tree.
   [[nodiscard]] Weight distance(Vertex u, Vertex v) const;
 
   /// Lowest common ancestor of the leaves of u and v (node id of the
@@ -102,10 +91,21 @@ class FrtIndex {
   [[nodiscard]] NodeId lca(Vertex u, Vertex v) const;
   [[nodiscard]] unsigned lca_level(Vertex u, Vertex v) const;
 
-  /// Root-path weight prefix sum of a node (0 at the root).
-  [[nodiscard]] Weight weighted_depth(NodeId id) const {
-    return wdepth_[id];
+  /// v's ancestor row: num_levels() node ids, leaf first, root last.
+  /// Unchecked — the public queries validate v; FrtEnsemble::query_batch
+  /// validates its pairs up front.
+  [[nodiscard]] const NodeId* row(Vertex v) const noexcept {
+    return anc_.data() + std::size_t{v} * levels_;
   }
+  /// Number of levels at which two of this index's rows differ — the LCA
+  /// level of their leaves, since rows agree from the LCA upwards.
+  [[nodiscard]] unsigned differing_levels(const NodeId* a,
+                                          const NodeId* b) const noexcept {
+    unsigned differ = 0;
+    for (unsigned l = 0; l < levels_; ++l) differ += a[l] != b[l] ? 1U : 0U;
+    return differ;
+  }
+
   [[nodiscard]] unsigned level(NodeId id) const { return node_level_[id]; }
 
   /// dist_T for an LCA at `level` (copied from the source tree).
@@ -129,11 +129,11 @@ class FrtIndex {
 
   // --- Flat structure (query-path substitute for FrtTree::Node) ---------
 
-  /// Root node id (the first tour position).
-  [[nodiscard]] NodeId root() const { return euler_node_.front(); }
+  /// Root node id (the last entry of every row).
+  [[nodiscard]] NodeId root() const { return anc_[levels_ - 1]; }
 
-  /// Children of `id` in the source tree's child order — a CSR view
-  /// derived from the Euler tour, no per-node heap vectors.
+  /// Children of `id` in ascending id order (the source tree's child
+  /// order) — a CSR view, no per-node heap vectors.
   [[nodiscard]] std::span<const NodeId> children(NodeId id) const {
     return {child_list_.data() + child_offset_[id],
             child_offset_[id + 1] - child_offset_[id]};
@@ -145,101 +145,53 @@ class FrtIndex {
   }
 
   /// Leaf node id of a graph vertex (inverse of leaf_vertex on leaves).
-  [[nodiscard]] NodeId leaf_node(Vertex v) const {
-    return euler_node_[leaf_pos_[v]];
-  }
+  [[nodiscard]] NodeId leaf_node(Vertex v) const { return row(v)[0]; }
 
-  /// Euler tour views (tour position → node id / level).
-  [[nodiscard]] std::span<const std::uint32_t> euler_nodes() const noexcept {
-    return euler_node_;
-  }
-  [[nodiscard]] std::span<const std::uint32_t> euler_levels() const noexcept {
-    return euler_level_;
-  }
-
-  // --- Query-kernel internals (FrtEnsemble's SoA batch kernel) -----------
-
-  /// Per-vertex leaf tour positions (vertex → tour position).
-  [[nodiscard]] std::span<const std::uint32_t> leaf_positions()
-      const noexcept {
-    return leaf_pos_;
-  }
-  /// The RMQ sparse table, row-major with stride euler_levels().size():
-  /// row j, column i holds the tour position of the max level in
-  /// [i, i + 2^j).  Derived (never persisted) and rebuilt on every load.
-  [[nodiscard]] std::span<const std::uint32_t> sparse_table()
-      const noexcept {
-    return sparse_;
-  }
-
-  /// Sparse-table probes per u ≠ v distance query (u == v costs none).
-  /// bench_serve's deterministic counters are multiples of this.
+  /// Ancestor rows read per u ≠ v distance query (u == v costs none).
+  /// bench_serve's deterministic lca_probes counters are multiples of it.
   static constexpr std::uint64_t kLcaProbesPerQuery = 2;
 
-  /// Structural validation of the flat arrays (tour shape, leaf positions,
-  /// wdepth consistency with dist_by_lca_level_).  Throws on violation.
-  void validate() const;
-
-  /// Persist / restore through the versioned format.  The writer/reader
+  /// Persist / restore through the binary format.  The writer/reader
   /// variants share one position-tracking writer across an enclosing
   /// artefact (FrtEnsemble embeds k index artefacts in one file); the
-  /// stream variants wrap them for standalone files.  `version` exists for
-  /// compatibility fixtures — production saves use the default.
-  void save(std::ostream& os, std::uint32_t version = kFormatVersion) const;
+  /// stream variants wrap them for standalone files.
+  void save(std::ostream& os) const;
   void save_into(BinaryWriter& w) const;
   [[nodiscard]] static FrtIndex load(std::istream& is);
   [[nodiscard]] static FrtIndex load_from(BinaryReader& r);
   /// Zero-copy load: the persisted arrays become views into the reader's
-  /// image; only the derived tables (sparse RMQ, children CSR, leaf maps)
-  /// are materialised.  The caller owns the backing memory and must keep
-  /// it alive for the index's lifetime (FrtEnsemble holds the MappedFile).
+  /// image; only the O(n·L) structure maps are materialised.  The caller
+  /// owns the backing memory and must keep it alive for the index's
+  /// lifetime (FrtEnsemble holds the MappedFile).
   [[nodiscard]] static FrtIndex load_mapped_from(MappedReader& r);
 
-  /// Equality over the persisted state (derived tables excluded — they are
-  /// a function of it).  Backs the round-trip tests; sections compare by
-  /// content, so a mapped index equals its by-copy twin.
+  /// Equality over the persisted state (the structure maps are a function
+  /// of it).  Backs the round-trip tests; sections compare by content, so
+  /// a mapped index equals its by-copy twin.
   friend bool operator==(const FrtIndex& a, const FrtIndex& b) {
-    return a.levels_ == b.levels_ && a.beta_ == b.beta_ &&
-           a.node_level_ == b.node_level_ && a.wdepth_ == b.wdepth_ &&
-           a.euler_node_ == b.euler_node_ &&
-           a.euler_level_ == b.euler_level_ && a.leaf_pos_ == b.leaf_pos_ &&
+    return a.levels_ == b.levels_ && a.beta_ == b.beta_ && a.anc_ == b.anc_ &&
            a.dist_by_lca_level_ == b.dist_by_lca_level_ &&
            a.edge_weight_by_level_ == b.edge_weight_by_level_;
   }
 
  private:
-  /// Tour position of the maximum-level node in the inclusive position
-  /// range spanned by a and b (the LCA when a, b are leaf positions).
-  [[nodiscard]] std::uint32_t lca_pos(std::uint32_t a, std::uint32_t b) const;
-
-  /// Validate + rebuild every derived table (shared load tail).
-  void finish_load();
-  /// (Re)derive the sparse table from the Euler arrays.
-  void build_sparse_table();
-  /// (Re)derive the children CSR and leaf-vertex map from the tour.
-  void build_structure_maps();
+  /// Check that the persisted arrays form an FRT tree and derive the
+  /// structure maps (shared tail of build() and both loaders).  Throws on
+  /// violation.
+  void derive_structure();
 
   unsigned levels_ = 1;
   double beta_ = 1.0;
   // Persisted arrays: owned after build()/load(), mapped views after
   // load_mapped_from() (see ArraySection).
-  ArraySection<std::uint32_t> node_level_;   // node → level
-  ArraySection<Weight> wdepth_;              // node → root-path weight
-  ArraySection<std::uint32_t> euler_node_;   // tour position → node
-  ArraySection<std::uint32_t> euler_level_;  // tour position → level
-  ArraySection<std::uint32_t> leaf_pos_;     // vertex → tour position
-  ArraySection<Weight> dist_by_lca_level_;   // LCA level → dist_T
+  ArraySection<NodeId> anc_;                   // v·L + l → ancestor id
+  ArraySection<Weight> dist_by_lca_level_;     // LCA level → dist_T
   ArraySection<Weight> edge_weight_by_level_;  // level → parent-edge weight
-  // Derived, rebuilt on load: row j holds, per position i, the tour
-  // position of the max level in [i, i + 2^j); row-major, stride = tour
-  // length.
-  std::vector<std::uint32_t> sparse_;
-  unsigned sparse_rows_ = 0;
-  // Derived, rebuilt on load: children in CSR layout (source child order)
-  // and the leaf-node → graph-vertex inverse of leaf_pos_.
-  std::vector<std::uint32_t> child_offset_;      // node → first child slot
-  std::vector<NodeId> child_list_;               // concatenated children
-  std::vector<Vertex> node_leaf_vertex_;         // node → vertex (leaves)
+  // Derived from the rows by derive_structure(), never persisted.
+  std::vector<std::uint32_t> node_level_;  // node → level
+  std::vector<std::uint32_t> child_offset_;  // node → first child slot
+  std::vector<NodeId> child_list_;           // concatenated children
+  std::vector<Vertex> node_leaf_vertex_;     // node → vertex (leaves)
 };
 
 }  // namespace pmte::serve

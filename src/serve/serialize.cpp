@@ -1,22 +1,20 @@
 #include "src/serve/serialize.hpp"
 
 #include <cstring>
-#include <fstream>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "src/util/assertions.hpp"
 #include "src/util/rng.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define PMTE_HAVE_MMAP 1
+#if !defined(__unix__) && !defined(__APPLE__)
+#error "pmte serving needs POSIX mmap (MappedFile)"
+#endif
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define PMTE_HAVE_MMAP 0
-#endif
 
 namespace pmte::serve {
 
@@ -26,6 +24,17 @@ namespace {
 [[nodiscard]] constexpr std::size_t section_pad(std::uint64_t pos) noexcept {
   return static_cast<std::size_t>((kSectionAlign - pos % kSectionAlign) %
                                   kSectionAlign);
+}
+
+/// The header block after the magic bytes, shared by both readers.
+void check_header(std::uint32_t probe, std::uint32_t version) {
+  PMTE_CHECK(probe == kEndianProbe,
+             "serve serialisation: endianness mismatch");
+  PMTE_CHECK(version == kFormatVersion,
+             "serve serialisation: unsupported format version " +
+                 std::to_string(version) + " (this build reads only v" +
+                 std::to_string(kFormatVersion) +
+                 "; rebuild the artefact with the current writer)");
 }
 
 }  // namespace
@@ -64,12 +73,6 @@ void reset_load_path_counters() noexcept {
 
 // --- BinaryWriter ----------------------------------------------------------
 
-BinaryWriter::BinaryWriter(std::ostream& os, std::uint32_t version)
-    : os_(os), version_(version) {
-  PMTE_CHECK(version >= kMinFormatVersion && version <= kFormatVersion,
-             "serve serialisation: writer version out of supported range");
-}
-
 void BinaryWriter::bytes(const void* data, std::size_t n) {
   if (n == 0) return;  // data may be null for an empty array
   os_.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
@@ -78,7 +81,6 @@ void BinaryWriter::bytes(const void* data, std::size_t n) {
 }
 
 void BinaryWriter::pad_to_section() {
-  if (version_ < 3) return;
   static constexpr char kZeros[kSectionAlign] = {};
   bytes(kZeros, section_pad(pos_));
 }
@@ -86,7 +88,7 @@ void BinaryWriter::pad_to_section() {
 void BinaryWriter::magic(const char (&m)[8]) {
   bytes(m, sizeof(m));
   u32(kEndianProbe);
-  u32(version_);
+  u32(kFormatVersion);
 }
 
 void BinaryWriter::u32(std::uint32_t v) { bytes(&v, sizeof(v)); }
@@ -138,15 +140,8 @@ void BinaryReader::expect_magic(const char (&m)[8]) {
   PMTE_CHECK(std::memcmp(got, m, sizeof(got)) == 0,
              "serve serialisation: bad magic (not a serving-layer file, or "
              "the wrong artefact kind)");
-  PMTE_CHECK(u32() == kEndianProbe,
-             "serve serialisation: endianness mismatch");
-  const std::uint32_t version = u32();
-  PMTE_CHECK(version >= kMinFormatVersion && version <= kFormatVersion,
-             "serve serialisation: unsupported format version");
-  PMTE_CHECK(version_ == 0 || version_ == version,
-             "serve serialisation: artefacts in one file disagree on the "
-             "format version");
-  version_ = version;
+  const std::uint32_t probe = u32();
+  check_header(probe, u32());
 }
 
 std::uint32_t BinaryReader::u32() {
@@ -168,9 +163,6 @@ double BinaryReader::f64() {
 }
 
 void BinaryReader::skip_section_padding() {
-  PMTE_CHECK(version_ != 0,
-             "serve serialisation: array read before any magic");
-  if (version_ < 3) return;
   char sink[kSectionAlign];
   bytes(sink, section_pad(pos_));  // content ignored; writers zero it
 }
@@ -212,7 +204,6 @@ std::vector<double> BinaryReader::vec_f64() {
 // --- MappedFile ------------------------------------------------------------
 
 MappedFile::MappedFile(const std::string& path) {
-#if PMTE_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   PMTE_CHECK(fd >= 0, "MappedFile: cannot open " + path);
   struct stat st{};
@@ -226,45 +217,18 @@ MappedFile::MappedFile(const std::string& path) {
   PMTE_CHECK(addr != MAP_FAILED, "MappedFile: mmap failed for " + path);
   addr_ = addr;
   size_ = size;
-#else
-  // No mmap on this platform: read the file into a heap buffer whose base
-  // is aligned to kSectionAlign, so MappedReader's alignment contract (and
-  // the spans handed out) hold identically.  Not zero-copy — the load-path
-  // counters still report sections as mapped because the *sections* are
-  // views; the one-time whole-file read is the platform tax.
-  std::ifstream in(path, std::ios::binary);
-  PMTE_CHECK(in.good(), "MappedFile: cannot open " + path);
-  in.seekg(0, std::ios::end);
-  const auto end = in.tellg();
-  PMTE_CHECK(end > 0, "MappedFile: cannot stat (or empty file) " + path);
-  const auto size = static_cast<std::size_t>(end);
-  in.seekg(0);
-  fallback_.resize(size + kSectionAlign);
-  // pmte-lint: allow(pointer-hash-order: alignment adjustment of a fresh buffer, no ordering/hash on the value)
-  const auto raw = reinterpret_cast<std::uintptr_t>(fallback_.data());
-  const std::size_t mis = raw % kSectionAlign;
-  auto* base = fallback_.data() + (mis != 0 ? kSectionAlign - mis : 0);
-  in.read(reinterpret_cast<char*>(base), static_cast<std::streamsize>(size));
-  PMTE_CHECK(static_cast<std::size_t>(in.gcount()) == size,
-             "MappedFile: short read of " + path);
-  addr_ = base;
-  size_ = size;
-#endif
 }
 
 void MappedFile::unmap() noexcept {
-#if PMTE_HAVE_MMAP
   if (addr_ != nullptr) ::munmap(addr_, size_);
-#endif
   addr_ = nullptr;
   size_ = 0;
-  fallback_.clear();
 }
 
 MappedFile::~MappedFile() { unmap(); }
 
 MappedFile::MappedFile(MappedFile&& o) noexcept
-    : addr_(o.addr_), size_(o.size_), fallback_(std::move(o.fallback_)) {
+    : addr_(o.addr_), size_(o.size_) {
   o.addr_ = nullptr;
   o.size_ = 0;
 }
@@ -274,7 +238,6 @@ MappedFile& MappedFile::operator=(MappedFile&& o) noexcept {
     unmap();
     addr_ = o.addr_;
     size_ = o.size_;
-    fallback_ = std::move(o.fallback_);
     o.addr_ = nullptr;
     o.size_ = 0;
   }
@@ -308,16 +271,8 @@ void MappedReader::expect_magic(const char (&m)[8]) {
   PMTE_CHECK(std::memcmp(got, m, sizeof(got)) == 0,
              "serve serialisation: bad magic (not a serving-layer file, or "
              "the wrong artefact kind)");
-  PMTE_CHECK(u32() == kEndianProbe,
-             "serve serialisation: endianness mismatch");
-  const std::uint32_t version = u32();
-  PMTE_CHECK(version >= 3 && version <= kFormatVersion,
-             "serve serialisation: mapped load requires format v3 "
-             "(re-save with the current writer, or load by stream)");
-  PMTE_CHECK(version_ == 0 || version_ == version,
-             "serve serialisation: artefacts in one file disagree on the "
-             "format version");
-  version_ = version;
+  const std::uint32_t probe = u32();
+  check_header(probe, u32());
 }
 
 std::uint32_t MappedReader::u32() {
@@ -339,8 +294,6 @@ double MappedReader::f64() {
 }
 
 void MappedReader::skip_section_padding() {
-  PMTE_CHECK(version_ != 0,
-             "serve serialisation: array read before any magic");
   const std::size_t pad = section_pad(pos_);
   PMTE_CHECK(pad <= size_ - pos_, "serve serialisation: truncated input");
   pos_ += pad;
@@ -350,7 +303,7 @@ std::span<const std::uint32_t> MappedReader::view_u32() {
   const std::uint64_t n = u64();
   skip_section_padding();
   PMTE_CHECK(pos_ % kSectionAlign == 0,
-             "serve serialisation: misaligned v3 section");
+             "serve serialisation: misaligned section");
   PMTE_CHECK(n <= (size_ - pos_) / sizeof(std::uint32_t),
              "serve serialisation: length prefix exceeds remaining input");
   const auto* p = reinterpret_cast<const std::uint32_t*>(base_ + pos_);
@@ -363,7 +316,7 @@ std::span<const double> MappedReader::view_f64() {
   const std::uint64_t n = u64();
   skip_section_padding();
   PMTE_CHECK(pos_ % kSectionAlign == 0,
-             "serve serialisation: misaligned v3 section");
+             "serve serialisation: misaligned section");
   PMTE_CHECK(n <= (size_ - pos_) / sizeof(double),
              "serve serialisation: length prefix exceeds remaining input");
   const auto* p = reinterpret_cast<const double*>(base_ + pos_);

@@ -7,16 +7,16 @@
 // identity), and fixed-width integer types keep the layout unambiguous.
 // Byte order is the native one; a u32 probe word after the magic rejects
 // files from a machine of the opposite endianness instead of silently
-// mis-reading them.  Bumping kFormatVersion invalidates old files — the
-// reader refuses anything it does not understand rather than guessing.
+// mis-reading them.  Exactly one version is readable, kFormatVersion:
+// bumping it invalidates old files — the readers refuse anything else
+// rather than guessing.
 //
-// Since v3 every array payload is aligned to a 64-byte file offset (the
-// length prefix is followed by zero padding).  That buys the zero-copy
-// path: MappedFile mmaps an artefact and MappedReader returns spans that
-// point straight into the mapping — cache-line- (and therefore element-)
+// Every array payload is aligned to a 64-byte file offset (the length
+// prefix is followed by zero padding).  That buys the zero-copy path:
+// MappedFile mmaps an artefact and MappedReader returns spans that point
+// straight into the mapping — cache-line- (and therefore element-)
 // aligned, so FrtIndex can serve off the file image without copying a
-// byte.  v2 files (unpadded) stay readable through the stream reader;
-// the mmap path requires v3.
+// byte.
 //
 // The normative byte-level specification (field order, alignment rules,
 // rejection rules, version history) lives in docs/FORMAT.md; keep the two
@@ -35,23 +35,11 @@
 
 namespace pmte::serve {
 
-/// Format version shared by all serving-layer artefacts (index, ensemble).
-/// History (docs/FORMAT.md):
-///   1 — initial layout (PR 4).
-///   2 — FrtIndex grew the per-level parent-edge-weight table
-///       (edge_weight_by_level, appended after dist_by_lca_level) so the
-///       apps' flat tree walks never consult FrtTree.  v1 files are
-///       refused, not migrated.
-///   3 — every vec payload is preceded by zero padding to a 64-byte file
-///       offset, enabling the zero-copy mmap load path.  Field order and
-///       values are unchanged; v2 files remain readable (stream path).
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// Format version shared by all serving-layer artefacts (index, ensemble),
+/// the only one either reader accepts.  History: docs/FORMAT.md.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
-/// Oldest version the stream reader still accepts.  v2 differs from v3
-/// only by the absence of section padding, so one reader serves both.
-inline constexpr std::uint32_t kMinFormatVersion = 2;
-
-/// File-offset alignment of every vec payload since v3.  One cache line,
+/// File-offset alignment of every vec payload.  One cache line,
 /// and a multiple of every element size we serialise — mmap returns
 /// page-aligned bases, so a 64-byte file offset is a 64-byte address.
 inline constexpr std::size_t kSectionAlign = 64;
@@ -83,7 +71,7 @@ inline constexpr char kEnsembleMagic[8] = {'P', 'M', 'T', 'E', 'E', 'N', 'S', '1
 
 /// Deterministic accounting of the load path: how many vec-section payload
 /// bytes were memcpy'd into owned storage versus served straight from a
-/// mapping.  A mapped load of the five bulk FrtIndex arrays must report
+/// mapping.  A mapped load of the persisted FrtIndex arrays must report
 /// zero copied bytes — bench_serve emits these counters and the CI gate
 /// pins them (BENCH_serve.json).  Process-wide and NOT synchronised: loads
 /// are single-threaded, reset before measuring.
@@ -174,14 +162,10 @@ class ArraySection {
 
 class BinaryWriter {
  public:
-  /// Writes `version` headers and, for version ≥ 3, section padding.
-  /// Writing an old version is supported only down to kMinFormatVersion
-  /// (compatibility fixtures; production writers use the default).  The
-  /// writer must start at the artefact's first byte: padding is computed
-  /// from the bytes written so far, so artefacts meant for mmap must
-  /// start at file offset 0.
-  explicit BinaryWriter(std::ostream& os,
-                        std::uint32_t version = kFormatVersion);
+  /// The writer must start at the artefact's first byte: padding is
+  /// computed from the bytes written so far, so artefacts meant for mmap
+  /// must start at file offset 0.
+  explicit BinaryWriter(std::ostream& os) : os_(os) {}
 
   void magic(const char (&m)[8]);
   void u32(std::uint32_t v);
@@ -198,15 +182,13 @@ class BinaryWriter {
 
   /// Bytes written since construction (= offset within the artefact).
   [[nodiscard]] std::uint64_t pos() const noexcept { return pos_; }
-  [[nodiscard]] std::uint32_t version() const noexcept { return version_; }
 
  private:
   void bytes(const void* data, std::size_t n);
-  /// Zero-fill up to the next kSectionAlign boundary (version ≥ 3).
+  /// Zero-fill up to the next kSectionAlign boundary.
   void pad_to_section();
   std::ostream& os_;
   std::uint64_t pos_ = 0;
-  std::uint32_t version_;
 };
 
 /// Reader with hard validation: every primitive read PMTE_CHECKs that the
@@ -214,9 +196,8 @@ class BinaryWriter {
 /// remaining stream size is probed ONCE at construction (one tellg/seekg
 /// round-trip for the whole load, not one per array) and tracked against a
 /// running position from then on; corrupt length prefixes are rejected
-/// before any allocation.  Accepts versions kMinFormatVersion through
-/// kFormatVersion; all magics within one artefact must agree on the
-/// version.  Like the writer, construct it at the artefact's first byte.
+/// before any allocation.  Every magic must carry kFormatVersion.  Like
+/// the writer, construct it at the artefact's first byte.
 class BinaryReader {
  public:
   explicit BinaryReader(std::istream& is);
@@ -228,12 +209,9 @@ class BinaryReader {
   [[nodiscard]] std::vector<std::uint32_t> vec_u32();
   [[nodiscard]] std::vector<double> vec_f64();
 
-  /// Format version of the artefact (0 until the first expect_magic).
-  [[nodiscard]] std::uint32_t version() const noexcept { return version_; }
-
  private:
   void bytes(void* data, std::size_t n);
-  /// Consume padding up to the next kSectionAlign boundary (version ≥ 3).
+  /// Consume padding up to the next kSectionAlign boundary.
   void skip_section_padding();
   /// Reject a length prefix that cannot fit in the remaining stream
   /// *before* allocating for it (a corrupt length must fail like a
@@ -243,13 +221,11 @@ class BinaryReader {
   std::uint64_t pos_ = 0;        ///< bytes consumed since construction
   std::uint64_t remaining_ = 0;  ///< bytes from construction to stream end
   bool size_known_ = false;      ///< false on non-seekable streams
-  std::uint32_t version_ = 0;    ///< pinned by the first expect_magic
 };
 
-/// RAII read-only file mapping (POSIX mmap; on platforms without it the
-/// file is read into an aligned heap buffer instead, preserving the API at
-/// the cost of the copy).  The mapped address stays valid across moves —
-/// spans into the mapping survive as long as some MappedFile owns it.
+/// RAII read-only file mapping (POSIX mmap).  The mapped address stays
+/// valid across moves — spans into the mapping survive as long as some
+/// MappedFile owns it.
 class MappedFile {
  public:
   MappedFile() = default;
@@ -274,14 +250,13 @@ class MappedFile {
   void unmap() noexcept;
   void* addr_ = nullptr;
   std::size_t size_ = 0;
-  std::vector<std::byte> fallback_;  ///< non-POSIX: owned aligned copy
 };
 
 /// Zero-copy reader over a mapped (or in-memory) artefact image.  Scalar
 /// reads memcpy a few bytes; view_u32/view_f64 return spans pointing
-/// straight into the buffer and copy nothing.  Requires format v3 — only
-/// v3 guarantees the 64-byte payload alignment the views rely on — and a
-/// 64-byte-aligned base (mmap's page alignment always satisfies this).
+/// straight into the buffer and copy nothing.  Requires a 64-byte-aligned
+/// base (mmap's page alignment always satisfies this), so the format's
+/// 64-byte payload offsets are aligned addresses.
 /// The caller keeps the backing memory alive for as long as the returned
 /// views are in use.
 class MappedReader {
@@ -295,7 +270,6 @@ class MappedReader {
   [[nodiscard]] std::span<const std::uint32_t> view_u32();
   [[nodiscard]] std::span<const double> view_f64();
 
-  [[nodiscard]] std::uint32_t version() const noexcept { return version_; }
   [[nodiscard]] std::uint64_t pos() const noexcept { return pos_; }
 
  private:
@@ -304,7 +278,6 @@ class MappedReader {
   const std::byte* base_ = nullptr;
   std::size_t size_ = 0;
   std::size_t pos_ = 0;
-  std::uint32_t version_ = 0;
 };
 
 }  // namespace pmte::serve

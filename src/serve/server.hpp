@@ -60,7 +60,7 @@
 namespace pmte::serve {
 
 /// Fingerprint-keyed store of loaded ensembles (the key is
-/// FrtEnsemble::registry_fingerprint — FNV-1a over the serialized v2
+/// FrtEnsemble::registry_fingerprint — FNV-1a over the serialized
 /// header + master seed + graph fingerprint + tree count, see
 /// serialize.hpp).  Entries are immutable and shared: tenants hold
 /// shared_ptr references, so erasing an entry retires it from *new*
@@ -117,7 +117,7 @@ struct TenantCounters {
   std::uint64_t batches = 0;       ///< serve() calls with ≥ 1 query for us
   std::uint64_t pairs = 0;
   std::uint64_t tree_lookups = 0;  ///< computed pairs × trees
-  std::uint64_t lca_probes = 0;    ///< sparse-table probes
+  std::uint64_t lca_probes = 0;    ///< ancestor rows read (2 per u≠v tree)
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// Misses split by slot outcome, folded per batch into this ledger —

@@ -148,13 +148,14 @@ TEST(BuyAtBulkFlat, FlatRoutingBitIdenticalToPointerClimbOnCorpus) {
     EXPECT_EQ(a.lower_bound, b.lower_bound) << c.name;
     EXPECT_EQ(a.loaded_tree_edges, b.loaded_tree_edges) << c.name;
     EXPECT_EQ(a.dijkstra_runs, b.dijkstra_runs) << c.name;
-    // Counters: the flat path replaces every pointer chase with O(1)
-    // probes and flat reads.
+    // Counters: the flat path replaces every pointer chase with row
+    // compares and flat reads.
     EXPECT_EQ(a.counters.tree_node_visits, 0U) << c.name;
     EXPECT_GT(b.counters.tree_node_visits, 0U) << c.name;
     EXPECT_LT(a.counters.tree_node_visits, b.counters.tree_node_visits)
         << c.name << " flat path must beat the pointer-climbing baseline";
-    // 2 RMQ probes per routed (s ≠ t) demand, nothing for the flow walk.
+    // 2 ancestor rows read per routed (s ≠ t) demand, nothing for the flow
+    // walk.
     std::size_t routed = 0;
     for (const auto& d : demands) routed += d.s != d.t ? 1 : 0;
     EXPECT_EQ(a.counters.lca_probes, 2 * routed) << c.name;

@@ -6,7 +6,7 @@
 // weights applied.  The harness replays randomized update sequences over
 // the 50-graph serving corpus and pins that equivalence at 1/2/8 threads,
 // including updates interleaved with Server epoch hot-swaps and snapshots
-// round-tripped through the mapped (v3) load path.
+// round-tripped through the mapped load path.
 //
 // The suite carries the `tsan-par` CTest label: the 8-thread replays run
 // the concurrent pieces of the update path (parallel maintainer builds,
@@ -534,7 +534,7 @@ TEST(Dynamic, UpdatesInterleavedWithEpochSwaps) {
   EXPECT_TRUE(bits_equal(served1, replay1));
 }
 
-/// Updated snapshots survive the mapped (v3) serving path: save → mmap
+/// Updated snapshots survive the mapped serving path: save → mmap
 /// load is content-identical, serves the same doubles, and hot-swapping a
 /// tenant onto a mapped post-update epoch equals querying the snapshot
 /// directly.

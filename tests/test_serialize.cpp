@@ -1,11 +1,11 @@
-// Format v3 + zero-copy load path: section alignment invariants, v2
-// compatibility, loader hostility (truncation, bad magic, endianness,
-// unknown versions, corrupt lengths, shaved padding, misaligned bases) on
-// BOTH the stream and the mmap path, a seeded bit-flip/truncation fuzz
-// sweep pinning "reject or load, never crash", and a corpus-wide
-// differential that
-// pins mapped and copied loads to bit-identical served doubles and
-// logical counters at several thread counts.  The registry/swap lifetime
+// Binary format + zero-copy load path: section alignment invariants,
+// loader hostility (truncation, bad magic, endianness, other versions,
+// corrupt lengths, shaved padding, misaligned bases, ancestor rows that do
+// not form an FRT tree) on BOTH the stream and the mmap path, a seeded
+// bit-flip/truncation fuzz sweep pinning "reject or load, never crash",
+// and a corpus-wide differential that pins mapped and copied loads to
+// bit-identical served doubles and logical counters at several thread
+// counts.  The registry/swap lifetime
 // test leans on ASan: any read of a retired mapping is a use-after-free.
 #include <gtest/gtest.h>
 
@@ -38,11 +38,10 @@ serve::EnsembleOptions tiny_options(std::size_t trees) {
   return opts;
 }
 
-/// Serialized bytes of an ensemble at a given format version.
-std::string save_bytes(const serve::FrtEnsemble& e,
-                       std::uint32_t version = serve::kFormatVersion) {
+/// Serialized bytes of an ensemble.
+std::string save_bytes(const serve::FrtEnsemble& e) {
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  e.save(buf, version);
+  e.save(buf);
   return buf.str();
 }
 
@@ -71,13 +70,23 @@ class TempFile {
 };
 
 /// Both load paths must reject the image (the mapped path may reject at
-/// mapping time already, e.g. for an empty file).
-void expect_rejected_both(const std::string& bytes, const std::string& why) {
-  EXPECT_THROW((void)load_stream(bytes), std::logic_error) << why;
+/// mapping time already, e.g. for an empty file).  A non-empty `reason`
+/// must appear in both error messages.
+void expect_rejected_both(const std::string& bytes, const std::string& why,
+                          const std::string& reason = "") {
   const TempFile f("test_serialize_hostile.tmp", bytes);
-  EXPECT_THROW((void)serve::FrtEnsemble::load_mapped(f.path()),
-               std::logic_error)
-      << why;
+  const auto expect_reason = [&](const auto& load, const char* path) {
+    try {
+      (void)load();
+      ADD_FAILURE() << why << ": the " << path << " reader loaded the image";
+    } catch (const std::logic_error& err) {
+      EXPECT_NE(std::string(err.what()).find(reason), std::string::npos)
+          << why << " (" << path << "): " << err.what();
+    }
+  };
+  expect_reason([&] { return load_stream(bytes); }, "stream");
+  expect_reason([&] { return serve::FrtEnsemble::load_mapped(f.path()); },
+                "mapped");
 }
 
 class ThreadGuard {
@@ -96,8 +105,8 @@ std::size_t pad64(std::size_t pos) {
 
 TEST(Serialize, PrimitivesAndEmptyArraysRoundTrip) {
   // The writer/reader primitives, including the n == 0 edge: an empty
-  // array's data() may be null, and neither side may touch it (the v3
-  // padding is still emitted, keeping the layout walkable).
+  // array's data() may be null, and neither side may touch it (the
+  // section padding is still emitted, keeping the layout walkable).
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
   serve::BinaryWriter w(buf);
   w.magic(serve::kIndexMagic);
@@ -110,7 +119,6 @@ TEST(Serialize, PrimitivesAndEmptyArraysRoundTrip) {
 
   serve::BinaryReader r(buf);
   r.expect_magic(serve::kIndexMagic);
-  EXPECT_EQ(r.version(), serve::kFormatVersion);
   EXPECT_EQ(r.u32(), 7u);
   EXPECT_EQ(r.u64(), 0xfeedfacecafebeefULL);
   EXPECT_EQ(r.f64(), 2.5);
@@ -119,13 +127,13 @@ TEST(Serialize, PrimitivesAndEmptyArraysRoundTrip) {
   EXPECT_EQ(r.vec_u32(), (std::vector<std::uint32_t>{3, 2, 1}));
 }
 
-TEST(Serialize, V3PayloadsSitAt64ByteOffsetsWithZeroPadding) {
+TEST(Serialize, PayloadsSitAt64ByteOffsetsWithZeroPadding) {
   const auto g = test::support_graph("gnm", 48, 51);
   const auto e = serve::FrtEnsemble::build(g, 51, tiny_options(2));
   const std::string bytes = save_bytes(e);
 
   // Walk the normative layout (docs/FORMAT.md): ensemble prelude, then
-  // per index the scalar block and seven length-prefixed sections whose
+  // per index the scalar block and three length-prefixed sections whose
   // payloads must each start at a 64-byte file offset, preceded by zero
   // padding only.
   // Prelude: magic block(16) + master seed(8) + graph fingerprint(8) +
@@ -134,7 +142,7 @@ TEST(Serialize, V3PayloadsSitAt64ByteOffsetsWithZeroPadding) {
   std::uint64_t trees = 0;
   std::memcpy(&trees, bytes.data() + 16 + 8 + 8, sizeof(trees));
   ASSERT_EQ(trees, 2u);
-  const std::size_t elem[7] = {4, 8, 4, 4, 4, 8, 8};
+  const std::size_t elem[3] = {4, 8, 8};  // anc, dist table, edge weights
   for (std::uint64_t t = 0; t < trees; ++t) {
     pos += 16 + 4 + 8;  // index magic block + levels + beta
     for (const std::size_t es : elem) {
@@ -152,27 +160,6 @@ TEST(Serialize, V3PayloadsSitAt64ByteOffsetsWithZeroPadding) {
     }
   }
   EXPECT_EQ(pos, bytes.size()) << "layout walk must consume the artefact";
-}
-
-TEST(Serialize, V2ArtefactsStayLoadableAndEquivalent) {
-  // The previous on-disk generation (unpadded) loads through the stream
-  // reader and yields the exact same ensemble; the mmap path refuses it
-  // (only v3 guarantees the alignment the views need).
-  const auto g = test::support_graph("geometric", 40, 53);
-  const auto e = serve::FrtEnsemble::build(g, 53, tiny_options(3));
-  const std::string v2 = save_bytes(e, 2);
-  const std::string v3 = save_bytes(e);
-  EXPECT_LT(v2.size(), v3.size()) << "v2 must be the unpadded layout";
-
-  const auto from_v2 = load_stream(v2);
-  const auto from_v3 = load_stream(v3);
-  EXPECT_TRUE(from_v2 == e);
-  EXPECT_TRUE(from_v3 == e);
-  EXPECT_EQ(from_v2.registry_fingerprint(), e.registry_fingerprint());
-
-  const TempFile f("test_serialize_v2.tmp", v2);
-  EXPECT_THROW((void)serve::FrtEnsemble::load_mapped(f.path()),
-               std::logic_error);
 }
 
 TEST(Serialize, HostileImagesAreRejectedOnBothPaths) {
@@ -202,11 +189,13 @@ TEST(Serialize, HostileImagesAreRejectedOnBothPaths) {
   std::swap(bad[9], bad[10]);
   expect_rejected_both(bad, "foreign endianness");
 
-  // Versions outside [kMinFormatVersion, kFormatVersion].
-  for (const std::uint32_t v : {std::uint32_t{1}, std::uint32_t{4}}) {
+  // kFormatVersion is the only readable version: older artefacts (v3 held
+  // an Euler tour and leaf positions) and newer ones are refused by name.
+  for (const std::uint32_t v : {1U, 2U, 3U, serve::kFormatVersion + 1}) {
     bad = good;
     std::memcpy(bad.data() + 12, &v, sizeof(v));
-    expect_rejected_both(bad, "version " + std::to_string(v));
+    expect_rejected_both(bad, "version " + std::to_string(v),
+                         "unsupported format version " + std::to_string(v));
   }
 
   // Oversized length prefix on the first vec section (ensemble prelude 40
@@ -225,8 +214,67 @@ TEST(Serialize, HostileImagesAreRejectedOnBothPaths) {
   expect_rejected_both(bad, "shaved section padding");
 }
 
+/// A one-tree ensemble image around hand-written ancestor rows of a
+/// 4-level tree (n = rows / 4; edge weights 1, 2, 4, 8, so the LCA table
+/// is 0, 2, 6, 14).
+std::string crafted_ensemble(const std::vector<std::uint32_t>& anc) {
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  serve::BinaryWriter w(buf);
+  w.magic(serve::kEnsembleMagic);
+  w.u64(1);  // master seed
+  w.u64(2);  // graph fingerprint
+  w.u64(1);  // tree count
+  w.magic(serve::kIndexMagic);
+  w.u32(4);    // levels
+  w.f64(1.5);  // beta
+  w.vec_u32(anc);
+  w.vec_f64({0.0, 2.0, 6.0, 14.0});
+  w.vec_f64({1.0, 2.0, 4.0, 8.0});
+  return buf.str();
+}
+
+TEST(Serialize, AncestorRowsThatAreNotAnFrtTreeAreRejectedOnBothPaths) {
+  // Rows leaf → root.  The valid tree: root 0; level 2: 1, 2; level 1:
+  // 3, 4 (under 1), 5 (under 2); leaves 6, 7, 8, 9.
+  const std::string valid =
+      crafted_ensemble({6, 3, 1, 0, 7, 4, 1, 0, 8, 5, 2, 0, 9, 5, 2, 0});
+  const auto loaded = load_stream(valid);
+  ASSERT_EQ(loaded.num_vertices(), 4u) << "the crafted baseline must load";
+  const auto& idx = loaded.index(0);
+  EXPECT_EQ(idx.num_nodes(), 10u);
+  EXPECT_EQ(idx.lca(2, 3), 5u);
+  EXPECT_EQ(idx.distance(2, 3), 2.0);
+  EXPECT_EQ(idx.distance(0, 2), 14.0);
+  ASSERT_EQ(idx.children(5).size(), 2u);
+  EXPECT_EQ(idx.children(5)[0], 8u);
+
+  // Each image breaks one rule; every rule is named by the message.
+  expect_rejected_both(
+      crafted_ensemble({5, 3, 1, 0, 5, 3, 1, 0, 6, 4, 2, 0, 7, 4, 2, 0}),
+      "vertices 0 and 1 share leaf 5", "two vertices share a leaf");
+  expect_rejected_both(
+      crafted_ensemble({6, 3, 1, 0, 7, 4, 1, 0, 8, 5, 2, 0, 9, 2, 1, 0}),
+      "id 2 at levels 2 and 1", "appears at two levels");
+  expect_rejected_both(
+      crafted_ensemble({6, 3, 1, 0, 7, 4, 1, 0, 8, 5, 2, 0, 9, 5, 1, 0}),
+      "id 5 under parents 2 and 1", "has two parents");
+  expect_rejected_both(crafted_ensemble({6, 4, 2, 0, 7, 5, 3, 1}),
+                       "two roots, 0 and 1", "do not converge on one root");
+  expect_rejected_both(
+      crafted_ensemble({6, 3, 1, 0, 7, 4, 1, 0, 2, 5, 8, 0, 9, 5, 8, 0}),
+      "ids 2 and 8 swapped", "parent id not below child id");
+  expect_rejected_both(
+      crafted_ensemble({6, 3, 1, 0, 7, 4, 1, 0, 8, 5, 2, 0, 10, 5, 2, 0}),
+      "id 9 never referenced", "never referenced");
+  expect_rejected_both(
+      crafted_ensemble({6, 3, 1, 0, 7, 4, 1, 0, 8, 5, 2, 0, 999, 5, 2, 0}),
+      "id beyond n x levels", "node id out of range");
+  expect_rejected_both(crafted_ensemble({6, 3, 1, 0, 7, 4, 1}),
+                       "ragged rows", "not n × levels");
+}
+
 TEST(Serialize, RandomizedHostileImageSweep) {
-  // Seeded fuzz over a valid v3 artefact: single-bit flips at random
+  // Seeded fuzz over a valid artefact: single-bit flips at random
   // offsets plus random truncations.  The contract on both readers is
   // "reject (std::logic_error) or load" — never crash, never any other
   // exception type.  A flip that lands in bulk payload (doubles carry no
@@ -369,8 +417,8 @@ TEST(Serialize, MappedAndCopiedLoadsAgreeAcrossCorpusAndThreads) {
       }
     }
   }
-  // 7 sections per index, 2 indices per ensemble, 50 ensembles.
-  EXPECT_EQ(total_mapped_sections, 7u * 2u * 50u);
+  // 3 sections per index, 2 indices per ensemble, 50 ensembles.
+  EXPECT_EQ(total_mapped_sections, 3u * 2u * 50u);
 }
 
 TEST(Serialize, MappedEnsembleSurvivesRegistrySwapAndFileUnlink) {

@@ -71,7 +71,6 @@ TEST(FrtIndex, BitIdenticalToTreeOnPropertyCorpus) {
     Rng rng(c.seed);
     const auto s = sample_frt_direct(c.graph, rng);
     const auto idx = serve::FrtIndex::build(s.tree);
-    idx.validate();
     ASSERT_EQ(idx.num_leaves(), c.graph.num_vertices()) << c.name;
     EXPECT_EQ(idx.num_nodes(), s.tree.num_nodes()) << c.name;
     EXPECT_EQ(idx.num_levels(), s.tree.num_levels()) << c.name;
@@ -108,19 +107,29 @@ TEST(FrtIndex, MatchesBruteForceTreeMetricAndLca) {
   }
 }
 
-TEST(FrtIndex, WeightedDepthsAreRootPathPrefixSums) {
+TEST(FrtIndex, RowsAreLeafToRootPaths) {
+  // Row v lists v's ancestors bottom-up — the tuple suffixes of §7.1 —
+  // and the LCA level is the number of levels at which two rows differ.
   const auto corpus = test::small_graph_corpus(8, kCorpusSeed + 3);
   for (const auto& c : corpus) {
     Rng rng(c.seed);
     const auto s = sample_frt_direct(c.graph, rng);
     const auto idx = serve::FrtIndex::build(s.tree);
-    EXPECT_EQ(idx.weighted_depth(s.tree.root()), 0.0) << c.name;
-    for (FrtTree::NodeId id = 0; id < s.tree.num_nodes(); ++id) {
-      const auto& nd = s.tree.node(id);
-      if (nd.parent == FrtTree::invalid_node) continue;
-      EXPECT_EQ(idx.weighted_depth(id),
-                idx.weighted_depth(nd.parent) + nd.parent_edge)
-          << c.name << " node " << id;
+    const Vertex n = c.graph.num_vertices();
+    for (Vertex v = 0; v < n; ++v) {
+      FrtTree::NodeId id = s.tree.leaf_of(v);
+      for (unsigned l = 0; l < idx.num_levels(); ++l) {
+        EXPECT_EQ(idx.row(v)[l], id) << c.name << " vertex " << v;
+        EXPECT_EQ(idx.level(id), l) << c.name << " node " << id;
+        id = s.tree.node(id).parent;
+      }
+      EXPECT_EQ(id, FrtTree::invalid_node) << c.name << " row ends at root";
+    }
+    for (Vertex u = 0; u < n; ++u) {
+      for (Vertex v = 0; v < n; ++v) {
+        EXPECT_EQ(idx.lca_level(u, v), s.tree.node(idx.lca(u, v)).level)
+            << c.name << " pair " << u << "-" << v;
+      }
     }
   }
 }
@@ -130,8 +139,9 @@ TEST(FrtIndex, SingleVertexTree) {
   const auto order = VertexOrder::identity(1);
   const auto t = FrtTree::build(lists, order, 1.5, 1.0);
   const auto idx = serve::FrtIndex::build(t);
-  idx.validate();
   EXPECT_EQ(idx.num_leaves(), 1U);
+  EXPECT_EQ(idx.num_nodes(), t.num_nodes());
+  EXPECT_EQ(idx.leaf_node(0), t.leaf_of(0));
   EXPECT_EQ(idx.distance(0, 0), 0.0);
 }
 
@@ -215,8 +225,8 @@ TEST(FrtIndex, FlatStructureMatchesTree) {
 }
 
 TEST(FrtIndex, LoadRejectsUnsupportedFormatVersion) {
-  // The reader refuses versions it does not understand (v1 files predate
-  // the per-level edge-weight table and would misparse as v2).
+  // The reader refuses every version but kFormatVersion (a v1 file would
+  // misparse as the current layout).
   const auto g = test::support_graph("gnm", 24, 33);
   Rng rng(33);
   const auto s = sample_frt_direct(g, rng);
@@ -233,64 +243,6 @@ TEST(FrtIndex, LoadRejectsUnsupportedFormatVersion) {
   std::stringstream stale(std::ios::in | std::ios::out | std::ios::binary);
   stale << bytes;
   EXPECT_THROW((void)serve::FrtIndex::load(stale), std::logic_error);
-}
-
-TEST(FrtIndex, LoadRejectsTourThatIsNotASingleDfs) {
-  // A crafted tour with ±1 level steps that re-enters a node as a child
-  // twice (levels [2,1,0,1,0] over nodes [0,1,2,1,2]) satisfies the naive
-  // shape checks but has 3 down-steps where a 3-node tree has 2 — before
-  // the closed-DFS validation this overflowed the child CSR on load.
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  serve::BinaryWriter w(buf);
-  w.magic(serve::kIndexMagic);
-  w.u32(3);                      // levels
-  w.f64(1.5);                    // beta
-  w.vec_u32({2, 1, 0});          // node_level
-  w.vec_f64({0.0, 2.0, 3.0});    // wdepth (root, +w1=2, +w0=1)
-  w.vec_u32({0, 1, 2, 1, 2});    // euler_node — node 2 entered twice
-  w.vec_u32({2, 1, 0, 1, 0});    // euler_level — adjacent steps are ±1
-  w.vec_u32({2});                // leaf_pos → position 2, level 0
-  w.vec_f64({0.0, 2.0, 6.0});    // dist_by_lca_level = [0, 2w0, 2w0+2w1]
-  w.vec_f64({1.0, 2.0, 4.0});    // edge_weight_by_level
-  EXPECT_THROW((void)serve::FrtIndex::load(buf), std::logic_error);
-}
-
-TEST(FrtIndex, LoadRejectsAliasedLeafPositions) {
-  // Two vertices sharing a leaf position would serve distance 0.0 for a
-  // distinct pair; validate() (run on load) must reject such a file.
-  const auto g = test::support_graph("gnm", 24, 31);
-  Rng rng(31);
-  const auto s = sample_frt_direct(g, rng);
-  const auto idx = serve::FrtIndex::build(s.tree);
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  idx.save(buf);
-  std::string bytes = buf.str();
-  // Layout: magic block(16) + levels(4) + beta(8), then the length-
-  // prefixed vectors node_level_(u32×N), wdepth_(f64×N),
-  // euler_node_/euler_level_(u32×(2N−1) each), leaf_pos_(u32×n).  In v3
-  // each u64 prefix is followed by zero padding up to the next 64-byte
-  // file offset, so walk the layout instead of summing sizes.
-  std::size_t pos = 16 + 4 + 8;
-  const auto pad64 = [](std::size_t p) { return (64 - p % 64) % 64; };
-  const auto skip_vec = [&](std::size_t elem) {
-    std::uint64_t len = 0;
-    std::memcpy(&len, bytes.data() + pos, sizeof(len));
-    pos += 8 + pad64(pos + 8) + len * elem;
-  };
-  skip_vec(4);  // node_level_
-  skip_vec(8);  // wdepth_
-  skip_vec(4);  // euler_node_
-  skip_vec(4);  // euler_level_
-  std::uint64_t decoded_len = 0;
-  std::memcpy(&decoded_len, bytes.data() + pos, sizeof(decoded_len));
-  ASSERT_EQ(decoded_len, idx.num_leaves()) << "layout drifted; fix offset";
-  const std::size_t leaf_data_off = pos + 8 + pad64(pos + 8);
-  // Alias leaf 1 onto leaf 0's position.
-  std::memcpy(bytes.data() + leaf_data_off + 4, bytes.data() + leaf_data_off,
-              4);
-  std::stringstream corrupt(std::ios::in | std::ios::out | std::ios::binary);
-  corrupt << bytes;
-  EXPECT_THROW((void)serve::FrtIndex::load(corrupt), std::logic_error);
 }
 
 // --- Ensemble -------------------------------------------------------------
@@ -367,7 +319,6 @@ TEST(FrtEnsemble, OraclePipelineEnsembleWorks) {
     EXPECT_EQ(e.num_trees(), 3U) << c.name;
     EXPECT_EQ(e.num_vertices(), c.graph.num_vertices()) << c.name;
     EXPECT_GT(e.build_stats().relaxations, 0U) << c.name;
-    for (std::size_t t = 0; t < e.num_trees(); ++t) e.index(t).validate();
     EXPECT_GT(e.query(0, c.graph.num_vertices() - 1,
                       serve::AggregatePolicy::min),
               0.0)
@@ -495,17 +446,18 @@ TEST(FrtEnsemble, LoadRejectsCorruptLengthPrefix) {
   // The first index payload starts right after the ensemble header —
   // magic(8) + endian probe(4) + version(4) + seed(8) + fingerprint(8) +
   // count(8) — and its own magic block(16) + levels(4) + beta(8); the
-  // next 8 bytes are node_level_'s length prefix — blow it up.
+  // next 8 bytes are the ancestor rows' length prefix — blow it up.
   const std::size_t len_off = 16 + 8 + 8 + 8 + 16 + 4 + 8;
   // Large enough that len·4 bytes cannot fit in the file, small enough
   // that a missing pre-allocation guard would really try to allocate.
   const std::uint64_t absurd = 1ULL << 33;
   // Guard the offset arithmetic: the bytes being corrupted must currently
-  // decode to the index's node count (the length of node_level_).
-  const auto e_nodes = static_cast<std::uint64_t>(e.index(0).num_nodes());
+  // decode to the length of the ancestor rows (n × levels).
+  const std::uint64_t rows_len =
+      std::uint64_t{e.index(0).num_leaves()} * e.index(0).num_levels();
   std::uint64_t decoded = 0;
   std::memcpy(&decoded, bytes.data() + len_off, sizeof(decoded));
-  ASSERT_EQ(decoded, e_nodes) << "layout drifted; fix len_off";
+  ASSERT_EQ(decoded, rows_len) << "layout drifted; fix len_off";
   std::memcpy(bytes.data() + len_off, &absurd, sizeof(absurd));
   std::stringstream corrupt(std::ios::in | std::ios::out | std::ios::binary);
   corrupt << bytes;

@@ -108,13 +108,13 @@ TEST(Server, RegistryFingerprintIsHostIndependentValue) {
   // The fingerprint packs the 8 magic bytes explicitly little-endian
   // (byte i into bits 8i) — never via a native-order memcpy, which would
   // make the same artefact fingerprint differently on big-endian hosts.
-  // The pinned literal is the ground truth for 'PMTEENS1' + the v3 header
+  // The pinned literal is the ground truth for 'PMTEENS1' + the v4 header
   // words; it changes exactly when kFormatVersion does (the version is
   // folded in), so a format bump re-pins it deliberately.
   EXPECT_EQ(serve::registry_fingerprint(serve::kEnsembleMagic,
                                         0xfeedfacecafebeefULL,
                                         0x0123456789abcdefULL, 4),
-            0x4957d7613a1797a8ULL);
+            0x3972ed59fba38b9bULL);
 }
 
 TEST(Server, RegistryFingerprintIsContentIdentity) {
@@ -385,7 +385,7 @@ TEST(Server, UpdateTriggeredSwapPreservesCounterLedger) {
   for (std::size_t b = 0; b < kBatches; ++b) {
     if (b == kSwapAt) {
       // The mid-sequence weight change that forces the republish.
-      const auto& e = g.edge_list()[11];
+      const auto e = g.edge_list()[11];  // by value: edge_list() is a copy
       const auto stats =
           dyn.update(e.u, e.v, g.edge_weight(e.u, e.v) * 0.5);
       EXPECT_TRUE(stats.incremental);
