@@ -10,13 +10,11 @@
 namespace pmte::bench {
 namespace {
 
-/// One gated scenario: route a fixed demand set with the chosen tree
-/// backend; flat and tree variants over the same seed must hash
-/// identically (same flows, costs, loaded edges — different walk costs).
+/// One gated scenario: route a fixed demand set and report the tree-walk
+/// counters plus a 32-bit hash of the costs and loaded-edge count.
 CounterScenario bab_scenario(const std::string& name,
                              const std::string& family, Vertex n,
-                             std::size_t demand_count, std::uint64_t seed,
-                             bool use_flat_index) {
+                             std::size_t demand_count, std::uint64_t seed) {
   auto inst = make_instance(family, n, seed);
   const std::vector<CableType> cables{{1.0, 1.0}, {8.0, 4.0}, {64.0, 16.0}};
   Rng rng(seed);
@@ -27,16 +25,13 @@ CounterScenario bab_scenario(const std::string& name,
     if (s == t) continue;
     demands.push_back(Demand{s, t, std::floor(rng.uniform(1.0, 8.0))});
   }
-  BabOptions opts;
-  opts.use_flat_index = use_flat_index;
-  const auto r = buy_at_bulk(inst.graph, demands, cables, opts, rng);
+  const auto r = buy_at_bulk(inst.graph, demands, cables, {}, rng);
   std::uint64_t hash = fnv1a_fold_f64(kFnv1aInit, r.cost);
   hash = fnv1a_fold_f64(hash, r.tree_cost);
   hash = fnv1a_fold(hash, r.loaded_tree_edges);
   return CounterScenario{
       name,
-      {{"tree_node_visits", r.counters.tree_node_visits},
-       {"tree_lookups", r.counters.tree_lookups},
+      {{"tree_lookups", r.counters.tree_lookups},
        {"lca_probes", r.counters.lca_probes},
        {"result_hash32", fold32(hash)}}};
 }
@@ -44,15 +39,9 @@ CounterScenario bab_scenario(const std::string& name,
 void run_counters() {
   std::vector<CounterScenario> scenarios;
   scenarios.push_back(
-      bab_scenario("bab_flat_grid_256", "grid", 256, 128, 4201, true));
+      bab_scenario("bab_flat_grid_256", "grid", 256, 128, 4201));
   scenarios.push_back(
-      bab_scenario("bab_tree_grid_256", "grid", 256, 128, 4201, false));
-  scenarios.push_back(
-      bab_scenario("bab_flat_geometric_256", "geometric", 256, 128, 4202,
-                   true));
-  scenarios.push_back(
-      bab_scenario("bab_tree_geometric_256", "geometric", 256, 128, 4202,
-                   false));
+      bab_scenario("bab_flat_geometric_256", "geometric", 256, 128, 4202));
   emit_counters(std::cout, scenarios);
 }
 

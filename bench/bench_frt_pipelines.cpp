@@ -8,8 +8,8 @@
 //
 // `--counters` instead emits deterministic WorkDepth scenarios for the CI
 // bench gate: full FRT sampling through the level-reusing oracle on the
-// 2048-path / 45×45-grid, plus reuse-vs-reference at 512 so the saved
-// relaxations stay visible in the committed baseline.
+// 2048-path / 45×45-grid and the 512-path, plus direct iteration on the
+// 2048-path.
 
 #include <cmath>
 
@@ -22,13 +22,11 @@ namespace pmte::bench {
 namespace {
 
 CounterScenario frt_oracle_scenario(const std::string& name, const Graph& g,
-                                    std::uint64_t seed, bool level_reuse) {
+                                    std::uint64_t seed) {
   Rng rng(seed);
   WorkDepth::reset();
-  FrtOptions opts;
-  opts.mbf.oracle_level_reuse = level_reuse;
   const WorkDepthScope scope;
-  const auto s = sample_frt_oracle(g, rng, opts);
+  const auto s = sample_frt_oracle(g, rng);
   return CounterScenario{name,
                          {{"relaxations", s.relaxations},
                           {"edges_touched", s.edges_touched},
@@ -58,14 +56,11 @@ CounterScenario frt_direct_scenario(const std::string& name, const Graph& g,
 void run_counters() {
   std::vector<CounterScenario> scenarios;
   scenarios.push_back(
-      frt_oracle_scenario("frt_oracle_path_2048", make_path(2048), 2001, true));
+      frt_oracle_scenario("frt_oracle_path_2048", make_path(2048), 2001));
   scenarios.push_back(frt_oracle_scenario(
-      "frt_oracle_grid_2025", make_grid(45, 45, {1.0, 2.0}, Rng(42)), 2002,
-      true));
-  scenarios.push_back(frt_oracle_scenario("frt_oracle_path_512_noreuse",
-                                          make_path(512), 2003, false));
+      "frt_oracle_grid_2025", make_grid(45, 45, {1.0, 2.0}, Rng(42)), 2002));
   scenarios.push_back(
-      frt_oracle_scenario("frt_oracle_path_512", make_path(512), 2003, true));
+      frt_oracle_scenario("frt_oracle_path_512", make_path(512), 2003));
   scenarios.push_back(
       frt_direct_scenario("frt_direct_path_2048", make_path(2048), 2004));
   emit_counters(std::cout, scenarios);
@@ -77,9 +72,9 @@ void run(const Cli& cli) {
       "Theorem 7.9 — polylog depth, ~O(m^(1+eps)) work vs Theta(SPD) "
       "iterations (direct, Khan et al.) and Omega(n^2) work (metric)");
   // Note: P-H pays the Θ̃(√n)-depth price of the hub hop-set substitution
-  // (DESIGN.md §3), so its wall-clock only wins asymptotically; iteration
-  // counts carry the paper's depth claim.  Sizes are kept moderate so the
-  // whole sweep finishes in minutes.
+  // (src/hopset/hopset.hpp), so its wall-clock only wins asymptotically;
+  // iteration counts carry the paper's depth claim.  Sizes are kept
+  // moderate so the whole sweep finishes in minutes.
   const std::vector<Vertex> sizes =
       quick(cli) ? std::vector<Vertex>{128, 256}
                  : std::vector<Vertex>{128, 256, 384};
@@ -104,11 +99,6 @@ void run(const Cli& cli) {
 
       report(inst, "P-G direct", sample_frt_direct(g, rng));
       report(inst, "P-H oracle", sample_frt_oracle(g, rng));
-      {
-        FrtOptions noreuse;
-        noreuse.mbf.oracle_level_reuse = false;
-        report(inst, "P-H no-reuse", sample_frt_oracle(g, rng, noreuse));
-      }
       {
         // P-M: the Ω(n²) metric has to be produced first — its cost is
         // part of the pipeline (n Dijkstras here, a metric oracle in [10]).

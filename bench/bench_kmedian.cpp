@@ -11,27 +11,22 @@
 namespace pmte::bench {
 namespace {
 
-/// One gated scenario: run the full pipeline with the chosen HST backend
-/// and report the tree-walk counters plus a 32-bit hash of the solution
-/// (cost bits + centers).  flat and tree scenarios over the same seed must
-/// hash identically — the backends are bit-identical by construction.
+/// One gated scenario: run the full pipeline and report the tree-walk
+/// counters plus a 32-bit hash of the solution (cost bits + centers).
 CounterScenario kmedian_scenario(const std::string& name,
                                  const std::string& family, Vertex n,
-                                 std::size_t k, std::uint64_t seed,
-                                 bool use_flat_index) {
+                                 std::size_t k, std::uint64_t seed) {
   auto inst = make_instance(family, n, seed);
   Rng rng(seed);
   KMedianOptions opts;
   opts.trees = 3;
-  opts.use_flat_index = use_flat_index;
   const auto r = kmedian_frt(inst.graph, k, opts, rng);
   std::uint64_t hash = fnv1a_fold_f64(kFnv1aInit, r.cost);
   hash = fnv1a_fold_f64(hash, r.tree_cost);
   for (const Vertex c : r.centers) hash = fnv1a_fold(hash, c);
   return CounterScenario{
       name,
-      {{"tree_node_visits", r.counters.tree_node_visits},
-       {"tree_lookups", r.counters.tree_lookups},
+      {{"tree_lookups", r.counters.tree_lookups},
        {"lca_probes", r.counters.lca_probes},
        {"result_hash32", fold32(hash)}}};
 }
@@ -39,13 +34,9 @@ CounterScenario kmedian_scenario(const std::string& name,
 void run_counters() {
   std::vector<CounterScenario> scenarios;
   scenarios.push_back(
-      kmedian_scenario("kmedian_flat_grid_256", "grid", 256, 10, 4101, true));
+      kmedian_scenario("kmedian_flat_grid_256", "grid", 256, 10, 4101));
   scenarios.push_back(
-      kmedian_scenario("kmedian_tree_grid_256", "grid", 256, 10, 4101, false));
-  scenarios.push_back(
-      kmedian_scenario("kmedian_flat_gnm_256", "gnm", 256, 8, 4102, true));
-  scenarios.push_back(
-      kmedian_scenario("kmedian_tree_gnm_256", "gnm", 256, 8, 4102, false));
+      kmedian_scenario("kmedian_flat_gnm_256", "gnm", 256, 8, 4102));
   emit_counters(std::cout, scenarios);
 }
 

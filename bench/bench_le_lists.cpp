@@ -35,7 +35,7 @@ CounterScenario iteration_scenario(const std::string& name, const Graph& g,
 }
 
 CounterScenario oracle_scenario(const std::string& name, const Graph& g,
-                                std::uint64_t seed, bool level_reuse) {
+                                std::uint64_t seed) {
   Rng rng(seed);
   const auto hopset = build_hub_hopset(g, {}, rng);
   const auto h = build_simulated_graph(
@@ -43,8 +43,7 @@ CounterScenario oracle_scenario(const std::string& name, const Graph& g,
   const auto order = VertexOrder::random(g.num_vertices(), rng);
   WorkDepth::reset();
   const WorkDepthScope scope;
-  const auto le = le_lists_oracle(h, order, 0,
-                                  MbfOptions{.oracle_level_reuse = level_reuse});
+  const auto le = le_lists_oracle(h, order);
   return CounterScenario{name,
                          {{"relaxations", scope.relaxations_delta()},
                           {"edges_touched", scope.edges_touched_delta()},
@@ -64,17 +63,11 @@ void run_counters() {
   scenarios.push_back(iteration_scenario(
       "le_iteration_grid_2025", make_grid(45, 45, {1.0, 2.0}, Rng(42)), 1002));
   scenarios.push_back(
-      oracle_scenario("le_oracle_path_2048", make_path(2048), 1003, true));
+      oracle_scenario("le_oracle_path_2048", make_path(2048), 1003));
   scenarios.push_back(oracle_scenario(
-      "le_oracle_grid_2025", make_grid(45, 45, {1.0, 2.0}, Rng(42)), 1004,
-      true));
-  // The pre-reuse reference at a smaller size (it pays Θ(log n) dense
-  // rounds per H-iteration; committing it keeps the reuse-vs-reference
-  // relaxation ratio visible in the baseline).
-  scenarios.push_back(oracle_scenario("le_oracle_path_512_noreuse",
-                                      make_path(512), 1005, false));
+      "le_oracle_grid_2025", make_grid(45, 45, {1.0, 2.0}, Rng(42)), 1004));
   scenarios.push_back(
-      oracle_scenario("le_oracle_path_512", make_path(512), 1005, true));
+      oracle_scenario("le_oracle_path_512", make_path(512), 1005));
   emit_counters(std::cout, scenarios);
 }
 

@@ -23,12 +23,9 @@ Waivers (must carry a non-empty reason; an empty reason is itself an error):
 A waiver silences findings of its rule on the same line, or — when it is
 the only thing on its line — on the next line that contains code.
 
-Engines: `--engine clang` tokenises with libclang (python clang.cindex) so
-comments and string literals are classified exactly; `--engine token` is a
-dependency-free lexer doing the same job.  `--engine auto` (default) tries
-libclang and falls back, loudly, to the token lexer — CI therefore never
-silently skips the pass.  Both engines blank comment/literal characters in
-place and apply identical rules, so findings agree wherever both run.
+Lexing: a dependency-free C++ lexer blanks comment and string/char literal
+characters (raw strings included) in place before the rules match, so the
+rules see only code and waivers are read from comments alone.
 
 Usage:
   scripts/pmte_lint.py [paths...]         lint the tree (default roots:
@@ -200,11 +197,11 @@ class Finding:
 
 
 # --------------------------------------------------------------------------
-# Lexers: both produce (code_lines, comment_lines) — the original source
-# split per line with comment/string-literal characters blanked out of the
-# code channel and comment text preserved in the comment channel.
+# Lexer: produces (code_lines, comment_lines) — the original source split
+# per line with comment/string-literal characters blanked out of the code
+# channel and comment text preserved in the comment channel.
 
-def _lex_token(text):
+def lex(text):
     """Dependency-free C++ lexer: tracks //, /* */, "...", '...', and raw
     strings well enough to blank comments and literals per line."""
     code_lines, comment_lines = [], []
@@ -279,69 +276,6 @@ def _lex_token(text):
     return code_lines, comment_lines
 
 
-def _lex_clang(path, text):
-    """libclang lexer: classify tokens, then blank comment/literal extents
-    from the raw lines (preserving original spacing for the regexes)."""
-    import clang.cindex as ci  # noqa: F401 — optional dependency
-    index = ci.Index.create()
-    tu = index.parse(
-        path, args=["-x", "c++", "-std=c++20", "-I", REPO_ROOT],
-        unsaved_files=[(path, text)],
-        options=ci.TranslationUnit.PARSE_DETAILED_PREPROCESSING_RECORD)
-    lines = text.split("\n")
-    code_lines = list(lines)
-    comment_lines = [""] * len(lines)
-
-    def blank(start, end, keep_as_comment):
-        for ln in range(start[0], end[0] + 1):
-            if ln - 1 >= len(code_lines):
-                continue
-            raw = lines[ln - 1]
-            lo = start[1] - 1 if ln == start[0] else 0
-            hi = end[1] - 1 if ln == end[0] else len(raw)
-            segment = raw[lo:hi]
-            row = code_lines[ln - 1]
-            code_lines[ln - 1] = row[:lo] + " " * (hi - lo) + row[hi:]
-            if keep_as_comment:
-                comment_lines[ln - 1] += segment
-
-    for tok in tu.get_tokens(extent=tu.cursor.extent):
-        if tok.kind == ci.TokenKind.COMMENT:
-            s, e = tok.extent.start, tok.extent.end
-            blank((s.line, s.column), (e.line, e.column), True)
-        elif tok.kind == ci.TokenKind.LITERAL and (
-                tok.spelling.startswith('"') or tok.spelling.startswith("'")
-                or tok.spelling.startswith('R"')):
-            s, e = tok.extent.start, tok.extent.end
-            blank((s.line, s.column), (e.line, e.column), False)
-    return code_lines, comment_lines
-
-
-def lex_file(path, text, engine):
-    if engine == "clang":
-        return _lex_clang(path, text)
-    return _lex_token(text)
-
-
-def resolve_engine(requested, quiet=False):
-    """auto → clang if python bindings import, else token (announced)."""
-    if requested == "token":
-        return "token"
-    try:
-        import clang.cindex  # noqa: F401
-        clang.cindex.Index.create()
-        return "clang"
-    except Exception as exc:  # pragma: no cover — environment-dependent
-        if requested == "clang":
-            raise SystemExit(
-                "pmte-lint: --engine clang requested but libclang is "
-                "unavailable (%s)" % exc)
-        if not quiet:
-            print("pmte-lint: libclang unavailable, using token engine",
-                  file=sys.stderr)
-        return "token"
-
-
 # --------------------------------------------------------------------------
 # Rule application.
 
@@ -377,9 +311,9 @@ def parse_waivers(comment_lines, code_lines):
     return waivers, bad
 
 
-def lint_text(relpath, text, engine, rules=None):
+def lint_text(relpath, text, rules=None):
     """Lint one file's contents; relpath decides rule scoping."""
-    code_lines, comment_lines = lex_file(relpath, text, engine)
+    code_lines, comment_lines = lex(text)
     waivers, bad_waivers = parse_waivers(comment_lines, code_lines)
     findings = [Finding(relpath, ln, "bad-waiver", msg)
                 for ln, msg in bad_waivers]
@@ -414,13 +348,13 @@ def iter_tree_files(roots):
                                           REPO_ROOT)
 
 
-def lint_tree(roots, engine):
+def lint_tree(roots):
     findings = []
     scanned = 0
     for relpath in iter_tree_files(roots):
         with open(os.path.join(REPO_ROOT, relpath), encoding="utf-8") as fh:
             text = fh.read()
-        findings.extend(lint_text(relpath, text, engine))
+        findings.extend(lint_text(relpath, text))
         scanned += 1
     return findings, scanned
 
@@ -429,7 +363,7 @@ def lint_tree(roots, engine):
 # Fixture self-test: each fixture declares its pretend repo path (so rule
 # scoping is exercised) and marks expected findings with `expect-lint:`.
 
-def self_test(engine):
+def self_test():
     fixture_root = os.path.join(REPO_ROOT, FIXTURE_DIR)
     if not os.path.isdir(fixture_root):
         print("pmte-lint: fixture directory missing: %s" % FIXTURE_DIR)
@@ -459,7 +393,7 @@ def self_test(engine):
                     for rule_id in re.split(r"\s*,\s*", em.group(1)):
                         expected.add((idx + 1, rule_id))
             got = {(f.line, f.rule_id)
-                   for f in lint_text(pretend, text, engine)}
+                   for f in lint_text(pretend, text)}
             rel = os.path.relpath(path, REPO_ROOT)
             if got == expected:
                 print("ok   %s (%d expected findings)" % (rel, len(expected)))
@@ -470,8 +404,7 @@ def self_test(engine):
                     print("  missing: line %d [%s]" % (line, rule_id))
                 for line, rule_id in sorted(got - expected):
                     print("  spurious: line %d [%s]" % (line, rule_id))
-    print("self-test: %d fixtures, %d failures (engine=%s)"
-          % (total, failures, engine))
+    print("self-test: %d fixtures, %d failures" % (total, failures))
     return 1 if failures or total == 0 else 0
 
 
@@ -482,8 +415,6 @@ def main(argv):
     parser.add_argument("paths", nargs="*",
                         help="files or directories (default: %s)"
                              % " ".join(DEFAULT_ROOTS))
-    parser.add_argument("--engine", choices=("auto", "token", "clang"),
-                        default="auto")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule table as JSON and exit")
     parser.add_argument("--self-test", action="store_true",
@@ -491,25 +422,21 @@ def main(argv):
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        engine = resolve_engine(args.engine, quiet=True)
-        print(json.dumps({"engine": engine,
-                          "waiver_syntax": [
-                              "// pmte-lint: ordered-ok(<reason>)",
-                              "// pmte-lint: allow(<rule-id>: <reason>)"],
+        print(json.dumps({"waiver_syntax": [
+                             "// pmte-lint: ordered-ok(<reason>)",
+                             "// pmte-lint: allow(<rule-id>: <reason>)"],
                           "rules": [r.describe() for r in RULES]}, indent=2))
         return 0
 
-    engine = resolve_engine(args.engine)
     if args.self_test:
-        return self_test(engine)
+        return self_test()
 
     roots = args.paths or list(DEFAULT_ROOTS)
-    findings, scanned = lint_tree(roots, engine)
+    findings, scanned = lint_tree(roots)
     for f in findings:
         print(f.render())
     status = "clean" if not findings else "%d finding(s)" % len(findings)
-    print("pmte-lint: scanned %d files, %s (engine=%s)"
-          % (scanned, status, engine))
+    print("pmte-lint: scanned %d files, %s" % (scanned, status))
     return 1 if findings else 0
 
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 #include <unordered_map>
 
 #include "src/frt/paths.hpp"
@@ -76,6 +77,14 @@ BabResult buy_at_bulk(const Graph& g, const std::vector<Demand>& demands,
                       const std::vector<CableType>& cables,
                       const BabOptions& opts, Rng& rng) {
   PMTE_CHECK(!demands.empty(), "no demands");
+  // Every later stage indexes per-vertex arrays by both endpoints.
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    const Demand& d = demands[i];
+    PMTE_CHECK(d.s < g.num_vertices() && d.t < g.num_vertices() &&
+                   std::isfinite(d.amount) && d.amount >= 0.0,
+               "demand " + std::to_string(i) +
+                   ": endpoints must be vertices and the amount finite, >= 0");
+  }
   BabResult out;
 
   // --- Baselines -----------------------------------------------------
@@ -110,72 +119,31 @@ BabResult buy_at_bulk(const Graph& g, const std::vector<Demand>& demands,
   // --- (2) Route demands on the tree, accumulate per-edge flow -------
   // A leaf-to-leaf path climbs to the LCA; flows are accumulated bottom-up
   // with a difference trick: +amount at both leaves, −2·amount at the LCA.
-  // Node ids, child order, and bottom-up order are identical between the
-  // two variants (the index preserves the tree's numbering), so the
-  // floating-point folds — and therefore every output — are bit-identical.
-  std::vector<double> edge_flow(tree.num_nodes(), 0.0);
-  if (opts.use_flat_index) {
-    const auto index = serve::FrtIndex::build(tree);
-    std::vector<double> updo(index.num_nodes(), 0.0);
-    for (const auto& d : demands) {
-      if (d.s == d.t) continue;
-      const auto la = index.leaf_node(d.s);
-      const auto lb = index.leaf_node(d.t);
-      const auto top = index.lca(d.s, d.t);  // two ancestor rows read
-      out.counters.lca_probes += serve::FrtIndex::kLcaProbesPerQuery;
-      updo[la] += d.amount;
-      updo[lb] += d.amount;
-      updo[top] -= 2.0 * d.amount;
-    }
-    // flow over a node's parent edge = Σ subtree deltas; ids descending =
-    // children before parents, CSR children in tree child order.
-    const auto root = index.root();
-    for (auto id = static_cast<FrtTree::NodeId>(index.num_nodes());
-         id-- > 0;) {
-      ++out.counters.tree_lookups;
-      double f = updo[id];
-      for (const auto c : index.children(id)) f += edge_flow[c];
-      edge_flow[id] = f;
-      if (id != root && f > 1e-12) {
-        out.tree_cost += cable_cost_per_unit_length(f, cables) *
-                         index.edge_weight(index.level(id));
-        ++out.loaded_tree_edges;
-      }
-    }
-  } else {
-    std::vector<double> updo(tree.num_nodes(), 0.0);
-    auto lca = [&](FrtTree::NodeId a, FrtTree::NodeId b) {
-      // Leaves sit at equal depth; walk up in lockstep.
-      while (a != b) {
-        a = tree.node(a).parent;
-        b = tree.node(b).parent;
-        out.counters.tree_node_visits += 2;
-        PMTE_CHECK(a != FrtTree::invalid_node && b != FrtTree::invalid_node,
-                   "leaves have no common ancestor");
-      }
-      return a;
-    };
-    for (const auto& d : demands) {
-      if (d.s == d.t) continue;
-      const auto la = tree.leaf_of(d.s);
-      const auto lb = tree.leaf_of(d.t);
-      const auto top = lca(la, lb);
-      updo[la] += d.amount;
-      updo[lb] += d.amount;
-      updo[top] -= 2.0 * d.amount;
-    }
-    // flow over a node's parent edge = Σ subtree deltas.
-    for (const auto id : tree.bottom_up_order()) {
-      const auto& nd = tree.node(id);
-      ++out.counters.tree_node_visits;
-      double f = updo[id];
-      for (const auto c : nd.children) f += edge_flow[c];
-      edge_flow[id] = f;
-      if (nd.parent != FrtTree::invalid_node && f > 1e-12) {
-        out.tree_cost +=
-            cable_cost_per_unit_length(f, cables) * nd.parent_edge;
-        ++out.loaded_tree_edges;
-      }
+  // The flat index keeps the tree's node ids, so edge_flow is indexed like
+  // the tree in step (3).
+  const auto index = serve::FrtIndex::build(tree);
+  std::vector<double> updo(index.num_nodes(), 0.0);
+  for (const auto& d : demands) {
+    if (d.s == d.t) continue;
+    const auto top = index.lca(d.s, d.t);  // two ancestor rows read
+    out.counters.lca_probes += serve::FrtIndex::kLcaProbesPerQuery;
+    updo[index.leaf_node(d.s)] += d.amount;
+    updo[index.leaf_node(d.t)] += d.amount;
+    updo[top] -= 2.0 * d.amount;
+  }
+  // flow over a node's parent edge = Σ subtree deltas; ids descending =
+  // children before parents, CSR children in ascending id order.
+  std::vector<double> edge_flow(index.num_nodes(), 0.0);
+  const auto root = index.root();
+  for (auto id = static_cast<FrtTree::NodeId>(index.num_nodes()); id-- > 0;) {
+    ++out.counters.tree_lookups;
+    double f = updo[id];
+    for (const auto c : index.children(id)) f += edge_flow[c];
+    edge_flow[id] = f;
+    if (id != root && f > 1e-12) {
+      out.tree_cost += cable_cost_per_unit_length(f, cables) *
+                       index.edge_weight(index.level(id));
+      ++out.loaded_tree_edges;
     }
   }
 

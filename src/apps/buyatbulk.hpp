@@ -12,13 +12,11 @@
 // Baselines: direct shortest-path routing (no consolidation) and the
 // fractional lower bound Σ_j d_j·dist(s_j,t_j)·min_i c_i/u_i.
 //
-// Step (2) runs on the flat serving index by default: the sampled tree is
-// compacted into a serve::FrtIndex, demand LCAs compare two ancestor rows
-// instead of climbing parents in lockstep, and the bottom-up flow
-// accumulation folds over the index's CSR children in the tree's child
-// order — flows, costs, and loaded-edge counts are bit-identical to the
-// pointer-climbing reference (pinned by test_buyatbulk's differential
-// suite); AppQueryCounters records the eliminated pointer chases.
+// Step (2) runs on the flat serving index: the sampled tree is compacted
+// into a serve::FrtIndex, each demand's LCA compares two ancestor rows, and
+// the bottom-up flow accumulation folds over the index's CSR children.
+// test_buyatbulk checks the resulting flows against a parent-climbing
+// reference that routes every demand edge by edge (tests/support).
 
 #include <vector>
 
@@ -55,19 +53,17 @@ struct BabResult {
   double lower_bound = 0.0; ///< fractional LB (no solution can beat it)
   std::size_t loaded_tree_edges = 0;
   std::size_t dijkstra_runs = 0;  ///< path-unfolding cost
-  AppQueryCounters counters;      ///< LCA + flow-walk cost on the tree
+  AppQueryCounters counters;      ///< LCA + flow-walk cost on the index
 };
 
 struct BabOptions {
   FrtOptions frt;
   bool use_oracle_pipeline = false;  ///< default: direct LE iteration
-  /// Route over the flat serve::FrtIndex (default) or by climbing
-  /// FrtTree parent pointers (the pre-serving reference, kept for the
-  /// differential tests).  Results are bit-identical either way.
-  bool use_flat_index = true;
 };
 
 /// Run the FRT-based buy-at-bulk approximation and both baselines.
+/// Throws std::logic_error naming the first demand whose endpoint is not a
+/// vertex of g or whose amount is negative or not finite.
 [[nodiscard]] BabResult buy_at_bulk(const Graph& g,
                                     const std::vector<Demand>& demands,
                                     const std::vector<CableType>& cables,

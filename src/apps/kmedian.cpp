@@ -93,109 +93,49 @@ struct CondensedTree {
                                  // LCA at level s; last slot = ∞ sentinel
 };
 
-/// Shared condensation walk: `Source` answers root()/level/leaf_vertex/
-/// children for either the pointer-based tree or the flat index, and the
-/// traversal (explicit stack, children pushed in source order, popped
-/// LIFO) is byte-for-byte the same — so both sources yield the identical
-/// CondensedTree, including child order, hence identical DP fold order.
-template <typename Source>
-CondensedTree condense_via(const Source& src, unsigned levels) {
+/// Condense the flat index's tree top-down (explicit stack, CSR children
+/// pushed in ascending id order, popped LIFO); the walk order fixes the
+/// condensed child order and hence the DP's fold order.  Every visited
+/// node costs one children() read, counted as a tree_lookup.
+CondensedTree condense(const serve::FrtIndex& index,
+                       AppQueryCounters& counters) {
+  const unsigned levels = index.num_levels();
   CondensedTree ct;
   ct.div_dist.assign(levels + 1, 0.0);
   for (unsigned s = 1; s < levels; ++s) {
-    ct.div_dist[s] = ct.div_dist[s - 1] + 2.0 * src.edge_weight(s - 1);
+    ct.div_dist[s] = ct.div_dist[s - 1] + 2.0 * index.edge_weight(s - 1);
   }
   ct.div_dist[levels] = kInf;  // "no external facility"
 
   // Map FRT nodes to condensed ids, walking top-down; a node is kept if it
   // is the root, a leaf, or has ≥ 2 children.
+  constexpr std::uint32_t kNoParent = ~std::uint32_t{0};
   struct Item {
-    FrtTree::NodeId frt;
+    serve::FrtIndex::NodeId frt;
     std::uint32_t parent;  // condensed parent
   };
-  std::vector<Item> stack;
-  ct.nodes.push_back(CondensedTree::Node{});
-  ct.nodes[0].level = src.level(src.root());
-  ct.nodes[0].leaf_vertex = src.leaf_vertex(src.root());
-  for (const auto c : src.children(src.root())) {
-    stack.push_back(Item{c, 0});
-  }
+  std::vector<Item> stack{{index.root(), kNoParent}};
   while (!stack.empty()) {
     const auto [id, parent] = stack.back();
     stack.pop_back();
-    // By-reference for TreeSource's vector, lifetime-extended temporary
-    // for IndexSource's span — no per-node copies either way.
-    const auto& children = src.children(id);
-    const Vertex leaf = src.leaf_vertex(id);
-    const bool keep = children.size() >= 2 || leaf != no_vertex();
+    ++counters.tree_lookups;
+    const auto children = index.children(id);
+    const Vertex leaf = index.leaf_vertex(id);
     std::uint32_t next_parent = parent;
-    if (keep) {
-      const auto me = static_cast<std::uint32_t>(ct.nodes.size());
-      CondensedTree::Node cn;
-      cn.level = src.level(id);
-      cn.leaf_vertex = leaf;
-      ct.nodes.push_back(cn);
-      ct.nodes[parent].children.push_back(me);
-      next_parent = me;
+    if (parent == kNoParent || children.size() >= 2 || leaf != no_vertex()) {
+      next_parent = static_cast<std::uint32_t>(ct.nodes.size());
+      ct.nodes.push_back({index.level(id), {}, leaf});
+      if (parent != kNoParent) ct.nodes[parent].children.push_back(next_parent);
     }
     for (const auto c : children) stack.push_back(Item{c, next_parent});
   }
-  // Degenerate case: the root kept a single child chain to a lone leaf.
   return ct;
 }
-
-/// Pointer-climbing source (the pre-serving reference): every accessor is
-/// a FrtTree::Node dereference, counted as tree_node_visits.
-struct TreeSource {
-  const FrtTree& tree;
-  mutable AppQueryCounters counters;
-
-  [[nodiscard]] FrtTree::NodeId root() const { return tree.root(); }
-  [[nodiscard]] unsigned level(FrtTree::NodeId id) const {
-    return tree.node(id).level;
-  }
-  [[nodiscard]] Vertex leaf_vertex(FrtTree::NodeId id) const {
-    return tree.node(id).leaf_vertex;
-  }
-  [[nodiscard]] const std::vector<FrtTree::NodeId>& children(
-      FrtTree::NodeId id) const {
-    // One count per visited node (children() is called exactly once per
-    // walked node); level/leaf_vertex read the same record.
-    ++counters.tree_node_visits;
-    return tree.node(id).children;
-  }
-  [[nodiscard]] Weight edge_weight(unsigned l) const {
-    return tree.edge_weight(l);
-  }
-};
-
-/// Flat source: contiguous array reads against the serving index, counted
-/// as tree_lookups; no FrtTree::Node is touched.
-struct IndexSource {
-  const serve::FrtIndex& index;
-  mutable AppQueryCounters counters;
-
-  [[nodiscard]] serve::FrtIndex::NodeId root() const { return index.root(); }
-  [[nodiscard]] unsigned level(serve::FrtIndex::NodeId id) const {
-    return index.level(id);
-  }
-  [[nodiscard]] Vertex leaf_vertex(serve::FrtIndex::NodeId id) const {
-    return index.leaf_vertex(id);
-  }
-  [[nodiscard]] std::span<const serve::FrtIndex::NodeId> children(
-      serve::FrtIndex::NodeId id) const {
-    ++counters.tree_lookups;
-    return index.children(id);
-  }
-  [[nodiscard]] Weight edge_weight(unsigned l) const {
-    return index.edge_weight(l);
-  }
-};
 
 /// Exact weighted k-median DP on the condensed HST.  dp[v][j][s] = optimal
 /// cost of subtree(v) with j facilities opened inside and the nearest
 /// *external* facility diverging from v's leaves at level s (s = levels ⇒
-/// none).  See DESIGN.md §2 for the recurrence discussion.
+/// none).
 class TreeDp {
  public:
   TreeDp(const CondensedTree& ct, const std::vector<double>& leaf_weight,
@@ -396,45 +336,19 @@ class TreeDp {
 
 }  // namespace
 
-namespace {
-
-TreeKMedian solve_on_condensed(const CondensedTree& ct,
-                               const std::vector<double>& leaf_weight,
-                               std::size_t k, Vertex leaves) {
-  TreeDp dp(ct, leaf_weight, std::min<std::size_t>(k, leaves));
-  TreeKMedian out;
-  out.cost = dp.best_cost();
-  dp.collect_centers(out.centers);
-  PMTE_CHECK(!out.centers.empty() && out.centers.size() <= k,
-             "tree DP produced an invalid center set");
-  return out;
-}
-
-}  // namespace
-
-TreeKMedian solve_kmedian_on_tree(const FrtTree& tree,
-                                  const std::vector<double>& leaf_weight,
-                                  std::size_t k) {
-  PMTE_CHECK(leaf_weight.size() == tree.num_leaves(),
-             "leaf weight count mismatch");
-  PMTE_CHECK(k >= 1, "k must be positive");
-  TreeSource src{tree, {}};
-  const auto ct = condense_via(src, tree.num_levels());
-  auto out = solve_on_condensed(ct, leaf_weight, k, tree.num_leaves());
-  out.counters = src.counters;
-  return out;
-}
-
 TreeKMedian solve_kmedian_on_index(const serve::FrtIndex& index,
                                    const std::vector<double>& leaf_weight,
                                    std::size_t k) {
   PMTE_CHECK(leaf_weight.size() == index.num_leaves(),
              "leaf weight count mismatch");
   PMTE_CHECK(k >= 1, "k must be positive");
-  IndexSource src{index, {}};
-  const auto ct = condense_via(src, index.num_levels());
-  auto out = solve_on_condensed(ct, leaf_weight, k, index.num_leaves());
-  out.counters = src.counters;
+  TreeKMedian out;
+  const auto ct = condense(index, out.counters);
+  TreeDp dp(ct, leaf_weight, std::min<std::size_t>(k, index.num_leaves()));
+  out.cost = dp.best_cost();
+  dp.collect_centers(out.centers);
+  PMTE_CHECK(!out.centers.empty() && out.centers.size() <= k,
+             "tree DP produced an invalid center set");
   return out;
 }
 
@@ -507,14 +421,9 @@ KMedianResult kmedian_frt(const Graph& g, std::size_t k,
     const double beta = sample_beta(rng);
     auto order = VertexOrder::random(q, rng);
     auto le = le_lists_from_metric(sub, order);
-    auto tree = FrtTree::build(le.lists, order, beta, sub_min);
-    // The flat path compacts the sampled tree into the serving index and
-    // condenses over its arrays — bit-identical solution, no pointer
-    // chasing (the reference stays selectable for the differential suite).
-    auto sol = opts.use_flat_index
-                   ? solve_kmedian_on_index(serve::FrtIndex::build(tree),
-                                            weight, k)
-                   : solve_kmedian_on_tree(tree, weight, k);
+    const auto index = serve::FrtIndex::build(
+        FrtTree::build(le.lists, order, beta, sub_min));
+    auto sol = solve_kmedian_on_index(index, weight, k);
     best.counters += sol.counters;
     std::vector<Vertex> centers;
     centers.reserve(sol.centers.size());

@@ -14,12 +14,9 @@
 // The returned centers are evaluated on the *graph* objective
 // Σ_v dist(v, F, G), the quantity Definition 9.1 asks for.
 //
-// The HST step runs on the flat serving index by default: the sampled
-// FrtTree is compacted into a serve::FrtIndex and the condensation walks
-// the index's CSR children arrays instead of FrtTree::Node pointers —
-// bit-identical condensed tree, DP table, centers, and costs (pinned by
-// test_kmedian's differential suite over the 50-graph corpus), zero
-// pointer chasing on the query path (AppQueryCounters).
+// The HST step runs on the flat serving index: the sampled FrtTree is
+// compacted into a serve::FrtIndex and the condensation walks the index's
+// CSR children arrays, one tree_lookup per visited node (AppQueryCounters).
 
 #include <cstddef>
 #include <vector>
@@ -36,10 +33,6 @@ struct KMedianOptions {
   std::size_t trees = 3;            ///< FRT samples; best result is kept
   double candidate_factor = 3.0;    ///< per-round sample size = factor·k
   std::size_t min_candidates = 8;
-  /// Solve the HST DP over the flat serve::FrtIndex (default) or over the
-  /// pointer-based FrtTree (the pre-serving reference, kept for the
-  /// differential tests).  Results are bit-identical either way.
-  bool use_flat_index = true;
 };
 
 struct KMedianResult {
@@ -69,23 +62,17 @@ struct KMedianResult {
 [[nodiscard]] KMedianResult kmedian_random(const Graph& g, std::size_t k,
                                            Rng& rng);
 
-/// Exact weighted k-median on an FRT tree (exposed for testing):
-/// clients sit at the leaves with weights, facilities may open at any leaf,
-/// at most k open.  Returns chosen leaf vertices and the optimal tree cost.
+/// Exact weighted k-median on an FRT tree, given as its flat serving index
+/// (exposed for testing): clients sit at the leaves with weights,
+/// facilities may open at any leaf, at most k open.  Unary chains are
+/// condensed away first; leaf-to-leaf distances are rebuilt from the
+/// index's per-level edge weights.  Returns chosen leaf vertices and the
+/// optimal tree cost.
 struct TreeKMedian {
   std::vector<Vertex> centers;  ///< leaf vertices (tree-local ids)
   double cost = 0.0;
   AppQueryCounters counters;
 };
-[[nodiscard]] TreeKMedian solve_kmedian_on_tree(
-    const FrtTree& tree, const std::vector<double>& leaf_weight,
-    std::size_t k);
-
-/// The same exact DP over a flat serving index of the tree.  The
-/// condensation walks the index's CSR children (identical traversal
-/// order), its divergence-distance table is the index's LCA-level table
-/// (copied verbatim from the tree), and the DP is shared code — centers
-/// and cost are bit-identical to solve_kmedian_on_tree of the source tree.
 [[nodiscard]] TreeKMedian solve_kmedian_on_index(
     const serve::FrtIndex& index, const std::vector<double>& leaf_weight,
     std::size_t k);

@@ -115,7 +115,6 @@ FrtTree FrtTree::build(const std::vector<DistanceMap>& le_lists,
         nd.parent = cur;
         nd.parent_edge = t.edge_weight(static_cast<unsigned>(l));
         t.nodes_.push_back(nd);
-        t.nodes_[cur].children.push_back(id);
         it = child_index.emplace(key, id).first;
       }
       cur = it->second;
@@ -127,15 +126,12 @@ FrtTree FrtTree::build(const std::vector<DistanceMap>& le_lists,
     t.nodes_[cur].leaf_vertex = v;
     t.leaf_of_[v] = cur;
   }
-  // Representative leaves (Section 7.5 needs a common descendant per node).
+  // Representative leaves (Section 7.5 needs a common descendant per
+  // node).  Ids descending visit children before parents, so each node's
+  // representative is final when it is handed up.
   for (NodeId id = static_cast<NodeId>(t.nodes_.size()); id-- > 0;) {
     Node& nd = t.nodes_[id];
-    if (nd.leaf_vertex != no_vertex()) {
-      nd.representative_leaf = id;
-    }
-  }
-  for (const NodeId id : t.bottom_up_order()) {
-    const Node& nd = t.nodes_[id];
+    if (nd.leaf_vertex != no_vertex()) nd.representative_leaf = id;
     if (nd.parent != invalid_node &&
         t.nodes_[nd.parent].representative_leaf == invalid_node) {
       t.nodes_[nd.parent].representative_leaf = nd.representative_leaf;
@@ -169,16 +165,6 @@ Weight FrtTree::total_edge_weight() const {
   return total;
 }
 
-std::vector<FrtTree::NodeId> FrtTree::bottom_up_order() const {
-  // Nodes are created top-down (parents before children), so the reverse
-  // creation order is a valid bottom-up topological order.
-  std::vector<NodeId> order(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    order[i] = static_cast<NodeId>(nodes_.size() - 1 - i);
-  }
-  return order;
-}
-
 void FrtTree::validate() const {
   PMTE_CHECK(!nodes_.empty(), "empty tree");
   PMTE_CHECK(nodes_[root_].parent == invalid_node, "root has a parent");
@@ -186,12 +172,9 @@ void FrtTree::validate() const {
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     const Node& nd = nodes_[id];
     if (id != root_) {
-      PMTE_CHECK(nd.parent < nodes_.size(), "dangling parent");
-      const Node& p = nodes_[nd.parent];
-      PMTE_CHECK(p.level == nd.level + 1, "level must increase by 1");
-      PMTE_CHECK(std::find(p.children.begin(), p.children.end(), id) !=
-                     p.children.end(),
-                 "parent does not list child");
+      PMTE_CHECK(nd.parent < id, "parent id must be below child id");
+      PMTE_CHECK(nodes_[nd.parent].level == nd.level + 1,
+                 "level must increase by 1");
       PMTE_CHECK(nd.parent_edge > 0.0, "non-positive edge weight");
     }
     if (nd.leaf_vertex != no_vertex()) {

@@ -9,10 +9,15 @@
 // singletons; the top scale covers the largest LE-list distance, so the
 // root is shared.
 //
-// Edge-weight conventions (see DESIGN.md): the paper weights the edge
-// between levels i and i+1 by β·2^i ("khan"); we default to β·2^{i+1}
-// ("dominating"), which guarantees dist_T ≥ dist_G deterministically and
-// keeps the expected stretch O(log n) (only the constant changes).
+// Edge-weight conventions: the paper weights the edge between levels i and
+// i+1 by β·2^i ("khan"); we default to β·2^{i+1} ("dominating"), which
+// guarantees dist_T ≥ dist_G deterministically and keeps the expected
+// stretch O(log n) (only the constant changes).
+//
+// Nodes are numbered top-down as the build creates them, so every parent
+// id is smaller than its children's and iterating ids descending visits
+// children before parents.  Nodes record only their parent; consumers that
+// walk the tree top-down read serve::FrtIndex's children CSR instead.
 
 #include <cstdint>
 #include <vector>
@@ -35,7 +40,6 @@ class FrtTree {
     unsigned level = 0;            ///< 0 = leaf layer
     NodeId parent = invalid_node;
     Weight parent_edge = 0.0;      ///< weight of the edge to the parent
-    std::vector<NodeId> children;
     Vertex leaf_vertex = no_vertex();    ///< original vertex (leaves only)
     NodeId representative_leaf = invalid_node;
   };
@@ -90,11 +94,8 @@ class FrtTree {
   /// Sum of all parent-edge weights (used by cost sanity checks).
   [[nodiscard]] Weight total_edge_weight() const;
 
-  /// Nodes in topological order (children before parents) for tree DPs.
-  [[nodiscard]] std::vector<NodeId> bottom_up_order() const;
-
-  /// Structural validation: parent/child symmetry, level monotonicity,
-  /// leaf bijection, representative-leaf reachability.  Throws on error.
+  /// Structural validation: parent ids below child ids, level
+  /// monotonicity, leaf bijection, representative leaves.  Throws on error.
   void validate() const;
 
  private:

@@ -34,8 +34,7 @@ struct FrtOptions {
   double eps_hat = 0.0;
   HubHopSetParams hopset;
   unsigned max_iterations = 0;  ///< 0 = automatic bound
-  /// Engine/oracle tunables (P-H pipeline): mode, density threshold, and
-  /// `oracle_level_reuse` — false selects the pre-reuse reference oracle.
+  /// Engine/oracle tunables (P-H pipeline): mode and density threshold.
   MbfOptions mbf;
 };
 

@@ -128,10 +128,11 @@ template <MbfAlgebra Algebra>
 enum class MbfMode : std::uint8_t {
   kAuto,    ///< frontier-driven, dense fallback above the density threshold
   kDense,   ///< always the dense all-edges pull (the reference behaviour)
-  /// Sparse frontier gathers regardless of density (for tests/ablation).
-  /// The first round after reset() still executes as the dense pull: with
-  /// every vertex in the frontier the two are the same edge set, and the
-  /// dense pull skips the pointless membership tests.
+  /// Sparse frontier gathers regardless of density — what MbfOracle runs
+  /// (mbf_oracle.hpp).  The first round after reset() still executes as
+  /// the dense pull: with every vertex in the frontier the two are the
+  /// same edge set, and the dense pull skips the pointless membership
+  /// tests.
   kSparse,
 };
 
@@ -148,13 +149,6 @@ struct MbfOptions {
   /// Apply r^V to x⁽⁰⁾ on construction/reset (harmless by Corollary 2.17;
   /// disable when x⁽⁰⁾ is known to be filtered already).
   bool filter_initial = true;
-  /// Consumed by the oracle (mbf_oracle.hpp), ignored by MbfEngine itself:
-  /// reuse the per-level engine states across H-iterations (warm restarts
-  /// from cached per-level fixpoints, wholesale skips of levels whose
-  /// projected input did not change).  false restores the pre-reuse
-  /// behaviour — a fresh full-frontier run per level — which is kept
-  /// compilable as the reference for differential tests.
-  bool oracle_level_reuse = true;
 };
 
 /// Result of running an MBF-like algorithm to fixpoint / iteration budget.

@@ -16,12 +16,12 @@
 //
 // == Level reuse (MbfOracle) ==
 //
-// The reference evaluation (MbfOptions::oracle_level_reuse = false, the
-// pre-reuse behaviour) is a Jacobi iteration: every H-iteration restarts
-// every level from a dense full-frontier copy of x — Θ(log n) full runs per
-// H-iteration, Θ(log² n) overall, each re-deriving mostly what the previous
-// one already knew.  With reuse enabled, MbfOracle instead computes the
-// *same fixpoint* sparsely:
+// Applying Equation (5.9) literally is a Jacobi iteration: every
+// H-iteration restarts every level from a dense full-frontier copy of x —
+// Θ(log n) full runs per H-iteration, Θ(log² n) overall, each re-deriving
+// mostly what the previous one already knew.  That operator lives on only
+// as the differential tests' reference, in tests/support.  MbfOracle
+// instead computes the *same fixpoint* sparsely:
 //
 //   * Per-level state caches.  Each level keeps the (unprojected) final
 //     states of its last run.  A run that reached its fixpoint cached the
@@ -38,7 +38,7 @@
 //   * Support-seeded full starts.  P_λ x assigns ⊥ below level λ, and ⊥
 //     makes no offers, so even a full (re)start seeds its frontier with
 //     supp(P_λ x) — for high levels a vanishing fraction of V — instead of
-//     the all-vertices frontier of the reference path.
+//     the Jacobi operator's all-vertices frontier.
 //   * Gauss–Seidel sweeps.  One step() is a sweep over the levels in
 //     *descending* order (largest λ first = smallest penalty (1+ε̂)^{Λ−λ}),
 //     merging each level's projected output into the working vector
@@ -53,8 +53,8 @@
 // component operators F_λ = P_λ (r^V A_λ)^d P_λ over an idempotent
 // semimodule of finite height, so they converge to the same least fixpoint
 // (chaotic-iteration theorem) — the final states are bit-identical, which
-// the differential tests check.  Intermediate iterates differ: with reuse,
-// step() is a sweep, not an application of Equation (5.9)'s operator.
+// the differential tests check.  Intermediate iterates differ: step() is a
+// sweep, not an application of Equation (5.9)'s operator.
 //
 // == Dynamic updates (update()) ==
 //
@@ -132,7 +132,7 @@ enum class OracleUpdateKind : std::uint8_t {
 
 /// Statistics of an oracle run (depth/work proxies for Theorem 5.2).
 struct OracleStats {
-  unsigned h_iterations = 0;       ///< H-iterations (sweeps, with reuse)
+  unsigned h_iterations = 0;       ///< H-iterations (sweeps)
   unsigned base_iterations = 0;    ///< MBF iterations executed on G'
   bool reached_fixpoint = false;
   /// Level-reuse accounting across all sweeps: per (sweep, level) pair
@@ -152,7 +152,6 @@ class MbfOracle {
   MbfOracle(const SimulatedGraph& h, const Algebra& alg, MbfOptions opts = {})
       : h_(&h),
         alg_(&alg),
-        opts_(opts),
         engine_(h.base(), alg, engine_options(opts)),
         bottom_(alg.bottom()) {
     const unsigned levels = h.max_level() + 1;
@@ -166,11 +165,10 @@ class MbfOracle {
     last_scan_.assign(levels, 0);
   }
 
-  /// One H-iteration.  With reuse: a Gauss–Seidel sweep whose input `x`
-  /// must be the previous step()'s return value, with `changed` the sorted
-  /// vertex list where the caller's x differs from it (nullptr = treat
-  /// every vertex as changed).  Without reuse: the Jacobi reference
-  /// operator of Equation (5.9), x ↦ r^V ⊕_λ P_λ (r^V A_λ)^d P_λ x.
+  /// One H-iteration: a Gauss–Seidel sweep whose input `x` must be the
+  /// previous step()'s return value, with `changed` the sorted vertex list
+  /// where the caller's x differs from it (nullptr = treat every vertex as
+  /// changed).
   [[nodiscard]] std::vector<State> step(
       const std::vector<State>& x,
       const std::vector<Vertex>* changed = nullptr) {
@@ -180,7 +178,7 @@ class MbfOracle {
     PMTE_OBS_SPAN("oracle.step",
                   static_cast<std::int64_t>(stats_.h_iterations),
                   "h_iteration");
-    return opts_.oracle_level_reuse ? sweep(x, changed) : jacobi_step(x);
+    return sweep(x, changed);
   }
 
   /// Absorb one already-applied edge-weight change of G'.  The caller
@@ -247,17 +245,14 @@ class MbfOracle {
     // Per-level inputs are filtered (P_λ preserves that: r ⊥ = ⊥, r
     // idempotent) and warm seeds are filtered on merge.
     opts.filter_initial = false;
-    // With reuse, force sparse gathers: a relax is a semimodule merge —
-    // for the map-valued oracle algebras far more expensive than the
-    // byte-sized frontier membership test the dense pull avoids — so the
-    // kAuto density heuristic (tuned for scalar states) picks the slower
-    // round shape here.  Measured on the 2048-path LE pipeline, sparse
-    // rounds cut relaxations ~2× *and* wall time ~1.4×.  kDense remains
-    // available as the escape hatch; the reference path (no reuse) keeps
-    // the caller's mode to stay comparable with the pre-reuse behaviour.
-    if (opts.oracle_level_reuse && opts.mode == MbfMode::kAuto) {
-      opts.mode = MbfMode::kSparse;
-    }
+    // Force sparse gathers: a relax is a semimodule merge — for the
+    // map-valued oracle algebras far more expensive than the byte-sized
+    // frontier membership test the dense pull avoids — so the kAuto
+    // density heuristic (tuned for scalar states) picks the slower round
+    // shape here.  Measured on the 2048-path LE pipeline, sparse rounds
+    // cut relaxations ~2× *and* wall time ~1.4×.  kDense remains
+    // available as the escape hatch.
+    if (opts.mode == MbfMode::kAuto) opts.mode = MbfMode::kSparse;
     return opts;
   }
 
@@ -310,42 +305,7 @@ class MbfOracle {
   }
 
   // ---------------------------------------------------------------------
-  // Reference path (oracle_level_reuse = false): the pre-reuse Jacobi
-  // operator — every level restarts from a full-frontier copy of x.
-  std::vector<State> jacobi_step(const std::vector<State>& x) {
-    const std::size_t n = x.size();
-    std::vector<State> acc(n);
-    parallel_for(n, [&](std::size_t v) { acc[v] = alg_->bottom(); });
-    for (unsigned lambda = 0; lambda <= h_->max_level(); ++lambda) {
-      engine_.set_weight_scale(h_->level_scale(lambda));
-      ++stats_.levels_full;
-      PMTE_OBS_ONLY(
-          if (obs::metrics_on()) obs_detail::oracle_obs().full.add(1));
-      std::vector<State> seed = std::move(cache_[lambda]);
-      seed.resize(n);
-      parallel_for(n, [&](std::size_t vi) {
-        seed[vi] = h_->levels().level(static_cast<Vertex>(vi)) >= lambda
-                       ? x[vi]
-                       : alg_->bottom();
-      });
-      engine_.reset(std::move(seed));
-      run_and_cache(lambda);
-      // acc ⊕= P_λ cache: the projection applied on the fly — vertices
-      // below level λ are simply not aggregated.
-      const auto& z = cache_[lambda];
-      parallel_for(n, [&](std::size_t vi) {
-        if (h_->levels().level(static_cast<Vertex>(vi)) >= lambda) {
-          alg_->aggregate(acc[vi], z[vi]);
-        }
-      });
-      WorkDepth::add_depth_serial(1);
-    }
-    mbf_filter(*alg_, acc);
-    return acc;
-  }
-
-  // ---------------------------------------------------------------------
-  // Reuse path: one Gauss–Seidel sweep over the levels.  Sweep directions
+  // One Gauss–Seidel sweep over the levels.  Sweep directions
   // alternate (ascending λ first): min-hop shortest paths in H climb the
   // level hierarchy monotonically and then descend (Lemma 4.3), so an
   // ascending sweep cascades the whole climb — every level consumes the
@@ -489,7 +449,6 @@ class MbfOracle {
 
   const SimulatedGraph* h_;
   const Algebra* alg_;
-  MbfOptions opts_;
   MbfEngine<Algebra> engine_;
   State bottom_;
   std::vector<std::vector<State>> cache_;  // per level, unprojected
@@ -508,22 +467,6 @@ class MbfOracle {
   PerThreadBuffers<Vertex> buffers_;
   OracleStats stats_;
 };
-
-/// One stateless simulated H-iteration per Equation (5.9) (reference
-/// semantics, no reuse — a fresh Jacobi MbfOracle per call).  Prefer
-/// MbfOracle / oracle_run when iterating to a fixpoint.
-template <OracleAlgebra Algebra>
-[[nodiscard]] std::vector<typename Algebra::State> oracle_step(
-    const SimulatedGraph& h, const Algebra& alg,
-    const std::vector<typename Algebra::State>& x,
-    unsigned* base_iterations = nullptr) {
-  MbfOracle<Algebra> oracle(h, alg, MbfOptions{.oracle_level_reuse = false});
-  auto out = oracle.step(x);
-  if (base_iterations != nullptr) {
-    *base_iterations += oracle.stats().base_iterations;
-  }
-  return out;
-}
 
 /// Run the MBF-like algorithm `alg` on H until its filtered fixpoint
 /// (≤ SPD(H) ∈ O(log² n) iterations w.h.p., Theorem 4.5) or until

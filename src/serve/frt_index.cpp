@@ -102,10 +102,8 @@ void FrtIndex::derive_structure() {
                "FrtIndex: a node id is never referenced");
   }
 
-  // Children CSR: ids ascending within each parent, which is FrtTree's
-  // child order (children are numbered as they are created).  The apps'
-  // flat walks therefore fold floating-point sums in the same order as
-  // the pointer-based reference.
+  // Children CSR: ids ascending within each parent (children are numbered
+  // in creation order), which fixes the apps' floating-point fold order.
   child_offset_.assign(nodes + 1, 0);
   for (std::size_t id = 0; id < nodes; ++id) {
     if (id != root) ++child_offset_[parent[id] + 1];

@@ -1,9 +1,8 @@
 #pragma once
 // Flat, read-only serving index over one FRT tree.
 //
-// FrtTree is a build-time structure: nodes own std::vector children —
-// fine for construction-side checks, too pointer-heavy for query traffic.
-// An FRT tree is not a general tree either (Section 7.1): the leaf of v is
+// FrtTree is a build-time structure of per-node records linked by parent
+// ids.  An FRT tree is not a general tree (Section 7.1): the leaf of v is
 // the tuple (v_{i0}, …, v_{itop}) and its ancestors are the tuple's
 // suffixes.  So n rows of L ancestor ids describe the whole tree, and
 // FrtIndex persists exactly that plus two per-level tables:
@@ -31,12 +30,11 @@
 // queries from any number of threads are safe.
 //
 // Beyond point queries the index exposes the flat tree *structure* so the
-// applications (src/apps/) never touch FrtTree's pointer-based nodes on
-// their query paths: level(id), children(id) (CSR adjacency in ascending
-// id order, which is the source tree's child order), leaf_vertex(id),
-// leaf_node(v), and root().  Node ids are the source tree's numbering and
-// every parent id is smaller than its children's, so iterating ids
-// descending is a valid bottom-up (children-first) order.
+// applications (src/apps/) walk it without FrtTree's node records:
+// level(id), children(id) (CSR adjacency in ascending id order),
+// leaf_vertex(id), leaf_node(v), and root().  Node ids are the source
+// tree's numbering and every parent id is smaller than its children's, so
+// iterating ids descending is a valid bottom-up (children-first) order.
 //
 // save()/load() persist the three arrays through the binary format of
 // serialize.hpp (normative layout: docs/FORMAT.md), so save→load→save is
@@ -132,8 +130,8 @@ class FrtIndex {
   /// Root node id (the last entry of every row).
   [[nodiscard]] NodeId root() const { return anc_[levels_ - 1]; }
 
-  /// Children of `id` in ascending id order (the source tree's child
-  /// order) — a CSR view, no per-node heap vectors.
+  /// Children of `id` in ascending id order — a CSR view, no per-node
+  /// heap vectors.
   [[nodiscard]] std::span<const NodeId> children(NodeId id) const {
     return {child_list_.data() + child_offset_[id],
             child_offset_[id + 1] - child_offset_[id]};

@@ -40,4 +40,31 @@ void expect_valid_le_lists(const std::vector<DistanceMap>& lists,
   }
 }
 
+BabTreeFlow bab_tree_flow_reference(const FrtTree& tree,
+                                    const std::vector<Demand>& demands,
+                                    const std::vector<CableType>& cables) {
+  std::vector<double> flow(tree.num_nodes(), 0.0);  // over each parent edge
+  for (const auto& d : demands) {
+    // Leaves all sit at level 0, so the two climbs meet at the LCA.
+    auto a = tree.leaf_of(d.s);
+    auto b = tree.leaf_of(d.t);
+    while (a != b) {
+      flow[a] += d.amount;
+      flow[b] += d.amount;
+      a = tree.node(a).parent;
+      b = tree.node(b).parent;
+    }
+  }
+  BabTreeFlow out;
+  for (auto id = static_cast<FrtTree::NodeId>(tree.num_nodes()); id-- > 0;) {
+    const auto& nd = tree.node(id);
+    if (nd.parent != FrtTree::invalid_node && flow[id] > 1e-12) {
+      out.tree_cost +=
+          cable_cost_per_unit_length(flow[id], cables) * nd.parent_edge;
+      ++out.loaded_tree_edges;
+    }
+  }
+  return out;
+}
+
 }  // namespace pmte::test

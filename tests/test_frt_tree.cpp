@@ -199,16 +199,15 @@ TEST(FrtTree, CachedDistanceMatchesPerQueryRecomputationBitForBit) {
   }
 }
 
-TEST(FrtTree, BottomUpOrderIsTopological) {
+TEST(FrtTree, ParentIdsPrecedeChildIds) {
+  // The build's representative-leaf pass and FrtIndex's bottom-up walks
+  // iterate ids descending as a children-first order.
   Rng rng(6);
   const auto g = make_gnm(20, 40, {1.0, 2.0}, rng);
   const auto t = sample_frt_direct(g, rng).tree;
-  std::vector<bool> seen(t.num_nodes(), false);
-  for (const auto id : t.bottom_up_order()) {
-    for (const auto c : t.node(id).children) {
-      EXPECT_TRUE(seen[c]) << "child visited after parent";
-    }
-    seen[id] = true;
+  for (FrtTree::NodeId id = 0; id < t.num_nodes(); ++id) {
+    if (id == t.root()) continue;
+    EXPECT_LT(t.node(id).parent, id) << "node " << id;
   }
 }
 

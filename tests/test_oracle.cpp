@@ -5,9 +5,10 @@
 // intermediate-filtering argument end to end.
 //
 // The level-reuse differential tests additionally pin the reuse pipeline
-// (Gauss–Seidel sweeps, per-level caches, warm restarts) to the pre-reuse
-// Jacobi reference bit for bit: both are fair monotone iterations of the
-// same per-level operators, so their fixpoints must coincide exactly.
+// (Gauss–Seidel sweeps, per-level caches, warm restarts) to the Jacobi
+// reference of tests/support/jacobi_oracle.hpp bit for bit: both are fair
+// monotone iterations of the same per-level operators, so their fixpoints
+// must coincide exactly.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +19,7 @@
 #include "src/oracle/mbf_oracle.hpp"
 #include "src/parallel/counters.hpp"
 #include "tests/support/fixtures.hpp"
+#include "tests/support/jacobi_oracle.hpp"
 #include "tests/support/reference.hpp"
 
 namespace pmte {
@@ -146,8 +148,7 @@ TEST(Oracle, StatsAreAccounted) {
   // The reference (Jacobi) semantics of Equation (5.9): every level runs
   // every H-iteration, at most d and at least one G'-iteration each.
   OracleStats ref;
-  (void)oracle_run(h, alg, le_initial_state(order), 64, &ref,
-                   MbfOptions{.oracle_level_reuse = false});
+  (void)test::jacobi_oracle_run(h, alg, le_initial_state(order), 64, &ref);
   EXPECT_TRUE(ref.reached_fixpoint);
   EXPECT_GT(ref.h_iterations, 0U);
   EXPECT_EQ(ref.levels_full, ref.h_iterations * (h.max_level() + 1));
@@ -189,8 +190,8 @@ TEST(Oracle, FixpointIsFastOnHighSpdGraph) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential tests: the level-reusing oracle against the pre-reuse
-// reference path (MbfOptions::oracle_level_reuse = false).
+// Differential tests: the level-reusing oracle against the Jacobi
+// reference (test::jacobi_oracle_run).
 
 class LevelReuseDifferential
     : public ::testing::TestWithParam<std::uint64_t> {};
@@ -207,12 +208,12 @@ TEST_P(LevelReuseDifferential, LeListsBitIdenticalAcrossFamilies) {
     Rng rng(GetParam() + 29);
     const auto order = VertexOrder::random(g.num_vertices(), rng);
     const auto reuse = le_lists_oracle(h, order, 0);
-    const auto ref = le_lists_oracle(
-        h, order, 0, MbfOptions{.oracle_level_reuse = false});
+    const auto ref = test::jacobi_oracle_run(h, LeListAlgebra{},
+                                             le_initial_state(order), 256);
     ASSERT_TRUE(reuse.converged) << family;
-    ASSERT_TRUE(ref.converged) << family;
+    ASSERT_TRUE(ref.reached_fixpoint) << family;
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      EXPECT_EQ(reuse.lists[v], ref.lists[v]) << family << " vertex " << v;
+      EXPECT_EQ(reuse.lists[v], ref.states[v]) << family << " vertex " << v;
     }
   }
 }
@@ -228,8 +229,7 @@ TEST_P(LevelReuseDifferential, ScalarAndSourceDetectionBitIdentical) {
     x0[3] = 0.0;
     x0[40] = 0.0;
     auto a = oracle_run(h, alg, x0, 256);
-    auto b = oracle_run(h, alg, x0, 256, nullptr,
-                        MbfOptions{.oracle_level_reuse = false});
+    auto b = test::jacobi_oracle_run(h, alg, x0, 256);
     ASSERT_TRUE(a.reached_fixpoint && b.reached_fixpoint);
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       EXPECT_EQ(a.states[v], b.states[v]) << "vertex " << v;
@@ -242,8 +242,7 @@ TEST_P(LevelReuseDifferential, ScalarAndSourceDetectionBitIdentical) {
       x0[s] = DistanceMap::singleton(s, 0.0);
     }
     auto a = oracle_run(h, alg, x0, 256);
-    auto b = oracle_run(h, alg, x0, 256, nullptr,
-                        MbfOptions{.oracle_level_reuse = false});
+    auto b = test::jacobi_oracle_run(h, alg, x0, 256);
     ASSERT_TRUE(a.reached_fixpoint && b.reached_fixpoint);
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       EXPECT_EQ(a.states[v], b.states[v]) << "vertex " << v;
@@ -318,10 +317,11 @@ TEST(LevelReuse, ThreadDeterminism) {
 }
 
 TEST(LevelReuse, SweepsSkipWarmRestartAndCutRelaxations) {
-  // The asymptotic claim behind the tentpole: on a high-SPD path the
-  // reuse pipeline must beat the reference by a widening factor (measured
-  // ~10× at n = 512, ~12× at n = 2048 — the CI bench gate pins the 2048
-  // numbers; here a conservative 6× keeps the test robust).
+  // The asymptotic claim behind level reuse: on a high-SPD path the
+  // reuse pipeline must beat the Jacobi reference by a widening factor
+  // (measured ~10× at n = 512, ~12× at n = 2048 — the CI bench gate pins
+  // the reuse side's 2048 numbers; here a conservative 6× keeps the test
+  // robust).
   Rng rng(7300);
   const Vertex n = 512;
   const auto g = make_path(n);
@@ -334,14 +334,14 @@ TEST(LevelReuse, SweepsSkipWarmRestartAndCutRelaxations) {
   const std::uint64_t reuse_relax = reuse_scope.relaxations_delta();
 
   const WorkDepthScope ref_scope;
-  const auto ref = le_lists_oracle(h, order, 0,
-                                   MbfOptions{.oracle_level_reuse = false});
+  const auto ref = test::jacobi_oracle_run(h, LeListAlgebra{},
+                                           le_initial_state(order), 256);
   const std::uint64_t ref_relax = ref_scope.relaxations_delta();
 
   ASSERT_TRUE(reuse.converged);
-  ASSERT_TRUE(ref.converged);
+  ASSERT_TRUE(ref.reached_fixpoint);
   for (Vertex v = 0; v < n; ++v) {
-    EXPECT_EQ(reuse.lists[v], ref.lists[v]) << "vertex " << v;
+    EXPECT_EQ(reuse.lists[v], ref.states[v]) << "vertex " << v;
   }
   EXPECT_GT(reuse.levels_skipped, 0U);
   EXPECT_GT(reuse.levels_warm, 0U);
