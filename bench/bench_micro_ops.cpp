@@ -9,10 +9,11 @@
 //     check_bench_regression.py can hard-fail CI on any >5% regression
 //     against the committed BENCH_micro_ops.json baseline.
 //   * default: google-benchmark timings of aggregation merges (Lemma 2.3),
-//     the LE filter (Lemma 7.7), the k-smallest filter, and path-set
-//     products.  Compiled only when the library is available
-//     (PMTE_HAVE_GOOGLE_BENCHMARK); without it the default mode emits `{}`
-//     so scripts/run_benches.sh still gets valid JSON.
+//     the filtering LE-list merge, the LE filter (Lemma 7.7), the
+//     k-smallest filter, and path-set products.  Compiled only when the
+//     library is available (PMTE_HAVE_GOOGLE_BENCHMARK); without it the
+//     default mode emits `{}` so scripts/run_benches.sh still gets valid
+//     JSON.
 
 #include <iostream>
 #include <string>
@@ -138,6 +139,23 @@ void BM_MergeMin(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * size));
 }
 BENCHMARK(BM_MergeMin)->Arg(16)->Arg(256)->Arg(4096);
+
+// The LE-list ⊕ on BM_MergeMin's inputs: the same merge, emitting only
+// the staircase.
+void BM_MergeLeastElements(benchmark::State& state) {
+  Rng rng(1);
+  const auto size = static_cast<std::size_t>(state.range(0));
+  const auto a = random_map(rng, 1 << 20, size);
+  const auto b = random_map(rng, 1 << 20, size);
+  for (auto _ : state) {
+    auto x = a;
+    x.merge_least_elements(b, 1.5);
+    benchmark::DoNotOptimize(x);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * size));
+}
+BENCHMARK(BM_MergeLeastElements)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_LeFilter(benchmark::State& state) {
   Rng rng(2);

@@ -40,44 +40,72 @@ void DistanceMap::add_to_all(Weight s) {
   WorkDepth::add_work(entries_.size());
 }
 
-void DistanceMap::merge_min(const DistanceMap& other, Weight shift) {
-  if (!is_finite(shift) || other.empty()) return;
-  WorkDepth::add_work(entries_.size() + other.entries_.size());
+namespace {
+
+// x ⊕ s⊙y into `x` by one ascending-key merge that takes the minimum at
+// equal keys; `keep(e)` decides, in key order, which merged entries stay.
+template <class Keep>
+void merge_into(std::vector<DistEntry>& x, const std::vector<DistEntry>& y,
+                Weight shift, Keep keep) {
+  WorkDepth::add_work(x.size() + y.size());
   // The merge is the innermost operation of every MBF-like iteration; a
   // thread-local scratch buffer avoids an allocation per relaxation.
   thread_local std::vector<DistEntry> scratch;
   scratch.clear();
-  scratch.reserve(entries_.size() + other.entries_.size());
+  scratch.reserve(x.size() + y.size());
+  const auto emit = [&](const DistEntry& e) {
+    if (keep(e)) scratch.push_back(e);
+  };
   std::size_t i = 0, j = 0;
-  while (i < entries_.size() && j < other.entries_.size()) {
-    const auto& a = entries_[i];
-    const DistEntry b{other.entries_[j].key, other.entries_[j].dist + shift};
+  while (i < x.size() && j < y.size()) {
+    const auto& a = x[i];
+    const DistEntry b{y[j].key, y[j].dist + shift};
     if (a.key < b.key) {
-      scratch.push_back(a);
+      emit(a);
       ++i;
     } else if (b.key < a.key) {
-      scratch.push_back(b);
+      emit(b);
       ++j;
     } else {
-      scratch.push_back(DistEntry{a.key, std::min(a.dist, b.dist)});
+      emit(DistEntry{a.key, std::min(a.dist, b.dist)});
       ++i;
       ++j;
     }
   }
-  for (; i < entries_.size(); ++i) scratch.push_back(entries_[i]);
-  for (; j < other.entries_.size(); ++j)
-    scratch.push_back(
-        DistEntry{other.entries_[j].key, other.entries_[j].dist + shift});
+  for (; i < x.size(); ++i) emit(x[i]);
+  for (; j < y.size(); ++j) emit(DistEntry{y[j].key, y[j].dist + shift});
 #if PMTE_TSAN_ACTIVE
   // swap() would hand the map a buffer allocated by this worker thread and
   // park the map's old buffer in this thread's TLS, where the TLS destructor
   // frees it at thread exit — a cross-thread handoff whose ordering runs
   // through OpenMP pool teardown, which TSan cannot see.  Copying keeps
   // buffer ownership with the map (same values, one extra memcpy).
-  entries_.assign(scratch.begin(), scratch.end());
+  x.assign(scratch.begin(), scratch.end());
 #else
-  entries_.swap(scratch);  // scratch keeps its capacity for the next merge
+  x.swap(scratch);  // scratch keeps its capacity for the next merge
 #endif
+}
+
+}  // namespace
+
+void DistanceMap::merge_min(const DistanceMap& other, Weight shift) {
+  if (!is_finite(shift) || other.empty()) return;
+  merge_into(entries_, other.entries_, shift,
+             [](const DistEntry&) { return true; });
+}
+
+void DistanceMap::merge_least_elements(const DistanceMap& other,
+                                       Weight shift) {
+  if (!is_finite(shift) || other.empty()) {
+    keep_least_elements();  // r(x ⊕ ⊥) = r(x)
+    return;
+  }
+  Weight min_dist = inf_weight();
+  merge_into(entries_, other.entries_, shift, [&min_dist](const DistEntry& e) {
+    if (e.dist >= min_dist) return false;
+    min_dist = e.dist;
+    return true;
+  });
 }
 
 void DistanceMap::drop_beyond(Weight bound) {
@@ -87,6 +115,10 @@ void DistanceMap::drop_beyond(Weight bound) {
 
 void DistanceMap::keep_k_smallest(std::size_t k) {
   if (entries_.size() <= k) return;
+  if (k == 0) {
+    entries_.clear();
+    return;
+  }
   WorkDepth::add_work(entries_.size());
   std::vector<DistEntry> by_dist(entries_.begin(), entries_.end());
   std::nth_element(by_dist.begin(), by_dist.begin() + static_cast<std::ptrdiff_t>(k - 1),
@@ -104,24 +136,16 @@ void DistanceMap::keep_k_smallest(std::size_t k) {
 void DistanceMap::keep_least_elements() {
   if (entries_.size() <= 1) return;
   WorkDepth::add_work(entries_.size());
-  // Sort a copy by (dist, key); keep entries whose key is a strict running
-  // minimum (Lemma 7.7's tournament, done with one sort + scan).
-  std::vector<DistEntry> by_dist(entries_.begin(), entries_.end());
-  std::sort(by_dist.begin(), by_dist.end(),
-            [](const DistEntry& a, const DistEntry& b) {
-              return a.dist < b.dist || (a.dist == b.dist && a.key < b.key);
-            });
-  entries_.clear();
-  Vertex min_key = no_vertex();
-  for (const auto& e : by_dist) {
-    if (e.key < min_key) {
-      min_key = e.key;
-      entries_.push_back(e);
+  Weight min_dist = inf_weight();
+  std::size_t kept = 0;
+  for (const auto& e : entries_) {
+    if (e.dist < min_dist) {
+      min_dist = e.dist;
+      entries_[kept++] = e;
     }
   }
-  // Surviving entries have ascending dist and strictly descending key;
-  // restore the sorted-by-key invariant by reversing.
-  std::reverse(entries_.begin(), entries_.end());
+  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(kept),
+                 entries_.end());
 }
 
 bool DistanceMap::is_least_element_list() const noexcept {

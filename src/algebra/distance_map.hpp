@@ -12,6 +12,8 @@
 //   ⊕  merge_min       — pointwise minimum (sorted merge)
 //   s⊙ add_to_all      — uniform shift by the propagation distance
 //   ⊥  the empty map   — all-∞ vector
+// For LE lists, ⊕ followed by the filter r is merge_least_elements: one
+// sorted merge that emits only the staircase.
 
 #include <span>
 #include <vector>
@@ -64,17 +66,25 @@ class DistanceMap {
   /// to `other`'s entries on the fly, fusing s⊙y ⊕ x into one pass.
   void merge_min(const DistanceMap& other, Weight shift = 0.0);
 
+  /// r(x ⊕ s⊙y) into *this, r the LE filter below: the same merge, but an
+  /// entry is kept only if its distance is below every distance at a
+  /// smaller key.  Neither input has to be an LE list.
+  void merge_least_elements(const DistanceMap& other, Weight shift = 0.0);
+
   /// Remove all entries with dist > bound (used by distance-bounded
   /// filters; ⊥-preserving).
   void drop_beyond(Weight bound);
 
   /// Keep the k smallest entries under lexicographic (dist, key) order —
-  /// the source-detection filter core (Example 3.2).
+  /// the source-detection filter core (Example 3.2).  k = 0 yields ⊥.
   void keep_k_smallest(std::size_t k);
 
   /// Keep only entries whose key is *not dominated*: entry (key, dist) is
   /// dominated iff some other entry (key', dist') has key' < key and
   /// dist' <= dist.  This is the LE-list filter r of Definition 7.3.
+  /// Lemma 7.7's tournament over the rank order is one pass here: the map
+  /// is sorted by key, so an entry survives iff its distance is below the
+  /// running minimum of the entries before it.
   /// Postcondition: sorted by key ascending ⇔ dist descending (staircase).
   void keep_least_elements();
 

@@ -37,7 +37,10 @@ struct VertexOrder {
 };
 
 /// The MBF-like algebra of Definition 7.3: distance maps with the
-/// least-element filter.
+/// least-element filter.  ⊕ filters as it merges: r is the representative
+/// projection of a congruence (Lemma 7.5, Corollary 2.17), so
+/// r(r(x ⊕ y) ⊕ z) = r(x ⊕ y ⊕ z) and an accumulator never holds more than
+/// an LE list.  `filter` then meets a staircase and keeps all of it.
 struct LeListAlgebra {
   using State = DistanceMap;
 
@@ -45,10 +48,12 @@ struct LeListAlgebra {
 
   void relax(State& acc, Weight w, Vertex /*from*/, Vertex /*to*/,
              const State& x_from) const {
-    acc.merge_min(x_from, w);
+    acc.merge_least_elements(x_from, w);
   }
 
-  void aggregate(State& acc, const State& y) const { acc.merge_min(y); }
+  void aggregate(State& acc, const State& y) const {
+    acc.merge_least_elements(y);
+  }
 
   void filter(State& x) const { x.keep_least_elements(); }
 

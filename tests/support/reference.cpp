@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/graph/shortest_paths.hpp"
 
 namespace pmte::test {
@@ -21,9 +23,17 @@ std::vector<DistanceMap> brute_force_le_lists(const Graph& g,
       const Weight d = apsp[static_cast<std::size_t>(v) * n + w];
       if (is_finite(d)) entries.push_back(DistEntry{order.rank_of[w], d});
     }
-    auto m = DistanceMap::from_entries(std::move(entries));
-    m.keep_least_elements();
-    lists[v] = std::move(m);
+    // Definition 7.3 verbatim, independent of DistanceMap's filter: w is in
+    // v's list iff no u of smaller rank has dist(v,u) <= dist(v,w).
+    std::vector<DistEntry> kept;
+    for (const auto& e : entries) {
+      const bool dominated =
+          std::any_of(entries.begin(), entries.end(), [&e](const DistEntry& f) {
+            return f.key < e.key && f.dist <= e.dist;
+          });
+      if (!dominated) kept.push_back(e);
+    }
+    lists[v] = DistanceMap::from_entries(std::move(kept));
   }
   return lists;
 }

@@ -20,7 +20,8 @@ namespace pmte::test {
                                                      Vertex source);
 
 /// Brute-force LE lists from exact APSP: per vertex collect every finite
-/// (rank, distance) pair and apply the least-element filter — Θ(n² log n).
+/// (rank, distance) pair and drop each pair that another pair dominates,
+/// tested pairwise (Definition 7.3) without DistanceMap's filter — Θ(n³).
 [[nodiscard]] std::vector<DistanceMap> brute_force_le_lists(
     const Graph& g, const VertexOrder& order);
 

@@ -75,6 +75,15 @@ TEST(DistanceMap, KeepKSmallestNoOpWhenSmall) {
   EXPECT_EQ(m.size(), 1U);
 }
 
+TEST(DistanceMap, KeepKSmallestZeroIsBottom) {
+  auto m = DistanceMap::from_entries({{0, 5.0}, {1, 3.0}, {2, 1.0}});
+  m.keep_k_smallest(0);
+  EXPECT_TRUE(m.empty());
+  DistanceMap bottom;
+  bottom.keep_k_smallest(0);
+  EXPECT_TRUE(bottom.empty());
+}
+
 TEST(DistanceMap, DropBeyond) {
   auto m = DistanceMap::from_entries({{0, 1.0}, {1, 5.0}, {2, 3.0}});
   m.drop_beyond(3.0);
@@ -117,6 +126,44 @@ TEST(DistanceMap, LeFilterMatchesBruteForce) {
       }
     }
   }
+}
+
+TEST(DistanceMap, MergeLeastElementsMatchesMergeThenFilter) {
+  // r(x ⊕ s⊙y) in one pass must equal ⊕ followed by r bit for bit, on
+  // inputs that are not LE lists themselves, with distance ties across keys
+  // (random_map floors its distances), s ∈ {0, finite, ∞} and ⊥ on either
+  // side.  The tallies make sure the trials really hit those cases.
+  Rng rng(34);
+  int non_le_x = 0, non_le_y = 0, cross_ties = 0, empty_x = 0, empty_y = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    auto x = trial % 10 == 0 ? DistanceMap{} : random_map(rng, 12, 10);
+    auto y = trial % 10 == 1 ? DistanceMap{} : random_map(rng, 12, 10);
+    if (trial % 4 == 2) x.keep_least_elements();  // the oracle's own case
+    if (trial % 4 == 3) y.keep_least_elements();
+    const Weight shift = trial % 3 == 0   ? 0.0
+                         : trial % 3 == 1 ? inf_weight()
+                                          : std::floor(rng.uniform(1.0, 6.0));
+    non_le_x += x.is_least_element_list() ? 0 : 1;
+    non_le_y += y.is_least_element_list() ? 0 : 1;
+    empty_x += x.empty() ? 1 : 0;
+    empty_y += y.empty() ? 1 : 0;
+    auto expect = x;
+    expect.merge_min(y, shift);
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+      for (std::size_t j = i + 1; j < expect.size(); ++j) {
+        if (expect[i].dist == expect[j].dist) ++cross_ties;
+      }
+    }
+    expect.keep_least_elements();
+    x.merge_least_elements(y, shift);
+    ASSERT_EQ(x, expect) << "trial " << trial << ", shift " << shift;
+    ASSERT_TRUE(x.is_least_element_list()) << "trial " << trial;
+  }
+  EXPECT_GT(non_le_x, 100);
+  EXPECT_GT(non_le_y, 100);
+  EXPECT_GT(cross_ties, 100);
+  EXPECT_GT(empty_x, 50);
+  EXPECT_GT(empty_y, 50);
 }
 
 TEST(DistanceMap, LeFilterIdempotent) {

@@ -83,6 +83,18 @@ TEST_P(MbfVsBaseline, KsspContainsKClosest) {
   }
 }
 
+TEST_P(MbfVsBaseline, KsspZeroIsBottom) {
+  // Keeping the 0 closest sources leaves every map ⊥, at any hop bound.
+  const auto g = random_graph();
+  for (const unsigned hops : {1U, 4U, ~0U}) {
+    const auto maps = mbf_kssp(g, 0, hops);
+    ASSERT_EQ(maps.size(), g.num_vertices());
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      EXPECT_TRUE(maps[v].empty()) << "vertex " << v << ", hops " << hops;
+    }
+  }
+}
+
 TEST_P(MbfVsBaseline, SourceDetectionDefinition) {
   const auto g = random_graph();
   const Vertex n = g.num_vertices();
