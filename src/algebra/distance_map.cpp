@@ -108,6 +108,17 @@ void DistanceMap::merge_least_elements(const DistanceMap& other,
   });
 }
 
+void DistanceMap::assign_difference(const DistanceMap& now,
+                                    const DistanceMap& before) {
+  WorkDepth::add_work(now.size() + before.size());
+  entries_.clear();
+  std::size_t j = 0;
+  for (const auto& e : now.entries_) {
+    while (j < before.size() && before.entries_[j].key < e.key) ++j;
+    if (j == before.size() || before.entries_[j] != e) entries_.push_back(e);
+  }
+}
+
 void DistanceMap::drop_beyond(Weight bound) {
   std::erase_if(entries_,
                 [bound](const DistEntry& e) { return e.dist > bound; });

@@ -71,6 +71,12 @@ class DistanceMap {
   /// smaller key.  Neither input has to be an LE list.
   void merge_least_elements(const DistanceMap& other, Weight shift = 0.0);
 
+  /// *this = the entries of `now` that are not entries of `before`: a key
+  /// of `now` stays unless `before` holds it at the same distance.  This
+  /// is what a vertex has to offer again after its state went from
+  /// `before` to `now`, since now ⊕ before = (now ∖ before) ⊕ before.
+  void assign_difference(const DistanceMap& now, const DistanceMap& before);
+
   /// Remove all entries with dist > bound (used by distance-bounded
   /// filters; ⊥-preserving).
   void drop_beyond(Weight bound);

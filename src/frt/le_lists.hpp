@@ -57,12 +57,18 @@ struct LeListAlgebra {
 
   void filter(State& x) const { x.keep_least_elements(); }
 
+  /// The engine's per-entry offer (DeltaOfferAlgebra in engine.hpp).
+  void offer_delta(State& out, const State& now, const State& before) const {
+    out.assign_difference(now, before);
+  }
+
   [[nodiscard]] bool equal(const State& a, const State& b) const {
     return a == b;
   }
 };
 
 static_assert(MbfAlgebra<LeListAlgebra>);
+static_assert(DeltaOfferAlgebra<LeListAlgebra>);
 static_assert(OracleAlgebra<LeListAlgebra>);
 
 /// x⁽⁰⁾ for LE-list computations: v starts knowing (rank(v), 0).

@@ -41,6 +41,30 @@
 // LE-list algebra (Section 7) satisfy this; an algebra that does not can
 // force MbfMode::kDense.
 //
+// The same argument holds per entry.  A frontier vertex u went from
+// out_[u] (its state before its last change, which commit() swapped out)
+// to cur_[u], and every neighbour v has already absorbed w ⊙ out_[u]: u
+// offered that state when it last changed, or, never having changed since
+// reset_with_frontier, u is covered by that call's contract.  Let δ be
+// the entries of cur_[u] that are not entries of out_[u].  Then
+// cur ⊕ out = δ ⊕ out, and with a congruent filter
+//     r(x_v ⊕ w⊙cur) = r(x_v ⊕ w⊙out ⊕ w⊙δ) = r(x_v ⊕ w⊙δ),
+// so u offers only δ.  Algebras opt in through offer_delta
+// (DeltaOfferAlgebra); of the library's algebras only LeListAlgebra does.
+// States, frontiers and relaxation counts stay those of full offers.  The
+// merge work falls, but computing δ costs |cur_[u]| + |out_[u]| per
+// frontier vertex and round: on degree-2 paths that outweighs the saving
+// and the net `work` counter rises by about 2% (wall time on such inputs
+// is unmeasured).  The first round after a reset keeps full offers,
+// because out_ is stale then.
+//
+// The affected set frontier ∪ N(frontier) is claimed by per-vertex marks:
+// the first visit to a vertex claims its mark with an atomic exchange and
+// pushes the vertex, so each affected vertex is pushed once and only the
+// duplicate-free set is sorted.  Which thread claims a vertex depends on
+// the schedule; the sorted set, and so the gather order, does not.  The
+// pass after the gather clears the marks.
+//
 // The two state vectors are double-buffered inside the engine and per-
 // vertex results are committed by swapping vector elements, so steady-
 // state iterations perform no allocations (state-internal buffers are
@@ -49,6 +73,7 @@
 // output — states, frontiers, iteration counts, WorkDepth counters —
 // bit-identical across OpenMP thread counts.
 
+#include <atomic>
 #include <concepts>
 #include <cstdint>
 #include <utility>
@@ -70,6 +95,16 @@ concept MbfAlgebra = requires(const A& alg, typename A::State& acc,
   { alg.filter(acc) };
   { alg.equal(x, x) } -> std::convertible_to<bool>;
 };
+
+/// An algebra whose frontier vertices offer only their new entries:
+/// offer_delta(out, now, before) sets `out` to the entries of `now` that
+/// are not entries of `before` (see "Frontier-driven iteration").
+template <typename A>
+concept DeltaOfferAlgebra =
+    MbfAlgebra<A> && requires(const A& alg, typename A::State& out,
+                              const typename A::State& x) {
+      { alg.offer_delta(out, x, x) };
+    };
 
 /// One MBF-like iteration x ↦ r^V(A x); `weight_scale` numerically scales
 /// edge weights before they enter the semiring — this realises the
@@ -177,7 +212,9 @@ class MbfEngine {
     const Vertex n = g.num_vertices();
     cur_.resize(n);
     out_.resize(n);
+    if constexpr (DeltaOfferAlgebra<Algebra>) offer_.resize(n);
     in_frontier_.assign(n, 0);
+    affected_mark_.assign(n, 0);
     changed_.assign(n, 0);
     frontier_all_ = false;  // nothing to do until reset()
   }
@@ -327,19 +364,35 @@ class MbfEngine {
   void sparse_round() {
     const double scale = opts_.weight_scale;
 
-    parallel_for(frontier_.size(),
-                 [&](std::size_t i) { in_frontier_[frontier_[i]] = 1; });
+    // From the second round after a reset on, frontier vertices offer only
+    // their new entries; offer_ is filled below, before the gather
+    // overwrites out_.
+    bool delta = false;
+    if constexpr (DeltaOfferAlgebra<Algebra>) delta = iterations_ > 0;
+    const std::vector<State>& offers = delta ? offer_ : cur_;
 
-    // affected = frontier ∪ N(frontier), sorted+deduped so the gather
-    // order (and hence the counters) is canonical.
+    // affected = frontier ∪ N(frontier), each vertex pushed once by the
+    // visit that claims its mark, then sorted so the gather order (and
+    // hence the counters) is canonical.
     buffers_.clear();
     parallel_for(frontier_.size(), [&](std::size_t i) {
       const Vertex u = frontier_[i];
+      in_frontier_[u] = 1;
+      if constexpr (DeltaOfferAlgebra<Algebra>) {
+        if (delta) alg_->offer_delta(offer_[u], cur_[u], out_[u]);
+      }
       auto& buf = buffers_.local();
-      buf.push_back(u);
-      for (const auto& e : g_->neighbors(u)) buf.push_back(e.to);
+      const auto claim = [&](Vertex v) {
+        std::atomic_ref<std::uint8_t> mark(affected_mark_[v]);
+        if (mark.load(std::memory_order_relaxed) == 0 &&
+            mark.exchange(1, std::memory_order_relaxed) == 0) {
+          buf.push_back(v);
+        }
+      };
+      claim(u);
+      for (const auto& e : g_->neighbors(u)) claim(e.to);
     });
-    buffers_.drain_sorted_unique(affected_);
+    buffers_.drain_sorted(affected_);
 
     parallel_for_balanced(
         affected_.size(), [&](std::size_t i) { return g_->degree(affected_[i]); },
@@ -350,7 +403,7 @@ class MbfEngine {
           std::uint64_t relaxed = 0;
           for (const auto& e : g_->neighbors(v)) {
             if (in_frontier_[e.to]) {
-              alg_->relax(acc, e.weight * scale, e.to, v, cur_[e.to]);
+              alg_->relax(acc, e.weight * scale, e.to, v, offers[e.to]);
               ++relaxed;
             }
           }
@@ -361,12 +414,13 @@ class MbfEngine {
               static_cast<std::uint64_t>(g_->degree(v)));
         });
 
-    parallel_for(frontier_.size(),
-                 [&](std::size_t i) { in_frontier_[frontier_[i]] = 0; });
-
+    // The frontier is part of the affected set, so one pass resets both
+    // flag arrays for the next round.
     buffers_.clear();
     parallel_for(affected_.size(), [&](std::size_t i) {
       const Vertex v = affected_[i];
+      in_frontier_[v] = 0;
+      affected_mark_[v] = 0;
       if (changed_[v]) buffers_.local().push_back(v);
     });
     buffers_.drain_sorted(next_frontier_);
@@ -390,8 +444,15 @@ class MbfEngine {
   std::vector<State> out_;   // recompute buffer / previous states
   std::vector<Vertex> frontier_;       // changed in the last step (sorted)
   std::vector<Vertex> next_frontier_;  // being built by the current step
+  // Per frontier vertex u, the entries of cur_[u] that are not entries of
+  // out_[u]: what u offers in a delta round (DeltaOfferAlgebra only;
+  // empty otherwise).
+  std::vector<State> offer_;
   std::vector<Vertex> affected_;       // frontier ∪ N(frontier)
   std::vector<std::uint8_t> in_frontier_;
+  // 1 while a vertex is in affected_: claimed atomically by the first
+  // visit of the round, cleared after the gather.
+  std::vector<std::uint8_t> affected_mark_;
   std::vector<std::uint8_t> changed_;
   PerThreadBuffers<Vertex> buffers_;
   bool frontier_all_ = false;  // before the first step after reset()

@@ -242,13 +242,6 @@ class PerThreadBuffers {
     std::sort(out.begin(), out.end());
   }
 
-  /// Move all buffered elements into `out`, sorted ascending, duplicates
-  /// removed.
-  void drain_sorted_unique(std::vector<T>& out) {
-    drain_sorted(out);
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-  }
-
  private:
   struct alignas(64) Slot {
     std::vector<T> buf;

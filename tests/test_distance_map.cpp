@@ -4,8 +4,11 @@
 // Lemma 7.5) on randomised samples.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
+#include <utility>
 
 #include "src/algebra/axioms.hpp"
 #include "src/algebra/distance_map.hpp"
@@ -164,6 +167,71 @@ TEST(DistanceMap, MergeLeastElementsMatchesMergeThenFilter) {
   EXPECT_GT(cross_ties, 100);
   EXPECT_GT(empty_x, 50);
   EXPECT_GT(empty_y, 50);
+}
+
+TEST(DistanceMap, AssignDifferenceMatchesBruteForce) {
+  // now ∖ before keeps an entry of `now` unless `before` holds the same key
+  // at the same distance.  `before` is drawn around `now` (entries dropped,
+  // re-weighted, added) so the trials hit every case, counted below: ⊥ on
+  // either side, identical maps, an equal key at another distance, and
+  // keys only `before` has.  The engine's premise now ⊕ before =
+  // (now ∖ before) ⊕ before is checked on every trial.
+  Rng rng(35);
+  int empty_now = 0, empty_before = 0, identical = 0, reweighted = 0,
+      before_only = 0;
+  DistanceMap out = DistanceMap::singleton(99, 1.0);  // stale output buffer
+  for (int trial = 0; trial < 600; ++trial) {
+    const auto now = trial % 10 == 0 ? DistanceMap{} : random_map(rng, 12, 10);
+    std::vector<DistEntry> drawn;
+    if (trial % 10 != 1) {
+      for (const auto& e : now.entries()) {
+        if (trial % 10 == 2 || rng.below(4) != 0) {
+          drawn.push_back(DistEntry{
+              e.key, trial % 10 != 2 && rng.below(3) == 0 ? e.dist + 1.0
+                                                          : e.dist});
+        }
+      }
+      if (trial % 10 != 2) {
+        const auto extra = random_map(rng, 12, 4);
+        drawn.insert(drawn.end(), extra.entries().begin(),
+                     extra.entries().end());
+      }
+    }
+    const auto before = DistanceMap::from_entries(std::move(drawn));
+
+    std::set<std::pair<Vertex, Weight>> before_set;
+    for (const auto& e : before.entries()) before_set.insert({e.key, e.dist});
+    std::vector<DistEntry> expect;
+    for (const auto& e : now.entries()) {
+      if (before_set.count({e.key, e.dist}) == 0) expect.push_back(e);
+      const Weight was = before.at(e.key);
+      if (is_finite(was) && was != e.dist) ++reweighted;
+    }
+    for (const auto& e : before.entries()) {
+      if (!is_finite(now.at(e.key))) ++before_only;
+    }
+    empty_now += now.empty() ? 1 : 0;
+    empty_before += before.empty() ? 1 : 0;
+    identical += !now.empty() && now == before ? 1 : 0;
+
+    out.assign_difference(now, before);
+    ASSERT_TRUE(std::equal(out.entries().begin(), out.entries().end(),
+                           expect.begin(), expect.end()))
+        << "trial " << trial;
+    if (now == before) {
+      ASSERT_TRUE(out.empty()) << "trial " << trial;
+    }
+    auto lhs = now;
+    lhs.merge_min(before);
+    auto rhs = out;
+    rhs.merge_min(before);
+    ASSERT_EQ(lhs, rhs) << "trial " << trial;
+  }
+  EXPECT_GE(empty_now, 60);
+  EXPECT_GE(empty_before, 60);
+  EXPECT_GT(identical, 30);
+  EXPECT_GT(reweighted, 200);
+  EXPECT_GT(before_only, 200);
 }
 
 TEST(DistanceMap, LeFilterIdempotent) {

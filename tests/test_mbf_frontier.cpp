@@ -9,6 +9,10 @@
 // 1, 2, and 8 threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <initializer_list>
+#include <string>
 #include <vector>
 
 #include "src/frt/le_lists.hpp"
@@ -218,6 +222,164 @@ TEST(FrontierEquivalence, BalancedChunkingIsThreadDeterministic) {
   }
   set_num_threads(restore);
 }
+
+// ---------------------------------------------------------------------------
+// Per-round lockstep.  A sparse round claims its affected set by per-vertex
+// marks; from the second round after a reset, an LE-list frontier vertex
+// offers only the entries it gained (DeltaOfferAlgebra), while source
+// detection and APSP keep full offers; and MbfOracle reuses one engine
+// across reset_with_frontier restarts at different weight scales.  None of
+// this may change a round: a kDense and a kSparse engine stepped side by
+// side must hold the same states and frontiers after every step, and a
+// reused engine must match a fresh one.
+
+/// Step `reference` to its fixpoint and every engine in `others` with it,
+/// checking step results, frontiers and states after each step.  Returns
+/// the largest frontier a round after the first started from.
+template <MbfAlgebra Algebra>
+std::size_t step_in_lockstep(MbfEngine<Algebra>& reference,
+                             std::initializer_list<MbfEngine<Algebra>*> others,
+                             const std::string& what) {
+  std::size_t widest = 0;
+  for (unsigned round = 1;; ++round) {
+    const bool more = reference.step();
+    const auto& want = reference.states();
+    for (auto* engine : others) {
+      EXPECT_EQ(engine->step(), more) << what << ", round " << round;
+      EXPECT_EQ(engine->frontier(), reference.frontier())
+          << what << ", round " << round;
+      const auto& got = engine->states();
+      const auto v = static_cast<std::size_t>(
+          std::mismatch(got.begin(), got.end(), want.begin()).first -
+          got.begin());
+      EXPECT_EQ(v, got.size())
+          << what << ", round " << round << ": states differ at vertex " << v;
+    }
+    if (::testing::Test::HasFailure() || !more) return widest;
+    widest = std::max(widest, reference.frontier().size());
+  }
+}
+
+/// The oracle's use of one engine, for a distance-map algebra: full resets
+/// at two weight scales, then restarts alternating between the scales.
+/// Each restart seeds that scale's cached fixpoint, perturbed on a random
+/// quarter of the vertices that forms the frontier; the last restart is a
+/// support-seeded start (⊥ outside the frontier).
+template <MbfAlgebra Algebra>
+void lockstep_life_cycle(const Graph& g, const Algebra& alg,
+                         const std::vector<DistanceMap>& x0,
+                         const std::string& what) {
+  const Vertex n = g.num_vertices();
+  constexpr double kScales[] = {1.0, 1.5};
+  const auto engine_opts = [](double scale, MbfMode mode) {
+    return MbfOptions{.weight_scale = scale, .mode = mode};
+  };
+  MbfEngine<Algebra> dense(g, alg, engine_opts(1.0, MbfMode::kDense));
+  MbfEngine<Algebra> sparse(g, alg, engine_opts(1.0, MbfMode::kSparse));
+  std::vector<DistanceMap> cached[2];
+  for (int s = 0; s < 2; ++s) {
+    dense.set_weight_scale(kScales[s]);
+    sparse.set_weight_scale(kScales[s]);
+    dense.reset(x0);
+    sparse.reset(x0);
+    const auto widest = step_in_lockstep(
+        dense, {&sparse}, what + ", reset " + std::to_string(s));
+    if (::testing::Test::HasFailure()) return;
+    // Frontier loops only open a parallel region from 128 vertices on.
+    EXPECT_GE(widest, 128U) << what;
+    cached[s] = dense.states();
+  }
+
+  Rng rng(n);
+  constexpr int kRestarts = 6;
+  for (int restart = 0; restart < kRestarts; ++restart) {
+    const int s = restart % 2;
+    const bool support_seeded = restart == kRestarts - 1;
+    std::vector<DistanceMap> seed = cached[s];
+    std::vector<Vertex> frontier;
+    for (Vertex v = 0; v < n; ++v) {
+      if (rng.below(4) != 0) {
+        if (support_seeded) seed[v] = alg.bottom();
+        continue;
+      }
+      frontier.push_back(v);
+      if (!support_seeded) {
+        const auto key = static_cast<Vertex>(rng.below(n));
+        seed[v].merge_min(
+            DistanceMap::singleton(key, std::floor(rng.uniform(0.0, 3.0))));
+        alg.filter(seed[v]);
+      }
+    }
+    dense.set_weight_scale(kScales[s]);
+    sparse.set_weight_scale(kScales[s]);
+    MbfEngine<Algebra> fresh(g, alg, engine_opts(kScales[s], MbfMode::kSparse));
+    dense.reset_with_frontier(seed, frontier);
+    sparse.reset_with_frontier(seed, frontier);
+    fresh.reset_with_frontier(std::move(seed), std::move(frontier));
+    step_in_lockstep(dense, {&sparse, &fresh},
+                     what + ", restart " + std::to_string(restart));
+    if (::testing::Test::HasFailure()) return;
+    cached[s] = dense.states();
+  }
+}
+
+/// Run `check(label)` at 1, 2 and 8 threads; `label` names the count.
+template <typename Check>
+void at_thread_counts(Check check) {
+  const int restore = num_threads();
+  for (const int threads : {1, 2, 8}) {
+    set_num_threads(threads);
+    check(" @ " + std::to_string(threads) + " threads");
+    if (::testing::Test::HasFailure()) break;
+  }
+  set_num_threads(restore);
+}
+
+/// Graph families: gnm and a power-law graph whose hubs put most vertices
+/// next to any sizeable frontier.
+class SparseRoundLockstep : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SparseRoundLockstep, LeLists) {
+  const auto g = test::support_graph(GetParam(), 1024, 515);
+  Rng rng(516);
+  const auto order = VertexOrder::random(g.num_vertices(), rng);
+  const LeListAlgebra alg;
+  at_thread_counts([&](const std::string& at) {
+    lockstep_life_cycle(g, alg, le_initial_state(order),
+                        std::string("LE lists ") + GetParam() + at);
+  });
+}
+
+TEST_P(SparseRoundLockstep, SourceDetection) {
+  const auto g = test::support_graph(GetParam(), 1024, 525);
+  const SourceDetectionAlgebra alg{.k = 3, .max_dist = 8.0};
+  std::vector<DistanceMap> x0(g.num_vertices());
+  Rng rng(526);
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (rng.below(2) == 0) x0[v] = DistanceMap::singleton(v, 0.0);
+  }
+  at_thread_counts([&](const std::string& at) {
+    lockstep_life_cycle(g, alg, x0,
+                        std::string("source detection ") + GetParam() + at);
+  });
+}
+
+TEST_P(SparseRoundLockstep, AllPairs) {
+  // k = ∞: APSP (Example 3.5); every state grows to n entries, so n = 256.
+  const auto g = test::support_graph(GetParam(), 256, 535);
+  const SourceDetectionAlgebra alg;
+  std::vector<DistanceMap> x0;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    x0.push_back(DistanceMap::singleton(v, 0.0));
+  }
+  at_thread_counts([&](const std::string& at) {
+    lockstep_life_cycle(g, alg, x0,
+                        std::string("all pairs ") + GetParam() + at);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, SparseRoundLockstep,
+                         ::testing::Values("gnm", "powerlaw"));
 
 }  // namespace
 }  // namespace pmte

@@ -152,18 +152,6 @@ TEST(PerThreadBuffers, DrainSortedIsDeterministic) {
   set_num_threads(restore);
 }
 
-TEST(PerThreadBuffers, DrainSortedUniqueDeduplicates) {
-  PerThreadBuffers<std::uint32_t> buffers;
-  buffers.clear();
-  parallel_for(999, [&](std::size_t i) {
-    buffers.local().push_back(static_cast<std::uint32_t>(i % 10));
-  });
-  std::vector<std::uint32_t> out;
-  buffers.drain_sorted_unique(out);
-  ASSERT_EQ(out.size(), 10U);
-  for (std::uint32_t j = 0; j < 10; ++j) EXPECT_EQ(out[j], j);
-}
-
 TEST(PerThreadBuffers, DrainEmptiesBuffers) {
   PerThreadBuffers<int> buffers;
   buffers.clear();
