@@ -17,22 +17,22 @@ namespace pmte::bench {
 namespace {
 
 /// The pre-serving sketch query path, counters included: per (pair, tree),
-/// find the LCA by climbing parent pointers from both leaves in lockstep
-/// (2 FrtTree::Node reads per hop) and read the tree's LCA-level distance
-/// table — the same doubles the flat index serves, so the result hash must
-/// equal the EnsembleSketches scenario's.
+/// find the LCA by climbing both leaves' ancestor rows in lockstep (2 node
+/// visits per level climbed) and read the tree's LCA-level distance table
+/// — the same doubles the flat index serves, so the result hash must equal
+/// the EnsembleSketches scenario's.
 Weight tree_climb_min(const std::vector<FrtTree>& trees, Vertex u, Vertex v,
                       std::uint64_t* node_visits) {
   Weight best = inf_weight();
   for (const auto& t : trees) {
-    auto a = t.leaf_of(u);
-    auto b = t.leaf_of(v);
-    while (a != b) {
-      a = t.node(a).parent;
-      b = t.node(b).parent;
+    const auto a = t.row(u);
+    const auto b = t.row(v);
+    unsigned level = 0;
+    while (a[level] != b[level]) {
+      ++level;
       *node_visits += 2;
     }
-    best = std::min(best, t.distance_at_lca_level(t.node(a).level));
+    best = std::min(best, t.distance_at_lca_level(level));
   }
   return best;
 }

@@ -151,9 +151,8 @@ BabResult buy_at_bulk(const Graph& g, const std::vector<Demand>& demands,
   PathUnfolder unfolder(g, tree);
   std::vector<std::vector<Vertex>> g_paths;
   std::vector<double> g_amounts;
-  for (FrtTree::NodeId id = 0; id < tree.num_nodes(); ++id) {
-    const auto& nd = tree.node(id);
-    if (nd.parent == FrtTree::invalid_node || edge_flow[id] <= 1e-12) continue;
+  for (FrtTree::NodeId id = 0; id < index.num_nodes(); ++id) {
+    if (id == root || edge_flow[id] <= 1e-12) continue;
     auto unfolded = unfolder.unfold(id);
     if (unfolded.path.size() < 2) continue;  // degenerate: zero-length walk
     g_paths.push_back(std::move(unfolded.path));

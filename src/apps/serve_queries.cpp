@@ -33,6 +33,10 @@
 // stretch plus mean/max/min — and is meant for corpus-size graphs (it runs
 // n Dijkstras and n²/2 queries).
 //
+// --policy, --workload, --repeat, --cache and --stretch belong to the
+// single-workload replay, --batches, --swap-at and --update-file to the
+// many-tenant scenario; a flag the chosen mode would ignore exits 2.
+//
 // --tenants N switches to the many-tenant scenario (src/serve/server.hpp):
 // N tenant streams with alternating zipf/uniform shapes and min/median
 // policies, interleaved deterministically into --batches batches and
@@ -94,6 +98,24 @@ serve::EnsemblePipeline parse_pipeline(const std::string& name) {
   if (name == "sequential") return serve::EnsemblePipeline::sequential;
   std::cerr << "unknown pipeline: " << name << "\n";
   std::exit(2);
+}
+
+/// Exit 2 on a flag the chosen mode would ignore: the many-tenant scenario
+/// (--tenants=N, N > 0) and the single-workload replay read disjoint flags.
+void reject_inapplicable_flags(const Cli& cli) {
+  const bool tenants = cli.get_int("tenants", 0) > 0;
+  const std::vector<std::string> ignored =
+      tenants ? std::vector<std::string>{"stretch", "workload", "policy",
+                                         "repeat", "cache"}
+              : std::vector<std::string>{"update-file", "batches", "swap-at"};
+  for (const auto& flag : ignored) {
+    if (!cli.has(flag)) continue;
+    std::cerr << "--" << flag << " does not apply to "
+              << (tenants ? "the many-tenant scenario (--tenants)"
+                          : "the single-workload replay (no --tenants)")
+              << "\n";
+    std::exit(2);
+  }
 }
 
 /// Parse a whole token with std::from_chars; false unless it converts
@@ -330,6 +352,7 @@ int run_tenant_scenario(const Graph& g, serve::FrtEnsemble base,
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
+  reject_inapplicable_flags(cli);
   const auto threads = cli.get_int("threads", 0);
   if (threads > 0) set_num_threads(static_cast<int>(threads));
 

@@ -8,18 +8,6 @@
 
 namespace pmte {
 
-namespace {
-
-/// Minimum-distance hint for FrtTree::build — must match the P-H
-/// pipeline's choice (pipelines.cpp: dist_hint of the base graph), so the
-/// maintained tree is bit-identical to sample_frt_oracle_on's.
-Weight dist_hint(const Graph& g) {
-  const Weight w = g.min_edge_weight();
-  return is_finite(w) ? w : 1.0;
-}
-
-}  // namespace
-
 DynamicFrt::DynamicFrt(const SimulatedGraph& h, Rng& rng,
                        const FrtOptions& opts)
     : h_(&h),
@@ -30,7 +18,7 @@ DynamicFrt::DynamicFrt(const SimulatedGraph& h, Rng& rng,
   states_ = le_initial_state(order_);
   mbf_filter(alg_, states_);  // r^V x⁽⁰⁾, as oracle_run does
   run_to_fixpoint(nullptr);
-  hint_ = dist_hint(h.base());
+  hint_ = min_distance_hint(h.base());
   tree_ = FrtTree::build(states_, order_, beta_, hint_, opts_.rule);
 }
 
@@ -48,7 +36,6 @@ void DynamicFrt::run_to_fixpoint(const std::vector<Vertex>* changed0) {
   const std::vector<Vertex>* changed_ptr = changed0;
   for (unsigned i = 0; i < cap; ++i) {
     auto next = oracle_.step(states_, changed_ptr);
-    ++iterations_;
     buffers.clear();
     parallel_for(next.size(), [&](std::size_t v) {
       if (!alg_.equal(next[v], states_[v])) {
@@ -82,7 +69,7 @@ bool DynamicFrt::apply_update(const WeightedEdge& edge, Weight new_weight) {
     const std::vector<Vertex> none;
     run_to_fixpoint(&none);
   }
-  const Weight hint = dist_hint(h_->base());
+  const Weight hint = min_distance_hint(h_->base());
   const bool changed = hint != hint_ || states_ != before;
   if (changed) {
     hint_ = hint;

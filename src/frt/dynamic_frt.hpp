@@ -61,8 +61,6 @@ class DynamicFrt {
   [[nodiscard]] double beta() const noexcept { return beta_; }
   /// Whether the last oracle run drained its changed set within the cap.
   [[nodiscard]] bool converged() const noexcept { return converged_; }
-  /// Cumulative H-iterations across the initial build and every update.
-  [[nodiscard]] unsigned iterations() const noexcept { return iterations_; }
   /// Cumulative level-run ledger of the retained oracle (skips/warm/full).
   [[nodiscard]] const OracleStats& oracle_stats() const noexcept {
     return oracle_.stats();
@@ -91,7 +89,6 @@ class DynamicFrt {
   FrtTree tree_;
   bool converged_ = false;
   bool last_incremental_ = false;
-  unsigned iterations_ = 0;
 };
 
 }  // namespace pmte

@@ -14,12 +14,17 @@
 // guarantees dist_T ≥ dist_G deterministically and keeps the expected
 // stretch O(log n) (only the constant changes).
 //
-// Nodes are numbered top-down as the build creates them, so every parent
-// id is smaller than its children's and iterating ids descending visits
-// children before parents.  Nodes record only their parent; consumers that
-// walk the tree top-down read serve::FrtIndex's children CSR instead.
+// The tree is stored as what Lemma 7.2 makes it: n ancestor rows of L node
+// ids, anc[v·L + l] = the node of the tuple suffix of v from level l (entry
+// 0 is v's leaf, entry L−1 the root), plus each node's leading vertex.
+// Nodes are numbered top-down as the build first meets them walking
+// v = 0, 1, …, so every parent id is smaller than its children's.
+// serve::FrtIndex adopts the rows as they are and derives (and checks) the
+// node levels, children and leaf map; path unfolding (paths.hpp) derives
+// parents from the rows.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/algebra/distance_map.hpp"
@@ -33,16 +38,6 @@ enum class FrtWeightRule { dominating, khan };
 class FrtTree {
  public:
   using NodeId = std::uint32_t;
-  static constexpr NodeId invalid_node = static_cast<NodeId>(-1);
-
-  struct Node {
-    Vertex leading = no_vertex();  ///< leading graph vertex of the tuple
-    unsigned level = 0;            ///< 0 = leaf layer
-    NodeId parent = invalid_node;
-    Weight parent_edge = 0.0;      ///< weight of the edge to the parent
-    Vertex leaf_vertex = no_vertex();    ///< original vertex (leaves only)
-    NodeId representative_leaf = invalid_node;
-  };
 
   /// Build the FRT tree for the given LE lists (keys = ranks).
   /// `dist_min_hint` must lower-bound the minimum positive pairwise
@@ -53,18 +48,27 @@ class FrtTree {
                        FrtWeightRule rule = FrtWeightRule::dominating);
 
   [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return nodes_.size();
+    return leading_.size();
   }
-  [[nodiscard]] const Node& node(NodeId id) const { return nodes_[id]; }
-  [[nodiscard]] NodeId root() const noexcept { return root_; }
-  [[nodiscard]] NodeId leaf_of(Vertex v) const { return leaf_of_[v]; }
   [[nodiscard]] Vertex num_leaves() const noexcept {
-    return static_cast<Vertex>(leaf_of_.size());
+    return static_cast<Vertex>(anc_.size() / levels_);
   }
 
   /// Number of tuple positions = tree height + 1.
   [[nodiscard]] unsigned num_levels() const noexcept { return levels_; }
   [[nodiscard]] double beta() const noexcept { return beta_; }
+
+  /// v's ancestor row: num_levels() node ids, leaf first, root last.
+  /// Unchecked: v must be below num_leaves().
+  [[nodiscard]] std::span<const NodeId> row(Vertex v) const {
+    return {anc_.data() + std::size_t{v} * levels_, levels_};
+  }
+  /// All rows back to back (anc[v·L + l]); serve::FrtIndex copies them.
+  [[nodiscard]] const std::vector<NodeId>& ancestor_rows() const noexcept {
+    return anc_;
+  }
+  /// Leading graph vertex of a node's tuple suffix.
+  [[nodiscard]] Vertex leading(NodeId id) const { return leading_[id]; }
 
   /// β·2^{i0+level} — the ball radius of clusters at `level`.
   [[nodiscard]] Weight scale(unsigned level) const noexcept;
@@ -72,10 +76,10 @@ class FrtTree {
   /// Weight of the edge from a level-`level` node to its parent.
   [[nodiscard]] Weight edge_weight(unsigned level) const noexcept;
 
-  /// Tree distance between the leaves of u and v.  The divergence level is
-  /// found by one suffix scan over the two tuples; the weight sum is a
-  /// cached lookup (see distance_at_lca_level), so the per-query cost is
-  /// the scan alone — Θ(log n) worst case, no recomputed root paths.
+  /// Tree distance between the leaves of u and v: the LCA level is the
+  /// number of levels at which their rows differ (rows agree from the LCA
+  /// upwards), and the weight sum is a cached lookup (distance_at_lca_level)
+  /// — Θ(log n) per query, no recomputed root paths.
   [[nodiscard]] Weight distance(Vertex u, Vertex v) const;
 
   /// dist_T(u,v) for leaves whose lowest common ancestor sits at `level`:
@@ -91,20 +95,10 @@ class FrtTree {
     return dist_by_lca_level_;
   }
 
-  /// Sum of all parent-edge weights (used by cost sanity checks).
-  [[nodiscard]] Weight total_edge_weight() const;
-
-  /// Structural validation: parent ids below child ids, level
-  /// monotonicity, leaf bijection, representative leaves.  Throws on error.
-  void validate() const;
-
  private:
-  std::vector<Node> nodes_;
-  std::vector<NodeId> leaf_of_;       // vertex → leaf node
-  std::vector<Vertex> tuples_;        // n × levels_, leading *ranks*
+  std::vector<NodeId> anc_;      // v·L + l → ancestor id
+  std::vector<Vertex> leading_;  // node → leading vertex
   std::vector<Weight> dist_by_lca_level_;  // level → Σ_{l<level} 2·w_l
-  std::vector<Vertex> order_of_rank_; // rank → vertex
-  NodeId root_ = invalid_node;
   unsigned levels_ = 1;
   int scale_origin_ = 0;  // i0
   double beta_ = 1.0;

@@ -11,6 +11,12 @@
 // oracle's lookup tables; since dist_G ≤ dist_H, tracing shortest paths
 // directly in G preserves the same guarantee with simpler bookkeeping —
 // we do that, caching one Dijkstra per representative leaf.
+//
+// The common descendant of a node is its representative leaf: descend into
+// the child with the largest id until a leaf is reached.  (This is not the
+// largest vertex of the subtree; the buy-at-bulk cost and its Dijkstra
+// count depend on the exact rule.)  Parents and representatives are read
+// off the tree's ancestor rows once, at construction.
 
 #include <unordered_map>
 #include <vector>
@@ -37,6 +43,11 @@ class PathUnfolder {
   /// Realise the parent edge of `child` in G.
   [[nodiscard]] UnfoldedEdge unfold(FrtTree::NodeId child);
 
+  /// The representative leaf's graph vertex of node `id`.
+  [[nodiscard]] Vertex representative(FrtTree::NodeId id) const {
+    return representative_[id];
+  }
+
   /// Total number of Dijkstra runs performed (cost accounting).
   [[nodiscard]] std::size_t dijkstra_runs() const noexcept {
     return cache_.size();
@@ -47,6 +58,8 @@ class PathUnfolder {
 
   const Graph& g_;
   const FrtTree& tree_;
+  std::vector<FrtTree::NodeId> parent_;  // node → parent (root: itself)
+  std::vector<Vertex> representative_;   // node → representative leaf
   // pmte-lint: ordered-ok(memo cache: find/emplace by leaf vertex only, never iterated — unfold order is the caller's)
   std::unordered_map<Vertex, SsspResult> cache_;
 };

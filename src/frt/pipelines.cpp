@@ -19,14 +19,12 @@ double resolve_eps_hat(double requested, Vertex n) {
   return 1.0 / (log_n * log_n);
 }
 
-namespace {
-
-/// Minimum-distance hint for FrtTree::build; edgeless graphs (n ≤ 1) have
-/// no minimum edge weight, any positive value works.
-Weight dist_hint(const Graph& g) {
+Weight min_distance_hint(const Graph& g) {
   const Weight w = g.min_edge_weight();
   return is_finite(w) ? w : 1.0;
 }
+
+namespace {
 
 std::size_t max_list_length(const LeListsResult& le) {
   std::size_t worst = 0;
@@ -65,7 +63,7 @@ FrtSample sample_frt_direct(const Graph& g, Rng& rng,
   auto order = VertexOrder::random(g.num_vertices(), rng);
   auto le = le_lists_iteration(g, order, opts.max_iterations);
   return finish_sample(std::move(le), std::move(order), beta,
-                       dist_hint(g), opts, scope, timer);
+                       min_distance_hint(g), opts, scope, timer);
 }
 
 FrtSample sample_frt_oracle(const Graph& g, Rng& rng,
@@ -95,7 +93,7 @@ FrtSample sample_frt_oracle_on(const SimulatedGraph& h, Rng& rng,
   // Distances in H lower-bound to the minimum edge weight of G' (every H
   // edge weighs (1+ε̂)^{≥0}·dist^d ≥ dist ≥ min edge weight).
   return finish_sample(std::move(le), std::move(order), beta,
-                       dist_hint(h.base()), opts, scope, timer);
+                       min_distance_hint(h.base()), opts, scope, timer);
 }
 
 FrtSample sample_frt_metric(const std::vector<Weight>& metric, Vertex n,
@@ -119,7 +117,7 @@ FrtSample sample_frt_sequential(const Graph& g, Rng& rng,
   auto order = VertexOrder::random(g.num_vertices(), rng);
   auto le = le_lists_sequential(g, order);
   return finish_sample(std::move(le), std::move(order), beta,
-                       dist_hint(g), opts, scope, timer);
+                       min_distance_hint(g), opts, scope, timer);
 }
 
 }  // namespace pmte

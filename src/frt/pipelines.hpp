@@ -82,6 +82,11 @@ struct FrtSample {
 [[nodiscard]] FrtSample sample_frt_sequential(const Graph& g, Rng& rng,
                                               const FrtOptions& opts = {});
 
+/// Minimum-distance hint the graph pipelines (and DynamicFrt) pass to
+/// FrtTree::build: the minimum edge weight, or 1 for an edgeless graph
+/// (n ≤ 1), where any positive value works.
+[[nodiscard]] Weight min_distance_hint(const Graph& g);
+
 /// Resolve the automatic ε̂ = 1/⌈log₂ n⌉² (Equation (4.16): the distortion
 /// (1+ε̂)^{O(log n)} stays 1 + o(1); the polylog exponent is a free choice).
 [[nodiscard]] double resolve_eps_hat(double requested, Vertex n);

@@ -152,14 +152,10 @@ FrtEnsemble FrtEnsemble::build(const Graph& g, std::uint64_t master_seed,
     iterations[t] = sample.iterations;
     e.indices_[t] = FrtIndex::build(sample.tree);
   };
-  if (opts.parallel_build) {
-    // Tree slots are independent (own RNG stream, write only their own
-    // index), so any schedule produces the same ensemble; the per-tree
-    // engine loops detect the enclosing region and run serially.
-    parallel_for(opts.trees, build_one, /*grain=*/1);
-  } else {
-    for (std::size_t t = 0; t < opts.trees; ++t) build_one(t);
-  }
+  // Tree slots are independent (own RNG stream, write only their own
+  // index), so any schedule produces the same ensemble; the per-tree
+  // engine loops detect the enclosing region and run serially.
+  parallel_for(opts.trees, build_one, /*grain=*/1);
 
   for (std::size_t t = 0; t < opts.trees; ++t) {
     e.stats_.iterations += iterations[t];

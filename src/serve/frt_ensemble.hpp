@@ -70,8 +70,7 @@ enum class AggregatePolicy { min, median };
 struct EnsembleOptions {
   std::size_t trees = 8;
   EnsemblePipeline pipeline = EnsemblePipeline::oracle;
-  FrtOptions frt;             ///< weight rule, ε̂, hop-set, engine tunables
-  bool parallel_build = true; ///< results identical either way (split seeds)
+  FrtOptions frt;  ///< weight rule, ε̂, hop-set, engine tunables
 };
 
 /// Deterministic build accounting, summed over all trees (WorkDepth

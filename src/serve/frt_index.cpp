@@ -12,26 +12,15 @@ FrtIndex FrtIndex::build(const FrtTree& tree) {
   FrtIndex idx;
   idx.levels_ = tree.num_levels();
   idx.beta_ = tree.beta();
+  idx.anc_ = tree.ancestor_rows();
   idx.dist_by_lca_level_ = tree.distance_by_lca_level();
-  // Build into plain vectors, then hand them to the owned-or-mapped
-  // sections once finished (ArraySection is read-only by design).
+  // Build into a plain vector, then hand it to the owned-or-mapped section
+  // (ArraySection is read-only by design).
   std::vector<Weight> edge_weight(idx.levels_);
   for (unsigned l = 0; l < idx.levels_; ++l) {
     edge_weight[l] = tree.edge_weight(l);
   }
   idx.edge_weight_by_level_ = std::move(edge_weight);
-
-  // Row v climbs from v's leaf through the parents: one id per level.
-  const unsigned levels = idx.levels_;
-  std::vector<NodeId> anc(std::size_t{tree.num_leaves()} * levels);
-  for (Vertex v = 0; v < tree.num_leaves(); ++v) {
-    NodeId id = tree.leaf_of(v);
-    for (unsigned l = 0; l < levels; ++l) {
-      anc[std::size_t{v} * levels + l] = id;
-      id = tree.node(id).parent;
-    }
-  }
-  idx.anc_ = std::move(anc);
   idx.derive_structure();
   return idx;
 }
@@ -69,7 +58,7 @@ void FrtIndex::derive_structure() {
     max_id = std::max(max_id, id);
   }
   const std::size_t nodes = std::size_t{max_id} + 1;
-  constexpr std::uint32_t kUnset = FrtTree::invalid_node;
+  constexpr std::uint32_t kUnset = static_cast<std::uint32_t>(-1);
   std::vector<std::uint32_t> node_level(nodes, kUnset);
   std::vector<NodeId> parent(nodes, kUnset);
   std::vector<Vertex> leaf_vertex(nodes, no_vertex());

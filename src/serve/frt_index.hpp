@@ -1,11 +1,11 @@
 #pragma once
 // Flat, read-only serving index over one FRT tree.
 //
-// FrtTree is a build-time structure of per-node records linked by parent
-// ids.  An FRT tree is not a general tree (Section 7.1): the leaf of v is
-// the tuple (v_{i0}, …, v_{itop}) and its ancestors are the tuple's
-// suffixes.  So n rows of L ancestor ids describe the whole tree, and
-// FrtIndex persists exactly that plus two per-level tables:
+// An FRT tree is not a general tree (Section 7.1): the leaf of v is the
+// tuple (v_{i0}, …, v_{itop}) and its ancestors are the tuple's suffixes.
+// So n rows of L ancestor ids describe the whole tree; FrtTree::build
+// writes exactly those rows, and FrtIndex adopts and persists them plus two
+// per-level tables:
 //
 //   anc_                   anc[v·L + l] = node id of v's level-l ancestor
 //                          (entry 0 is v's leaf, entry L−1 the root).  Two
@@ -22,15 +22,14 @@
 //                          no re-derived floating-point sums.
 //   edge_weight_by_level_  per-level parent-edge weight, copied verbatim
 //                          from FrtTree::edge_weight(l); the apps' flat
-//                          tree walks (buy-at-bulk flow pricing) read it
-//                          instead of per-node parent_edge fields.
+//                          tree walks (buy-at-bulk flow pricing) read it.
 //
 // distance() reads two rows of L words and one table entry: no allocation,
 // no pointer chasing.  The index is immutable after build, so concurrent
 // queries from any number of threads are safe.
 //
-// Beyond point queries the index exposes the flat tree *structure* so the
-// applications (src/apps/) walk it without FrtTree's node records:
+// Beyond point queries the index exposes the flat tree *structure* the
+// applications (src/apps/) walk:
 // level(id), children(id) (CSR adjacency in ascending id order),
 // leaf_vertex(id), leaf_node(v), and root().  Node ids are the source
 // tree's numbering and every parent id is smaller than its children's, so
@@ -41,8 +40,9 @@
 // byte-identical.  build() and both loaders end in the same O(n·L) pass,
 // which rejects rows that do not form an FRT tree and derives the node
 // levels, the children CSR and the leaf map; an FrtIndex that exists is
-// valid.  The persisted arrays are ArraySections — owned vectors after
-// build() or a stream load, zero-copy views into a file mapping after
+// valid, and that pass is the library's only structural tree check.  The
+// persisted arrays are ArraySections — owned vectors after build() or a
+// stream load, zero-copy views into a file mapping after
 // load_mapped_from() (the mapping's owner keeps it alive, see
 // FrtEnsemble).  Queries read through the view either way, so served
 // doubles are bit-identical between the two load paths.
@@ -64,7 +64,9 @@ class FrtIndex {
 
   FrtIndex() = default;
 
-  /// Flatten a built FRT tree into its ancestor rows.  O(n·levels).
+  /// Adopt a built FRT tree's ancestor rows and tables, then check and
+  /// derive the structure (throws if the rows are not an FRT tree).
+  /// O(n·levels).
   [[nodiscard]] static FrtIndex build(const FrtTree& tree);
 
   [[nodiscard]] Vertex num_leaves() const noexcept {
@@ -125,7 +127,7 @@ class FrtIndex {
     return edge_weight_by_level_[lvl];
   }
 
-  // --- Flat structure (query-path substitute for FrtTree::Node) ---------
+  // --- Flat structure, derived from the rows -----------------------------
 
   /// Root node id (the last entry of every row).
   [[nodiscard]] NodeId root() const { return anc_[levels_ - 1]; }

@@ -50,27 +50,70 @@ void expect_valid_le_lists(const std::vector<DistanceMap>& lists,
   }
 }
 
+unsigned FrtTuples::lca_level(Vertex u, Vertex v) const {
+  const Vertex* tu = tuple(u);
+  const Vertex* tv = tuple(v);
+  for (unsigned l = levels; l-- > 0;) {
+    if (tu[l] != tv[l]) return l + 1;
+  }
+  return 0;
+}
+
+FrtTuples brute_force_tuples(const Graph& g, const VertexOrder& order,
+                             const FrtTree& tree) {
+  const Vertex n = g.num_vertices();
+  const auto apsp = exact_apsp(g);
+  FrtTuples out;
+  out.levels = tree.num_levels();
+  out.ranks.assign(std::size_t{n} * out.levels, no_vertex());
+  for (Vertex v = 0; v < n; ++v) {
+    for (unsigned l = 0; l < out.levels; ++l) {
+      Vertex& best = out.ranks[std::size_t{v} * out.levels + l];
+      for (Vertex w = 0; w < n; ++w) {
+        if (apsp[std::size_t{v} * n + w] <= tree.scale(l)) {
+          best = std::min(best, order.rank_of[w]);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TreeLinks tree_links(const FrtTree& tree) {
+  TreeLinks links;
+  const unsigned levels = tree.num_levels();
+  links.root = tree.row(0)[levels - 1];
+  links.parent.assign(tree.num_nodes(), links.root);
+  links.level.assign(tree.num_nodes(), 0);
+  for (Vertex v = 0; v < tree.num_leaves(); ++v) {
+    const auto row = tree.row(v);
+    for (unsigned l = 0; l < levels; ++l) {
+      links.level[row[l]] = l;
+      if (l + 1 < levels) links.parent[row[l]] = row[l + 1];
+    }
+  }
+  return links;
+}
+
 BabTreeFlow bab_tree_flow_reference(const FrtTree& tree,
                                     const std::vector<Demand>& demands,
                                     const std::vector<CableType>& cables) {
   std::vector<double> flow(tree.num_nodes(), 0.0);  // over each parent edge
   for (const auto& d : demands) {
     // Leaves all sit at level 0, so the two climbs meet at the LCA.
-    auto a = tree.leaf_of(d.s);
-    auto b = tree.leaf_of(d.t);
-    while (a != b) {
-      flow[a] += d.amount;
-      flow[b] += d.amount;
-      a = tree.node(a).parent;
-      b = tree.node(b).parent;
+    const auto a = tree.row(d.s);
+    const auto b = tree.row(d.t);
+    for (unsigned l = 0; a[l] != b[l]; ++l) {
+      flow[a[l]] += d.amount;
+      flow[b[l]] += d.amount;
     }
   }
+  const auto links = tree_links(tree);
   BabTreeFlow out;
   for (auto id = static_cast<FrtTree::NodeId>(tree.num_nodes()); id-- > 0;) {
-    const auto& nd = tree.node(id);
-    if (nd.parent != FrtTree::invalid_node && flow[id] > 1e-12) {
-      out.tree_cost +=
-          cable_cost_per_unit_length(flow[id], cables) * nd.parent_edge;
+    if (id != links.root && flow[id] > 1e-12) {
+      out.tree_cost += cable_cost_per_unit_length(flow[id], cables) *
+                       tree.edge_weight(links.level[id]);
       ++out.loaded_tree_edges;
     }
   }

@@ -1,8 +1,10 @@
 #pragma once
 // Brute-force reference oracles shared by the test suites: Dijkstra
 // distances, exact APSP-based LE lists, the structural LE-list validator,
-// and buy-at-bulk's tree routing by parent climbing.  The oracle's Jacobi
-// reference is a template and lives in jacobi_oracle.hpp.
+// Section 7.1's tuples from exact APSP, node parents and levels read off
+// an FRT tree's ancestor rows, and buy-at-bulk's tree routing demand by
+// demand.  The oracle's Jacobi reference is a template and lives in
+// jacobi_oracle.hpp.
 
 #include <cstddef>
 #include <vector>
@@ -31,10 +33,39 @@ namespace pmte::test {
 void expect_valid_le_lists(const std::vector<DistanceMap>& lists,
                            const VertexOrder& order);
 
+/// Section 7.1 from its definition: tuple(v)[l] is the rank of the
+/// lowest-rank w with dist(v, w) ≤ tree.scale(l), dist from exact APSP.
+/// Independent of the LE lists and of FrtTree's numbering.
+struct FrtTuples {
+  unsigned levels = 0;
+  std::vector<Vertex> ranks;  ///< v·levels + l → rank
+
+  [[nodiscard]] const Vertex* tuple(Vertex v) const {
+    return ranks.data() + std::size_t{v} * levels;
+  }
+  /// Level of the LCA of the leaves of u and v: one plus the highest level
+  /// at which their tuples differ, or 0 when they agree everywhere.
+  [[nodiscard]] unsigned lca_level(Vertex u, Vertex v) const;
+};
+[[nodiscard]] FrtTuples brute_force_tuples(const Graph& g,
+                                           const VertexOrder& order,
+                                           const FrtTree& tree);
+
+/// Each node's parent and level, read off the ancestor rows: row entry l
+/// sits at level l and its parent is entry l + 1.  The root (every row's
+/// last entry) is its own parent.
+struct TreeLinks {
+  FrtTree::NodeId root = 0;
+  std::vector<FrtTree::NodeId> parent;
+  std::vector<unsigned> level;
+};
+[[nodiscard]] TreeLinks tree_links(const FrtTree& tree);
+
 /// Tree side of buy-at-bulk step (2), routed demand by demand: both leaves
-/// climb FrtTree::Node::parent in lockstep to their LCA, adding the amount
-/// to every parent edge they cross; loaded edges are priced at
-/// parent_edge, summed in descending node id order like buy_at_bulk.
+/// climb their ancestor rows in lockstep to the LCA, adding the amount to
+/// every parent edge they cross; loaded edges are priced at
+/// edge_weight(level), summed in descending node id order like
+/// buy_at_bulk.
 struct BabTreeFlow {
   double tree_cost = 0.0;
   std::size_t loaded_tree_edges = 0;

@@ -8,6 +8,7 @@
 #include "src/congest/congest.hpp"
 #include "src/frt/frt_tree.hpp"
 #include "src/graph/generators.hpp"
+#include "src/serve/frt_index.hpp"
 #include "tests/support/fixtures.hpp"
 #include "tests/support/reference.hpp"
 
@@ -109,7 +110,7 @@ TEST(CongestSkeleton, TreeFromListsIsUsable) {
   const auto tree =
       FrtTree::build(sk.run.le.lists, sk.order, 1.3,
                      sk.virtual_graph.min_edge_weight());
-  tree.validate();
+  EXPECT_NO_THROW((void)serve::FrtIndex::build(tree));
   EXPECT_EQ(tree.num_leaves(), g.num_vertices());
 }
 

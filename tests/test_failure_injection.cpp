@@ -12,6 +12,7 @@
 #include "src/graph/shortest_paths.hpp"
 #include "src/hopset/hopset.hpp"
 #include "src/metric/approx_metric.hpp"
+#include "src/serve/frt_index.hpp"
 #include "src/simgraph/simulated_graph.hpp"
 
 namespace pmte {
@@ -23,7 +24,7 @@ TEST(FailureInjection, SingleVertexGraphWorksEverywhere) {
   EXPECT_TRUE(is_connected(g));
   EXPECT_EQ(shortest_path_diameter(g).spd, 0U);
   const auto sample = sample_frt_direct(g, rng);
-  sample.tree.validate();
+  EXPECT_NO_THROW((void)serve::FrtIndex::build(sample.tree));
   EXPECT_DOUBLE_EQ(sample.tree.distance(0, 0), 0.0);
   const auto km = kmedian_frt(g, 1, {}, rng);
   EXPECT_DOUBLE_EQ(km.cost, 0.0);
@@ -33,7 +34,7 @@ TEST(FailureInjection, TwoVertexGraph) {
   const auto g = Graph::from_edges(2, {{0, 1, 3.5}});
   Rng rng(2);
   const auto sample = sample_frt_oracle(g, rng);
-  sample.tree.validate();
+  EXPECT_NO_THROW((void)serve::FrtIndex::build(sample.tree));
   EXPECT_GE(sample.tree.distance(0, 1), 3.5 - 1e-9);
 }
 
@@ -60,7 +61,7 @@ TEST(FailureInjection, ExtremeWeightRatios) {
   }
   const auto g = Graph::from_edges(30, edges);
   const auto sample = sample_frt_direct(g, rng);
-  sample.tree.validate();
+  EXPECT_NO_THROW((void)serve::FrtIndex::build(sample.tree));
   EXPECT_LT(sample.tree.num_levels(), 64U);  // log of the weight spread
   const auto d = dijkstra(g, 0).dist;
   for (Vertex v = 1; v < 30; ++v) {

@@ -11,7 +11,9 @@
 
 #include "src/frt/pipelines.hpp"
 #include "src/graph/shortest_paths.hpp"
+#include "src/serve/frt_index.hpp"
 #include "tests/support/fixtures.hpp"
+#include "tests/support/reference.hpp"
 
 namespace pmte {
 namespace {
@@ -58,7 +60,7 @@ TEST(FrtProperties, DirectPipelineDominatesGraphMetric) {
   for (const auto& c : corpus) {
     Rng rng(c.seed);
     const auto s = sample_frt_direct(c.graph, rng);
-    s.tree.validate();
+    EXPECT_NO_THROW((void)serve::FrtIndex::build(s.tree)) << c.name;
     const auto apsp = exact_apsp(c.graph);
     const auto stats = check_dominance(c.graph, s, apsp, c.name.c_str());
     // Expected stretch is O(log n) (Theorem 7.1 via [16]); a single sample
@@ -80,7 +82,7 @@ TEST(FrtProperties, OraclePipelineDominatesGraphMetric) {
     const auto& c = corpus[i];
     Rng rng(c.seed);
     const auto s = sample_frt_oracle(c.graph, rng);
-    s.tree.validate();
+    EXPECT_NO_THROW((void)serve::FrtIndex::build(s.tree)) << c.name;
     const auto apsp = exact_apsp(c.graph);
     (void)check_dominance(c.graph, s, apsp, c.name.c_str(), 1e-6);
   }
@@ -101,8 +103,8 @@ TEST(FrtProperties, LevelsShrinkGeometrically) {
 
     // ...cluster counts shrink monotonically from n leaves to one root...
     std::vector<std::size_t> per_level(s.tree.num_levels(), 0);
-    for (FrtTree::NodeId id = 0; id < s.tree.num_nodes(); ++id) {
-      ++per_level[s.tree.node(id).level];
+    for (const unsigned level : test::tree_links(s.tree).level) {
+      ++per_level[level];
     }
     EXPECT_EQ(per_level.front(), static_cast<std::size_t>(n)) << c.name;
     EXPECT_EQ(per_level.back(), 1U) << c.name;

@@ -9,6 +9,8 @@
 #include "src/frt/stretch.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/shortest_paths.hpp"
+#include "src/serve/frt_index.hpp"
+#include "tests/support/reference.hpp"
 
 namespace pmte {
 namespace {
@@ -25,7 +27,8 @@ TEST_P(FrtTreeBuild, TreeIsStructurallyValid) {
   const auto g = random_graph();
   Rng rng(GetParam() + 1);
   const auto sample = sample_frt_direct(g, rng);
-  sample.tree.validate();
+  // FrtIndex::build rejects rows that do not form an FRT tree.
+  EXPECT_NO_THROW((void)serve::FrtIndex::build(sample.tree));
   EXPECT_EQ(sample.tree.num_leaves(), g.num_vertices());
   EXPECT_GE(sample.tree.num_levels(), 2U);
   EXPECT_GE(sample.beta, 1.0);
@@ -122,7 +125,7 @@ TEST(FrtTree, SingleVertexTree) {
   std::vector<DistanceMap> lists{DistanceMap::singleton(0, 0.0)};
   const auto order = VertexOrder::identity(1);
   const auto t = FrtTree::build(lists, order, 1.5, 1.0);
-  t.validate();
+  EXPECT_NO_THROW((void)serve::FrtIndex::build(t));
   EXPECT_EQ(t.num_leaves(), 1U);
   EXPECT_DOUBLE_EQ(t.distance(0, 0), 0.0);
 }
@@ -135,7 +138,7 @@ TEST(FrtTree, TwoVertexTreeDistances) {
   const auto le = le_lists_sequential(g, order);
   const auto t = FrtTree::build(le.lists, order, 1.0, 5.0,
                                 FrtWeightRule::dominating);
-  t.validate();
+  EXPECT_NO_THROW((void)serve::FrtIndex::build(t));
   const double dt = t.distance(0, 1);
   EXPECT_GE(dt, 5.0);
   // Divergence happens within a constant factor of the true distance:
@@ -165,29 +168,23 @@ TEST(FrtTree, DisconnectedGraphIsRejected) {
 }
 
 TEST(FrtTree, CachedDistanceMatchesPerQueryRecomputationBitForBit) {
-  // distance() now looks the weight sum up in the per-build LCA-level
-  // cache instead of re-summing both root paths per call.  This pins the
-  // new values to the pre-cache formula (ascending Σ 2·edge_weight(l) up
-  // to the divergence level) bit-for-bit, for every pair and several
-  // graph families.
+  // distance() looks the weight sum up in the per-build LCA-level cache
+  // instead of re-summing both root paths per call.  This pins its values
+  // to the per-query formula (ascending Σ 2·edge_weight(l) up to the
+  // divergence level) bit-for-bit, for every pair and several seeds.
   for (const std::uint64_t seed : {901ULL, 902ULL, 903ULL}) {
     Rng gr(seed);
     const auto g = make_gnm(48, 110, {1.0, 6.0}, gr);
     Rng rng(seed + 1);
-    const auto t = sample_frt_direct(g, rng).tree;
+    const auto sample = sample_frt_direct(g, rng);
+    const auto& t = sample.tree;
+    // Divergence level = LCA level, from Section 7.1's tuples over exact
+    // APSP — independent of the tree's rows.
+    const auto tuples = test::brute_force_tuples(g, sample.order, t);
     for (Vertex u = 0; u < g.num_vertices(); ++u) {
       for (Vertex v = u + 1; v < g.num_vertices(); ++v) {
         const Weight got = t.distance(u, v);
-        // Divergence level = LCA level, recovered structurally (leaves sit
-        // at level 0 and every edge climbs exactly one level, so lockstep
-        // parent walks meet at the LCA).
-        FrtTree::NodeId a = t.leaf_of(u);
-        FrtTree::NodeId b = t.leaf_of(v);
-        while (a != b) {
-          a = t.node(a).parent;
-          b = t.node(b).parent;
-        }
-        const unsigned diverge = t.node(a).level;
+        const unsigned diverge = tuples.lca_level(u, v);
         Weight ref = 0.0;
         for (unsigned l = 0; l < diverge; ++l) {
           const Weight step = 2.0 * t.edge_weight(l);
@@ -200,14 +197,17 @@ TEST(FrtTree, CachedDistanceMatchesPerQueryRecomputationBitForBit) {
 }
 
 TEST(FrtTree, ParentIdsPrecedeChildIds) {
-  // The build's representative-leaf pass and FrtIndex's bottom-up walks
-  // iterate ids descending as a children-first order.
+  // PathUnfolder's representative pass and the apps' bottom-up walks over
+  // FrtIndex iterate ids descending as a children-first order.
   Rng rng(6);
   const auto g = make_gnm(20, 40, {1.0, 2.0}, rng);
   const auto t = sample_frt_direct(g, rng).tree;
-  for (FrtTree::NodeId id = 0; id < t.num_nodes(); ++id) {
-    if (id == t.root()) continue;
-    EXPECT_LT(t.node(id).parent, id) << "node " << id;
+  EXPECT_EQ(t.row(0)[t.num_levels() - 1], 0U) << "the root is node 0";
+  for (Vertex v = 0; v < t.num_leaves(); ++v) {
+    const auto row = t.row(v);
+    for (unsigned l = 0; l + 1 < t.num_levels(); ++l) {
+      EXPECT_LT(row[l + 1], row[l]) << "vertex " << v << " level " << l;
+    }
   }
 }
 

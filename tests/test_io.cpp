@@ -1,11 +1,8 @@
-// Tests for graph serialisation (src/graph/io) and FRT tree export
-// (src/frt/tree_export).
+// Tests for graph serialisation (src/graph/io).
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "src/frt/pipelines.hpp"
-#include "src/frt/tree_export.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/io.hpp"
 
@@ -80,41 +77,6 @@ TEST(GraphIo, FileHelpers) {
   const auto back = load_graph(path);
   EXPECT_EQ(back.num_edges(), g.num_edges());
   EXPECT_THROW((void)load_graph("/nonexistent/dir/x.gr"), std::logic_error);
-}
-
-TEST(TreeExport, DotContainsAllLeaves) {
-  Rng rng(4);
-  const auto g = make_gnm(15, 30, {1.0, 3.0}, rng);
-  const auto sample = sample_frt_direct(g, rng);
-  std::stringstream ss;
-  write_dot(sample.tree, ss);
-  const auto dot = ss.str();
-  EXPECT_NE(dot.find("digraph frt"), std::string::npos);
-  for (Vertex v = 0; v < 15; ++v) {
-    EXPECT_NE(dot.find("\"v" + std::to_string(v) + "\""), std::string::npos)
-        << "leaf " << v << " missing from DOT output";
-  }
-}
-
-TEST(TreeExport, TextFormatHasOneLinePerNode) {
-  Rng rng(5);
-  const auto g = make_path(10);
-  const auto sample = sample_frt_direct(g, rng);
-  std::stringstream ss;
-  write_tree(sample.tree, ss);
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(ss, line)) ++lines;
-  EXPECT_EQ(lines, sample.tree.num_nodes() + 1);  // header + nodes
-}
-
-TEST(TreeExport, SummaryMentionsCounts) {
-  Rng rng(6);
-  const auto g = make_cycle(12);
-  const auto sample = sample_frt_direct(g, rng);
-  const auto s = tree_summary(sample.tree);
-  EXPECT_NE(s.find("leaves=12"), std::string::npos);
-  EXPECT_NE(s.find("nodes="), std::string::npos);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "src/frt/pipelines.hpp"
 #include "src/frt/stretch.hpp"
 #include "src/graph/shortest_paths.hpp"
+#include "src/serve/frt_index.hpp"
 #include "tests/support/fixtures.hpp"
 
 namespace pmte {
@@ -33,7 +34,7 @@ TEST_P(Pipelines, AllFourProduceDominatingTrees) {
 
   const auto pairs = sample_pairs(g, 12, 120, rng);
   for (const auto& s : samples) {
-    s.tree.validate();
+    EXPECT_NO_THROW((void)serve::FrtIndex::build(s.tree));
     EXPECT_EQ(s.tree.num_leaves(), g.num_vertices());
     std::vector<FrtTree> one;
     one.push_back(s.tree);
@@ -115,7 +116,7 @@ TEST(Pipelines, DirectPipelineValidOverSupportCorpus) {
   for (const auto& c : test::small_graph_corpus(16, 1204)) {
     Rng rng(c.seed);
     const auto s = sample_frt_direct(c.graph, rng);
-    s.tree.validate();
+    EXPECT_NO_THROW((void)serve::FrtIndex::build(s.tree)) << c.name;
     EXPECT_EQ(s.tree.num_leaves(), c.graph.num_vertices()) << c.name;
   }
 }

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/graph/generators.hpp"
 #include "src/parallel/parallel.hpp"
 #include "src/serve/frt_ensemble.hpp"
 #include "src/serve/frt_index.hpp"
@@ -351,6 +352,37 @@ TEST(Serialize, MappedReaderRequiresAlignedBase) {
   serve::MappedReader interior(file.bytes().subspan(64));
   EXPECT_THROW(interior.expect_magic(serve::kEnsembleMagic),
                std::logic_error);
+}
+
+TEST(Serialize, GoldenArtefactBytes) {
+  // The artefacts `serve_queries --graph=gnm --n=96 --trees=3 --seed=7
+  // --pipeline=P --save=FILE` writes, pinned by an FNV-1a-64 of their
+  // bytes.  Renumbering the tree nodes keeps every served distance,
+  // fingerprint and gated counter but moves these bytes, so this is the
+  // check that the node numbering (and the format) stay put.  Change the
+  // constants only with a deliberate format or numbering change.
+  const auto g = make_family_graph("gnm", 96, 7);
+  const struct {
+    serve::EnsemblePipeline pipeline;
+    std::uint64_t fnv;
+  } kGolden[] = {{serve::EnsemblePipeline::oracle, 0xc365271de14d4fcdULL},
+                 {serve::EnsemblePipeline::direct, 0x3e59a9edd4ea9f9fULL}};
+  const ThreadGuard guard;
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    for (const auto& golden : kGolden) {
+      serve::EnsembleOptions opts;
+      opts.trees = 3;
+      opts.pipeline = golden.pipeline;
+      const auto bytes = save_bytes(serve::FrtEnsemble::build(g, 7, opts));
+      std::uint64_t hash = kFnv1aInit;
+      for (const char byte : bytes) {
+        hash = fnv1a_fold(hash, static_cast<unsigned char>(byte));
+      }
+      EXPECT_EQ(bytes.size(), 7336U) << threads << " threads";
+      EXPECT_EQ(hash, golden.fnv) << threads << " threads";
+    }
+  }
 }
 
 TEST(Serialize, MappedAndCopiedLoadsAgreeAcrossCorpusAndThreads) {

@@ -21,49 +21,13 @@
 #include "src/serve/stretch_report.hpp"
 #include "src/serve/workloads.hpp"
 #include "tests/support/fixtures.hpp"
+#include "tests/support/reference.hpp"
 
 namespace pmte {
 namespace {
 
 constexpr std::size_t kCorpusSize = 50;
 constexpr std::uint64_t kCorpusSeed = 7001;  // same corpus as frt_properties
-
-/// Brute-force tree distance: climb both leaves to their common ancestor
-/// along parent pointers — independent of both FrtTree::distance and the
-/// index math (different summation order, hence EXPECT_NEAR).
-Weight brute_force_tree_distance(const FrtTree& t, Vertex u, Vertex v) {
-  auto root_path = [&](Vertex leaf) {
-    std::vector<FrtTree::NodeId> path{t.leaf_of(leaf)};
-    while (t.node(path.back()).parent != FrtTree::invalid_node) {
-      path.push_back(t.node(path.back()).parent);
-    }
-    return path;
-  };
-  const auto pu = root_path(u);
-  const auto pv = root_path(v);
-  // Walk down from the root while the paths agree.
-  std::size_t i = pu.size();
-  std::size_t j = pv.size();
-  while (i > 0 && j > 0 && pu[i - 1] == pv[j - 1]) {
-    --i;
-    --j;
-  }
-  Weight d = 0.0;
-  for (std::size_t a = 0; a < i; ++a) d += t.node(pu[a]).parent_edge;
-  for (std::size_t b = 0; b < j; ++b) d += t.node(pv[b]).parent_edge;
-  return d;
-}
-
-FrtTree::NodeId brute_force_lca(const FrtTree& t, Vertex u, Vertex v) {
-  std::vector<bool> ancestor(t.num_nodes(), false);
-  for (FrtTree::NodeId id = t.leaf_of(u);; id = t.node(id).parent) {
-    ancestor[id] = true;
-    if (t.node(id).parent == FrtTree::invalid_node) break;
-  }
-  FrtTree::NodeId id = t.leaf_of(v);
-  while (!ancestor[id]) id = t.node(id).parent;
-  return id;
-}
 
 TEST(FrtIndex, BitIdenticalToTreeOnPropertyCorpus) {
   const auto corpus = test::small_graph_corpus(kCorpusSize, kCorpusSeed);
@@ -88,19 +52,25 @@ TEST(FrtIndex, BitIdenticalToTreeOnPropertyCorpus) {
 }
 
 TEST(FrtIndex, MatchesBruteForceTreeMetricAndLca) {
-  const auto corpus = test::small_graph_corpus(12, kCorpusSeed + 2);
+  // The LCA level from Section 7.1's definition (exact APSP, the order,
+  // the scales): one plus the highest level at which two tuples differ.
+  // The tree and the index must serve exactly that level's distance, and
+  // the index's LCA is the node the rows hold there.
+  const auto corpus = test::small_graph_corpus(kCorpusSize, kCorpusSeed);
   for (const auto& c : corpus) {
     Rng rng(c.seed);
     const auto s = sample_frt_direct(c.graph, rng);
     const auto idx = serve::FrtIndex::build(s.tree);
+    const auto ref = test::brute_force_tuples(c.graph, s.order, s.tree);
     const Vertex n = c.graph.num_vertices();
     for (Vertex u = 0; u < n; ++u) {
-      for (Vertex v = u + 1; v < n; ++v) {
-        const Weight ref = brute_force_tree_distance(s.tree, u, v);
-        const Weight got = idx.distance(u, v);
-        EXPECT_NEAR(got, ref, 1e-9 * (1.0 + ref))
+      for (Vertex v = 0; v < n; ++v) {
+        const unsigned lca = ref.lca_level(u, v);
+        EXPECT_EQ(s.tree.distance(u, v), s.tree.distance_at_lca_level(lca))
             << c.name << " pair " << u << "-" << v;
-        EXPECT_EQ(idx.lca(u, v), brute_force_lca(s.tree, u, v))
+        EXPECT_EQ(idx.lca_level(u, v), lca)
+            << c.name << " pair " << u << "-" << v;
+        EXPECT_EQ(idx.lca(u, v), s.tree.row(u)[lca])
             << c.name << " pair " << u << "-" << v;
       }
     }
@@ -108,27 +78,34 @@ TEST(FrtIndex, MatchesBruteForceTreeMetricAndLca) {
 }
 
 TEST(FrtIndex, RowsAreLeafToRootPaths) {
-  // Row v lists v's ancestors bottom-up — the tuple suffixes of §7.1 —
-  // and the LCA level is the number of levels at which two rows differ.
-  const auto corpus = test::small_graph_corpus(8, kCorpusSeed + 3);
+  // Row v lists the nodes of v's tuple suffixes bottom-up (§7.1): two rows
+  // share their level-l entry exactly when the tuples, computed from the
+  // definition, agree from level l upwards.  The index serves the tree's
+  // rows and places each entry at its row position's level.
+  const auto corpus = test::small_graph_corpus(kCorpusSize, kCorpusSeed);
   for (const auto& c : corpus) {
     Rng rng(c.seed);
     const auto s = sample_frt_direct(c.graph, rng);
     const auto idx = serve::FrtIndex::build(s.tree);
+    const auto ref = test::brute_force_tuples(c.graph, s.order, s.tree);
+    const unsigned levels = s.tree.num_levels();
     const Vertex n = c.graph.num_vertices();
     for (Vertex v = 0; v < n; ++v) {
-      FrtTree::NodeId id = s.tree.leaf_of(v);
-      for (unsigned l = 0; l < idx.num_levels(); ++l) {
+      for (unsigned l = 0; l < levels; ++l) {
+        const auto id = s.tree.row(v)[l];
         EXPECT_EQ(idx.row(v)[l], id) << c.name << " vertex " << v;
         EXPECT_EQ(idx.level(id), l) << c.name << " node " << id;
-        id = s.tree.node(id).parent;
       }
-      EXPECT_EQ(id, FrtTree::invalid_node) << c.name << " row ends at root";
     }
     for (Vertex u = 0; u < n; ++u) {
       for (Vertex v = 0; v < n; ++v) {
-        EXPECT_EQ(idx.lca_level(u, v), s.tree.node(idx.lca(u, v)).level)
-            << c.name << " pair " << u << "-" << v;
+        bool suffixes_agree = true;
+        for (unsigned l = levels; l-- > 0;) {
+          suffixes_agree =
+              suffixes_agree && ref.tuple(u)[l] == ref.tuple(v)[l];
+          EXPECT_EQ(s.tree.row(u)[l] == s.tree.row(v)[l], suffixes_agree)
+              << c.name << " pair " << u << "-" << v << " level " << l;
+        }
       }
     }
   }
@@ -141,7 +118,7 @@ TEST(FrtIndex, SingleVertexTree) {
   const auto idx = serve::FrtIndex::build(t);
   EXPECT_EQ(idx.num_leaves(), 1U);
   EXPECT_EQ(idx.num_nodes(), t.num_nodes());
-  EXPECT_EQ(idx.leaf_node(0), t.leaf_of(0));
+  EXPECT_EQ(idx.leaf_node(0), t.row(0)[0]);
   EXPECT_EQ(idx.distance(0, 0), 0.0);
 }
 
@@ -193,36 +170,35 @@ TEST(FrtIndex, LoadRejectsGarbage) {
 }
 
 TEST(FrtIndex, FlatStructureMatchesTree) {
-  // The CSR children / leaf maps / per-level edge weights are the apps'
-  // view of the tree — they must mirror its parent links exactly, with
-  // children in ascending id order (the apps' floating-point folds depend
-  // on it).
+  // The CSR children / levels / leaf maps / per-level edge weights are the
+  // apps' view of the tree — they must mirror the parent links of the
+  // tree's rows exactly, with children in ascending id order (the apps'
+  // floating-point folds depend on it).
   const auto corpus = test::small_graph_corpus(12, kCorpusSeed + 4);
   for (const auto& c : corpus) {
     Rng rng(c.seed);
     const auto s = sample_frt_direct(c.graph, rng);
     const auto idx = serve::FrtIndex::build(s.tree);
-    EXPECT_EQ(idx.root(), s.tree.root()) << c.name;
+    const auto links = test::tree_links(s.tree);
+    EXPECT_EQ(idx.root(), links.root) << c.name;
     std::vector<std::vector<FrtTree::NodeId>> expected(s.tree.num_nodes());
     for (FrtTree::NodeId id = 0; id < s.tree.num_nodes(); ++id) {
-      if (id != s.tree.root()) expected[s.tree.node(id).parent].push_back(id);
+      if (id != links.root) expected[links.parent[id]].push_back(id);
+    }
+    std::vector<Vertex> leaf_vertex(s.tree.num_nodes(), no_vertex());
+    for (Vertex v = 0; v < c.graph.num_vertices(); ++v) {
+      leaf_vertex[s.tree.row(v)[0]] = v;
+      EXPECT_EQ(idx.leaf_node(v), s.tree.row(v)[0]) << c.name;
     }
     for (FrtTree::NodeId id = 0; id < s.tree.num_nodes(); ++id) {
-      const auto& nd = s.tree.node(id);
       const auto kids = idx.children(id);
       EXPECT_EQ(std::vector<FrtTree::NodeId>(kids.begin(), kids.end()),
                 expected[id])
           << c.name << " node " << id;
-      EXPECT_EQ(idx.leaf_vertex(id), nd.leaf_vertex) << c.name;
-      if (nd.parent != FrtTree::invalid_node) {
-        EXPECT_EQ(idx.edge_weight(nd.level), nd.parent_edge)
-            << c.name << " node " << id;
-      }
+      EXPECT_EQ(idx.level(id), links.level[id]) << c.name << " node " << id;
+      EXPECT_EQ(idx.leaf_vertex(id), leaf_vertex[id]) << c.name;
     }
-    for (Vertex v = 0; v < c.graph.num_vertices(); ++v) {
-      EXPECT_EQ(idx.leaf_node(v), s.tree.leaf_of(v)) << c.name;
-    }
-    for (unsigned l = 0; l + 1 < idx.num_levels(); ++l) {
+    for (unsigned l = 0; l < idx.num_levels(); ++l) {
       EXPECT_EQ(idx.edge_weight(l), s.tree.edge_weight(l)) << c.name;
     }
   }
@@ -331,17 +307,17 @@ TEST(FrtEnsemble, OraclePipelineEnsembleWorks) {
 }
 
 TEST(FrtEnsemble, ReproducibleAcrossBuildParallelism) {
-  // Satellite fix: per-tree RNG streams split from the master seed, so the
-  // ensemble is a pure function of (graph, seed) — independent of build
-  // order and thread count.
+  // Per-tree RNG streams split from the master seed, so the ensemble is a
+  // pure function of (graph, seed) — independent of build order and thread
+  // count.  At 1 thread parallel_for runs the tree slots in order, which
+  // makes that build the serial reference.
   const auto corpus = test::serve_graph_corpus(3, 914);
   const int saved_threads = num_threads();
   for (const auto& c : corpus) {
-    auto opts = small_ensemble_options(4);
-    opts.parallel_build = false;
+    const auto opts = small_ensemble_options(4);
+    set_num_threads(1);
     const auto serial = serve::FrtEnsemble::build(c.graph, c.seed, opts);
-    opts.parallel_build = true;
-    for (const int threads : {1, 2, 8}) {
+    for (const int threads : {2, 8}) {
       set_num_threads(threads);
       const auto parallel = serve::FrtEnsemble::build(c.graph, c.seed, opts);
       EXPECT_TRUE(parallel == serial)
