@@ -20,6 +20,14 @@ Chrome trace-event JSON:
   - events are sorted by ts (monotone — the writer merges the per-thread
     rings into one timeline) and rebased so the earliest ts is 0
 
+Span tree (docs/OBSERVABILITY.md):
+  - the single-workload run (oracle pipeline, --cache) records every
+    build and cached-query span, from ensemble.build down to
+    oracle.level_run; the tenant run records every server.* phase span
+  - every oracle.level_run lies inside an oracle.step on the same tid
+    (a span is recorded when it closes, so an enclosing step is newer
+    than its level runs and survives any ring wrap that keeps them)
+
 Usage:
   scripts/check_obs_export.py --serve-bin build/src/serve_queries
       [--keep-dir DIR]
@@ -226,6 +234,41 @@ def check_trace(path, errors):
     return len(events)
 
 
+SINGLE_RUN_SPANS = (
+    "ensemble.build", "ensemble.build_tree", "simgraph.level_sample",
+    "oracle.step", "oracle.level_run", "ensemble.query_batch",
+    "ensemble.classify", "ensemble.fill", "ensemble.serve")
+TENANT_RUN_SPANS = (
+    "server.serve", "server.flip", "server.swap", "server.route",
+    "server.execute", "server.shard", "server.scatter", "server.fold")
+
+
+def check_span_tree(path, required, errors):
+    """Required span names are present, and every oracle.level_run is
+    enclosed by an oracle.step on its tid (integer-ns comparisons)."""
+    events = json.loads(path.read_text()).get("traceEvents", [])
+    names = {ev.get("name") for ev in events}
+    for name in required:
+        if name not in names:
+            errors.append(f"{path.name}: no {name} span")
+
+    def interval(ev):
+        start = round(ev["ts"] * 1000)
+        return start, start + round(ev["dur"] * 1000)
+
+    steps = {}
+    for ev in events:
+        if ev.get("name") == "oracle.step":
+            steps.setdefault(ev["tid"], []).append(interval(ev))
+    for ev in events:
+        if ev.get("name") != "oracle.level_run":
+            continue
+        lo, hi = interval(ev)
+        if not any(s <= lo and hi <= e for s, e in steps.get(ev["tid"], [])):
+            errors.append(f"{path.name}: oracle.level_run at ts={ev['ts']} "
+                          f"(tid {ev['tid']}) lies in no oracle.step")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--serve-bin", required=True,
@@ -251,16 +294,18 @@ def main():
         # (exercises ensemble/cache instruments) and a many-tenant run with
         # a hot-swap (exercises server phase spans + per-tenant series).
         runs = [
-            ["--graph=gnm", "--n=256", "--seed=7", "--trees=4",
-             "--queries=5000", "--repeat=1", "--cache",
-             "--cache-capacity=1024",
-             f"--metrics-out={metrics}", f"--trace-out={trace}"],
-            ["--graph=gnm", "--n=256", "--seed=7", "--trees=4",
-             "--queries=5000", "--tenants=2", "--batches=4", "--swap-at=2",
-             f"--metrics-out={metrics}", f"--trace-out={trace}"],
+            (["--graph=gnm", "--n=256", "--seed=7", "--trees=4",
+              "--pipeline=oracle", "--queries=5000", "--repeat=1", "--cache",
+              "--cache-capacity=1024",
+              f"--metrics-out={metrics}", f"--trace-out={trace}"],
+             SINGLE_RUN_SPANS),
+            (["--graph=gnm", "--n=256", "--seed=7", "--trees=4",
+              "--queries=5000", "--tenants=2", "--batches=4", "--swap-at=2",
+              f"--metrics-out={metrics}", f"--trace-out={trace}"],
+             TENANT_RUN_SPANS),
         ]
         errors = []
-        for extra in runs:
+        for extra, spans in runs:
             cmd = [str(serve_bin)] + extra
             proc = subprocess.run(cmd, capture_output=True, text=True,
                                   timeout=600)
@@ -272,6 +317,7 @@ def main():
                 return 1
             n_samples = check_prometheus(metrics, errors)
             n_events = check_trace(trace, errors)
+            check_span_tree(trace, spans, errors)
             mode = "tenant" if any("--tenants" in a for a in extra) \
                 else "single"
             print(f"{mode} run: {n_samples} metric samples, "
@@ -282,7 +328,8 @@ def main():
             for e in errors:
                 print(f"  {e}", file=sys.stderr)
             return 1
-    print("obs export OK: Prometheus grammar and trace schema both valid")
+    print("obs export OK: Prometheus grammar, trace schema and span tree "
+          "all valid")
     return 0
 
 

@@ -63,9 +63,6 @@ class PathSet {
   /// the initialisation x⁽⁰⁾_v = {(v) ↦ 0} (Eq. 3.19).
   static PathSet single(VertexPath path, Weight w);
 
-  [[nodiscard]] bool contains_trivial_paths() const noexcept {
-    return has_trivial_;
-  }
   [[nodiscard]] std::span<const PathEntry> entries() const noexcept {
     return entries_;
   }

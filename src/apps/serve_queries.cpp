@@ -35,7 +35,8 @@
 //
 // --policy, --workload, --repeat, --cache and --stretch belong to the
 // single-workload replay, --batches, --swap-at and --update-file to the
-// many-tenant scenario; a flag the chosen mode would ignore exits 2.
+// many-tenant scenario; a flag the chosen mode would ignore exits 2, and
+// so do unknown flags and out-of-range counts (reject_bad_values).
 //
 // --tenants N switches to the many-tenant scenario (src/serve/server.hpp):
 // N tenant streams with alternating zipf/uniform shapes and min/median
@@ -63,16 +64,17 @@
 // text exposition / Chrome trace-event JSON for the whole run.  Purely
 // additive: enabling them never changes served doubles or counters.
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -100,6 +102,28 @@ serve::EnsemblePipeline parse_pipeline(const std::string& name) {
   std::exit(2);
 }
 
+/// Exit 2 before the build on a bad --zipf-s or a count out of range:
+/// --tenants and --threads may be 0, the other counts must be at least 1,
+/// and --swap-at must name one of the --batches batches.
+void reject_bad_values(const Cli& cli) {
+  const auto check = [&](const char* flag, std::int64_t lo, std::int64_t hi) {
+    const auto v = cli.get_int(flag, lo);
+    if (v >= lo && v <= hi) return;
+    std::cerr << "--" << flag << "=" << v << ": not in [" << lo << ", " << hi
+              << "]\n";
+    std::exit(2);
+  };
+  constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+  check("tenants", 0, kMax);
+  check("threads", 0, kMax);
+  for (const char* flag :
+       {"n", "trees", "queries", "repeat", "cache-capacity", "batches"}) {
+    check(flag, 1, kMax);
+  }
+  if (cli.has("swap-at")) check("swap-at", 0, cli.get_int("batches", 8) - 1);
+  (void)cli.get_double("zipf-s", 1.1);
+}
+
 /// Exit 2 on a flag the chosen mode would ignore: the many-tenant scenario
 /// (--tenants=N, N > 0) and the single-workload replay read disjoint flags.
 void reject_inapplicable_flags(const Cli& cli) {
@@ -116,15 +140,6 @@ void reject_inapplicable_flags(const Cli& cli) {
               << "\n";
     std::exit(2);
   }
-}
-
-/// Parse a whole token with std::from_chars; false unless it converts
-/// without error and consumes every character.
-template <typename T>
-bool parse_token(const std::string& token, T& out) {
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
-  return ec == std::errc{} && ptr == end;
 }
 
 std::string fp_hex(std::uint64_t fp) {
@@ -176,8 +191,7 @@ struct ObsExportGuard {
 int run_tenant_scenario(const Graph& g, serve::FrtEnsemble base,
                         std::uint64_t seed, const Cli& cli) {
   const auto tenants = static_cast<std::size_t>(cli.get_int("tenants", 4));
-  const auto batches =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int("batches", 8)));
+  const auto batches = static_cast<std::size_t>(cli.get_int("batches", 8));
   const auto swap_at = cli.get_int("swap-at", -1);
   const auto total_queries =
       static_cast<std::size_t>(cli.get_int("queries", 200000));
@@ -240,10 +254,12 @@ int run_tenant_scenario(const Graph& g, serve::FrtEnsemble base,
       if (tokens.size() != 3 || !parse_token(tokens[0], ev.batch) ||
           !parse_token(tokens[1], ev.edge) ||
           !parse_token(tokens[2], ev.factor) || !std::isfinite(ev.factor) ||
-          ev.factor <= 0.0 || ev.edge >= g.num_edges()) {
+          ev.factor <= 0.0 || ev.edge >= g.num_edges() ||
+          ev.batch >= batches) {
         std::cerr << update_path << ':' << line_no
                   << ": bad update line (want \"<batch> <edge-index> "
-                     "<factor>\" with a valid edge and a finite factor > 0): "
+                     "<factor>\" with a batch below --batches, a valid edge "
+                     "and a finite factor > 0): "
                   << line << "\n";
         ++bad_lines;
         continue;
@@ -348,11 +364,15 @@ int run_tenant_scenario(const Graph& g, serve::FrtEnsemble base,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int serve_main(int argc, char** argv) {
   const Cli cli(argc, argv);
+  cli.reject_unknown(
+      {"graph", "n", "seed", "trees", "pipeline", "policy", "workload",
+       "queries", "zipf-s", "repeat", "cache", "cache-capacity", "save",
+       "load", "threads", "roundtrip", "mmap", "stretch", "tenants",
+       "batches", "swap-at", "update-file", "metrics-out", "trace-out"});
   reject_inapplicable_flags(cli);
+  reject_bad_values(cli);
   const auto threads = cli.get_int("threads", 0);
   if (threads > 0) set_num_threads(static_cast<int>(threads));
 
@@ -502,7 +522,7 @@ int main(int argc, char** argv) {
   const auto pairs = serve::make_workload(g, kind, wopts, workload_rng);
   const auto policy = serve::parse_policy(cli.get("policy", "min"));
 
-  const auto repeat = std::max<std::int64_t>(1, cli.get_int("repeat", 3));
+  const auto repeat = cli.get_int("repeat", 3);
   // Caller-owned hot-pair cache: persists across the repeat loop, so
   // repeats after the first serve the hot set from the cache.
   std::optional<serve::HotPairCache> cache;
@@ -559,4 +579,17 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+// A rejected input deep in the library (an artefact with trailing bytes,
+// a graph family the generator does not know) exits 1 with its message.
+int main(int argc, char** argv) {
+  try {
+    return serve_main(argc, argv);
+  } catch (const std::logic_error& err) {
+    std::cerr << "serve_queries: " << err.what() << "\n";
+    return 1;
+  }
 }

@@ -54,13 +54,16 @@ class DynamicFrt {
   bool apply_update(const WeightedEdge& edge, Weight new_weight);
 
   [[nodiscard]] const FrtTree& tree() const noexcept { return tree_; }
+  /// Current LE lists (keys are ranks).
   [[nodiscard]] const std::vector<DistanceMap>& lists() const noexcept {
-    return states_;
+    return oracle_.states();
   }
   [[nodiscard]] const VertexOrder& order() const noexcept { return order_; }
   [[nodiscard]] double beta() const noexcept { return beta_; }
-  /// Whether the last oracle run drained its changed set within the cap.
-  [[nodiscard]] bool converged() const noexcept { return converged_; }
+  /// Whether the last oracle run reached its fixpoint within the cap.
+  [[nodiscard]] bool converged() const noexcept {
+    return oracle_.stats().reached_fixpoint;
+  }
   /// Cumulative level-run ledger of the retained oracle (skips/warm/full).
   [[nodiscard]] const OracleStats& oracle_stats() const noexcept {
     return oracle_.stats();
@@ -71,23 +74,14 @@ class DynamicFrt {
   }
 
  private:
-  /// oracle_run's loop shape on the *retained* oracle: step until the
-  /// changed set drains or the automatic O(log² n) cap (le_lists_oracle's
-  /// formula) is hit.  `changed0` threads the first step's changed list —
-  /// nullptr stamps everything (fresh runs), an empty list stamps nothing
-  /// (post-update continuations: the weights changed, not the states).
-  void run_to_fixpoint(const std::vector<Vertex>* changed0);
-
   const SimulatedGraph* h_;
   FrtOptions opts_;
   LeListAlgebra alg_;
   double beta_;
   VertexOrder order_;
-  MbfOracle<LeListAlgebra> oracle_;
-  std::vector<DistanceMap> states_;  ///< current LE lists (keys are ranks)
-  Weight hint_ = 1.0;                ///< dist-min hint the tree was built with
+  MbfOracle<LeListAlgebra> oracle_;  ///< its iterate: the current LE lists
+  Weight hint_ = 1.0;  ///< dist-min hint the tree was built with
   FrtTree tree_;
-  bool converged_ = false;
   bool last_incremental_ = false;
 };
 

@@ -1,7 +1,6 @@
 #include "src/frt/le_lists.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <queue>
 
 #include "src/parallel/parallel.hpp"
@@ -51,14 +50,6 @@ LeListsResult le_lists_oracle(const SimulatedGraph& h,
                               const VertexOrder& order,
                               unsigned max_h_iterations, MbfOptions opts) {
   PMTE_CHECK(order.n() == h.num_vertices(), "order size mismatch");
-  if (max_h_iterations == 0) {
-    // SPD(H) ∈ O(log² n) w.h.p. (Theorem 4.5); the fixpoint check stops us
-    // as soon as the lists stabilise, the cap is only a safety net.
-    const double n = std::max<double>(h.num_vertices(), 2);
-    const double log_n = std::log2(n);
-    max_h_iterations =
-        static_cast<unsigned>(std::max(8.0, 4.0 * log_n * log_n));
-  }
   const LeListAlgebra alg;
   OracleStats stats;
   auto run = oracle_run(h, alg, le_initial_state(order), max_h_iterations,

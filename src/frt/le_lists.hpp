@@ -96,6 +96,7 @@ struct LeListsResult {
 /// The paper's pipeline (Theorem 7.9): run the LE algebra on the simulated
 /// graph H through the oracle — O(log² n) H-iterations w.h.p.  Levels are
 /// reused across H-iterations (skips + warm restarts, see mbf_oracle.hpp).
+/// `max_h_iterations` = 0 selects MbfOracle::run's automatic cap.
 [[nodiscard]] LeListsResult le_lists_oracle(const SimulatedGraph& h,
                                             const VertexOrder& order,
                                             unsigned max_h_iterations = 0,

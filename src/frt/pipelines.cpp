@@ -96,6 +96,15 @@ FrtSample sample_frt_oracle_on(const SimulatedGraph& h, Rng& rng,
                        min_distance_hint(h.base()), opts, scope, timer);
 }
 
+SimulatedGraph ensemble_simulated_graph(const Graph& g,
+                                        std::uint64_t master_seed,
+                                        const FrtOptions& opts) {
+  Rng shared(split_seed(master_seed, 0));
+  const auto hopset = build_hub_hopset(g, opts.hopset, shared);
+  return build_simulated_graph(
+      g, hopset, resolve_eps_hat(opts.eps_hat, g.num_vertices()), shared);
+}
+
 FrtSample sample_frt_metric(const std::vector<Weight>& metric, Vertex n,
                             Weight dist_min_hint, Rng& rng,
                             const FrtOptions& opts) {

@@ -71,6 +71,13 @@ struct FrtSample {
                                              Rng& rng,
                                              const FrtOptions& opts = {});
 
+/// The simulated graph an ensemble's oracle trees share: hub hop set and
+/// level sampling drawn from stream 0 of `master_seed` (streams 1..k seed
+/// the per-tree β/permutation draws, see split_seed in src/util/rng.hpp),
+/// with ε̂ resolved as in sample_frt_oracle.
+[[nodiscard]] SimulatedGraph ensemble_simulated_graph(
+    const Graph& g, std::uint64_t master_seed, const FrtOptions& opts);
+
 /// P-M: from an explicit metric (row-major n×n).  `dist_min_hint` must
 /// lower-bound the smallest positive entry.
 [[nodiscard]] FrtSample sample_frt_metric(const std::vector<Weight>& metric,

@@ -1,5 +1,5 @@
 #pragma once
-// Concrete MBF-like algebras: the policy objects plugged into mbf_step /
+// Concrete MBF-like algebras: the policy objects plugged into MbfEngine /
 // mbf_run.  Each corresponds to one of the paper's example instantiations
 // (Section 3) or to the LE-list algorithm (Section 7, see src/frt).
 

@@ -106,57 +106,12 @@ concept DeltaOfferAlgebra =
       { alg.offer_delta(out, x, x) };
     };
 
-/// One MBF-like iteration x ↦ r^V(A x); `weight_scale` numerically scales
-/// edge weights before they enter the semiring — this realises the
-/// stretched matrices A_λ = (1+ε̂)^{Λ−λ} · A_G of Lemma 5.1.  With
-/// `apply_filter == false` the raw product A x is returned (the framework
-/// guarantees both variants are ~-equivalent, Corollary 2.17).
-///
-/// This is the dense reference implementation; iterate through MbfEngine /
-/// mbf_run instead when running to a fixpoint.
-template <MbfAlgebra Algebra>
-[[nodiscard]] std::vector<typename Algebra::State> mbf_step(
-    const Graph& g, const Algebra& alg,
-    const std::vector<typename Algebra::State>& x, double weight_scale = 1.0,
-    bool apply_filter = true) {
-  using State = typename Algebra::State;
-  const Vertex n = g.num_vertices();
-  PMTE_CHECK(x.size() == n, "mbf_step: state vector size mismatch");
-  std::vector<State> out(n);
-  parallel_for(n, [&](std::size_t vi) {
-    const auto v = static_cast<Vertex>(vi);
-    State acc = x[vi];  // diagonal: 1 ⊙ x_v = x_v   (2.1)
-    for (const auto& e : g.neighbors(v)) {
-      alg.relax(acc, e.weight * weight_scale, e.to, v, x[e.to]);
-    }
-    if (apply_filter) alg.filter(acc);
-    out[vi] = std::move(acc);
-  });
-  const auto half_edges = static_cast<std::uint64_t>(2 * g.num_edges());
-  WorkDepth::add_relaxations(half_edges);
-  WorkDepth::add_edges_touched(half_edges);
-  WorkDepth::add_depth_serial(1);
-  return out;
-}
-
 /// Apply the filter r^V to every component in parallel.
 template <MbfAlgebra Algebra>
 void mbf_filter(const Algebra& alg,
                 std::vector<typename Algebra::State>& x) {
   parallel_for(x.size(), [&](std::size_t v) { alg.filter(x[v]); });
   WorkDepth::add_depth_serial(1);
-}
-
-/// Parallel component-wise equality of two state vectors (the fixpoint
-/// test, folded out of the serial scan it used to be).
-template <MbfAlgebra Algebra>
-[[nodiscard]] bool mbf_states_equal(
-    const Algebra& alg, const std::vector<typename Algebra::State>& a,
-    const std::vector<typename Algebra::State>& b) {
-  PMTE_CHECK(a.size() == b.size(), "mbf_states_equal: size mismatch");
-  return parallel_reduce_sum(a.size(), [&](std::size_t v) {
-           return alg.equal(a[v], b[v]) ? 0.0 : 1.0;
-         }) == 0.0;
 }
 
 /// Iteration mode of MbfEngine.
@@ -321,10 +276,6 @@ class MbfEngine {
   /// Before the first step every vertex is implicitly in the frontier.
   [[nodiscard]] const std::vector<Vertex>& frontier() const noexcept {
     return frontier_;
-  }
-
-  [[nodiscard]] std::size_t frontier_size() const noexcept {
-    return frontier_all_ ? cur_.size() : frontier_.size();
   }
 
   [[nodiscard]] unsigned iterations() const noexcept { return iterations_; }

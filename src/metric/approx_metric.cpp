@@ -1,7 +1,6 @@
 #include "src/metric/approx_metric.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/frt/pipelines.hpp"  // resolve_eps_hat
 #include "src/mbf/algebras.hpp"
@@ -33,11 +32,9 @@ MetricResult approximate_metric(const Graph& g,
   std::vector<DistanceMap> x0(n);
   for (Vertex v = 0; v < n; ++v) x0[v] = DistanceMap::singleton(v, 0.0);
 
-  const double log_n = std::log2(std::max<double>(n, 2));
-  const auto cap =
-      static_cast<unsigned>(std::max(8.0, 4.0 * log_n * log_n));
   OracleStats stats;
-  auto run = oracle_run(h, alg, std::move(x0), cap, &stats);
+  auto run = oracle_run(h, alg, std::move(x0), /*max_h_iterations=*/0,
+                        &stats);
 
   r.dist.assign(static_cast<std::size_t>(n) * n, inf_weight());
   for (Vertex v = 0; v < n; ++v) {

@@ -39,12 +39,12 @@
 //     makes no offers, so even a full (re)start seeds its frontier with
 //     supp(P_λ x) — for high levels a vanishing fraction of V — instead of
 //     the Jacobi operator's all-vertices frontier.
-//   * Gauss–Seidel sweeps.  One step() is a sweep over the levels in
-//     *descending* order (largest λ first = smallest penalty (1+ε̂)^{Λ−λ}),
-//     merging each level's projected output into the working vector
-//     immediately.  Later levels therefore see the strongest entries
-//     up front and absorb them instead of first deriving weaker ones that
-//     the next Jacobi iteration would discard — this is what collapses the
+//   * Gauss–Seidel sweeps.  One H-iteration of run() is a sweep over
+//     the levels that merges each level's projected output into the
+//     iterate immediately, alternating ascending and descending λ (see
+//     sweep()).  Later levels therefore see the freshest entries up front
+//     and absorb them instead of first deriving weaker ones that the next
+//     Jacobi iteration would discard — this is what collapses the
 //     per-H-iteration re-flooding.  Per-vertex change stamps tell every
 //     level exactly which inputs changed since it last ran, across and
 //     within sweeps (the cross-H-iteration frontier).
@@ -53,8 +53,8 @@
 // component operators F_λ = P_λ (r^V A_λ)^d P_λ over an idempotent
 // semimodule of finite height, so they converge to the same least fixpoint
 // (chaotic-iteration theorem) — the final states are bit-identical, which
-// the differential tests check.  Intermediate iterates differ: step() is a
-// sweep, not an application of Equation (5.9)'s operator.
+// the differential tests check.  Intermediate iterates differ: a sweep is
+// not an application of Equation (5.9)'s operator.
 //
 // == Dynamic updates (update()) ==
 //
@@ -67,11 +67,12 @@
 // sums, absorbed by the cheaper metric), so iteration continues in place
 // with the edge endpoints forced into every level's frontier; an
 // *increase* can strand entries the monotone iteration cannot revoke, so
-// the caches reset wholesale and the caller re-runs from scratch —
+// the caches reset wholesale and the iterate restarts from r^V x⁽⁰⁾ —
 // bit-identical to a freshly built oracle either way, which
 // tests/test_dynamic.cpp pins against full rebuilds.
 
 #include <algorithm>
+#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <iterator>
@@ -126,15 +127,16 @@ concept OracleAlgebra =
 
 /// Outcome of MbfOracle::update (see the member doc).
 enum class OracleUpdateKind : std::uint8_t {
-  kIncremental,  ///< weight decrease absorbed; continue stepping in place
-  kInvalidated,  ///< weight increase; caches reset — restart from r^V x⁽⁰⁾
+  kIncremental,  ///< weight decrease absorbed; run() continues in place
+  kInvalidated,  ///< weight increase; caches reset, iterate back at r^V x⁽⁰⁾
 };
 
 /// Statistics of an oracle run (depth/work proxies for Theorem 5.2).
+/// Cumulative over the oracle's life: every run() adds to them.
 struct OracleStats {
   unsigned h_iterations = 0;       ///< H-iterations (sweeps)
   unsigned base_iterations = 0;    ///< MBF iterations executed on G'
-  bool reached_fixpoint = false;
+  bool reached_fixpoint = false;   ///< whether the last run() converged
   /// Level-reuse accounting across all sweeps: per (sweep, level) pair
   /// exactly one of the three counters advances.
   unsigned levels_skipped = 0;  ///< runs skipped (input unchanged/absorbed)
@@ -142,49 +144,71 @@ struct OracleStats {
   unsigned levels_full = 0;     ///< full support-seeded (re)starts
 };
 
-/// Stateful oracle: one engine plus per-level state caches, reused across
-/// H-iterations.  The simulated graph and the algebra must outlive it.
+/// Stateful oracle: the H-iterate plus one engine and per-level state
+/// caches, reused across H-iterations.  The simulated graph and the
+/// algebra must outlive it.
 template <OracleAlgebra Algebra>
 class MbfOracle {
  public:
   using State = typename Algebra::State;
 
-  MbfOracle(const SimulatedGraph& h, const Algebra& alg, MbfOptions opts = {})
+  /// Install r^V x⁽⁰⁾ (one state per vertex of H) as the iterate.
+  MbfOracle(const SimulatedGraph& h, const Algebra& alg,
+            std::vector<State> x0, MbfOptions opts = {})
       : h_(&h),
         alg_(&alg),
         engine_(h.base(), alg, engine_options(opts)),
-        bottom_(alg.bottom()) {
+        bottom_(alg.bottom()),
+        x0_(std::move(x0)) {
+    PMTE_CHECK(x0_.size() == h.num_vertices(),
+               "MbfOracle: state size mismatch");
+    mbf_filter(alg, x0_);
     const unsigned levels = h.max_level() + 1;
     cache_.resize(levels);
-    cache_state_.assign(levels, CacheState::kEmpty);
     level_vertices_.resize(levels);
     for (unsigned lambda = 0; lambda < levels; ++lambda) {
       level_vertices_[lambda] = h.levels().vertices_at_or_above(lambda);
     }
-    stamp_.assign(h.num_vertices(), 0);
-    last_scan_.assign(levels, 0);
+    restart();
   }
 
-  /// One H-iteration: a Gauss–Seidel sweep whose input `x` must be the
-  /// previous step()'s return value, with `changed` the sorted vertex list
-  /// where the caller's x differs from it (nullptr = treat every vertex as
-  /// changed).
-  [[nodiscard]] std::vector<State> step(
-      const std::vector<State>& x,
-      const std::vector<Vertex>* changed = nullptr) {
-    PMTE_CHECK(x.size() == h_->base().num_vertices(),
-               "MbfOracle::step: state size mismatch");
-    ++stats_.h_iterations;
-    PMTE_OBS_SPAN("oracle.step",
-                  static_cast<std::int64_t>(stats_.h_iterations),
-                  "h_iteration");
-    return sweep(x, changed);
+  /// Sweep the iterate in place until a sweep changes nothing (the
+  /// filtered fixpoint, ≤ SPD(H) ∈ O(log² n) sweeps w.h.p., Theorem 4.5)
+  /// or for `max_h_iterations` sweeps (0 = max(8, ⌊4·log₂² n⌋)).  A run
+  /// stopped by its cap resumes exactly.  Returns whether it converged.
+  bool run(unsigned max_h_iterations = 0) {
+    if (max_h_iterations == 0) {
+      const double log_n = std::log2(std::max<double>(h_->num_vertices(), 2));
+      max_h_iterations =
+          static_cast<unsigned>(std::max(8.0, 4.0 * log_n * log_n));
+    }
+    bool changed = true;
+    for (unsigned i = 0; i < max_h_iterations && changed; ++i) {
+      ++stats_.h_iterations;
+      PMTE_OBS_SPAN("oracle.step",
+                    static_cast<std::int64_t>(stats_.h_iterations),
+                    "h_iteration");
+      changed = sweep();
+    }
+    stats_.reached_fixpoint = !changed;
+    return !changed;
   }
 
-  /// Absorb one already-applied edge-weight change of G'.  The caller
-  /// mutates the shared graph *first* (several oracles may observe one H,
-  /// so the oracle never mutates it); `edge` carries the OLD weight and
-  /// `new_weight` must equal the weight now stored in the graph.
+  /// The current iterate.
+  [[nodiscard]] const std::vector<State>& states() const noexcept {
+    return x_;
+  }
+
+  /// Move the iterate out (the oracle is spent afterwards).
+  [[nodiscard]] std::vector<State> take_states() noexcept {
+    return std::move(x_);
+  }
+
+  /// Absorb one already-applied edge-weight change of G'; call run()
+  /// afterwards.  The caller mutates the shared graph *first* (several
+  /// oracles may observe one H, so the oracle never mutates it); `edge`
+  /// carries the OLD weight and `new_weight` must equal the weight now
+  /// stored in the graph.
   ///
   /// A decrease is incremental (kIncremental): every kFixpoint cache stays
   /// a valid warm-restart seed — its entries are old-weight path sums,
@@ -194,14 +218,13 @@ class MbfOracle {
   /// the only vertices whose *offers* changed while their states did not,
   /// so they are forced into every level's frontier on the next sweep and
   /// the absorbed-input skips are suppressed until each level has re-run
-  /// once.  Continue with step(x, &empty) — an empty changed list, not
-  /// nullptr: the states did not change, the weights did — until the
-  /// changed set drains (oracle_run's loop shape).
+  /// once.
   ///
   /// An increase can strand too-strong cached entries that monotone
   /// iteration cannot revoke, so the oracle resets to its freshly
-  /// constructed state (kInvalidated) and the caller re-runs from
-  /// r^V x⁽⁰⁾ — bit-identical to a brand-new oracle on the mutated graph.
+  /// constructed state (kInvalidated): empty caches and the iterate back
+  /// at r^V x⁽⁰⁾ — bit-identical to a brand-new oracle on the mutated
+  /// graph.  Only stats() stays cumulative.
   OracleUpdateKind update(const WeightedEdge& edge, Weight new_weight) {
     PMTE_CHECK(edge.u != edge.v && edge.u < h_->num_vertices() &&
                    edge.v < h_->num_vertices(),
@@ -209,7 +232,7 @@ class MbfOracle {
     PMTE_CHECK(h_->base().edge_weight(edge.u, edge.v) == new_weight,
                "MbfOracle::update: apply the new weight to the graph first");
     if (new_weight > edge.weight) {
-      invalidate_all();
+      restart();
       return OracleUpdateKind::kInvalidated;
     }
     // Accumulate endpoints across updates (sorted, duplicate-free — the
@@ -220,20 +243,6 @@ class MbfOracle {
       if (it == pending_touch_.end() || *it != v) pending_touch_.insert(it, v);
     }
     return OracleUpdateKind::kIncremental;
-  }
-
-  /// Reset every cache and stamp to the freshly-constructed state (only
-  /// stats_ stays cumulative — snapshot it around the call to difference).
-  /// The next step(x⁽⁰⁾, nullptr) sequence is bit-identical to a brand-new
-  /// oracle on the graph's current weights.
-  void invalidate_all() {
-    for (auto& c : cache_) c.clear();
-    std::fill(cache_state_.begin(), cache_state_.end(), CacheState::kEmpty);
-    std::fill(stamp_.begin(), stamp_.end(), 0);
-    std::fill(last_scan_.begin(), last_scan_.end(), 0);
-    event_ = 1;
-    sweep_count_ = 0;
-    pending_touch_.clear();
   }
 
   [[nodiscard]] const OracleStats& stats() const noexcept { return stats_; }
@@ -254,6 +263,19 @@ class MbfOracle {
     // available as the escape hatch.
     if (opts.mode == MbfMode::kAuto) opts.mode = MbfMode::kSparse;
     return opts;
+  }
+
+  // Back to the freshly constructed state; only stats_ is kept.
+  void restart() {
+    x_ = x0_;
+    for (auto& c : cache_) c.clear();
+    cache_state_.assign(cache_.size(), CacheState::kEmpty);
+    stamp_.assign(x_.size(), 0);
+    last_scan_.assign(cache_.size(), 0);
+    event_ = 1;
+    first_merge_ = 0;
+    sweep_count_ = 0;
+    pending_touch_.clear();
   }
 
   // Run the engine for at most d steps (the A_λ^d budget of Lemma 5.1)
@@ -284,16 +306,16 @@ class MbfOracle {
 
   // Full support-seeded start: seed = P_λ x, frontier = supp(P_λ x) (⊥
   // entries make no offers, so they need not enter the frontier).
-  void full_start(unsigned lambda, const std::vector<State>& x) {
+  void full_start(unsigned lambda) {
     ++stats_.levels_full;
     PMTE_OBS_ONLY(if (obs::metrics_on()) obs_detail::oracle_obs().full.add(1));
     std::vector<State> seed = std::move(cache_[lambda]);
-    seed.resize(x.size());
+    seed.resize(x_.size());
     buffers_.clear();
-    parallel_for(x.size(), [&](std::size_t vi) {
+    parallel_for(x_.size(), [&](std::size_t vi) {
       const auto v = static_cast<Vertex>(vi);
       if (h_->levels().level(v) >= lambda) {
-        seed[vi] = x[vi];
+        seed[vi] = x_[vi];
         if (!alg_->equal(seed[vi], bottom_)) buffers_.local().push_back(v);
       } else {
         seed[vi] = alg_->bottom();
@@ -305,26 +327,24 @@ class MbfOracle {
   }
 
   // ---------------------------------------------------------------------
-  // One Gauss–Seidel sweep over the levels.  Sweep directions
-  // alternate (ascending λ first): min-hop shortest paths in H climb the
-  // level hierarchy monotonically and then descend (Lemma 4.3), so an
-  // ascending sweep cascades the whole climb — every level consumes the
-  // fresh output of the levels below it — and the following descending
-  // sweep cascades the whole descent.  One up/down pair propagates an
-  // entire H-path where the Jacobi operator needs Θ(SPD(H)) iterations.
-  std::vector<State> sweep(const std::vector<State>& x,
-                           const std::vector<Vertex>* changed) {
-    const std::size_t n = x.size();
-    std::vector<State> y = x;  // the working vector the sweep improves
-
-    // Record the caller's changes (everything on the first call / when the
-    // changed set is unknown) so each level picks them up via its stamp.
-    if (changed == nullptr) {
-      for (std::size_t v = 0; v < n; ++v) stamp_[v] = event_;
-    } else {
-      for (const Vertex v : *changed) stamp_[v] = event_;
+  // One Gauss–Seidel sweep over the levels; returns whether it changed the
+  // iterate.  Sweep directions alternate (ascending λ first): min-hop
+  // shortest paths in H climb the level hierarchy monotonically and then
+  // descend (Lemma 4.3), so an ascending sweep cascades the whole climb —
+  // every level consumes the fresh output of the levels below it — and the
+  // following descending sweep cascades the whole descent.  One up/down
+  // pair propagates an entire H-path where the Jacobi operator needs
+  // Θ(SPD(H)) iterations.
+  bool sweep() {
+    // Re-stamp what the previous sweep changed (every vertex after
+    // restart()): a filtered state only moves up modulo ~ (Corollary
+    // 2.17), so those are exactly the vertices its merges stamped.  A
+    // d-truncated level re-consumes its own output through this.
+    for (auto& stamp : stamp_) {
+      if (stamp >= first_merge_) stamp = event_;
     }
     ++event_;
+    first_merge_ = event_;
 
     const unsigned top = h_->max_level();
     // A pending edge touch (update(): a decrease already applied to the
@@ -335,25 +355,25 @@ class MbfOracle {
     // sweep the stamps carry all remaining propagation.
     const bool touched = !pending_touch_.empty();
     const bool ascending = (sweep_count_++ % 2 == 0);
+    bool changed = false;
     for (unsigned idx = 0; idx <= top; ++idx) {
       const unsigned lambda = ascending ? idx : top - idx;
       engine_.set_weight_scale(h_->level_scale(lambda));
       const std::uint64_t since = last_scan_[lambda];
 
       if (cache_state_[lambda] == CacheState::kEmpty) {
-        full_start(lambda, y);
+        full_start(lambda);
       } else {
         // C_λ: inputs that changed since this level last consumed them.
-        // The level's own merged output is deliberately invisible (see
-        // merge_output): every other component of y at a V_λ vertex was
-        // stamped when it arrived and consumed in that sweep, so only
-        // genuinely external changes survive here.
+        // Within a sweep the level's own merged output is invisible (see
+        // merge_output): every other component of x at a V_λ vertex was
+        // stamped when it arrived, so only external changes survive here.
         changed_level_.clear();
         for (const Vertex v : level_vertices_[lambda]) {
           if (stamp_[v] >= since) changed_level_.push_back(v);
         }
         if (changed_level_.empty() && !touched) {
-          // Unchanged input — and y already absorbed this cache when it
+          // Unchanged input — and x already absorbed this cache when it
           // was last merged, so even the output merge is a no-op.
           ++stats_.levels_skipped;
           PMTE_OBS_ONLY(
@@ -364,7 +384,7 @@ class MbfOracle {
         if (cache_state_[lambda] == CacheState::kTruncated) {
           // A truncation is not a closure — no exact warm restart exists;
           // redo the level from the projected input.
-          full_start(lambda, y);
+          full_start(lambda);
         } else {
           // Warm restart from the cached closure.  The frontier is not
           // C_λ but its *unabsorbed* subset: the cache is the closure of
@@ -376,7 +396,7 @@ class MbfOracle {
           parallel_for(changed_level_.size(), [&](std::size_t i) {
             const Vertex v = changed_level_[i];
             State merged = seed[v];
-            alg_->aggregate(merged, y[v]);
+            alg_->aggregate(merged, x_[v]);
             alg_->filter(merged);
             if (!alg_->equal(merged, seed[v])) {
               seed[v] = std::move(merged);
@@ -395,7 +415,7 @@ class MbfOracle {
             delta_.swap(scratch_union_);
           }
           if (delta_.empty()) {
-            // y ⊆ cache modulo domination: the run would reproduce the
+            // x ⊆ cache modulo domination: the run would reproduce the
             // cache (r(cache ⊕ A^d δ) = cache for absorbed δ) — skip.
             ++stats_.levels_skipped;
             PMTE_OBS_ONLY(if (obs::metrics_on()) {
@@ -412,32 +432,34 @@ class MbfOracle {
           run_and_cache(lambda);
         }
       }
-      merge_output(lambda, y);
+      changed = merge_output(lambda) || changed;
       // Post-merge: the level's own output stamps (event_ − 1) stay below
-      // the new scan mark, so it will not re-consume them next sweep.
+      // the new scan mark, so it will not re-consume them this sweep.
       last_scan_[lambda] = event_;
     }
     // Every level consumed the touch exactly once this sweep.
     if (touched) pending_touch_.clear();
-    return y;
+    return changed;
   }
 
-  // y ⊕= P_λ cache_[λ] (Gauss–Seidel: the level's output feeds every
-  // later level of this sweep).  Vertices whose y improves are stamped so
-  // the other levels see them as changed inputs; the caller then advances
-  // its own scan mark past the stamp, so a level never re-consumes its
-  // own output — which its own closure would absorb anyway.
-  void merge_output(unsigned lambda, std::vector<State>& y) {
+  // x ⊕= P_λ cache_[λ] (Gauss–Seidel: the level's output feeds every
+  // later level of this sweep); returns whether x changed.  Vertices whose
+  // x improves are stamped so the other levels see them as changed inputs;
+  // the caller advances its own scan mark past the stamp, so a level does
+  // not re-consume its own output this sweep.
+  bool merge_output(unsigned lambda) {
     const auto& z = cache_[lambda];
     const auto& verts = level_vertices_[lambda];
     buffers_.clear();
     parallel_for(verts.size(), [&](std::size_t i) {
       const Vertex v = verts[i];
-      State merged = y[v];
+      State merged = x_[v];
       alg_->aggregate(merged, z[v]);
       alg_->filter(merged);
-      if (!alg_->equal(merged, y[v])) {
-        y[v] = std::move(merged);
+      if (!alg_->equal(merged, x_[v])) {
+        // A copy, not a move: `merged` holds the merge scratch's capacity,
+        // which the long-lived iterate would otherwise keep.
+        x_[v] = merged;
         buffers_.local().push_back(v);
       }
     });
@@ -445,18 +467,22 @@ class MbfOracle {
     for (const Vertex v : merged_) stamp_[v] = event_;
     ++event_;
     WorkDepth::add_depth_serial(1);
+    return !merged_.empty();
   }
 
   const SimulatedGraph* h_;
   const Algebra* alg_;
   MbfEngine<Algebra> engine_;
   State bottom_;
+  std::vector<State> x0_;  // r^V x⁽⁰⁾, re-installed by restart()
+  std::vector<State> x_;   // the H-iterate
   std::vector<std::vector<State>> cache_;  // per level, unprojected
   std::vector<CacheState> cache_state_;
   std::vector<std::vector<Vertex>> level_vertices_;  // V_λ, ascending
-  std::vector<std::uint64_t> stamp_;      // per vertex: last y change
+  std::vector<std::uint64_t> stamp_;      // per vertex: last x change
   std::vector<std::uint64_t> last_scan_;  // per level: last consumption
   std::uint64_t event_ = 1;
+  std::uint64_t first_merge_ = 0;  // first merge event of the last sweep
   std::uint64_t sweep_count_ = 0;
   std::vector<Vertex> changed_level_;  // C_λ scratch
   std::vector<Vertex> delta_;          // unabsorbed subset of C_λ scratch
@@ -468,47 +494,20 @@ class MbfOracle {
   OracleStats stats_;
 };
 
-/// Run the MBF-like algorithm `alg` on H until its filtered fixpoint
-/// (≤ SPD(H) ∈ O(log² n) iterations w.h.p., Theorem 4.5) or until
-/// `max_h_iterations`.  The changed set between consecutive H-iterations
-/// is threaded into MbfOracle::step, so levels whose inputs did not change
-/// (or are absorbed by their cached closure) are skipped wholesale and the
-/// rest warm-restart.
+/// Run the MBF-like algorithm `alg` on H from r^V x⁽⁰⁾ until its filtered
+/// fixpoint or `max_h_iterations` sweeps (0 = MbfOracle::run's automatic
+/// cap).  `stats` receives the oracle's ledger.
 template <OracleAlgebra Algebra>
 [[nodiscard]] MbfRun<typename Algebra::State> oracle_run(
     const SimulatedGraph& h, const Algebra& alg,
     std::vector<typename Algebra::State> x0, unsigned max_h_iterations,
     OracleStats* stats = nullptr, MbfOptions opts = {}) {
+  MbfOracle<Algebra> oracle(h, alg, std::move(x0), opts);
   MbfRun<typename Algebra::State> run;
-  mbf_filter(alg, x0);  // r^V x⁽⁰⁾
-  run.states = std::move(x0);
-  MbfOracle<Algebra> oracle(h, alg, opts);
-  PerThreadBuffers<Vertex> buffers;
-  std::vector<Vertex> changed;  // vs the previous H-iteration, sorted
-  const std::vector<Vertex>* changed_ptr = nullptr;
-  for (unsigned i = 0; i < max_h_iterations; ++i) {
-    auto next = oracle.step(run.states, changed_ptr);
-    ++run.iterations;
-    // Fixpoint test and cross-H-iteration frontier in one pass.
-    buffers.clear();
-    parallel_for(next.size(), [&](std::size_t v) {
-      if (!alg.equal(next[v], run.states[v])) {
-        buffers.local().push_back(static_cast<Vertex>(v));
-      }
-    });
-    buffers.drain_sorted(changed);
-    run.states = std::move(next);
-    if (changed.empty()) {
-      run.reached_fixpoint = true;
-      break;
-    }
-    changed_ptr = &changed;
-  }
-  if (stats != nullptr) {
-    *stats = oracle.stats();
-    stats->h_iterations = run.iterations;
-    stats->reached_fixpoint = run.reached_fixpoint;
-  }
+  run.reached_fixpoint = oracle.run(max_h_iterations);
+  run.iterations = oracle.stats().h_iterations;
+  run.states = oracle.take_states();
+  if (stats != nullptr) *stats = oracle.stats();
   return run;
 }
 

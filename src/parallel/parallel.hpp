@@ -266,35 +266,4 @@ class PerThreadBuffers {
   std::vector<Slot> slots_;
 };
 
-/// Parallel max-reduction of body(i) over [0, n).
-template <typename Body>
-double parallel_reduce_max(std::size_t n, Body&& body, double init = 0.0) {
-#if PMTE_TSAN_ACTIVE && defined(_OPENMP)
-  // Same runtime-invisible merge as parallel_reduce_sum; max is order-free,
-  // so the per-thread-slot fold is bit-identical to the reduction clause.
-  std::vector<double> partial(
-      static_cast<std::size_t>(std::max(num_threads(), 1)), init);
-  parallel_for(n, [&](std::size_t i) {
-    const double v = body(i);
-    auto& slot = partial[static_cast<std::size_t>(thread_index())];
-    if (v > slot) slot = v;
-  });
-  double best = init;
-  for (const double p : partial) {
-    if (p > best) best = p;
-  }
-  return best;
-#else
-  double best = init;
-#ifdef _OPENMP
-#pragma omp parallel for reduction(max : best) schedule(static)
-#endif
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    const double v = body(static_cast<std::size_t>(i));
-    if (v > best) best = v;
-  }
-  return best;
-#endif
-}
-
 }  // namespace pmte

@@ -52,10 +52,7 @@ SimulatedGraph DynamicEnsemble::make_h(const Graph& g,
              "is the retained per-level oracle)");
   PMTE_CHECK(opts.trees >= 1, "DynamicEnsemble: needs at least one tree");
   PMTE_CHECK(g.num_vertices() >= 1, "DynamicEnsemble: empty graph");
-  Rng shared(split_seed(master_seed, 0));
-  const auto hopset = build_hub_hopset(g, opts.frt.hopset, shared);
-  return build_simulated_graph(
-      g, hopset, resolve_eps_hat(opts.frt.eps_hat, g.num_vertices()), shared);
+  return ensemble_simulated_graph(g, master_seed, opts.frt);
 }
 
 DynamicEnsemble::DynamicEnsemble(const Graph& g, std::uint64_t master_seed,

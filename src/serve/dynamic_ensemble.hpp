@@ -92,8 +92,8 @@ class DynamicEnsemble {
   }
 
  private:
-  /// Stream-0 shared randomness, exactly as FrtEnsemble::build: hub hop
-  /// set + level sampling.
+  /// ensemble_simulated_graph, as FrtEnsemble::build, after checking the
+  /// options this class supports.
   [[nodiscard]] static SimulatedGraph make_h(const Graph& g,
                                              std::uint64_t master_seed,
                                              const EnsembleOptions& opts);

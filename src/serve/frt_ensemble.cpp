@@ -121,16 +121,11 @@ FrtEnsemble FrtEnsemble::build(const Graph& g, std::uint64_t master_seed,
   e.graph_fingerprint_ = fingerprint(g);
   e.indices_.resize(opts.trees);
 
-  // Stream 0 of the master seed covers the randomness shared by all trees
-  // (hub hop set + level sampling); streams 1..k seed the per-tree
-  // β/permutation draws.  See split_seed in src/util/rng.hpp.
+  // Stream 0 of the master seed draws the shared H; streams 1..k seed the
+  // per-tree β/permutation draws (ensemble_simulated_graph).
   std::optional<SimulatedGraph> h;
   if (opts.pipeline == EnsemblePipeline::oracle) {
-    Rng shared(split_seed(master_seed, 0));
-    const auto hopset = build_hub_hopset(g, opts.frt.hopset, shared);
-    h.emplace(build_simulated_graph(
-        g, hopset, resolve_eps_hat(opts.frt.eps_hat, g.num_vertices()),
-        shared));
+    h.emplace(ensemble_simulated_graph(g, master_seed, opts.frt));
   }
 
   std::vector<std::uint64_t> iterations(opts.trees, 0);
@@ -366,6 +361,7 @@ FrtEnsemble FrtEnsemble::load(std::istream& is) {
                    e.indices_.front().num_leaves(),
                "FrtEnsemble::load: indices disagree on the vertex set");
   }
+  r.expect_end();
   return e;
 }
 
@@ -394,6 +390,7 @@ FrtEnsemble FrtEnsemble::load_mapped(MappedFile file) {
                "FrtEnsemble::load_mapped: indices disagree on the vertex "
                "set");
   }
+  r.expect_end();
   return e;
 }
 

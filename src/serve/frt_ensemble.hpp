@@ -170,7 +170,8 @@ class FrtEnsemble {
                          HotPairCache* cache = nullptr) const;
 
   /// Persist / restore through the binary format (one position-tracking
-  /// writer/reader spans the whole artefact).
+  /// writer/reader spans the whole artefact).  Both loaders reject any
+  /// byte after the last index.
   void save(std::ostream& os) const;
   [[nodiscard]] static FrtEnsemble load(std::istream& is);
   /// Zero-copy load: mmap `path` and point every index's persisted arrays

@@ -168,7 +168,9 @@ FrtIndex FrtIndex::load_mapped_from(MappedReader& r) {
 
 FrtIndex FrtIndex::load(std::istream& is) {
   BinaryReader r(is);
-  return load_from(r);
+  FrtIndex idx = load_from(r);
+  r.expect_end();
+  return idx;
 }
 
 }  // namespace pmte::serve

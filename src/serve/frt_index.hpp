@@ -154,7 +154,8 @@ class FrtIndex {
   /// Persist / restore through the binary format.  The writer/reader
   /// variants share one position-tracking writer across an enclosing
   /// artefact (FrtEnsemble embeds k index artefacts in one file); the
-  /// stream variants wrap them for standalone files.
+  /// stream variants wrap them for standalone files, and load() rejects
+  /// any byte after the index.
   void save(std::ostream& os) const;
   void save_into(BinaryWriter& w) const;
   [[nodiscard]] static FrtIndex load(std::istream& is);

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
 
@@ -35,6 +36,12 @@ void check_header(std::uint32_t probe, std::uint32_t version) {
                  std::to_string(version) + " (this build reads only v" +
                  std::to_string(kFormatVersion) +
                  "; rebuild the artefact with the current writer)");
+}
+
+/// An artefact ends with its last array; shared by both readers.
+void check_no_trailing_bytes(std::uint64_t extra) {
+  PMTE_CHECK(extra == 0, "serve serialisation: " + std::to_string(extra) +
+                             " trailing byte(s) after the last array");
 }
 
 }  // namespace
@@ -201,6 +208,17 @@ std::vector<double> BinaryReader::vec_f64() {
   return v;
 }
 
+void BinaryReader::expect_end() {
+  std::uint64_t extra = 0;
+  if (size_known_) {
+    extra = remaining_ - pos_;
+  } else if (is_.peek() != std::istream::traits_type::eof()) {
+    is_.ignore(std::numeric_limits<std::streamsize>::max());
+    extra = static_cast<std::uint64_t>(is_.gcount());
+  }
+  check_no_trailing_bytes(extra);
+}
+
 // --- MappedFile ------------------------------------------------------------
 
 MappedFile::MappedFile(const std::string& path) {
@@ -324,5 +342,7 @@ std::span<const double> MappedReader::view_f64() {
   ++load_path_counters().sections_mapped;
   return {p, static_cast<std::size_t>(n)};
 }
+
+void MappedReader::expect_end() const { check_no_trailing_bytes(size_ - pos_); }
 
 }  // namespace pmte::serve

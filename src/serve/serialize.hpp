@@ -208,6 +208,9 @@ class BinaryReader {
   [[nodiscard]] double f64();
   [[nodiscard]] std::vector<std::uint32_t> vec_u32();
   [[nodiscard]] std::vector<double> vec_f64();
+  /// Reject any byte after the artefact's last array (message names the
+  /// count; a non-seekable stream is read to its end to count them).
+  void expect_end();
 
  private:
   void bytes(void* data, std::size_t n);
@@ -269,6 +272,8 @@ class MappedReader {
   [[nodiscard]] double f64();
   [[nodiscard]] std::span<const std::uint32_t> view_u32();
   [[nodiscard]] std::span<const double> view_f64();
+  /// Reject any byte after the artefact's last array.
+  void expect_end() const;
 
   [[nodiscard]] std::uint64_t pos() const noexcept { return pos_; }
 

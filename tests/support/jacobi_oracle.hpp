@@ -14,9 +14,22 @@
 
 #include "src/mbf/engine.hpp"
 #include "src/oracle/mbf_oracle.hpp"
+#include "src/parallel/parallel.hpp"
 #include "src/simgraph/simulated_graph.hpp"
 
 namespace pmte::test {
+
+/// Parallel component-wise equality of two state vectors (the Jacobi
+/// operator's fixpoint test).
+template <MbfAlgebra Algebra>
+[[nodiscard]] bool mbf_states_equal(
+    const Algebra& alg, const std::vector<typename Algebra::State>& a,
+    const std::vector<typename Algebra::State>& b) {
+  PMTE_CHECK(a.size() == b.size(), "mbf_states_equal: size mismatch");
+  return parallel_reduce_sum(a.size(), [&](std::size_t v) {
+           return alg.equal(a[v], b[v]) ? 0.0 : 1.0;
+         }) == 0.0;
+}
 
 /// Iterate the Jacobi operator from r^V x⁽⁰⁾ until the states stop
 /// changing or `max_h_iterations` is spent.  `stats` receives

@@ -110,20 +110,6 @@ std::vector<std::pair<Vertex, Vertex>> make_pairs(Vertex n, std::size_t k,
   return pairs;
 }
 
-/// The stream-0 simulated graph exactly as DynamicEnsemble::make_h (and
-/// FrtEnsemble::build) derives it from the *original* weights.  The update
-/// contract re-weights this built H's base in place — hop-set shortcuts
-/// are never re-derived — so the rebuild reference shares the H and only
-/// swaps the base weights (serve/dynamic_ensemble.hpp).
-SimulatedGraph make_reference_h(const Graph& g, std::uint64_t master_seed,
-                                const serve::EnsembleOptions& opts) {
-  Rng shared(split_seed(master_seed, 0));
-  const auto hopset = build_hub_hopset(g, opts.frt.hopset, shared);
-  return build_simulated_graph(
-      g, hopset, resolve_eps_hat(opts.frt.eps_hat, g.num_vertices()),
-      shared);
-}
-
 /// Apply exactly the edges whose weight changed, as the dynamic path does.
 /// Writing *every* original edge would clobber G'-merged weights where a
 /// cheaper hop-set shortcut undercut the edge (augmented() keeps the
@@ -205,8 +191,11 @@ TEST(Dynamic, RebuildDifferentialOverCorpus) {
       const auto ref = replay_sequence(cse.graph, seed, seq, pairs, opts);
 
       // Rebuild differential at every step: shared H, final weights of
-      // the step, fresh trees.
-      auto h = make_reference_h(cse.graph, seed, opts);
+      // the step, fresh trees.  The update contract re-weights the built
+      // H's base in place — hop-set shortcuts are never re-derived — so
+      // the reference shares the stream-0 H of the original weights and
+      // only swaps the base weights (serve/dynamic_ensemble.hpp).
+      auto h = ensemble_simulated_graph(cse.graph, seed, opts.frt);
       Graph current = cse.graph;
       for (std::size_t i = 0; i < seq.size(); ++i) {
         current.set_edge_weight(
@@ -350,7 +339,7 @@ TEST(Dynamic, GraphDecreaseOverMergedShortcutInvalidates) {
   bool found = false;
   for (const auto& cse : corpus) {
     for (const std::uint64_t seed : test::test_seeds(2, cse.seed)) {
-      auto h = make_reference_h(cse.graph, seed, opts);
+      auto h = ensemble_simulated_graph(cse.graph, seed, opts.frt);
       for (const auto& e : cse.graph.edge_list()) {
         const Weight w_prime = h.base().edge_weight(e.u, e.v);
         if (w_prime >= e.weight) continue;  // no shortcut undercut {u,v}

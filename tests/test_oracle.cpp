@@ -12,6 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "src/frt/le_lists.hpp"
 #include "src/graph/generators.hpp"
@@ -187,6 +190,80 @@ TEST(Oracle, FixpointIsFastOnHighSpdGraph) {
   auto direct = le_lists_iteration(g, order);
   EXPECT_GE(direct.iterations, n / 2 - 4);
   (void)run;
+}
+
+/// Every OracleStats field, comparable in one EXPECT_EQ.
+auto stats_fields(const OracleStats& s) {
+  return std::make_tuple(s.h_iterations, s.base_iterations,
+                         s.reached_fixpoint, s.levels_skipped, s.levels_warm,
+                         s.levels_full);
+}
+
+/// For every cap k below the converging sweep count K: run(k) then run()
+/// must equal one run() in states and in every OracleStats field.  Then
+/// one more run() on the converged oracle must do a single sweep that
+/// skips every level and changes nothing.  Returns the single run's stats.
+template <OracleAlgebra Algebra>
+OracleStats expect_capped_runs_resume(
+    const SimulatedGraph& h, const Algebra& alg,
+    const std::vector<typename Algebra::State>& x0, const std::string& what) {
+  MbfOracle<Algebra> once(h, alg, x0);
+  EXPECT_TRUE(once.run()) << what;
+  const OracleStats full = once.stats();
+  for (unsigned k = 1; k < full.h_iterations; ++k) {
+    MbfOracle<Algebra> capped(h, alg, x0);
+    EXPECT_FALSE(capped.run(k)) << what << ", cap " << k;
+    EXPECT_TRUE(capped.run()) << what << ", cap " << k;
+    EXPECT_EQ(stats_fields(capped.stats()), stats_fields(full))
+        << what << ", cap " << k;
+    EXPECT_TRUE(capped.states() == once.states()) << what << ", cap " << k;
+  }
+  const auto fixpoint = once.states();
+  EXPECT_TRUE(once.run()) << what;
+  OracleStats again = full;
+  ++again.h_iterations;
+  again.levels_skipped += h.max_level() + 1;
+  EXPECT_EQ(stats_fields(once.stats()), stats_fields(again)) << what;
+  EXPECT_TRUE(once.states() == fixpoint) << what;
+  return full;
+}
+
+TEST(Oracle, RunResumesAfterCap) {
+  // Hub hop sets with a real window make d > 1, so levels truncate and a
+  // truncated level must re-consume its own output in the next sweep —
+  // including the first sweep of a resumed run.
+  unsigned capped_runs = 0;
+  bool truncated = false;
+  for (const char* family : {"gnm", "grid", "path", "powerlaw"}) {
+    const auto g = test::support_graph(family, 256, 811);
+    for (const unsigned window : {2U, 3U, 4U}) {
+      Rng rng(812 + window);
+      HubHopSetParams params;
+      params.window = window;
+      const auto hs = build_hub_hopset(g, params, rng);
+      const auto h = build_simulated_graph(g, hs, 0.08, rng);
+      const std::string what =
+          std::string(family) + ", window " + std::to_string(window);
+
+      const auto order = VertexOrder::random(g.num_vertices(), rng);
+      std::vector<DistanceMap> sources(g.num_vertices());
+      for (Vertex s = 0; s < g.num_vertices(); s += 37) {
+        sources[s] = DistanceMap::singleton(s, 0.0);
+      }
+      for (const OracleStats& full :
+           {expect_capped_runs_resume(h, LeListAlgebra{},
+                                      le_initial_state(order),
+                                      what + ", LE lists"),
+            expect_capped_runs_resume(
+                h, SourceDetectionAlgebra{.k = 3, .max_dist = inf_weight()},
+                sources, what + ", source detection")}) {
+        capped_runs += full.h_iterations - 1;
+        truncated = truncated || full.levels_full > h.max_level() + 1;
+      }
+    }
+  }
+  EXPECT_GT(capped_runs, 0U);
+  EXPECT_TRUE(truncated) << "no level truncated: the windows are too small";
 }
 
 // ---------------------------------------------------------------------------

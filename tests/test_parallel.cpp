@@ -81,12 +81,6 @@ TEST(Parallel, ReduceSum) {
   EXPECT_DOUBLE_EQ(s, 999.0 * 1000.0 / 2.0);
 }
 
-TEST(Parallel, ReduceMax) {
-  const double m = parallel_reduce_max(
-      512, [](std::size_t i) { return i == 77 ? 1e9 : double(i); });
-  EXPECT_DOUBLE_EQ(m, 1e9);
-}
-
 TEST(Parallel, ThreadCountControls) {
   const int before = num_threads();
   EXPECT_GE(before, 1);

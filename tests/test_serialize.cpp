@@ -213,6 +213,49 @@ TEST(Serialize, HostileImagesAreRejectedOnBothPaths) {
   ASSERT_EQ(good[76], '\0') << "layout drifted; fix the padding offset";
   bad = good.substr(0, 76) + good.substr(84);
   expect_rejected_both(bad, "shaved section padding");
+
+  // Bytes after the last array: appended text, and a second artefact
+  // concatenated to the first (which would otherwise load as the first).
+  expect_rejected_both(good + "appended by some other tool\n",
+                       "28 appended bytes", "28 trailing byte(s)");
+  expect_rejected_both(good + good, "doubled artefact",
+                       std::to_string(good.size()) + " trailing byte(s)");
+}
+
+/// A read-only stream buffer that refuses to seek, like a pipe: the
+/// stream reader cannot probe its size and must peek for trailing bytes.
+class PipeBuf : public std::stringbuf {
+ public:
+  explicit PipeBuf(const std::string& bytes)
+      : std::stringbuf(bytes, std::ios::in) {}
+
+ protected:
+  pos_type seekoff(off_type, std::ios::seekdir, std::ios::openmode) override {
+    return pos_type(off_type(-1));
+  }
+  pos_type seekpos(pos_type, std::ios::openmode) override {
+    return pos_type(off_type(-1));
+  }
+};
+
+TEST(Serialize, NonSeekableStreamRejectsTrailingBytes) {
+  const auto g = test::support_graph("gnm", 40, 58);
+  const auto e = serve::FrtEnsemble::build(g, 58, tiny_options(2));
+  const std::string good = save_bytes(e);
+  PipeBuf exact(good);
+  std::istream exact_in(&exact);
+  EXPECT_TRUE(serve::FrtEnsemble::load(exact_in) == e);
+
+  PipeBuf longer(good + "xyz");
+  std::istream longer_in(&longer);
+  try {
+    (void)serve::FrtEnsemble::load(longer_in);
+    ADD_FAILURE() << "loaded an artefact followed by 3 bytes";
+  } catch (const std::logic_error& err) {
+    EXPECT_NE(std::string(err.what()).find("3 trailing byte(s)"),
+              std::string::npos)
+        << err.what();
+  }
 }
 
 /// A one-tree ensemble image around hand-written ancestor rows of a
@@ -278,9 +321,10 @@ TEST(Serialize, RandomizedHostileImageSweep) {
   // Seeded fuzz over a valid artefact: single-bit flips at random
   // offsets plus random truncations.  The contract on both readers is
   // "reject (std::logic_error) or load" — never crash, never any other
-  // exception type.  A flip that lands in bulk payload (doubles carry no
-  // checksum) may load on both paths; then the two loads must agree, so a
-  // mutant can never split the stream and mmap views of one image.
+  // exception type.  Both readers must reach the same decision, and a
+  // flip that lands in bulk payload (doubles carry no checksum) may load;
+  // then the two loads must agree, so a mutant can never split the stream
+  // and mmap views of one image.
   const auto g = test::support_graph("geometric", 48, 61);
   const auto e = serve::FrtEnsemble::build(g, 61, tiny_options(2));
   const std::string good = save_bytes(e);
@@ -325,7 +369,8 @@ TEST(Serialize, RandomizedHostileImageSweep) {
     const auto from_stream = try_stream(bad);
     const TempFile f("test_serialize_fuzz.tmp", bad);
     const auto from_mapped = try_mapped(f.path());
-    if (from_stream.has_value() && from_mapped.has_value()) {
+    ASSERT_EQ(from_stream.has_value(), from_mapped.has_value()) << what;
+    if (from_stream.has_value()) {
       EXPECT_TRUE(*from_stream == *from_mapped) << what;
       ++loaded;
     } else {

@@ -167,6 +167,11 @@ TEST(FrtIndex, LoadRejectsGarbage) {
   std::stringstream cut(std::ios::in | std::ios::out | std::ios::binary);
   cut << bytes.substr(0, bytes.size() / 2);
   EXPECT_THROW((void)serve::FrtIndex::load(cut), std::logic_error);
+
+  // So must bytes after the index.
+  std::stringstream longer(std::ios::in | std::ios::out | std::ios::binary);
+  longer << bytes << '\0';
+  EXPECT_THROW((void)serve::FrtIndex::load(longer), std::logic_error);
 }
 
 TEST(FrtIndex, FlatStructureMatchesTree) {

@@ -179,5 +179,27 @@ TEST(Cli, ParsesOptions) {
   EXPECT_EQ(cli.seed(99), 99U);
 }
 
+TEST(CliDeathTest, RejectsMalformedValuesAndUnknownArguments) {
+  const char* argv[] = {"prog", "--n=96x", "--rate=nan", "--k=7", "--big=1e999"};
+  const Cli cli(5, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_int("k", 0), 7);
+  EXPECT_EXIT((void)cli.get_int("n", 0), ::testing::ExitedWithCode(2),
+              "--n=96x: not an integer");
+  EXPECT_EXIT((void)cli.get_double("rate", 0.0), ::testing::ExitedWithCode(2),
+              "--rate=nan: not a finite number");
+  EXPECT_EXIT((void)cli.get_double("big", 0.0), ::testing::ExitedWithCode(2),
+              "--big=1e999: not a finite number");
+  cli.reject_unknown({"n", "rate", "k", "big"});  // all declared: returns
+  EXPECT_EXIT(cli.reject_unknown({"n", "rate", "k"}),
+              ::testing::ExitedWithCode(2), "unknown flag --big");
+
+  const char* stray[] = {"prog", "--n=1", "stray"};
+  EXPECT_EXIT(Cli(3, const_cast<char**>(stray)).reject_unknown({"n"}),
+              ::testing::ExitedWithCode(2), "unexpected argument stray");
+  const char* twice[] = {"prog", "--n=1", "--n=2"};
+  EXPECT_EXIT(Cli(3, const_cast<char**>(twice)), ::testing::ExitedWithCode(2),
+              "--n given twice");
+}
+
 }  // namespace
 }  // namespace pmte
