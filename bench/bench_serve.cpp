@@ -128,7 +128,7 @@ CounterScenario cached_query_scenario(const std::string& name,
 }
 
 /// The load-path contract as counter scenarios: persist `e` once, load it
-/// back by stream copy and by mmap, and replay `pairs`
+/// back by copy and by mmap, and replay `pairs`
 /// uniform queries on each.  Both rows must reproduce the live ensemble's
 /// result_hash32; the mapped row's bulk_bytes_copied baseline is 0, so
 /// the gate fails on the first copied payload byte.
@@ -154,9 +154,9 @@ std::vector<CounterScenario> load_scenarios(const serve::FrtEnsemble& e,
 
   std::vector<CounterScenario> rows;
   {
-    std::ifstream in(path, std::ios::binary);
+    const serve::MappedFile file(path);
     serve::reset_load_path_counters();
-    const auto copied = serve::FrtEnsemble::load(in);
+    const auto copied = serve::FrtEnsemble::load(file.bytes());
     const auto lc = serve::load_path_counters();
     rows.push_back(CounterScenario{
         "serve_load_copied",
@@ -210,7 +210,7 @@ void run_counters() {
       "serve_query_zipf_median_cached", served, gnm,
       serve::WorkloadKind::zipf, serve::AggregatePolicy::median, 200000,
       3004, /*capacity=*/1 << 15));
-  // Load-path rows: the stream copy pins its byte volume, the mmap row
+  // Load-path rows: the copying load pins its byte volume, the mmap row
   // gates bulk_bytes_copied at 0, and both must reproduce
   // serve_query_uniform_min's result_hash32 (same workload seed).
   for (auto& s : load_scenarios(served, gnm, 200000, 3003)) {

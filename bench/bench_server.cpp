@@ -1,5 +1,5 @@
 // E-server — the many-tenant serving engine: interleaved tenant streams
-// through the EnsembleRegistry / TenantRouter / epoch hot-swap pipeline
+// through the EnsembleRegistry / shard routing / epoch hot-swap pipeline
 // (src/serve/server.hpp).
 //
 // Claims carried: routing is a serial classification pass (shard contents

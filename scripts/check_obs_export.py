@@ -28,6 +28,12 @@ Span tree (docs/OBSERVABILITY.md):
     (a span is recorded when it closes, so an enclosing step is newer
     than its level runs and survives any ring wrap that keeps them)
 
+Both loaders: the single-workload run --saves its artefact, and a third
+run reloads it with --load=<artefact> --mmap on the same graph flags.
+That run must record the ensemble.load and ensemble.load_mapped spans,
+and pmte_ensemble_loads_copied_total and pmte_ensemble_loads_mapped_total
+must each read 1.
+
 Usage:
   scripts/check_obs_export.py --serve-bin build/src/serve_queries
       [--keep-dir DIR]
@@ -241,6 +247,22 @@ SINGLE_RUN_SPANS = (
 TENANT_RUN_SPANS = (
     "server.serve", "server.flip", "server.swap", "server.route",
     "server.execute", "server.shard", "server.scatter", "server.fold")
+LOAD_RUN_SPANS = ("ensemble.load", "ensemble.load_mapped")
+LOAD_RUN_COUNTERS = {"pmte_ensemble_loads_copied_total": 1,
+                     "pmte_ensemble_loads_mapped_total": 1}
+
+
+def check_counters(path, expected, errors):
+    """Each unlabelled counter in `expected` has exactly that value."""
+    values = {}
+    for line in path.read_text().splitlines():
+        m = SAMPLE_RE.match(line)
+        if m and not m.group(2):
+            values[m.group(1)] = float(m.group(3))
+    for name, want in expected.items():
+        if values.get(name) != want:
+            errors.append(f"{path.name}: {name} = {values.get(name)}, "
+                          f"expected {want}")
 
 
 def check_span_tree(path, required, errors):
@@ -289,23 +311,31 @@ def main():
         outdir.mkdir(parents=True, exist_ok=True)
         metrics = outdir / "metrics.prom"
         trace = outdir / "trace.json"
+        artefact = outdir / "ensemble.bin"
+        graph = ["--graph=gnm", "--n=256", "--seed=7"]
+        exports = [f"--metrics-out={metrics}", f"--trace-out={trace}"]
 
-        # Toy graph, both run modes: a single-workload replay with a cache
-        # (exercises ensemble/cache instruments) and a many-tenant run with
-        # a hot-swap (exercises server phase spans + per-tenant series).
+        # Toy graph, three runs: a single-workload replay with a cache
+        # (exercises ensemble/cache instruments) that saves its artefact,
+        # a many-tenant run with a hot-swap (exercises server phase spans +
+        # per-tenant series), and a reload of the artefact through both
+        # loaders.
         runs = [
-            (["--graph=gnm", "--n=256", "--seed=7", "--trees=4",
-              "--pipeline=oracle", "--queries=5000", "--repeat=1", "--cache",
-              "--cache-capacity=1024",
-              f"--metrics-out={metrics}", f"--trace-out={trace}"],
-             SINGLE_RUN_SPANS),
-            (["--graph=gnm", "--n=256", "--seed=7", "--trees=4",
-              "--queries=5000", "--tenants=2", "--batches=4", "--swap-at=2",
-              f"--metrics-out={metrics}", f"--trace-out={trace}"],
-             TENANT_RUN_SPANS),
+            ("single", graph + ["--trees=4", "--pipeline=oracle",
+                                "--queries=5000", "--repeat=1", "--cache",
+                                "--cache-capacity=1024",
+                                f"--save={artefact}"] + exports,
+             SINGLE_RUN_SPANS, {}),
+            ("tenant", graph + ["--trees=4", "--queries=5000",
+                                "--tenants=2", "--batches=4",
+                                "--swap-at=2"] + exports,
+             TENANT_RUN_SPANS, {}),
+            ("load", graph + [f"--load={artefact}", "--mmap",
+                              "--queries=5000", "--repeat=1"] + exports,
+             LOAD_RUN_SPANS, LOAD_RUN_COUNTERS),
         ]
         errors = []
-        for extra, spans in runs:
+        for mode, extra, spans, counters in runs:
             cmd = [str(serve_bin)] + extra
             proc = subprocess.run(cmd, capture_output=True, text=True,
                                   timeout=600)
@@ -318,8 +348,7 @@ def main():
             n_samples = check_prometheus(metrics, errors)
             n_events = check_trace(trace, errors)
             check_span_tree(trace, spans, errors)
-            mode = "tenant" if any("--tenants" in a for a in extra) \
-                else "single"
+            check_counters(metrics, counters, errors)
             print(f"{mode} run: {n_samples} metric samples, "
                   f"{n_events} trace events")
 

@@ -33,8 +33,6 @@ class SemiringMatrix {
     return m;
   }
 
-  [[nodiscard]] Vertex dim() const noexcept { return n_; }
-
   [[nodiscard]] Value& at(Vertex r, Vertex c) {
     PMTE_ASSERT(r < n_ && c < n_, "matrix index out of range");
     return data_[std::size_t{r} * n_ + c];

@@ -83,6 +83,7 @@
 #include "src/serve/dynamic_ensemble.hpp"
 #include "src/serve/frt_ensemble.hpp"
 #include "src/serve/hot_pair_cache.hpp"
+#include "src/serve/serialize.hpp"
 #include "src/serve/server.hpp"
 #include "src/serve/stretch_report.hpp"
 #include "src/serve/workloads.hpp"
@@ -401,13 +402,10 @@ int serve_main(int argc, char** argv) {
   serve::FrtEnsemble ensemble;
   const auto load_path = cli.get("load", "");
   if (!load_path.empty()) {
-    std::ifstream in(load_path, std::ios::binary);
-    if (!in) {
-      std::cerr << "cannot open " << load_path << "\n";
-      return 1;
-    }
+    // The copying load reads the artefact through the same mapping --mmap
+    // uses, so a device, FIFO or empty file is refused up front.
     const Timer t;
-    ensemble = serve::FrtEnsemble::load(in);
+    ensemble = serve::FrtEnsemble::load(serve::MappedFile(load_path).bytes());
     std::cout << "loaded " << ensemble.num_trees() << "-tree ensemble from "
               << load_path << " in " << t.millis() << " ms\n";
     if (ensemble.num_vertices() != g.num_vertices()) {
@@ -450,14 +448,16 @@ int serve_main(int argc, char** argv) {
   }
 
   if (cli.has("roundtrip")) {
-    std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+    std::ostringstream buf(std::ios::binary);
     ensemble.save(buf);
-    const auto reloaded = serve::FrtEnsemble::load(buf);
+    const std::string bytes = buf.str();
+    const auto reloaded =
+        serve::FrtEnsemble::load(std::as_bytes(std::span(bytes)));
     if (!(reloaded == ensemble)) {
       std::cerr << "FATAL: save->load round-trip changed the ensemble\n";
       return 1;
     }
-    std::cout << "round-trip OK (" << buf.str().size() << " bytes)\n";
+    std::cout << "round-trip OK (" << bytes.size() << " bytes)\n";
   }
 
   // --- Zero-copy mmap serving path. --------------------------------------

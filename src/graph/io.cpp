@@ -3,11 +3,14 @@
 #include <charconv>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/util/assertions.hpp"
+#include "src/util/cli.hpp"
 
 namespace pmte {
 
@@ -38,32 +41,33 @@ Graph read_dimacs(std::istream& is) {
   std::size_t m = 0;
   bool have_header = false;
   std::vector<WeightedEdge> edges;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
+  for (std::size_t line_no = 1; std::getline(is, line); ++line_no) {
     if (line.empty() || line[0] == 'c') continue;
+    const std::string at = " at line " + std::to_string(line_no);
     std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
+    const std::vector<std::string> tokens{
+        std::istream_iterator<std::string>(ls), {}};
+    const std::string tag = tokens.empty() ? "" : tokens[0];
     if (tag == "p") {
-      std::string kind;
-      ls >> kind >> n >> m;
-      PMTE_CHECK(ls && kind == "sp",
-                 "bad problem line at line " + std::to_string(line_no));
+      PMTE_CHECK(!have_header, "second problem line" + at);
+      PMTE_CHECK(tokens.size() == 4 && tokens[1] == "sp" &&
+                     parse_token(tokens[2], n) && parse_token(tokens[3], m),
+                 "bad problem line (want \"p sp <n> <m>\")" + at);
       have_header = true;
-      edges.reserve(m);
     } else if (tag == "e") {
-      PMTE_CHECK(have_header, "edge before problem line");
-      std::uint64_t u = 0, v = 0;
+      PMTE_CHECK(have_header, "edge before problem line" + at);
+      Vertex u = 0;
+      Vertex v = 0;
       Weight w = 0;
-      ls >> u >> v >> w;
-      PMTE_CHECK(ls && u >= 1 && v >= 1 && u <= n && v <= n,
-                 "bad edge line at line " + std::to_string(line_no));
-      edges.push_back(WeightedEdge{static_cast<Vertex>(u - 1),
-                                   static_cast<Vertex>(v - 1), w});
+      PMTE_CHECK(tokens.size() == 4 && parse_token(tokens[1], u) &&
+                     parse_token(tokens[2], v) && parse_token(tokens[3], w) &&
+                     u >= 1 && v >= 1 && u <= n && v <= n && w > 0.0 &&
+                     is_finite(w),
+                 "bad edge line (want \"e <u> <v> <w>\", 1 <= u, v <= n, "
+                 "w > 0 finite)" + at);
+      edges.push_back(WeightedEdge{u - 1, v - 1, w});
     } else {
-      PMTE_CHECK(false, "unknown line tag '" + tag + "' at line " +
-                            std::to_string(line_no));
+      PMTE_CHECK(false, "unknown line tag '" + tag + "'" + at);
     }
   }
   PMTE_CHECK(have_header, "missing problem line");

@@ -1,8 +1,11 @@
 #pragma once
-// Graph serialisation: a DIMACS-shortest-path-like text format
-// ("p sp <n> <m>" header, "e <u> <v> <w>" edge lines, 1-based ids) plus a
-// compact whitespace edge-list format.  Round-trips exactly via decimal
-// shortest round-trip formatting.
+// Graph serialisation in a DIMACS-shortest-path-like text format: one
+// "p sp <n> <m>" problem line, then m "e <u> <v> <w>" edge lines with
+// 1-based ids, and "c ..." comment lines anywhere.  Round-trips exactly
+// via decimal shortest round-trip formatting.  The reader is strict: each
+// p and e line is exactly its tokens, each parsed in full (no trailing
+// junk, no extra token), a second p line is an error, and every error
+// names its line.
 
 #include <iosfwd>
 #include <string>

@@ -130,12 +130,6 @@ enum class MbfMode : std::uint8_t {
 struct MbfOptions {
   double weight_scale = 1.0;  ///< edge-weight prescale (Lemma 5.1)
   MbfMode mode = MbfMode::kAuto;
-  /// kAuto switches to the dense pull when scanning the frontier's incident
-  /// edges would touch more than this fraction of all half-edges: sparse
-  /// rounds cost Σ_{v affected} deg(v) edge scans, so once the frontier
-  /// covers a constant fraction of the graph the dense pull is cheaper and
-  /// has no membership tests.
-  double dense_fraction = 0.25;
   /// Apply r^V to x⁽⁰⁾ on construction/reset (harmless by Corollary 2.17;
   /// disable when x⁽⁰⁾ is known to be filtered already).
   bool filter_initial = true;
@@ -223,6 +217,13 @@ class MbfEngine {
   /// one engine across the per-level matrices A_λ).
   void set_weight_scale(double s) noexcept { opts_.weight_scale = s; }
 
+  /// kAuto switches to the dense pull when scanning the frontier's incident
+  /// edges would touch more than this fraction of all half-edges: sparse
+  /// rounds cost Σ_{v affected} deg(v) edge scans, so once the frontier
+  /// covers a constant fraction of the graph the dense pull is cheaper and
+  /// has no membership tests.
+  static constexpr double kDenseFraction = 0.25;
+
   /// One filtered iteration x ↦ r^V(A x).  Returns true iff any state
   /// changed; false means the filtered fixpoint was already reached.
   bool step() {
@@ -240,8 +241,7 @@ class MbfEngine {
             return static_cast<double>(g_->degree(frontier_[i]));
           });
       dense = frontier_deg + static_cast<double>(frontier_.size()) >
-              opts_.dense_fraction *
-                  static_cast<double>(half_edges + n);
+              kDenseFraction * static_cast<double>(half_edges + n);
     }
 
     if (dense) {

@@ -34,9 +34,11 @@ EnsembleObs& ensemble_obs() {
   static EnsembleObs o{
       reg.counter("pmte_ensemble_builds_total", {}, "FrtEnsemble builds"),
       reg.counter("pmte_ensemble_loads_copied_total", {},
-                  "Ensemble loads through the copying stream reader"),
+                  "Ensemble loads that copy arrays out of an in-memory "
+                  "image"),
       reg.counter("pmte_ensemble_loads_mapped_total", {},
-                  "Ensemble loads through the zero-copy mmap reader"),
+                  "Ensemble loads that serve zero-copy from a file "
+                  "mapping"),
       reg.histogram("pmte_ensemble_build_duration_ns", {},
                     "Ensemble build wall time in ns (informational)"),
       reg.histogram("pmte_serve_batch_pairs", {},
@@ -341,56 +343,50 @@ void FrtEnsemble::save(std::ostream& os) const {
   for (const auto& idx : indices_) idx.save_into(w);
 }
 
-FrtEnsemble FrtEnsemble::load(std::istream& is) {
-  PMTE_OBS_SPAN("ensemble.load");
-  PMTE_OBS_ONLY(if (obs::metrics_on()) ensemble_obs().loads_copied.add(1));
-  // One reader spans the whole artefact: the stream size is probed once,
-  // and the running position drives the section padding arithmetic.
-  BinaryReader r(is);
+FrtEnsemble FrtEnsemble::parse(ImageReader& r) {
   r.expect_magic(kEnsembleMagic);
   FrtEnsemble e;
   e.master_seed_ = r.u64();
   e.graph_fingerprint_ = r.u64();
   const std::uint64_t trees = r.u64();
   PMTE_CHECK(trees >= 1 && trees <= (1ULL << 20),
-             "FrtEnsemble::load: implausible tree count");
+             "FrtEnsemble: implausible tree count");
+  // Every embedded index takes at least its header block (16 bytes),
+  // levels (4), β (8) and three length prefixes (24): a count the
+  // remaining bytes cannot hold fails here, before reserving for it.
+  constexpr std::uint64_t kMinIndexBytes = 16 + 4 + 8 + 3 * 8;
+  PMTE_CHECK(trees <= r.remaining() / kMinIndexBytes,
+             "FrtEnsemble: tree count " + std::to_string(trees) +
+                 " cannot fit in the " + std::to_string(r.remaining()) +
+                 " byte(s) left");
   e.indices_.reserve(trees);
   for (std::uint64_t t = 0; t < trees; ++t) {
     e.indices_.push_back(FrtIndex::load_from(r));
     PMTE_CHECK(e.indices_.back().num_leaves() ==
                    e.indices_.front().num_leaves(),
-               "FrtEnsemble::load: indices disagree on the vertex set");
+               "FrtEnsemble: indices disagree on the vertex set");
   }
   r.expect_end();
   return e;
 }
 
+FrtEnsemble FrtEnsemble::load(std::span<const std::byte> image) {
+  PMTE_OBS_SPAN("ensemble.load");
+  PMTE_OBS_ONLY(if (obs::metrics_on()) ensemble_obs().loads_copied.add(1));
+  ImageReader r(image, ImageReader::Sections::copy);
+  return parse(r);
+}
+
 FrtEnsemble FrtEnsemble::load_mapped(MappedFile file) {
   PMTE_OBS_SPAN("ensemble.load_mapped");
   PMTE_OBS_ONLY(if (obs::metrics_on()) ensemble_obs().loads_mapped.add(1));
-  // Pin the mapping first: the index sections below are views into it,
-  // and the shared_ptr travels with the ensemble through moves and the
-  // registry, keeping the address range alive until the last reference
-  // drops.
+  // The index sections are views into the mapping; the shared_ptr travels
+  // with the ensemble through moves and the registry, keeping the address
+  // range alive until the last reference drops.
   auto mapping = std::make_shared<const MappedFile>(std::move(file));
-  MappedReader r(mapping->bytes());
-  r.expect_magic(kEnsembleMagic);
-  FrtEnsemble e;
+  ImageReader r(mapping->bytes(), ImageReader::Sections::view);
+  FrtEnsemble e = parse(r);
   e.mapping_ = std::move(mapping);
-  e.master_seed_ = r.u64();
-  e.graph_fingerprint_ = r.u64();
-  const std::uint64_t trees = r.u64();
-  PMTE_CHECK(trees >= 1 && trees <= (1ULL << 20),
-             "FrtEnsemble::load_mapped: implausible tree count");
-  e.indices_.reserve(trees);
-  for (std::uint64_t t = 0; t < trees; ++t) {
-    e.indices_.push_back(FrtIndex::load_mapped_from(r));
-    PMTE_CHECK(e.indices_.back().num_leaves() ==
-                   e.indices_.front().num_leaves(),
-               "FrtEnsemble::load_mapped: indices disagree on the vertex "
-               "set");
-  }
-  r.expect_end();
   return e;
 }
 

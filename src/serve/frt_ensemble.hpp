@@ -35,10 +35,12 @@
 //                 thread count (see hot_pair_cache.hpp).
 //
 // save()/load() persist the whole ensemble (master seed + every index)
-// in the binary format; round-trips are exact.  load_mapped() mmaps the
-// artefact instead: every index's persisted arrays become views into the
-// file image (zero bulk bytes copied — the load-path counters in
-// serialize.hpp prove it) and only the O(n·L) structure maps are derived.
+// in the binary format; round-trips are exact.  load() copies the arrays
+// out of an in-memory artefact image; load_mapped() mmaps the artefact
+// and runs the same parse with every index's persisted arrays left as
+// views into the file image (zero bulk bytes copied — the load-path
+// counters in serialize.hpp prove it).  Either way only the O(n·L)
+// structure maps are derived.
 // The ensemble owns the mapping via shared_ptr, so registry entries,
 // tenants, and copies of the shared_ptr keep it alive for as long as any
 // query can touch it; served doubles and all logical counters are
@@ -51,6 +53,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -169,11 +172,12 @@ class FrtEnsemble {
                          AggregatePolicy policy, std::vector<Weight>& out,
                          HotPairCache* cache = nullptr) const;
 
-  /// Persist / restore through the binary format (one position-tracking
-  /// writer/reader spans the whole artefact).  Both loaders reject any
-  /// byte after the last index.
+  /// Persist / restore through the binary format.  load() copies every
+  /// array out of an in-memory artefact image (any base address), so the
+  /// caller may drop `image` once it returns.  Both loaders run one parse
+  /// and reject any byte after the last index.
   void save(std::ostream& os) const;
-  [[nodiscard]] static FrtEnsemble load(std::istream& is);
+  [[nodiscard]] static FrtEnsemble load(std::span<const std::byte> image);
   /// Zero-copy load: mmap `path` and point every index's persisted arrays
   /// straight at the mapping; only the O(n·L) structure maps are derived.
   /// The returned ensemble owns the mapping (shared, so moves/copies
@@ -188,6 +192,10 @@ class FrtEnsemble {
   }
 
  private:
+  /// The one artefact parse behind load() and load_mapped(): the reader's
+  /// mode decides whether the indices own or view their arrays.
+  [[nodiscard]] static FrtEnsemble parse(ImageReader& r);
+
   std::vector<FrtIndex> indices_;
   std::uint64_t master_seed_ = 0;
   std::uint64_t graph_fingerprint_ = 0;

@@ -135,12 +135,7 @@ void FrtIndex::save_into(BinaryWriter& w) const {
   w.vec_f64(edge_weight_by_level_);
 }
 
-void FrtIndex::save(std::ostream& os) const {
-  BinaryWriter w(os);
-  save_into(w);
-}
-
-FrtIndex FrtIndex::load_from(BinaryReader& r) {
+FrtIndex FrtIndex::load_from(ImageReader& r) {
   r.expect_magic(kIndexMagic);
   FrtIndex idx;
   idx.levels_ = r.u32();
@@ -149,27 +144,6 @@ FrtIndex FrtIndex::load_from(BinaryReader& r) {
   idx.dist_by_lca_level_ = r.vec_f64();
   idx.edge_weight_by_level_ = r.vec_f64();
   idx.derive_structure();
-  return idx;
-}
-
-FrtIndex FrtIndex::load_mapped_from(MappedReader& r) {
-  r.expect_magic(kIndexMagic);
-  FrtIndex idx;
-  idx.levels_ = r.u32();
-  idx.beta_ = r.f64();
-  // The persisted arrays stay in the file image — zero bytes copied; only
-  // the structure maps derived below allocate.
-  idx.anc_ = ArraySection<NodeId>::mapped(r.view_u32());
-  idx.dist_by_lca_level_ = ArraySection<Weight>::mapped(r.view_f64());
-  idx.edge_weight_by_level_ = ArraySection<Weight>::mapped(r.view_f64());
-  idx.derive_structure();
-  return idx;
-}
-
-FrtIndex FrtIndex::load(std::istream& is) {
-  BinaryReader r(is);
-  FrtIndex idx = load_from(r);
-  r.expect_end();
   return idx;
 }
 

@@ -35,20 +35,20 @@
 // tree's numbering and every parent id is smaller than its children's, so
 // iterating ids descending is a valid bottom-up (children-first) order.
 //
-// save()/load() persist the three arrays through the binary format of
-// serialize.hpp (normative layout: docs/FORMAT.md), so save→load→save is
-// byte-identical.  build() and both loaders end in the same O(n·L) pass,
-// which rejects rows that do not form an FRT tree and derives the node
-// levels, the children CSR and the leaf map; an FrtIndex that exists is
-// valid, and that pass is the library's only structural tree check.  The
-// persisted arrays are ArraySections — owned vectors after build() or a
-// stream load, zero-copy views into a file mapping after
-// load_mapped_from() (the mapping's owner keeps it alive, see
-// FrtEnsemble).  Queries read through the view either way, so served
-// doubles are bit-identical between the two load paths.
+// save_into()/load_from() persist the three arrays inside an ensemble
+// artefact through the binary format of serialize.hpp (normative layout:
+// docs/FORMAT.md), so save→load→save is byte-identical.  build() and
+// load_from() end in the same O(n·L) pass, which rejects rows that do not
+// form an FRT tree and derives the node levels, the children CSR and the
+// leaf map; an FrtIndex that exists is valid, and that pass is the
+// library's only structural tree check.  The persisted arrays are
+// ArraySections — owned vectors after build() or a copying load,
+// zero-copy views into a file mapping after a mapped one (the mapping's
+// owner keeps it alive, see FrtEnsemble).  Queries read through the view
+// either way, so served doubles are bit-identical between the two load
+// paths.
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -151,20 +151,15 @@ class FrtIndex {
   /// bench_serve's deterministic lca_probes counters are multiples of it.
   static constexpr std::uint64_t kLcaProbesPerQuery = 2;
 
-  /// Persist / restore through the binary format.  The writer/reader
-  /// variants share one position-tracking writer across an enclosing
-  /// artefact (FrtEnsemble embeds k index artefacts in one file); the
-  /// stream variants wrap them for standalone files, and load() rejects
-  /// any byte after the index.
-  void save(std::ostream& os) const;
+  /// Persist / restore through the binary format.  An index exists on
+  /// disk only inside an ensemble artefact (FrtEnsemble::save/load), so
+  /// both take the reader/writer whose position spans that artefact.
+  /// load_from() returns owned arrays or views into the reader's image as
+  /// the reader's mode says; for views the caller keeps the image alive
+  /// for the index's lifetime (FrtEnsemble holds the MappedFile).  Only
+  /// the O(n·L) structure maps are materialised either way.
   void save_into(BinaryWriter& w) const;
-  [[nodiscard]] static FrtIndex load(std::istream& is);
-  [[nodiscard]] static FrtIndex load_from(BinaryReader& r);
-  /// Zero-copy load: the persisted arrays become views into the reader's
-  /// image; only the O(n·L) structure maps are materialised.  The caller
-  /// owns the backing memory and must keep it alive for the index's
-  /// lifetime (FrtEnsemble holds the MappedFile).
-  [[nodiscard]] static FrtIndex load_mapped_from(MappedReader& r);
+  [[nodiscard]] static FrtIndex load_from(ImageReader& r);
 
   /// Equality over the persisted state (the structure maps are a function
   /// of it).  Backs the round-trip tests; sections compare by content, so
@@ -177,14 +172,14 @@ class FrtIndex {
 
  private:
   /// Check that the persisted arrays form an FRT tree and derive the
-  /// structure maps (shared tail of build() and both loaders).  Throws on
+  /// structure maps (shared tail of build() and load_from()).  Throws on
   /// violation.
   void derive_structure();
 
   unsigned levels_ = 1;
   double beta_ = 1.0;
-  // Persisted arrays: owned after build()/load(), mapped views after
-  // load_mapped_from() (see ArraySection).
+  // Persisted arrays: owned after build() or a copying load, mapped views
+  // after a mapped one (see ArraySection).
   ArraySection<NodeId> anc_;                   // v·L + l → ancestor id
   ArraySection<Weight> dist_by_lca_level_;     // LCA level → dist_T
   ArraySection<Weight> edge_weight_by_level_;  // level → parent-edge weight

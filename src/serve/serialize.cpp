@@ -1,10 +1,9 @@
 #include "src/serve/serialize.hpp"
 
 #include <cstring>
-#include <istream>
-#include <limits>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "src/util/assertions.hpp"
 #include "src/util/rng.hpp"
@@ -25,23 +24,6 @@ namespace {
 [[nodiscard]] constexpr std::size_t section_pad(std::uint64_t pos) noexcept {
   return static_cast<std::size_t>((kSectionAlign - pos % kSectionAlign) %
                                   kSectionAlign);
-}
-
-/// The header block after the magic bytes, shared by both readers.
-void check_header(std::uint32_t probe, std::uint32_t version) {
-  PMTE_CHECK(probe == kEndianProbe,
-             "serve serialisation: endianness mismatch");
-  PMTE_CHECK(version == kFormatVersion,
-             "serve serialisation: unsupported format version " +
-                 std::to_string(version) + " (this build reads only v" +
-                 std::to_string(kFormatVersion) +
-                 "; rebuild the artefact with the current writer)");
-}
-
-/// An artefact ends with its last array; shared by both readers.
-void check_no_trailing_bytes(std::uint64_t extra) {
-  PMTE_CHECK(extra == 0, "serve serialisation: " + std::to_string(extra) +
-                             " trailing byte(s) after the last array");
 }
 
 }  // namespace
@@ -114,115 +96,12 @@ void BinaryWriter::vec_f64(std::span<const double> v) {
   bytes(v.data(), v.size() * sizeof(double));
 }
 
-// --- BinaryReader ----------------------------------------------------------
-
-BinaryReader::BinaryReader(std::istream& is) : is_(is) {
-  // One size probe per load: remember how many bytes lie between here and
-  // the stream end, then track the running position — vec reads validate
-  // their length prefix against (remaining_ - pos_) without any further
-  // tellg/seekg round-trips.
-  const auto cur = is_.tellg();
-  if (cur != std::istream::pos_type(-1)) {
-    is_.seekg(0, std::ios::end);
-    const auto end = is_.tellg();
-    is_.seekg(cur);
-    if (end != std::istream::pos_type(-1) && end >= cur) {
-      remaining_ = static_cast<std::uint64_t>(end - cur);
-      size_known_ = true;
-    }
-  }
-}
-
-void BinaryReader::bytes(void* data, std::size_t n) {
-  if (n == 0) return;  // data may be null for an empty array
-  is_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
-  PMTE_CHECK(static_cast<std::size_t>(is_.gcount()) == n,
-             "serve serialisation: truncated input");
-  pos_ += n;
-}
-
-void BinaryReader::expect_magic(const char (&m)[8]) {
-  char got[8];
-  bytes(got, sizeof(got));
-  PMTE_CHECK(std::memcmp(got, m, sizeof(got)) == 0,
-             "serve serialisation: bad magic (not a serving-layer file, or "
-             "the wrong artefact kind)");
-  const std::uint32_t probe = u32();
-  check_header(probe, u32());
-}
-
-std::uint32_t BinaryReader::u32() {
-  std::uint32_t v;
-  bytes(&v, sizeof(v));
-  return v;
-}
-
-std::uint64_t BinaryReader::u64() {
-  std::uint64_t v;
-  bytes(&v, sizeof(v));
-  return v;
-}
-
-double BinaryReader::f64() {
-  double v;
-  bytes(&v, sizeof(v));
-  return v;
-}
-
-void BinaryReader::skip_section_padding() {
-  char sink[kSectionAlign];
-  bytes(sink, section_pad(pos_));  // content ignored; writers zero it
-}
-
-void BinaryReader::check_capacity(std::uint64_t n, std::size_t elem_size) {
-  if (size_known_) {
-    const std::uint64_t avail = remaining_ - pos_;
-    PMTE_CHECK(n <= avail / elem_size,
-               "serve serialisation: length prefix exceeds remaining input");
-    return;
-  }
-  // Non-seekable stream: fall back to a hard cap (2^28 elements ≈ 2 GiB
-  // of doubles — far above any real index, far below an OOM-killer trip).
-  PMTE_CHECK(n <= (1ULL << 28), "serve serialisation: absurd array length");
-}
-
-std::vector<std::uint32_t> BinaryReader::vec_u32() {
-  const std::uint64_t n = u64();
-  skip_section_padding();
-  check_capacity(n, sizeof(std::uint32_t));
-  std::vector<std::uint32_t> v(n);
-  bytes(v.data(), v.size() * sizeof(std::uint32_t));
-  load_path_counters().bulk_bytes_copied += n * sizeof(std::uint32_t);
-  ++load_path_counters().sections_copied;
-  return v;
-}
-
-std::vector<double> BinaryReader::vec_f64() {
-  const std::uint64_t n = u64();
-  skip_section_padding();
-  check_capacity(n, sizeof(double));
-  std::vector<double> v(n);
-  bytes(v.data(), v.size() * sizeof(double));
-  load_path_counters().bulk_bytes_copied += n * sizeof(double);
-  ++load_path_counters().sections_copied;
-  return v;
-}
-
-void BinaryReader::expect_end() {
-  std::uint64_t extra = 0;
-  if (size_known_) {
-    extra = remaining_ - pos_;
-  } else if (is_.peek() != std::istream::traits_type::eof()) {
-    is_.ignore(std::numeric_limits<std::streamsize>::max());
-    extra = static_cast<std::uint64_t>(is_.gcount());
-  }
-  check_no_trailing_bytes(extra);
-}
-
 // --- MappedFile ------------------------------------------------------------
 
 MappedFile::MappedFile(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
+  // O_NONBLOCK: a FIFO without a writer must fail the size check below at
+  // once instead of blocking in open(2); regular files ignore the flag.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
   PMTE_CHECK(fd >= 0, "MappedFile: cannot open " + path);
   struct stat st{};
   if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
@@ -262,87 +141,100 @@ MappedFile& MappedFile::operator=(MappedFile&& o) noexcept {
   return *this;
 }
 
-// --- MappedReader ----------------------------------------------------------
+// --- ImageReader -----------------------------------------------------------
 
-MappedReader::MappedReader(std::span<const std::byte> image)
-    : base_(image.data()), size_(image.size()) {
-  PMTE_CHECK(base_ != nullptr && size_ > 0,
-             "MappedReader: empty image");
-  // The zero-copy views below derive their element alignment from the
-  // base being section-aligned; mmap's page alignment always satisfies
-  // this, a sub-span or hand-built buffer might not.
-  // pmte-lint: allow(pointer-hash-order: alignment probe of a fixed base, no ordering/hash on the value)
-  PMTE_CHECK(reinterpret_cast<std::uintptr_t>(base_) % kSectionAlign == 0,
-             "MappedReader: image base is not 64-byte aligned");
+ImageReader::ImageReader(std::span<const std::byte> image, Sections mode)
+    : base_(image.data()), size_(image.size()), mode_(mode) {
+  if (mode_ == Sections::view) {
+    // The views below derive their element alignment from the base being
+    // section-aligned; mmap's page alignment always satisfies this, a
+    // sub-span or hand-built buffer might not.
+    // pmte-lint: allow(pointer-hash-order: alignment probe of a fixed base, no ordering/hash on the value)
+    PMTE_CHECK(reinterpret_cast<std::uintptr_t>(base_) % kSectionAlign == 0,
+               "ImageReader: image base is not 64-byte aligned");
+  }
 }
 
-void MappedReader::bytes(void* data, std::size_t n) {
+void ImageReader::bytes(void* data, std::size_t n) {
   PMTE_CHECK(n <= size_ - pos_, "serve serialisation: truncated input");
   if (n == 0) return;
   std::memcpy(data, base_ + pos_, n);
   pos_ += n;
 }
 
-void MappedReader::expect_magic(const char (&m)[8]) {
+void ImageReader::expect_magic(const char (&m)[8]) {
   char got[8];
   bytes(got, sizeof(got));
   PMTE_CHECK(std::memcmp(got, m, sizeof(got)) == 0,
              "serve serialisation: bad magic (not a serving-layer file, or "
              "the wrong artefact kind)");
   const std::uint32_t probe = u32();
-  check_header(probe, u32());
+  PMTE_CHECK(probe == kEndianProbe,
+             "serve serialisation: endianness mismatch");
+  const std::uint32_t version = u32();
+  PMTE_CHECK(version == kFormatVersion,
+             "serve serialisation: unsupported format version " +
+                 std::to_string(version) + " (this build reads only v" +
+                 std::to_string(kFormatVersion) +
+                 "; rebuild the artefact with the current writer)");
 }
 
-std::uint32_t MappedReader::u32() {
+std::uint32_t ImageReader::u32() {
   std::uint32_t v;
   bytes(&v, sizeof(v));
   return v;
 }
 
-std::uint64_t MappedReader::u64() {
+std::uint64_t ImageReader::u64() {
   std::uint64_t v;
   bytes(&v, sizeof(v));
   return v;
 }
 
-double MappedReader::f64() {
+double ImageReader::f64() {
   double v;
   bytes(&v, sizeof(v));
   return v;
 }
 
-void MappedReader::skip_section_padding() {
+void ImageReader::skip_section_padding() {
   const std::size_t pad = section_pad(pos_);
   PMTE_CHECK(pad <= size_ - pos_, "serve serialisation: truncated input");
-  pos_ += pad;
+  pos_ += pad;  // content ignored; writers zero it
 }
 
-std::span<const std::uint32_t> MappedReader::view_u32() {
+template <typename T>
+ArraySection<T> ImageReader::section() {
   const std::uint64_t n = u64();
   skip_section_padding();
-  PMTE_CHECK(pos_ % kSectionAlign == 0,
-             "serve serialisation: misaligned section");
-  PMTE_CHECK(n <= (size_ - pos_) / sizeof(std::uint32_t),
+  PMTE_CHECK(n <= (size_ - pos_) / sizeof(T),
              "serve serialisation: length prefix exceeds remaining input");
-  const auto* p = reinterpret_cast<const std::uint32_t*>(base_ + pos_);
-  pos_ += n * sizeof(std::uint32_t);
-  ++load_path_counters().sections_mapped;
-  return {p, static_cast<std::size_t>(n)};
+  const auto count = static_cast<std::size_t>(n);
+  const std::byte* payload = base_ + pos_;
+  pos_ += count * sizeof(T);
+  auto& counters = load_path_counters();
+  if (mode_ == Sections::view) {
+    ++counters.sections_mapped;
+    return ArraySection<T>::mapped(
+        {reinterpret_cast<const T*>(payload), count});
+  }
+  std::vector<T> own(count);
+  if (count != 0) std::memcpy(own.data(), payload, count * sizeof(T));
+  counters.bulk_bytes_copied += count * sizeof(T);
+  ++counters.sections_copied;
+  return ArraySection<T>(std::move(own));
 }
 
-std::span<const double> MappedReader::view_f64() {
-  const std::uint64_t n = u64();
-  skip_section_padding();
-  PMTE_CHECK(pos_ % kSectionAlign == 0,
-             "serve serialisation: misaligned section");
-  PMTE_CHECK(n <= (size_ - pos_) / sizeof(double),
-             "serve serialisation: length prefix exceeds remaining input");
-  const auto* p = reinterpret_cast<const double*>(base_ + pos_);
-  pos_ += n * sizeof(double);
-  ++load_path_counters().sections_mapped;
-  return {p, static_cast<std::size_t>(n)};
+ArraySection<std::uint32_t> ImageReader::vec_u32() {
+  return section<std::uint32_t>();
 }
 
-void MappedReader::expect_end() const { check_no_trailing_bytes(size_ - pos_); }
+ArraySection<double> ImageReader::vec_f64() { return section<double>(); }
+
+void ImageReader::expect_end() const {
+  const std::size_t extra = size_ - pos_;
+  PMTE_CHECK(extra == 0, "serve serialisation: " + std::to_string(extra) +
+                             " trailing byte(s) after the last array");
+}
 
 }  // namespace pmte::serve

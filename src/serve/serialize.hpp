@@ -8,15 +8,16 @@
 // Byte order is the native one; a u32 probe word after the magic rejects
 // files from a machine of the opposite endianness instead of silently
 // mis-reading them.  Exactly one version is readable, kFormatVersion:
-// bumping it invalidates old files — the readers refuse anything else
+// bumping it invalidates old files — the reader refuses anything else
 // rather than guessing.
 //
 // Every array payload is aligned to a 64-byte file offset (the length
 // prefix is followed by zero padding).  That buys the zero-copy path:
-// MappedFile mmaps an artefact and MappedReader returns spans that point
+// MappedFile mmaps an artefact and ImageReader returns spans that point
 // straight into the mapping — cache-line- (and therefore element-)
 // aligned, so FrtIndex can serve off the file image without copying a
-// byte.
+// byte.  ImageReader is the only parser of artefact bytes; the copying
+// load runs the same parse and copies the sections out instead.
 //
 // The normative byte-level specification (field order, alignment rules,
 // rejection rules, version history) lives in docs/FORMAT.md; keep the two
@@ -35,8 +36,8 @@
 
 namespace pmte::serve {
 
-/// Format version shared by all serving-layer artefacts (index, ensemble),
-/// the only one either reader accepts.  History: docs/FORMAT.md.
+/// Format version shared by all serving-layer artefacts (the ensemble and
+/// its embedded indices), the only one the reader accepts.  History: docs/FORMAT.md.
 inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// File-offset alignment of every vec payload.  One cache line,
@@ -180,50 +181,12 @@ class BinaryWriter {
     vec_f64(std::span<const double>(v.begin(), v.size()));
   }
 
-  /// Bytes written since construction (= offset within the artefact).
-  [[nodiscard]] std::uint64_t pos() const noexcept { return pos_; }
-
  private:
   void bytes(const void* data, std::size_t n);
   /// Zero-fill up to the next kSectionAlign boundary.
   void pad_to_section();
   std::ostream& os_;
   std::uint64_t pos_ = 0;
-};
-
-/// Reader with hard validation: every primitive read PMTE_CHECKs that the
-/// stream still has bytes; magic/probe/version mismatches throw.  The
-/// remaining stream size is probed ONCE at construction (one tellg/seekg
-/// round-trip for the whole load, not one per array) and tracked against a
-/// running position from then on; corrupt length prefixes are rejected
-/// before any allocation.  Every magic must carry kFormatVersion.  Like
-/// the writer, construct it at the artefact's first byte.
-class BinaryReader {
- public:
-  explicit BinaryReader(std::istream& is);
-
-  void expect_magic(const char (&m)[8]);
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] double f64();
-  [[nodiscard]] std::vector<std::uint32_t> vec_u32();
-  [[nodiscard]] std::vector<double> vec_f64();
-  /// Reject any byte after the artefact's last array (message names the
-  /// count; a non-seekable stream is read to its end to count them).
-  void expect_end();
-
- private:
-  void bytes(void* data, std::size_t n);
-  /// Consume padding up to the next kSectionAlign boundary.
-  void skip_section_padding();
-  /// Reject a length prefix that cannot fit in the remaining stream
-  /// *before* allocating for it (a corrupt length must fail like a
-  /// truncation, not as a multi-gigabyte bad_alloc).
-  void check_capacity(std::uint64_t n, std::size_t elem_size);
-  std::istream& is_;
-  std::uint64_t pos_ = 0;        ///< bytes consumed since construction
-  std::uint64_t remaining_ = 0;  ///< bytes from construction to stream end
-  bool size_known_ = false;      ///< false on non-seekable streams
 };
 
 /// RAII read-only file mapping (POSIX mmap).  The mapped address stays
@@ -233,7 +196,8 @@ class MappedFile {
  public:
   MappedFile() = default;
   /// Map `path` read-only; throws (PMTE_CHECK) on open/map failure or an
-  /// empty file.
+  /// empty file.  Anything without a size to map — a device, a FIFO (even
+  /// one no writer has opened) — counts as empty and is refused at once.
   explicit MappedFile(const std::string& path);
   ~MappedFile();
   MappedFile(const MappedFile&) = delete;
@@ -255,34 +219,48 @@ class MappedFile {
   std::size_t size_ = 0;
 };
 
-/// Zero-copy reader over a mapped (or in-memory) artefact image.  Scalar
-/// reads memcpy a few bytes; view_u32/view_f64 return spans pointing
-/// straight into the buffer and copy nothing.  Requires a 64-byte-aligned
-/// base (mmap's page alignment always satisfies this), so the format's
-/// 64-byte payload offsets are aligned addresses.
-/// The caller keeps the backing memory alive for as long as the returned
-/// views are in use.
-class MappedReader {
+/// The one parser of artefact bytes, over an in-memory image (a file
+/// mapping or any byte buffer).  Every read PMTE_CHECKs that the image
+/// still holds its bytes, magic/probe/version mismatches throw, and a
+/// length prefix is checked against the bytes left before anything is
+/// allocated or viewed for it.  Array sections come back
+///   view — as spans into the image (zero bytes copied; counted in
+///          sections_mapped).  Needs a 64-byte-aligned base, which mmap
+///          always gives, so every 64-byte payload offset is an aligned
+///          address; the caller keeps the image alive while views are used.
+///   copy — as owned vectors (counted in sections_copied and
+///          bulk_bytes_copied).  Any base will do, and the caller may drop
+///          the image once the load returns.
+class ImageReader {
  public:
-  explicit MappedReader(std::span<const std::byte> image);
+  enum class Sections { view, copy };
+
+  ImageReader(std::span<const std::byte> image, Sections mode);
 
   void expect_magic(const char (&m)[8]);
   [[nodiscard]] std::uint32_t u32();
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] double f64();
-  [[nodiscard]] std::span<const std::uint32_t> view_u32();
-  [[nodiscard]] std::span<const double> view_f64();
-  /// Reject any byte after the artefact's last array.
+  [[nodiscard]] ArraySection<std::uint32_t> vec_u32();
+  [[nodiscard]] ArraySection<double> vec_f64();
+  /// Bytes not yet read.
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return size_ - pos_;
+  }
+  /// Reject any byte after the artefact's last array (the message names
+  /// the count).
   void expect_end() const;
-
-  [[nodiscard]] std::uint64_t pos() const noexcept { return pos_; }
 
  private:
   void bytes(void* data, std::size_t n);
+  /// Skip the padding up to the next kSectionAlign boundary.
   void skip_section_padding();
+  template <typename T>
+  [[nodiscard]] ArraySection<T> section();
   const std::byte* base_ = nullptr;
   std::size_t size_ = 0;
   std::size_t pos_ = 0;
+  Sections mode_;
 };
 
 }  // namespace pmte::serve

@@ -154,10 +154,20 @@ void Server::serve(std::span<const TenantQuery> batch,
   {
     PMTE_OBS_SPAN("server.route", static_cast<std::int64_t>(batch.size()),
                   "batch");
-    if (router_.num_tenants() != tenants_.size()) {
-      router_.reset(static_cast<std::uint32_t>(tenants_.size()));
+    // Serial by design, like HotPairCache admission: each shard is a pure
+    // function of the query sequence, never of thread interleaving.
+    for (auto& ten : tenants_) {
+      ten.pairs.clear();
+      ten.positions.clear();
     }
-    router_.route(batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const TenantQuery& q = batch[i];
+      PMTE_CHECK(q.tenant < tenants_.size(),
+                 "Server::serve: tenant id out of range");
+      auto& ten = tenants_[q.tenant];
+      ten.pairs.emplace_back(q.u, q.v);
+      ten.positions.push_back(static_cast<std::uint32_t>(i));
+    }
   }
 
   // Parallel shard execution: one task per tenant, cost-balanced by the
@@ -174,17 +184,16 @@ void Server::serve(std::span<const TenantQuery> batch,
     parallel_for_balanced(
         nt,
         [&](std::size_t t) {
-          return router_.shard(static_cast<TenantId>(t)).pairs.size() *
+          return tenants_[t].pairs.size() *
                  tenants_[t].ensemble->num_trees();
         },
         [&](std::size_t t) {
-          auto& shard = router_.shard(static_cast<TenantId>(t));
-          if (shard.pairs.empty()) return;
           auto& ten = tenants_[t];
+          if (ten.pairs.empty()) return;
           PMTE_OBS_SPAN("server.shard", static_cast<std::int64_t>(t),
                         "tenant", ten.obs.shard_ns);
-          shard.stats = ten.ensemble->query_batch(
-              shard.pairs, ten.cfg.policy, shard.out,
+          ten.stats = ten.ensemble->query_batch(
+              ten.pairs, ten.cfg.policy, ten.out,
               ten.cache ? &*ten.cache : nullptr);
         });
   }
@@ -192,34 +201,37 @@ void Server::serve(std::span<const TenantQuery> batch,
   {
     PMTE_OBS_SPAN("server.scatter");
     out.assign(batch.size(), 0.0);
-    router_.scatter(out);
+    for (const auto& ten : tenants_) {
+      for (std::size_t j = 0; j < ten.positions.size(); ++j) {
+        out[ten.positions[j]] = ten.out[j];
+      }
+    }
   }
 
   // Serial counter fold, tenant id order: cumulative logical counts plus
   // the running FNV-1a over this tenant's served doubles in stream order.
   PMTE_OBS_SPAN("server.fold");
   PMTE_OBS_ONLY(const bool obs_metrics = obs::metrics_on());
-  for (std::size_t t = 0; t < nt; ++t) {
-    const auto& shard = router_.shard(static_cast<TenantId>(t));
-    if (shard.pairs.empty()) continue;
-    auto& c = tenants_[t].counters;
+  for (auto& ten : tenants_) {
+    if (ten.pairs.empty()) continue;
+    auto& c = ten.counters;
     ++c.batches;
-    c.pairs += shard.stats.pairs;
-    c.tree_lookups += shard.stats.tree_lookups;
-    c.lca_probes += shard.stats.lca_probes;
-    c.cache_hits += shard.stats.cache_hits;
-    c.cache_misses += shard.stats.cache_misses;
-    c.cache_admissions += shard.stats.cache_admissions;
-    c.cache_conflicts += shard.stats.cache_conflicts;
-    for (const Weight w : shard.out) {
+    c.pairs += ten.stats.pairs;
+    c.tree_lookups += ten.stats.tree_lookups;
+    c.lca_probes += ten.stats.lca_probes;
+    c.cache_hits += ten.stats.cache_hits;
+    c.cache_misses += ten.stats.cache_misses;
+    c.cache_admissions += ten.stats.cache_admissions;
+    c.cache_conflicts += ten.stats.cache_conflicts;
+    for (const Weight w : ten.out) {
       std::uint64_t bits;
       std::memcpy(&bits, &w, sizeof(bits));
       c.result_hash64 = fnv1a_fold(c.result_hash64, bits);
     }
-    PMTE_OBS_ONLY(if (obs_metrics && tenants_[t].obs.batches != nullptr) {
-      tenants_[t].obs.batches->add(1);
-      tenants_[t].obs.pairs->add(shard.stats.pairs);
-      tenants_[t].obs.shard_pairs->record(shard.stats.pairs);
+    PMTE_OBS_ONLY(if (obs_metrics && ten.obs.batches != nullptr) {
+      ten.obs.batches->add(1);
+      ten.obs.pairs->add(ten.stats.pairs);
+      ten.obs.shard_pairs->record(ten.stats.pairs);
     });
   }
 }

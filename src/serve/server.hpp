@@ -16,9 +16,8 @@
 //                 more is retired from the registry.  Load/build of the
 //                 replacement happens *before* the flip, while the old
 //                 epoch serves — the flip itself is a pointer assignment.
-//   Route       — a serial classification pass (TenantRouter) splits the
-//                 interleaved batch into per-tenant shards, preserving
-//                 each tenant's stream order.
+//   Route       — a serial classification pass appends each query to its
+//                 tenant's shard, preserving each tenant's stream order.
 //   Execute     — shards run in parallel via parallel_for_balanced (cost =
 //                 shard pairs × that tenant's tree count); inside a shard,
 //                 the tenant's FrtEnsemble::query_batch runs serially (it
@@ -49,12 +48,13 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/obs/obs.hpp"
 #include "src/serve/frt_ensemble.hpp"
 #include "src/serve/hot_pair_cache.hpp"
-#include "src/serve/tenant_router.hpp"
+#include "src/serve/workloads.hpp"
 #include "src/util/rng.hpp"
 
 namespace pmte::serve {
@@ -217,6 +217,13 @@ class Server {
     std::uint64_t staged = 0;
     bool has_staged = false;
     TenantCounters counters;
+    // The tenant's shard of the current batch (buffers reused across
+    // batches): pairs[j], in stream order, came from batch position
+    // positions[j]; out and stats are its query_batch's results.
+    std::vector<std::pair<Vertex, Vertex>> pairs;
+    std::vector<std::uint32_t> positions;
+    std::vector<Weight> out;
+    FrtEnsemble::BatchStats stats;
 #if PMTE_OBS
     TenantObsHandles obs;
 #endif
@@ -235,7 +242,6 @@ class Server {
 
   EnsembleRegistry registry_;
   std::vector<Tenant> tenants_;
-  TenantRouter router_;
   std::uint64_t retired_ = 0;
 };
 

@@ -30,8 +30,8 @@
 #include <vector>
 
 #include "src/graph/graph.hpp"
-#include "src/serve/tenant_router.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/types.hpp"
 
 namespace pmte::serve {
 
@@ -56,6 +56,16 @@ struct WorkloadOptions {
 [[nodiscard]] const char* workload_name(WorkloadKind kind) noexcept;
 
 // --- Multi-tenant interleaved streams --------------------------------------
+
+/// Numeric tenant handle (dense, assigned by Server::add_tenant in order).
+using TenantId = std::uint32_t;
+
+/// One query of an interleaved multi-tenant stream.
+struct TenantQuery {
+  TenantId tenant = 0;
+  Vertex u = 0;
+  Vertex v = 0;
+};
 
 /// One tenant's substream inside an interleaved multi-tenant workload.
 struct TenantStreamSpec {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "src/graph/generators.hpp"
 #include "src/graph/io.hpp"
@@ -59,6 +60,30 @@ TEST(GraphIo, RejectsMalformedInput) {
   {
     std::stringstream ss("");
     EXPECT_THROW((void)read_dimacs(ss), std::logic_error);
+  }
+  // Each p and e line is exactly its tokens, a second p line is refused,
+  // and the message names the offending line.
+  const struct {
+    const char* text;
+    const char* message;  // substring of the error
+  } kBad[] = {
+      {"p sp 3 1\ne 1 2 3.5junk\n", "at line 2"},  // junk after the weight
+      {"p sp 3 1\ne 1 2 3 4\n", "at line 2"},      // a fourth edge token
+      {"p sp 3 2 extra\ne 1 2 1\ne 2 3 1\n", "at line 1"},  // a fifth p token
+      {"p sp 3 1\np sp 5 2\ne 1 2 1\ne 2 3 1\n", "at line 2"},  // re-size
+      // A claimed edge count is not reserved up front: 2^50 edges would
+      // be 16 PiB.
+      {"p sp 3 1125899906842624\ne 1 2 1\n", "edge count does not match"},
+  };
+  for (const auto& bad : kBad) {
+    std::stringstream ss(bad.text);
+    try {
+      (void)read_dimacs(ss);
+      ADD_FAILURE() << "accepted: " << bad.text;
+    } catch (const std::logic_error& err) {
+      EXPECT_NE(std::string(err.what()).find(bad.message), std::string::npos)
+          << bad.text << " -> " << err.what();
+    }
   }
 }
 

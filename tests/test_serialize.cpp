@@ -1,12 +1,13 @@
 // Binary format + zero-copy load path: section alignment invariants,
 // loader hostility (truncation, bad magic, endianness, other versions,
-// corrupt lengths, shaved padding, misaligned bases, ancestor rows that do
-// not form an FRT tree) on BOTH the stream and the mmap path, a seeded
-// bit-flip/truncation fuzz sweep pinning "reject or load, never crash",
-// and a corpus-wide differential that pins mapped and copied loads to
-// bit-identical served doubles and logical counters at several thread
-// counts.  The registry/swap lifetime
-// test leans on ASan: any read of a retired mapping is a use-after-free.
+// corrupt lengths, an impossible tree count, shaved padding, misaligned
+// bases, a writerless FIFO, ancestor rows that do not form an FRT tree) on
+// BOTH the copying and the mmap path, a seeded bit-flip/truncation fuzz
+// sweep pinning "reject or load, never crash", and a corpus-wide
+// differential that pins mapped and copied loads to bit-identical served
+// doubles and logical counters at several thread counts.  The
+// registry/swap lifetime test leans on ASan: any read of a retired mapping
+// is a use-after-free.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,10 +15,13 @@
 #include <cstring>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "src/graph/generators.hpp"
 #include "src/parallel/parallel.hpp"
@@ -46,10 +50,8 @@ std::string save_bytes(const serve::FrtEnsemble& e) {
   return buf.str();
 }
 
-serve::FrtEnsemble load_stream(const std::string& bytes) {
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  buf << bytes;
-  return serve::FrtEnsemble::load(buf);
+serve::FrtEnsemble load_copied(const std::string& bytes) {
+  return serve::FrtEnsemble::load(std::as_bytes(std::span(bytes)));
 }
 
 /// Write bytes to a temp file (current dir; ctest runs each suite in its
@@ -85,7 +87,7 @@ void expect_rejected_both(const std::string& bytes, const std::string& why,
           << why << " (" << path << "): " << err.what();
     }
   };
-  expect_reason([&] { return load_stream(bytes); }, "stream");
+  expect_reason([&] { return load_copied(bytes); }, "copying");
   expect_reason([&] { return serve::FrtEnsemble::load_mapped(f.path()); },
                 "mapped");
 }
@@ -107,7 +109,8 @@ std::size_t pad64(std::size_t pos) {
 TEST(Serialize, PrimitivesAndEmptyArraysRoundTrip) {
   // The writer/reader primitives, including the n == 0 edge: an empty
   // array's data() may be null, and neither side may touch it (the
-  // section padding is still emitted, keeping the layout walkable).
+  // section padding is still emitted, keeping the layout walkable).  Both
+  // section modes read the same values; only views leave them in place.
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
   serve::BinaryWriter w(buf);
   w.magic(serve::kIndexMagic);
@@ -117,15 +120,36 @@ TEST(Serialize, PrimitivesAndEmptyArraysRoundTrip) {
   w.vec_u32(std::vector<std::uint32_t>{});
   w.vec_f64({1.5, -2.25});
   w.vec_u32({3, 2, 1});
+  const std::string bytes = buf.str();
+  // View mode needs a 64-byte-aligned base: read the views off a mapping.
+  const TempFile f("test_serialize_primitives.tmp", bytes);
+  const serve::MappedFile file(f.path());
 
-  serve::BinaryReader r(buf);
-  r.expect_magic(serve::kIndexMagic);
-  EXPECT_EQ(r.u32(), 7u);
-  EXPECT_EQ(r.u64(), 0xfeedfacecafebeefULL);
-  EXPECT_EQ(r.f64(), 2.5);
-  EXPECT_TRUE(r.vec_u32().empty());
-  EXPECT_EQ(r.vec_f64(), (std::vector<double>{1.5, -2.25}));
-  EXPECT_EQ(r.vec_u32(), (std::vector<std::uint32_t>{3, 2, 1}));
+  for (const auto mode : {serve::ImageReader::Sections::copy,
+                          serve::ImageReader::Sections::view}) {
+    const bool view = mode == serve::ImageReader::Sections::view;
+    serve::reset_load_path_counters();
+    serve::ImageReader r(
+        view ? file.bytes() : std::as_bytes(std::span(bytes)), mode);
+    r.expect_magic(serve::kIndexMagic);
+    EXPECT_EQ(r.u32(), 7u);
+    EXPECT_EQ(r.u64(), 0xfeedfacecafebeefULL);
+    EXPECT_EQ(r.f64(), 2.5);
+    EXPECT_TRUE(r.vec_u32().empty());
+    const auto doubles = r.vec_f64();
+    EXPECT_EQ(std::vector<double>(doubles.begin(), doubles.end()),
+              (std::vector<double>{1.5, -2.25}));
+    EXPECT_EQ(doubles.is_mapped(), view);
+    const auto ints = r.vec_u32();
+    EXPECT_EQ(std::vector<std::uint32_t>(ints.begin(), ints.end()),
+              (std::vector<std::uint32_t>{3, 2, 1}));
+    EXPECT_EQ(r.remaining(), 0u);
+    r.expect_end();
+    const auto& lc = serve::load_path_counters();
+    EXPECT_EQ(lc.sections_mapped, view ? 3u : 0u);
+    EXPECT_EQ(lc.sections_copied, view ? 0u : 3u);
+    EXPECT_EQ(lc.bulk_bytes_copied, view ? 0u : 2u * 8u + 3u * 4u);
+  }
 }
 
 TEST(Serialize, PayloadsSitAt64ByteOffsetsWithZeroPadding) {
@@ -167,7 +191,7 @@ TEST(Serialize, HostileImagesAreRejectedOnBothPaths) {
   const auto g = test::support_graph("gnm", 40, 57);
   const auto e = serve::FrtEnsemble::build(g, 57, tiny_options(2));
   const std::string good = save_bytes(e);
-  ASSERT_TRUE(load_stream(good) == e) << "baseline artefact must load";
+  ASSERT_TRUE(load_copied(good) == e) << "baseline artefact must load";
 
   // Truncations at a spread of prefix lengths, including 0, mid-header,
   // mid-padding, mid-payload, and one byte short.
@@ -220,42 +244,19 @@ TEST(Serialize, HostileImagesAreRejectedOnBothPaths) {
                        "28 appended bytes", "28 trailing byte(s)");
   expect_rejected_both(good + good, "doubled artefact",
                        std::to_string(good.size()) + " trailing byte(s)");
-}
 
-/// A read-only stream buffer that refuses to seek, like a pipe: the
-/// stream reader cannot probe its size and must peek for trailing bytes.
-class PipeBuf : public std::stringbuf {
- public:
-  explicit PipeBuf(const std::string& bytes)
-      : std::stringbuf(bytes, std::ios::in) {}
-
- protected:
-  pos_type seekoff(off_type, std::ios::seekdir, std::ios::openmode) override {
-    return pos_type(off_type(-1));
-  }
-  pos_type seekpos(pos_type, std::ios::openmode) override {
-    return pos_type(off_type(-1));
-  }
-};
-
-TEST(Serialize, NonSeekableStreamRejectsTrailingBytes) {
-  const auto g = test::support_graph("gnm", 40, 58);
-  const auto e = serve::FrtEnsemble::build(g, 58, tiny_options(2));
-  const std::string good = save_bytes(e);
-  PipeBuf exact(good);
-  std::istream exact_in(&exact);
-  EXPECT_TRUE(serve::FrtEnsemble::load(exact_in) == e);
-
-  PipeBuf longer(good + "xyz");
-  std::istream longer_in(&longer);
-  try {
-    (void)serve::FrtEnsemble::load(longer_in);
-    ADD_FAILURE() << "loaded an artefact followed by 3 bytes";
-  } catch (const std::logic_error& err) {
-    EXPECT_NE(std::string(err.what()).find("3 trailing byte(s)"),
-              std::string::npos)
-        << err.what();
-  }
+  // A 40-byte prelude that claims 2^20 trees and holds no index: the
+  // count is refused before anything is reserved for it (each embedded
+  // index takes at least 52 bytes).
+  std::stringstream prelude(std::ios::in | std::ios::out | std::ios::binary);
+  serve::BinaryWriter pw(prelude);
+  pw.magic(serve::kEnsembleMagic);
+  pw.u64(1);  // master seed
+  pw.u64(2);  // graph fingerprint
+  pw.u64(std::uint64_t{1} << 20);  // tree count
+  ASSERT_EQ(prelude.str().size(), 40u);
+  expect_rejected_both(prelude.str(), "2^20 trees in 40 bytes",
+                       "tree count 1048576 cannot fit");
 }
 
 /// A one-tree ensemble image around hand-written ancestor rows of a
@@ -282,7 +283,7 @@ TEST(Serialize, AncestorRowsThatAreNotAnFrtTreeAreRejectedOnBothPaths) {
   // 3, 4 (under 1), 5 (under 2); leaves 6, 7, 8, 9.
   const std::string valid =
       crafted_ensemble({6, 3, 1, 0, 7, 4, 1, 0, 8, 5, 2, 0, 9, 5, 2, 0});
-  const auto loaded = load_stream(valid);
+  const auto loaded = load_copied(valid);
   ASSERT_EQ(loaded.num_vertices(), 4u) << "the crafted baseline must load";
   const auto& idx = loaded.index(0);
   EXPECT_EQ(idx.num_nodes(), 10u);
@@ -323,17 +324,17 @@ TEST(Serialize, RandomizedHostileImageSweep) {
   // "reject (std::logic_error) or load" — never crash, never any other
   // exception type.  Both readers must reach the same decision, and a
   // flip that lands in bulk payload (doubles carry no checksum) may load;
-  // then the two loads must agree, so a mutant can never split the stream
+  // then the two loads must agree, so a mutant can never split the copied
   // and mmap views of one image.
   const auto g = test::support_graph("geometric", 48, 61);
   const auto e = serve::FrtEnsemble::build(g, 61, tiny_options(2));
   const std::string good = save_bytes(e);
-  ASSERT_TRUE(load_stream(good) == e) << "baseline artefact must load";
+  ASSERT_TRUE(load_copied(good) == e) << "baseline artefact must load";
 
-  const auto try_stream =
+  const auto try_copied =
       [](const std::string& bytes) -> std::optional<serve::FrtEnsemble> {
     try {
-      return load_stream(bytes);
+      return load_copied(bytes);
     } catch (const std::logic_error&) {
       return std::nullopt;
     }
@@ -366,12 +367,12 @@ TEST(Serialize, RandomizedHostileImageSweep) {
       what = "bit " + std::to_string(bit) + " flipped at byte " +
              std::to_string(at);
     }
-    const auto from_stream = try_stream(bad);
+    const auto from_copied = try_copied(bad);
     const TempFile f("test_serialize_fuzz.tmp", bad);
     const auto from_mapped = try_mapped(f.path());
-    ASSERT_EQ(from_stream.has_value(), from_mapped.has_value()) << what;
-    if (from_stream.has_value()) {
-      EXPECT_TRUE(*from_stream == *from_mapped) << what;
+    ASSERT_EQ(from_copied.has_value(), from_mapped.has_value()) << what;
+    if (from_copied.has_value()) {
+      EXPECT_TRUE(*from_copied == *from_mapped) << what;
       ++loaded;
     } else {
       ++rejected;
@@ -383,20 +384,38 @@ TEST(Serialize, RandomizedHostileImageSweep) {
   EXPECT_GT(loaded, std::size_t{0});
 }
 
-TEST(Serialize, MappedReaderRequiresAlignedBase) {
+TEST(Serialize, ImageReaderViewsRequireAlignedBaseCopiesDoNot) {
   const auto g = test::support_graph("gnm", 32, 59);
   const auto e = serve::FrtEnsemble::build(g, 59, tiny_options(2));
-  const TempFile f("test_serialize_align.tmp", save_bytes(e));
+  const std::string bytes = save_bytes(e);
+  const TempFile f("test_serialize_align.tmp", bytes);
   const serve::MappedFile file(f.path());
-  // A misaligned base violates the constructor contract outright.
-  EXPECT_THROW(serve::MappedReader r(file.bytes().subspan(1)),
+  // A misaligned base violates the view-mode constructor contract
+  // outright.
+  EXPECT_THROW(serve::ImageReader r(file.bytes().subspan(1),
+                                    serve::ImageReader::Sections::view),
                std::logic_error);
   // An aligned interior base is structurally valid but is not an
   // artefact start — the magic check fires.
   ASSERT_GT(file.size(), std::size_t{128});
-  serve::MappedReader interior(file.bytes().subspan(64));
+  serve::ImageReader interior(file.bytes().subspan(64),
+                              serve::ImageReader::Sections::view);
   EXPECT_THROW(interior.expect_magic(serve::kEnsembleMagic),
                std::logic_error);
+  // Copies take any base: the same artefact one byte into a buffer loads.
+  const std::string shifted = "x" + bytes;
+  const auto image = std::as_bytes(std::span(shifted)).subspan(1);
+  EXPECT_TRUE(serve::FrtEnsemble::load(image) == e);
+}
+
+TEST(Serialize, MappedFileRefusesFifoWithoutWriter) {
+  // A FIFO has no size to map.  It is refused at once, even when no writer
+  // has opened it, where a blocking open(2) would wait forever.
+  const std::string path = "test_serialize_fifo.tmp";
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  EXPECT_THROW(serve::MappedFile file(path), std::logic_error);
+  std::remove(path.c_str());
 }
 
 TEST(Serialize, GoldenArtefactBytes) {
@@ -432,7 +451,7 @@ TEST(Serialize, GoldenArtefactBytes) {
 
 TEST(Serialize, MappedAndCopiedLoadsAgreeAcrossCorpusAndThreads) {
   // The tentpole differential: over a 50-graph corpus, the mmap load must
-  // (a) copy zero bulk payload bytes, (b) compare equal to the stream
+  // (a) copy zero bulk payload bytes, (b) compare equal to the copying
   // load, and (c) serve bit-identical doubles with identical logical
   // counters at 1/2/8 threads.
   const auto corpus = test::serve_graph_corpus(50, 6101);
@@ -444,7 +463,7 @@ TEST(Serialize, MappedAndCopiedLoadsAgreeAcrossCorpusAndThreads) {
     const TempFile f("test_serialize_diff.tmp", save_bytes(built));
 
     serve::reset_load_path_counters();
-    const auto copied = load_stream(save_bytes(built));
+    const auto copied = load_copied(save_bytes(built));
     const auto copy_counters = serve::load_path_counters();
     EXPECT_GT(copy_counters.bulk_bytes_copied, 0u) << c.name;
     EXPECT_GT(copy_counters.sections_copied, 0u) << c.name;

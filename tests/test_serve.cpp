@@ -9,7 +9,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/frt/pipelines.hpp"
@@ -122,21 +125,37 @@ TEST(FrtIndex, SingleVertexTree) {
   EXPECT_EQ(idx.distance(0, 0), 0.0);
 }
 
+/// Serialized bytes of an ensemble.
+std::string save_bytes(const serve::FrtEnsemble& e) {
+  std::ostringstream buf(std::ios::binary);
+  e.save(buf);
+  return buf.str();
+}
+
+serve::FrtEnsemble load_bytes(const std::string& bytes) {
+  return serve::FrtEnsemble::load(std::as_bytes(std::span(bytes)));
+}
+
+/// An index persists only inside an ensemble artefact: wrap it alone.
+serve::FrtEnsemble one_index_ensemble(serve::FrtIndex idx) {
+  std::vector<serve::FrtIndex> indices;
+  indices.push_back(std::move(idx));
+  return serve::FrtEnsemble::assemble(std::move(indices), 1, 2);
+}
+
 TEST(FrtIndex, SaveLoadRoundTripIsExact) {
   const auto corpus = test::serve_graph_corpus(4, 909);
   for (const auto& c : corpus) {
     Rng rng(c.seed);
     const auto s = sample_frt_direct(c.graph, rng);
     const auto idx = serve::FrtIndex::build(s.tree);
-    std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-    idx.save(buf);
-    const std::string bytes = buf.str();
-    const auto loaded = serve::FrtIndex::load(buf);
+    const std::string bytes = save_bytes(one_index_ensemble(idx));
+    const auto reloaded = load_bytes(bytes);
+    ASSERT_EQ(reloaded.num_trees(), 1u) << c.name;
+    const auto& loaded = reloaded.index(0);
     EXPECT_TRUE(loaded == idx) << c.name;
     // Re-saving the loaded index reproduces the bytes exactly.
-    std::stringstream buf2(std::ios::in | std::ios::out | std::ios::binary);
-    loaded.save(buf2);
-    EXPECT_EQ(buf2.str(), bytes) << c.name;
+    EXPECT_EQ(save_bytes(reloaded), bytes) << c.name;
     // And queries agree bit-for-bit.
     const Vertex n = c.graph.num_vertices();
     Rng qrng(c.seed ^ 0xabcdULL);
@@ -149,29 +168,23 @@ TEST(FrtIndex, SaveLoadRoundTripIsExact) {
 }
 
 TEST(FrtIndex, LoadRejectsGarbage) {
-  std::stringstream empty(std::ios::in | std::ios::out | std::ios::binary);
-  EXPECT_THROW((void)serve::FrtIndex::load(empty), std::logic_error);
-
-  std::stringstream junk(std::ios::in | std::ios::out | std::ios::binary);
-  junk << "definitely not a PMTE index file, padded to be long enough";
-  EXPECT_THROW((void)serve::FrtIndex::load(junk), std::logic_error);
+  EXPECT_THROW((void)load_bytes(""), std::logic_error);
+  EXPECT_THROW(
+      (void)load_bytes("definitely not a PMTE index file, padded to be long "
+                       "enough"),
+      std::logic_error);
 
   // Truncated but well-prefixed input must throw, not misparse.
   std::vector<DistanceMap> lists{DistanceMap::singleton(0, 0.0)};
   const auto order = VertexOrder::identity(1);
-  const auto idx =
-      serve::FrtIndex::build(FrtTree::build(lists, order, 1.5, 1.0));
-  std::stringstream full(std::ios::in | std::ios::out | std::ios::binary);
-  idx.save(full);
-  const std::string bytes = full.str();
-  std::stringstream cut(std::ios::in | std::ios::out | std::ios::binary);
-  cut << bytes.substr(0, bytes.size() / 2);
-  EXPECT_THROW((void)serve::FrtIndex::load(cut), std::logic_error);
+  const std::string bytes = save_bytes(one_index_ensemble(
+      serve::FrtIndex::build(FrtTree::build(lists, order, 1.5, 1.0))));
+  ASSERT_NO_THROW((void)load_bytes(bytes));
+  EXPECT_THROW((void)load_bytes(bytes.substr(0, bytes.size() / 2)),
+               std::logic_error);
 
   // So must bytes after the index.
-  std::stringstream longer(std::ios::in | std::ios::out | std::ios::binary);
-  longer << bytes << '\0';
-  EXPECT_THROW((void)serve::FrtIndex::load(longer), std::logic_error);
+  EXPECT_THROW((void)load_bytes(bytes + '\0'), std::logic_error);
 }
 
 TEST(FrtIndex, FlatStructureMatchesTree) {
@@ -211,23 +224,30 @@ TEST(FrtIndex, FlatStructureMatchesTree) {
 
 TEST(FrtIndex, LoadRejectsUnsupportedFormatVersion) {
   // The reader refuses every version but kFormatVersion (a v1 file would
-  // misparse as the current layout).
+  // misparse as the current layout) in the embedded index header too, not
+  // only in the ensemble's.
   const auto g = test::support_graph("gnm", 24, 33);
   Rng rng(33);
   const auto s = sample_frt_direct(g, rng);
-  const auto idx = serve::FrtIndex::build(s.tree);
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  idx.save(buf);
-  std::string bytes = buf.str();
-  // Header: magic(8) + endian probe(4) + version(4).
+  std::string bytes =
+      save_bytes(one_index_ensemble(serve::FrtIndex::build(s.tree)));
+  // Ensemble prelude (40 bytes), then the index header: magic(8) + endian
+  // probe(4) + version(4).
+  constexpr std::size_t kIndexVersionOffset = 40 + 12;
   std::uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 12, sizeof(version));
+  std::memcpy(&version, bytes.data() + kIndexVersionOffset, sizeof(version));
   ASSERT_EQ(version, serve::kFormatVersion) << "layout drifted; fix offset";
   const std::uint32_t old_version = 1;
-  std::memcpy(bytes.data() + 12, &old_version, sizeof(old_version));
-  std::stringstream stale(std::ios::in | std::ios::out | std::ios::binary);
-  stale << bytes;
-  EXPECT_THROW((void)serve::FrtIndex::load(stale), std::logic_error);
+  std::memcpy(bytes.data() + kIndexVersionOffset, &old_version,
+              sizeof(old_version));
+  try {
+    (void)load_bytes(bytes);
+    ADD_FAILURE() << "loaded an index stamped v1";
+  } catch (const std::logic_error& err) {
+    EXPECT_NE(std::string(err.what()).find("unsupported format version 1"),
+              std::string::npos)
+        << err.what();
+  }
 }
 
 // --- Ensemble -------------------------------------------------------------
@@ -375,15 +395,11 @@ TEST(FrtEnsemble, SaveLoadRoundTripIsExact) {
   for (const auto& c : corpus) {
     const auto e =
         serve::FrtEnsemble::build(c.graph, c.seed, small_ensemble_options(4));
-    std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-    e.save(buf);
-    const std::string bytes = buf.str();
-    const auto loaded = serve::FrtEnsemble::load(buf);
+    const std::string bytes = save_bytes(e);
+    const auto loaded = load_bytes(bytes);
     EXPECT_TRUE(loaded == e) << c.name;
     EXPECT_EQ(loaded.master_seed(), e.master_seed()) << c.name;
-    std::stringstream buf2(std::ios::in | std::ios::out | std::ios::binary);
-    loaded.save(buf2);
-    EXPECT_EQ(buf2.str(), bytes) << c.name;
+    EXPECT_EQ(save_bytes(loaded), bytes) << c.name;
 
     Rng wrng(c.seed + 3);
     serve::WorkloadOptions wopts;
@@ -412,9 +428,7 @@ TEST(FrtEnsemble, FingerprintIdentifiesTheBuildGraph) {
 
   const auto e = serve::FrtEnsemble::build(a, 21, small_ensemble_options(2));
   EXPECT_EQ(e.graph_fingerprint(), serve::FrtEnsemble::fingerprint(a));
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  e.save(buf);
-  EXPECT_EQ(serve::FrtEnsemble::load(buf).graph_fingerprint(),
+  EXPECT_EQ(load_bytes(save_bytes(e)).graph_fingerprint(),
             e.graph_fingerprint());
 }
 
@@ -425,9 +439,7 @@ TEST(FrtEnsemble, LoadRejectsCorruptLengthPrefix) {
   const auto& c = corpus.front();
   const auto e =
       serve::FrtEnsemble::build(c.graph, c.seed, small_ensemble_options(2));
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  e.save(buf);
-  std::string bytes = buf.str();
+  std::string bytes = save_bytes(e);
   // The first index payload starts right after the ensemble header —
   // magic(8) + endian probe(4) + version(4) + seed(8) + fingerprint(8) +
   // count(8) — and its own magic block(16) + levels(4) + beta(8); the
@@ -444,24 +456,25 @@ TEST(FrtEnsemble, LoadRejectsCorruptLengthPrefix) {
   std::memcpy(&decoded, bytes.data() + len_off, sizeof(decoded));
   ASSERT_EQ(decoded, rows_len) << "layout drifted; fix len_off";
   std::memcpy(bytes.data() + len_off, &absurd, sizeof(absurd));
-  std::stringstream corrupt(std::ios::in | std::ios::out | std::ios::binary);
-  corrupt << bytes;
-  EXPECT_THROW((void)serve::FrtEnsemble::load(corrupt), std::logic_error);
+  EXPECT_THROW((void)load_bytes(bytes), std::logic_error);
 }
 
 TEST(FrtEnsemble, LoadRejectsWrongArtefactKind) {
-  // An index file is not an ensemble file and vice versa.
+  // A bare index image is not an ensemble.
   const auto corpus = test::serve_graph_corpus(1, 917);
   const auto& c = corpus.front();
   const auto e =
       serve::FrtEnsemble::build(c.graph, c.seed, small_ensemble_options(2));
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  e.save(buf);
-  EXPECT_THROW((void)serve::FrtIndex::load(buf), std::logic_error);
-
-  std::stringstream ibuf(std::ios::in | std::ios::out | std::ios::binary);
-  e.index(0).save(ibuf);
-  EXPECT_THROW((void)serve::FrtEnsemble::load(ibuf), std::logic_error);
+  std::ostringstream ibuf(std::ios::binary);
+  serve::BinaryWriter w(ibuf);
+  e.index(0).save_into(w);
+  try {
+    (void)load_bytes(ibuf.str());
+    ADD_FAILURE() << "loaded a bare index image as an ensemble";
+  } catch (const std::logic_error& err) {
+    EXPECT_NE(std::string(err.what()).find("bad magic"), std::string::npos)
+        << err.what();
+  }
 }
 
 // --- Hot-pair cache -------------------------------------------------------

@@ -13,7 +13,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -123,9 +125,11 @@ TEST(Server, RegistryFingerprintIsContentIdentity) {
 
   // save→load round-trips fingerprint identically: the fingerprint is a
   // function of the serialized identity, not of which process built it.
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  std::ostringstream buf(std::ios::binary);
   e.save(buf);
-  const auto reloaded = serve::FrtEnsemble::load(buf);
+  const std::string bytes = buf.str();
+  const auto image = std::as_bytes(std::span(bytes));
+  const auto reloaded = serve::FrtEnsemble::load(image);
   EXPECT_EQ(e.registry_fingerprint(), reloaded.registry_fingerprint());
 
   // Any identity word moving changes the fingerprint.
@@ -142,9 +146,7 @@ TEST(Server, RegistryFingerprintIsContentIdentity) {
   EXPECT_TRUE(registry.contains(fp));
   EXPECT_NE(registry.find(fp), nullptr);
   // Idempotent for equal content (fresh build and round-trip alike).
-  buf.clear();
-  buf.seekg(0);
-  EXPECT_EQ(registry.add(serve::FrtEnsemble::load(buf)), fp);
+  EXPECT_EQ(registry.add(serve::FrtEnsemble::load(image)), fp);
   EXPECT_EQ(registry.size(), 1u);
   registry.add(std::move(other_seed));
   EXPECT_EQ(registry.size(), 2u);
