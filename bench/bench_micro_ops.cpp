@@ -157,6 +157,31 @@ void BM_MergeLeastElements(benchmark::State& state) {
 }
 BENCHMARK(BM_MergeLeastElements)->Arg(16)->Arg(256)->Arg(4096);
 
+// The oracle's common case: x is a staircase that absorbs the offer (each
+// y entry sits inside a gap of x at x's distance there), so the ⊕ leaves
+// x as it is and the same x serves every iteration.  Up to
+// DistanceMap::kAbsorbProbeMaxEntries the probe answers without a merge;
+// the 4096 row is past that limit and times the merge.
+void BM_MergeLeastElementsAbsorbed(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  std::vector<DistEntry> xs, ys;
+  for (std::size_t i = 0; i < size; ++i) {
+    const auto key = static_cast<Vertex>(4 * i);
+    const auto dist = static_cast<Weight>(size - i);
+    xs.push_back(DistEntry{key, dist});
+    if (i % 2 == 0) ys.push_back(DistEntry{key + 1, dist - 1.5});
+  }
+  auto x = DistanceMap::from_entries(std::move(xs));
+  const auto y = DistanceMap::from_entries(std::move(ys));
+  for (auto _ : state) {
+    x.merge_least_elements(y, 1.5);
+    benchmark::DoNotOptimize(x);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(size + y.size()));
+}
+BENCHMARK(BM_MergeLeastElementsAbsorbed)->Arg(8)->Arg(16)->Arg(32)->Arg(4096);
+
 void BM_LeFilter(benchmark::State& state) {
   Rng rng(2);
   const auto size = static_cast<std::size_t>(state.range(0));

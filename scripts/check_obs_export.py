@@ -21,12 +21,16 @@ Chrome trace-event JSON:
     rings into one timeline) and rebased so the earliest ts is 0
 
 Span tree (docs/OBSERVABILITY.md):
-  - the single-workload run (oracle pipeline, --cache) records every
-    build and cached-query span, from ensemble.build down to
-    oracle.level_run; the tenant run records every server.* phase span
-  - every oracle.level_run lies inside an oracle.step on the same tid
-    (a span is recorded when it closes, so an enclosing step is newer
-    than its level runs and survives any ring wrap that keeps them)
+  - the single-workload run (oracle pipeline, --cache, --save) records
+    every build, save and cached-query span, from ensemble.build through
+    hopset.build, simgraph.build, oracle.level_run, frt.tree_build and
+    index.build to ensemble.save; the tenant run records every server.*
+    phase span
+  - every oracle.level_run lies inside an oracle.step, and every
+    frt.tree_build and index.build inside an ensemble.build_tree, on the
+    same tid (a span is recorded when it closes, so an enclosing span is
+    newer than the spans inside it and survives any ring wrap that keeps
+    them)
 
 Both loaders: the single-workload run --saves its artefact, and a third
 run reloads it with --load=<artefact> --mmap on the same graph flags.
@@ -241,9 +245,15 @@ def check_trace(path, errors):
 
 
 SINGLE_RUN_SPANS = (
-    "ensemble.build", "ensemble.build_tree", "simgraph.level_sample",
-    "oracle.step", "oracle.level_run", "ensemble.query_batch",
-    "ensemble.classify", "ensemble.fill", "ensemble.serve")
+    "ensemble.build", "hopset.build", "simgraph.build",
+    "simgraph.level_sample", "ensemble.build_tree", "oracle.step",
+    "oracle.level_run", "frt.tree_build", "index.build", "ensemble.save",
+    "ensemble.query_batch", "ensemble.classify", "ensemble.fill",
+    "ensemble.serve")
+# Span -> the span that must enclose each of its events on the same tid.
+ENCLOSED_BY = {"oracle.level_run": "oracle.step",
+               "frt.tree_build": "ensemble.build_tree",
+               "index.build": "ensemble.build_tree"}
 TENANT_RUN_SPANS = (
     "server.serve", "server.flip", "server.swap", "server.route",
     "server.execute", "server.shard", "server.scatter", "server.fold")
@@ -266,8 +276,9 @@ def check_counters(path, expected, errors):
 
 
 def check_span_tree(path, required, errors):
-    """Required span names are present, and every oracle.level_run is
-    enclosed by an oracle.step on its tid (integer-ns comparisons)."""
+    """Required span names are present, and every span named in
+    ENCLOSED_BY lies inside its enclosing span on its tid (integer-ns
+    comparisons)."""
     events = json.loads(path.read_text()).get("traceEvents", [])
     names = {ev.get("name") for ev in events}
     for name in required:
@@ -278,17 +289,19 @@ def check_span_tree(path, required, errors):
         start = round(ev["ts"] * 1000)
         return start, start + round(ev["dur"] * 1000)
 
-    steps = {}
+    outer = {}  # (enclosing name, tid) -> intervals
     for ev in events:
-        if ev.get("name") == "oracle.step":
-            steps.setdefault(ev["tid"], []).append(interval(ev))
+        if ev.get("name") in ENCLOSED_BY.values():
+            outer.setdefault((ev["name"], ev["tid"]), []).append(interval(ev))
     for ev in events:
-        if ev.get("name") != "oracle.level_run":
+        parent = ENCLOSED_BY.get(ev.get("name"))
+        if parent is None:
             continue
         lo, hi = interval(ev)
-        if not any(s <= lo and hi <= e for s, e in steps.get(ev["tid"], [])):
-            errors.append(f"{path.name}: oracle.level_run at ts={ev['ts']} "
-                          f"(tid {ev['tid']}) lies in no oracle.step")
+        if not any(s <= lo and hi <= e
+                   for s, e in outer.get((parent, ev["tid"]), [])):
+            errors.append(f"{path.name}: {ev['name']} at ts={ev['ts']} "
+                          f"(tid {ev['tid']}) lies in no {parent}")
 
 
 def main():

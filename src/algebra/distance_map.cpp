@@ -86,6 +86,29 @@ void merge_into(std::vector<DistEntry>& x, const std::vector<DistEntry>& y,
 #endif
 }
 
+// True iff r(x ⊕ s⊙y) = x: x is a staircase and every y entry (k, d) has
+// an x entry at the largest key ≤ k whose dist is ≤ d + s.  Such a y entry
+// is then dominated, or loses the minimum at its own key, and no x entry
+// is dominated.  Both passes count instead of branching per entry; the
+// only data-dependent exits are a failed staircase and the first undercut.
+bool absorbs(const std::vector<DistEntry>& x, const std::vector<DistEntry>& y,
+             Weight shift) {
+  if (x.size() > DistanceMap::kAbsorbProbeMaxEntries) return false;
+  bool staircase = true;
+  for (std::size_t i = 1; i < x.size(); ++i) {
+    staircase &= x[i].dist < x[i - 1].dist;
+  }
+  if (!staircase) return false;
+  for (const auto& e : y) {
+    std::size_t at_or_below = 0;
+    for (const auto& f : x) at_or_below += f.key <= e.key ? 1 : 0;
+    if (at_or_below == 0 || x[at_or_below - 1].dist > e.dist + shift) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 void DistanceMap::merge_min(const DistanceMap& other, Weight shift) {
@@ -98,6 +121,10 @@ void DistanceMap::merge_least_elements(const DistanceMap& other,
                                        Weight shift) {
   if (!is_finite(shift) || other.empty()) {
     keep_least_elements();  // r(x ⊕ ⊥) = r(x)
+    return;
+  }
+  if (absorbs(entries_, other.entries_, shift)) {
+    WorkDepth::add_work(entries_.size() + other.size());  // as merged
     return;
   }
   Weight min_dist = inf_weight();

@@ -13,7 +13,8 @@
 //   s⊙ add_to_all      — uniform shift by the propagation distance
 //   ⊥  the empty map   — all-∞ vector
 // For LE lists, ⊕ followed by the filter r is merge_least_elements: one
-// sorted merge that emits only the staircase.
+// sorted merge that emits only the staircase, unless a probe first shows
+// that the staircase absorbs the offer (see merge_least_elements).
 
 #include <span>
 #include <vector>
@@ -69,7 +70,20 @@ class DistanceMap {
   /// r(x ⊕ s⊙y) into *this, r the LE filter below: the same merge, but an
   /// entry is kept only if its distance is below every distance at a
   /// smaller key.  Neither input has to be an LE list.
+  ///
+  /// Absorb probe: when x is a staircase of at most kAbsorbProbeMaxEntries
+  /// entries and, for every entry (k, d) of y, the x entry at the largest
+  /// key ≤ k exists and has dist ≤ d + s, then r(x ⊕ s⊙y) = x and x is
+  /// left as it is, without the merge or its scratch buffer.  The probe
+  /// costs at most |x| compares per y entry and exits at the first
+  /// undercut; any other input merges.  Work is counted as |x| + |y|
+  /// either way.
   void merge_least_elements(const DistanceMap& other, Weight shift = 0.0);
+
+  /// Longest x the absorb probe examines; a longer x always merges, so
+  /// the probe never makes the ⊕ quadratic.  LE lists have O(log n)
+  /// entries w.h.p. (Lemma 7.6); a 1024-vertex oracle build reaches 22.
+  static constexpr std::size_t kAbsorbProbeMaxEntries = 32;
 
   /// *this = the entries of `now` that are not entries of `before`: a key
   /// of `now` stays unless `before` holds it at the same distance.  This

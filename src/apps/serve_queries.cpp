@@ -87,6 +87,7 @@
 #include "src/serve/server.hpp"
 #include "src/serve/stretch_report.hpp"
 #include "src/serve/workloads.hpp"
+#include "src/util/assertions.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/stats.hpp"
 #include "src/util/timer.hpp"
@@ -584,10 +585,14 @@ int serve_main(int argc, char** argv) {
 }  // namespace
 
 // A rejected input deep in the library (an artefact with trailing bytes,
-// a graph family the generator does not know) exits 1 with its message.
+// a graph family the generator does not know) exits 1 with its message;
+// a failed check prints its message without the source location.
 int main(int argc, char** argv) {
   try {
     return serve_main(argc, argv);
+  } catch (const pmte::CheckError& err) {
+    std::cerr << "serve_queries: " << err.message() << "\n";
+    return 1;
   } catch (const std::logic_error& err) {
     std::cerr << "serve_queries: " << err.what() << "\n";
     return 1;

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/obs/obs.hpp"
 #include "src/parallel/parallel.hpp"
 #include "src/util/assertions.hpp"
 
@@ -31,6 +32,7 @@ FrtTree FrtTree::build(const std::vector<DistanceMap>& le_lists,
   PMTE_CHECK(dist_min_hint > 0.0 && is_finite(dist_min_hint),
              "dist_min_hint must be positive");
   PMTE_CHECK(n >= 1, "empty vertex set");
+  PMTE_OBS_SPAN("frt.tree_build", static_cast<std::int64_t>(n), "vertices");
 
   FrtTree t;
   t.beta_ = beta;

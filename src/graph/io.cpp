@@ -72,6 +72,12 @@ Graph read_dimacs(std::istream& is) {
   }
   PMTE_CHECK(have_header, "missing problem line");
   PMTE_CHECK(edges.size() == m, "edge count does not match header");
+  // More than m + 1 vertices cannot be connected, and a header count
+  // bounded by the edges read cannot make from_edges allocate at will.
+  PMTE_CHECK(n <= m + 1, "problem line claims " + std::to_string(n) +
+                             " vertices for " + std::to_string(m) +
+                             " edges; a connected graph has at most " +
+                             std::to_string(m + 1));
   return Graph::from_edges(n, std::move(edges));
 }
 

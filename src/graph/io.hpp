@@ -5,7 +5,8 @@
 // via decimal shortest round-trip formatting.  The reader is strict: each
 // p and e line is exactly its tokens, each parsed in full (no trailing
 // junk, no extra token), a second p line is an error, and every error
-// names its line.
+// names its line.  A header with more than m + 1 vertices is refused: such
+// a graph cannot be connected, which every embedding here needs.
 
 #include <iosfwd>
 #include <string>

@@ -5,6 +5,7 @@
 
 #include "src/graph/shortest_paths.hpp"
 #include "src/mbf/algorithms.hpp"
+#include "src/obs/obs.hpp"
 #include "src/parallel/parallel.hpp"
 #include "src/util/assertions.hpp"
 
@@ -13,6 +14,7 @@ namespace pmte {
 HopSet build_hub_hopset(const Graph& g, HubHopSetParams params, Rng& rng) {
   const Vertex n = g.num_vertices();
   PMTE_CHECK(n >= 1, "hop set needs a non-empty graph");
+  PMTE_OBS_SPAN("hopset.build", static_cast<std::int64_t>(n), "vertices");
   HopSet hs;
   hs.method = "hub";
   hs.epsilon = 0.0;

@@ -332,6 +332,8 @@ FrtEnsemble::BatchStats FrtEnsemble::query_batch(
 }
 
 void FrtEnsemble::save(std::ostream& os) const {
+  PMTE_OBS_SPAN("ensemble.save", static_cast<std::int64_t>(indices_.size()),
+                "trees");
   // One writer spans the whole artefact: section padding is computed from
   // the absolute in-artefact offset, so the embedded index payloads stay
   // 64-byte aligned for the mmap path.

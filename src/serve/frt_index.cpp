@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/obs/obs.hpp"
 #include "src/serve/serialize.hpp"
 #include "src/util/assertions.hpp"
 
 namespace pmte::serve {
 
 FrtIndex FrtIndex::build(const FrtTree& tree) {
+  PMTE_OBS_SPAN("index.build", static_cast<std::int64_t>(tree.num_levels()),
+                "levels");
   FrtIndex idx;
   idx.levels_ = tree.num_levels();
   idx.beta_ = tree.beta();

@@ -4,6 +4,7 @@
 
 #include "src/graph/shortest_paths.hpp"
 #include "src/mbf/algorithms.hpp"
+#include "src/obs/obs.hpp"
 #include "src/parallel/parallel.hpp"
 #include "src/util/assertions.hpp"
 
@@ -63,6 +64,8 @@ Graph SimulatedGraph::materialize(bool use_true_hop_distances) const {
 
 SimulatedGraph build_simulated_graph(const Graph& g, const HopSet& hopset,
                                      double eps_hat, Rng& rng) {
+  PMTE_OBS_SPAN("simgraph.build", static_cast<std::int64_t>(g.num_vertices()),
+                "vertices");
   Graph g_prime = hopset.apply(g);
   auto levels = LevelAssignment::sample(g.num_vertices(), rng);
   return SimulatedGraph(std::move(g_prime), hopset.d, eps_hat,

@@ -12,6 +12,7 @@
 
 #include "src/algebra/axioms.hpp"
 #include "src/algebra/distance_map.hpp"
+#include "src/parallel/parallel.hpp"  // PMTE_TSAN_ACTIVE
 #include "src/util/rng.hpp"
 
 namespace pmte {
@@ -167,6 +168,99 @@ TEST(DistanceMap, MergeLeastElementsMatchesMergeThenFilter) {
   EXPECT_GT(cross_ties, 100);
   EXPECT_GT(empty_x, 50);
   EXPECT_GT(empty_y, 50);
+}
+
+// A staircase of `length` entries from `first_key` on: keys step up by 1–3
+// and integer distances step down by 1–3 to no less than 10, so offers
+// built from it can tie exactly after a shift.
+DistanceMap random_staircase(Rng& rng, std::size_t length, Vertex first_key) {
+  std::vector<DistEntry> entries;
+  Vertex key = first_key;
+  Weight dist = 10.0 + 3.0 * static_cast<Weight>(length);
+  for (std::size_t i = 0; i < length; ++i) {
+    entries.push_back(DistEntry{key, dist});
+    key += 1 + static_cast<Vertex>(rng.below(3));
+    dist -= 1.0 + static_cast<Weight>(rng.below(3));
+  }
+  return DistanceMap::from_entries(std::move(entries));
+}
+
+TEST(DistanceMap, MergeLeastElementsAbsorbProbeMatchesMergeThenFilter) {
+  // The oracle's common case: x is a staircase and y an offer it mostly
+  // absorbs.  y takes entries of x at their own key or inside the gap to
+  // the next key, at x's distance minus the shift plus 0–2 (0 ties with
+  // the predecessor, which absorbs).  Trials then undercut one x key, add
+  // a key below x's first, break x's staircase, or make x longer than the
+  // probe limit.  Every result must equal merge_min + keep_least_elements
+  // bit for bit; the tallies make sure each case occurs.
+  Rng rng(36);
+  constexpr std::size_t kLimit = DistanceMap::kAbsorbProbeMaxEntries;
+  int absorbed = 0, tie_absorbed = 0, undercut_at_key = 0, below_first = 0,
+      non_staircase = 0, long_x = 0;
+  for (int trial = 0; trial < 1200; ++trial) {
+    const int kind = trial % 6;
+    const std::size_t length = kind == 4   ? (trial % 12 == 4 ? 4096 : kLimit + 1)
+                               : kind == 5 ? kLimit
+                                           : rng.below(kLimit + 1);
+    auto x = random_staircase(rng, length, 3 + static_cast<Vertex>(rng.below(4)));
+    const Weight shift = std::floor(rng.uniform(0.0, 6.0));
+    std::vector<DistEntry> offer;
+    bool tie = false;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (rng.below(2) != 0) continue;
+      const Vertex gap = i + 1 < x.size() ? x[i + 1].key - x[i].key : 3;
+      const Weight extra = static_cast<Weight>(rng.below(3));
+      tie = tie || extra == 0.0;
+      offer.push_back(DistEntry{x[i].key + static_cast<Vertex>(rng.below(gap)),
+                                x[i].dist - shift + extra});
+    }
+    if (kind == 1 && !x.empty()) {
+      const std::size_t i = rng.below(x.size());
+      offer.push_back(DistEntry{x[i].key, x[i].dist - shift - 1.0});
+      ++undercut_at_key;
+    }
+    if (kind == 2) {
+      offer.push_back(DistEntry{static_cast<Vertex>(rng.below(3)), 1000.0});
+      ++below_first;
+    }
+    if (kind == 3 && x.size() >= 2) {
+      // Raise one entry to its predecessor's distance or above.
+      std::vector<DistEntry> raised(x.entries().begin(), x.entries().end());
+      const std::size_t i = 1 + rng.below(raised.size() - 1);
+      raised[i].dist = raised[i - 1].dist + static_cast<Weight>(rng.below(2));
+      x = DistanceMap::from_entries(std::move(raised));
+    }
+    if (offer.empty()) offer.push_back(DistEntry{x.empty() ? 0 : x[0].key, 1e9});
+    const auto y = DistanceMap::from_entries(std::move(offer));
+    const bool staircase = x.is_least_element_list();
+    non_staircase += staircase ? 0 : 1;
+    long_x += x.size() > kLimit ? 1 : 0;
+
+    auto expect = x;
+    expect.merge_min(y, shift);
+    expect.keep_least_elements();
+    const bool absorbs = expect == x;
+    absorbed += absorbs ? 1 : 0;
+    tie_absorbed += absorbs && tie ? 1 : 0;
+    [[maybe_unused]] const DistEntry* const buffer = x.entries().data();
+    x.merge_least_elements(y, shift);
+    ASSERT_EQ(x, expect) << "trial " << trial << ", |x| " << length;
+#if !PMTE_TSAN_ACTIVE
+    // The probe returns with x's own buffer; a merge swaps in the scratch
+    // buffer (TSan builds copy into x's buffer instead).  So a staircase
+    // within the limit that absorbs y must keep its buffer, and every
+    // other input must have merged.
+    const bool probed = absorbs && staircase && length <= kLimit;
+    EXPECT_EQ(x.entries().data() == buffer, probed)
+        << "trial " << trial << ", |x| " << length;
+#endif
+  }
+  EXPECT_GT(absorbed, 300);
+  EXPECT_GT(tie_absorbed, 150);
+  EXPECT_GT(undercut_at_key, 150);
+  EXPECT_GT(below_first, 150);
+  EXPECT_GT(non_staircase, 150);
+  EXPECT_GT(long_x, 150);
 }
 
 TEST(DistanceMap, AssignDifferenceMatchesBruteForce) {

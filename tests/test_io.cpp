@@ -74,6 +74,10 @@ TEST(GraphIo, RejectsMalformedInput) {
       // A claimed edge count is not reserved up front: 2^50 edges would
       // be 16 PiB.
       {"p sp 3 1125899906842624\ne 1 2 1\n", "edge count does not match"},
+      // Nor is a vertex count that no edge list of the file can connect:
+      // 4·10⁹ vertices would be 32 GB of offsets.
+      {"p sp 4000000000 0\n", "claims 4000000000 vertices for 0 edges"},
+      {"p sp 4 2\ne 1 2 1\ne 2 3 1\n", "claims 4 vertices for 2 edges"},
   };
   for (const auto& bad : kBad) {
     std::stringstream ss(bad.text);
@@ -85,6 +89,15 @@ TEST(GraphIo, RejectsMalformedInput) {
           << bad.text << " -> " << err.what();
     }
   }
+}
+
+TEST(GraphIo, AcceptsVertexCountUpToEdgesPlusOne) {
+  std::stringstream single("p sp 1 0\n");
+  EXPECT_EQ(read_dimacs(single).num_vertices(), 1U);
+  std::stringstream pair("p sp 2 1\ne 1 2 1\n");
+  const auto g = read_dimacs(pair);
+  EXPECT_EQ(g.num_vertices(), 2U);
+  EXPECT_EQ(g.num_edges(), 1U);
 }
 
 TEST(GraphIo, CommentsAreIgnored) {

@@ -1,11 +1,14 @@
-// Unit tests for src/util: RNG, permutations, statistics, tables, CLI.
+// Unit tests for src/util: RNG, permutations, statistics, tables, CLI,
+// checks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <sstream>
 
+#include "src/util/assertions.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
@@ -165,6 +168,24 @@ TEST(Table, PrintsMarkdown) {
 TEST(Table, RejectsWrongArity) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), std::logic_error);
+}
+
+TEST(Check, ErrorCarriesMessageApartFromLocation) {
+  // Developers read the expression and source location in what();
+  // operators get message() alone.  It stays a std::logic_error.
+  try {
+    const int count = 3;
+    PMTE_CHECK(count == 4, "want 4 trees, got " + std::to_string(count));
+    ADD_FAILURE() << "check passed";
+  } catch (const CheckError& err) {
+    EXPECT_STREQ(err.message(), "want 4 trees, got 3");
+    const std::string what = err.what();
+    EXPECT_EQ(what.find("PMTE check failed: (count == 4) at "), 0U) << what;
+    EXPECT_NE(what.find("test_util.cpp:"), std::string::npos) << what;
+    EXPECT_EQ(what.substr(what.size() - std::strlen(err.message())),
+              err.message());
+  }
+  EXPECT_THROW(PMTE_CHECK(false, "x"), std::logic_error);
 }
 
 TEST(Cli, ParsesOptions) {
