@@ -9,14 +9,18 @@
 //     check_bench_regression.py can hard-fail CI on any >5% regression
 //     against the committed BENCH_micro_ops.json baseline.
 //   * default: google-benchmark timings of aggregation merges (Lemma 2.3),
-//     the filtering LE-list merge, the LE filter (Lemma 7.7), the
-//     k-smallest filter, and path-set products.  Compiled only when the
-//     library is available (PMTE_HAVE_GOOGLE_BENCHMARK); without it the
-//     default mode emits `{}` so scripts/run_benches.sh still gets valid
-//     JSON.
+//     the filtering LE-list merge, one receiver's LE gather, the LE
+//     filter (Lemma 7.7), the k-smallest filter, and path-set products.
+//     Compiled only when the library is available
+//     (PMTE_HAVE_GOOGLE_BENCHMARK); without it the default mode emits `{}`
+//     so scripts/run_benches.sh still gets valid JSON.
 
+#include <cstdint>
 #include <iostream>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_common.hpp"
 #include "src/algebra/distance_map.hpp"
@@ -157,30 +161,67 @@ void BM_MergeLeastElements(benchmark::State& state) {
 }
 BENCHMARK(BM_MergeLeastElements)->Arg(16)->Arg(256)->Arg(4096);
 
-// The oracle's common case: x is a staircase that absorbs the offer (each
-// y entry sits inside a gap of x at x's distance there), so the ⊕ leaves
-// x as it is and the same x serves every iteration.  Up to
-// DistanceMap::kAbsorbProbeMaxEntries the probe answers without a merge;
-// the 4096 row is past that limit and times the merge.
-void BM_MergeLeastElementsAbsorbed(benchmark::State& state) {
+// One receiver of an MBF round: x is a staircase of `size` entries (keys
+// 4i, distances size − i) and the offer y takes every second entry
+// (range(1) = 0, a delta-size offer) or every entry (range(1) = 1, a full
+// offer), one key up inside x's gap.  At shift 1.5 an absorbed offer
+// (range(2) = 1) ties x's distance there and changes nothing; otherwise
+// each entry beats x by 0.5 and the gather merges all of them.
+std::pair<DistanceMap, DistanceMap> receiver_and_offer(
+    const benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
+  const bool full = state.range(1) != 0;
+  const Weight beat = state.range(2) != 0 ? 0.0 : 0.5;
   std::vector<DistEntry> xs, ys;
   for (std::size_t i = 0; i < size; ++i) {
     const auto key = static_cast<Vertex>(4 * i);
     const auto dist = static_cast<Weight>(size - i);
     xs.push_back(DistEntry{key, dist});
-    if (i % 2 == 0) ys.push_back(DistEntry{key + 1, dist - 1.5});
+    if (full || i % 2 == 0) ys.push_back(DistEntry{key + 1, dist - 1.5 - beat});
   }
-  auto x = DistanceMap::from_entries(std::move(xs));
-  const auto y = DistanceMap::from_entries(std::move(ys));
+  return {DistanceMap::from_entries(std::move(xs)),
+          DistanceMap::from_entries(std::move(ys))};
+}
+
+void gather_rows(benchmark::internal::Benchmark* b) {
+  for (const std::int64_t size : {8, 16, 32}) {
+    for (const std::int64_t full : {0, 1}) {
+      for (const std::int64_t absorbed : {1, 0}) {
+        b->Args({size, full, absorbed});
+      }
+    }
+  }
+}
+
+void BM_GatherLeastElements(benchmark::State& state) {
+  const auto [x, y] = receiver_and_offer(state);
+  const Offer<DistanceMap> offer{&y, 1.5, 0};
+  DistanceMap out;
   for (auto _ : state) {
-    x.merge_least_elements(y, 1.5);
-    benchmark::DoNotOptimize(x);
+    const bool changed =
+        DistanceMap::gather_least_elements(x, std::span(&offer, 1), out);
+    benchmark::DoNotOptimize(changed);
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(size + y.size()));
+                          static_cast<std::int64_t>(x.size() + y.size()));
 }
-BENCHMARK(BM_MergeLeastElementsAbsorbed)->Arg(8)->Arg(16)->Arg(32)->Arg(4096);
+BENCHMARK(BM_GatherLeastElements)->Apply(gather_rows);
+
+// The plain merge on the same inputs: copy x, merge y in, as a receiver
+// recomputed offer by offer would.
+void BM_MergeLeastElementsReceiver(benchmark::State& state) {
+  const auto [x, y] = receiver_and_offer(state);
+  DistanceMap out;
+  for (auto _ : state) {
+    out = x;
+    out.merge_least_elements(y, 1.5);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(x.size() + y.size()));
+}
+BENCHMARK(BM_MergeLeastElementsReceiver)->Apply(gather_rows);
 
 void BM_LeFilter(benchmark::State& state) {
   Rng rng(2);

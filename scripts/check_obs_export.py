@@ -32,6 +32,10 @@ Span tree (docs/OBSERVABILITY.md):
     newer than the spans inside it and survives any ring wrap that keeps
     them)
 
+Trace losses: every run's exposition carries
+pmte_trace_events_lost_total{reason="thread_index"} and
+{reason="ring_overwrite"}, and the thread_index series reads 0.
+
 Both loaders: the single-workload run --saves its artefact, and a third
 run reloads it with --load=<artefact> --mmap on the same graph flags.
 That run must record the ensemble.load and ensemble.load_mapped spans,
@@ -275,6 +279,24 @@ def check_counters(path, expected, errors):
                           f"expected {want}")
 
 
+def check_trace_losses(path, errors):
+    """Both trace-loss series exist, and no event was lost to a thread
+    index past the ring table."""
+    values = {}
+    for line in path.read_text().splitlines():
+        m = SAMPLE_RE.match(line)
+        if m and m.group(1) == "pmte_trace_events_lost_total":
+            values[m.group(2)] = float(m.group(3))
+    for reason in ("thread_index", "ring_overwrite"):
+        if f'reason="{reason}"' not in values:
+            errors.append(f"{path.name}: no pmte_trace_events_lost_total"
+                          f'{{reason="{reason}"}} series')
+    lost = values.get('reason="thread_index"')
+    if lost not in (None, 0.0):
+        errors.append(f"{path.name}: {lost:g} trace events lost to the "
+                      "thread index, expected 0")
+
+
 def check_span_tree(path, required, errors):
     """Required span names are present, and every span named in
     ENCLOSED_BY lies inside its enclosing span on its tid (integer-ns
@@ -362,6 +384,7 @@ def main():
             n_events = check_trace(trace, errors)
             check_span_tree(trace, spans, errors)
             check_counters(metrics, counters, errors)
+            check_trace_losses(metrics, errors)
             print(f"{mode} run: {n_samples} metric samples, "
                   f"{n_events} trace events")
 

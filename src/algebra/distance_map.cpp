@@ -42,19 +42,14 @@ void DistanceMap::add_to_all(Weight s) {
 
 namespace {
 
-// x ⊕ s⊙y into `x` by one ascending-key merge that takes the minimum at
-// equal keys; `keep(e)` decides, in key order, which merged entries stay.
+// x ⊕ s⊙y appended to `out` by one ascending-key merge that takes the
+// minimum at equal keys; `keep(e)` decides, in key order, which merged
+// entries stay.
 template <class Keep>
-void merge_into(std::vector<DistEntry>& x, const std::vector<DistEntry>& y,
-                Weight shift, Keep keep) {
-  WorkDepth::add_work(x.size() + y.size());
-  // The merge is the innermost operation of every MBF-like iteration; a
-  // thread-local scratch buffer avoids an allocation per relaxation.
-  thread_local std::vector<DistEntry> scratch;
-  scratch.clear();
-  scratch.reserve(x.size() + y.size());
+void merge_to(std::span<const DistEntry> x, std::span<const DistEntry> y,
+              Weight shift, Keep keep, std::vector<DistEntry>& out) {
   const auto emit = [&](const DistEntry& e) {
-    if (keep(e)) scratch.push_back(e);
+    if (keep(e)) out.push_back(e);
   };
   std::size_t i = 0, j = 0;
   while (i < x.size() && j < y.size()) {
@@ -74,6 +69,19 @@ void merge_into(std::vector<DistEntry>& x, const std::vector<DistEntry>& y,
   }
   for (; i < x.size(); ++i) emit(x[i]);
   for (; j < y.size(); ++j) emit(DistEntry{y[j].key, y[j].dist + shift});
+}
+
+// x ⊕ s⊙y into `x` through merge_to.
+template <class Keep>
+void merge_into(std::vector<DistEntry>& x, const std::vector<DistEntry>& y,
+                Weight shift, Keep keep) {
+  WorkDepth::add_work(x.size() + y.size());
+  // The merge is the innermost operation of every MBF-like iteration; a
+  // thread-local scratch buffer avoids an allocation per relaxation.
+  thread_local std::vector<DistEntry> scratch;
+  scratch.clear();
+  scratch.reserve(x.size() + y.size());
+  merge_to(x, y, shift, keep, scratch);
 #if PMTE_TSAN_ACTIVE
   // swap() would hand the map a buffer allocated by this worker thread and
   // park the map's old buffer in this thread's TLS, where the TLS destructor
@@ -86,28 +94,16 @@ void merge_into(std::vector<DistEntry>& x, const std::vector<DistEntry>& y,
 #endif
 }
 
-// True iff r(x ⊕ s⊙y) = x: x is a staircase and every y entry (k, d) has
-// an x entry at the largest key ≤ k whose dist is ≤ d + s.  Such a y entry
-// is then dominated, or loses the minimum at its own key, and no x entry
-// is dominated.  Both passes count instead of branching per entry; the
-// only data-dependent exits are a failed staircase and the first undercut.
-bool absorbs(const std::vector<DistEntry>& x, const std::vector<DistEntry>& y,
-             Weight shift) {
-  if (x.size() > DistanceMap::kAbsorbProbeMaxEntries) return false;
-  bool staircase = true;
-  for (std::size_t i = 1; i < x.size(); ++i) {
-    staircase &= x[i].dist < x[i - 1].dist;
+// The LE filter r as a merge's keep(): an entry stays iff its distance is
+// below every distance at a smaller key.
+struct BelowRunningMin {
+  Weight min_dist = inf_weight();
+  bool operator()(const DistEntry& e) {
+    if (e.dist >= min_dist) return false;
+    min_dist = e.dist;
+    return true;
   }
-  if (!staircase) return false;
-  for (const auto& e : y) {
-    std::size_t at_or_below = 0;
-    for (const auto& f : x) at_or_below += f.key <= e.key ? 1 : 0;
-    if (at_or_below == 0 || x[at_or_below - 1].dist > e.dist + shift) {
-      return false;
-    }
-  }
-  return true;
-}
+};
 
 }  // namespace
 
@@ -123,16 +119,98 @@ void DistanceMap::merge_least_elements(const DistanceMap& other,
     keep_least_elements();  // r(x ⊕ ⊥) = r(x)
     return;
   }
-  if (absorbs(entries_, other.entries_, shift)) {
-    WorkDepth::add_work(entries_.size() + other.size());  // as merged
-    return;
+  merge_into(entries_, other.entries_, shift, BelowRunningMin{});
+}
+
+bool DistanceMap::gather_least_elements(
+    const DistanceMap& x, std::span<const Offer<DistanceMap>> offers,
+    DistanceMap& out) {
+  PMTE_ASSERT(&out != &x, "gather_least_elements: out must not be x");
+  const auto& xs = x.entries_;
+  const std::size_t m = xs.size();
+  // x's keys, contiguous so that counting the keys ≤ k is branch-free,
+  // and f[c] = f_x(k) for a key k with c keys of x at or below it.
+  thread_local std::vector<Vertex> keys;
+  thread_local std::vector<Weight> f;
+  keys.resize(m);
+  f.resize(m + 1);
+  f[0] = inf_weight();
+  bool staircase = true;
+  for (std::size_t i = 0; i < m; ++i) {
+    keys[i] = xs[i].key;
+    f[i + 1] = xs[i].dist;
+    staircase &= xs[i].dist < f[i];
   }
-  Weight min_dist = inf_weight();
-  merge_into(entries_, other.entries_, shift, [&min_dist](const DistEntry& e) {
-    if (e.dist >= min_dist) return false;
-    min_dist = e.dist;
-    return true;
-  });
+  if (!staircase) {
+    out = x;
+    for (const auto& o : offers) out.merge_least_elements(*o.state, o.shift);
+    out.keep_least_elements();
+    return !(out == x);
+  }
+  const auto f_x = [&](Vertex k) {
+    Vertex at_or_below = 0;
+    for (std::size_t i = 0; i < m; ++i) at_or_below += keys[i] <= k ? 1 : 0;
+    return f[at_or_below];
+  };
+
+  // The offered entries that beat x's staircase.  Per offer they are
+  // collected into beat[0, n), where every entry writes its slot and only
+  // a beating one advances n.  Each offer's entries arrive sorted by key,
+  // so `found` takes them by a running-minimum merge: it holds r(C) for
+  // the entries C so far, and r(x ⊕ C) = r(x ⊕ r(C)).
+  thread_local std::vector<DistEntry> beat, found, merged;
+  found.clear();
+  std::uint64_t work = 0;
+  for (const auto& o : offers) {
+    const auto& ys = o.state->entries_;
+    PMTE_ASSERT(o.state->is_least_element_list(),
+                "gather_least_elements: an offer is not an LE list");
+    work += m + ys.size();
+    // y's last entry has its smallest distance and f_x falls with the key,
+    // so this one test covers the whole offer.
+    if (ys.empty() || ys.back().dist + o.shift >= f_x(ys.front().key)) {
+      continue;
+    }
+    if (beat.size() < ys.size()) beat.resize(ys.size());
+    std::size_t n = 0;
+    // A count costs |x| compares per entry, which the compiler vectorizes;
+    // a walk up both lists costs |x| + |y| dependent steps.  The walk is
+    // here only to keep the test linear in |x| + |y|: it takes over where
+    // |x|·|y| reaches 8(|x| + |y|), both lists about 16 entries long, and
+    // in the lifecycle builds it tests under 0.1% of the offers.
+    if (m * ys.size() < 8 * (m + ys.size())) {
+      for (const auto& e : ys) {
+        const Weight d = e.dist + o.shift;
+        beat[n] = DistEntry{e.key, d};
+        n += d < f_x(e.key) ? 1 : 0;
+      }
+    } else {
+      // Each step passes an x key at or below the current y key, or tests
+      // that entry against f[c], c the number of x keys passed.
+      std::size_t c = 0, j = 0;
+      while (j < ys.size()) {
+        const bool pass = c < m && keys[c] <= ys[j].key;
+        const Weight d = ys[j].dist + o.shift;
+        beat[n] = DistEntry{ys[j].key, d};
+        n += !pass && d < f[c] ? 1 : 0;
+        c += pass ? 1 : 0;
+        j += pass ? 0 : 1;
+      }
+    }
+    const std::span<const DistEntry> run(beat.data(), n);
+    if (found.empty()) {
+      found.assign(run.begin(), run.end());
+    } else if (n > 0) {
+      merged.clear();
+      merge_to(found, run, 0.0, BelowRunningMin{}, merged);
+      found.swap(merged);
+    }
+  }
+  WorkDepth::add_work(work);
+  if (found.empty()) return false;
+  out.entries_.clear();
+  merge_to(xs, found, 0.0, BelowRunningMin{}, out.entries_);
+  return true;
 }
 
 void DistanceMap::assign_difference(const DistanceMap& now,

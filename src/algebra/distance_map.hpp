@@ -13,8 +13,9 @@
 //   s⊙ add_to_all      — uniform shift by the propagation distance
 //   ⊥  the empty map   — all-∞ vector
 // For LE lists, ⊕ followed by the filter r is merge_least_elements: one
-// sorted merge that emits only the staircase, unless a probe first shows
-// that the staircase absorbs the offer (see merge_least_elements).
+// sorted merge that emits only the staircase.  An MBF round gathers all of
+// a receiver's offers at once through gather_least_elements, which merges
+// only the offered entries that beat the receiver's staircase.
 
 #include <span>
 #include <vector>
@@ -70,20 +71,26 @@ class DistanceMap {
   /// r(x ⊕ s⊙y) into *this, r the LE filter below: the same merge, but an
   /// entry is kept only if its distance is below every distance at a
   /// smaller key.  Neither input has to be an LE list.
-  ///
-  /// Absorb probe: when x is a staircase of at most kAbsorbProbeMaxEntries
-  /// entries and, for every entry (k, d) of y, the x entry at the largest
-  /// key ≤ k exists and has dist ≤ d + s, then r(x ⊕ s⊙y) = x and x is
-  /// left as it is, without the merge or its scratch buffer.  The probe
-  /// costs at most |x| compares per y entry and exits at the first
-  /// undercut; any other input merges.  Work is counted as |x| + |y|
-  /// either way.
   void merge_least_elements(const DistanceMap& other, Weight shift = 0.0);
 
-  /// Longest x the absorb probe examines; a longer x always merges, so
-  /// the probe never makes the ⊕ quadratic.  LE lists have O(log n)
-  /// entries w.h.p. (Lemma 7.6); a 1024-vertex oracle build reaches 22.
-  static constexpr std::size_t kAbsorbProbeMaxEntries = 32;
+  /// out = r(x ⊕ ⊕_i s_i⊙y_i) for the offers (y_i, s_i); returns whether
+  /// that differs from x.  Every y_i must be an LE list (asserted in debug
+  /// builds) and `out` must not be x.  When x is an LE list, as every
+  /// engine state is, let f_x(k) be the dist of x's entry at the largest
+  /// key ≤ k (∞ if none).  An offered entry (k, d) with d + s ≥ f_x(k) is
+  /// dominated by x, or loses the minimum at its own key, so it cannot
+  /// change the result (r is the projection of a congruence, Lemma 7.5 /
+  /// Corollary 2.17).  A whole offer is skipped when its smallest distance
+  /// plus s reaches f_x at its first key; otherwise every entry is tested.
+  /// Each offer's run of entries that beat f_x is merged into a
+  /// running-minimum list, which is then merged with x into `out`; there
+  /// are such entries iff the result differs from x, and when there are
+  /// none `out` is left unwritten.  Work is counted as |x| + |y_i| per
+  /// offer.  A non-staircase x is copied into `out`, which then merges the
+  /// offers one by one (merge_least_elements) and is written either way.
+  static bool gather_least_elements(const DistanceMap& x,
+                                    std::span<const Offer<DistanceMap>> offers,
+                                    DistanceMap& out);
 
   /// *this = the entries of `now` that are not entries of `before`: a key
   /// of `now` stays unless `before` holds it at the same distance.  This

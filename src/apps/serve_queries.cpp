@@ -162,6 +162,7 @@ struct ObsExportGuard {
     if (!metrics_path.empty()) {
       std::ofstream os(metrics_path);
       if (os) {
+        obs::publish_trace_losses();
         obs::registry().write_prometheus(os);
         std::cout << "metrics: wrote Prometheus exposition to "
                   << metrics_path << "\n";
@@ -174,7 +175,10 @@ struct ObsExportGuard {
       if (os) {
         obs::trace_sink().write_chrome_trace(os);
         std::cout << "trace: wrote " << obs::trace_sink().num_events()
-                  << " events to " << trace_path << "\n";
+                  << " events to " << trace_path << " (lost "
+                  << obs::trace_sink().dropped() << " past the thread index, "
+                  << obs::trace_sink().overwritten()
+                  << " overwritten in full rings)\n";
       } else {
         std::cerr << "cannot open " << trace_path << " for writing\n";
       }

@@ -12,6 +12,7 @@
 // the random order by relabelling vertices with their *rank*: DistanceMap
 // keys of all LE states are ranks, so the order comparison is integral.
 
+#include <span>
 #include <vector>
 
 #include "src/algebra/distance_map.hpp"
@@ -37,10 +38,12 @@ struct VertexOrder {
 };
 
 /// The MBF-like algebra of Definition 7.3: distance maps with the
-/// least-element filter.  ⊕ filters as it merges: r is the representative
-/// projection of a congruence (Lemma 7.5, Corollary 2.17), so
-/// r(r(x ⊕ y) ⊕ z) = r(x ⊕ y ⊕ z) and an accumulator never holds more than
-/// an LE list.  `filter` then meets a staircase and keeps all of it.
+/// least-element filter.  r is the representative projection of a
+/// congruence (Lemma 7.5, Corollary 2.17), so r(r(x ⊕ y) ⊕ z) =
+/// r(x ⊕ y ⊕ z): ⊕ filters as it merges, and a round's gather keeps only
+/// the offered entries that beat the receiver's staircase before merging
+/// them (DistanceMap::gather_least_elements).  The engine and the oracle
+/// call gather; relax and aggregate remain for callers outside them.
 struct LeListAlgebra {
   using State = DistanceMap;
 
@@ -57,6 +60,12 @@ struct LeListAlgebra {
 
   void filter(State& x) const { x.keep_least_elements(); }
 
+  /// out = r(x ⊕ ⊕ offers); false (out unwritten) when that is x.
+  bool gather(State& out, const State& x,
+              std::span<const Offer<State>> offers) const {
+    return DistanceMap::gather_least_elements(x, offers, out);
+  }
+
   /// The engine's per-entry offer (DeltaOfferAlgebra in engine.hpp).
   void offer_delta(State& out, const State& now, const State& before) const {
     out.assign_difference(now, before);
@@ -69,6 +78,7 @@ struct LeListAlgebra {
 
 static_assert(MbfAlgebra<LeListAlgebra>);
 static_assert(DeltaOfferAlgebra<LeListAlgebra>);
+static_assert(GatherAlgebra<LeListAlgebra>);
 static_assert(OracleAlgebra<LeListAlgebra>);
 
 /// x⁽⁰⁾ for LE-list computations: v starts knowing (rank(v), 0).

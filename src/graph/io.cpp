@@ -1,12 +1,16 @@
 #include "src/graph/io.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <iterator>
+#include <map>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/util/assertions.hpp"
@@ -22,6 +26,24 @@ std::string format_weight(Weight w) {
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), w);
   PMTE_CHECK(ec == std::errc(), "weight formatting failed");
   return {buf, ptr};
+}
+
+// `token` in quotes, with bytes outside printable ASCII written as \xHH:
+// a message that quotes input stays one C string (an embedded NUL would
+// cut what() short, line number and all).
+std::string quoted(const std::string& token) {
+  std::string out = "'";
+  for (const char c : token) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte >= 0x20 && byte < 0x7f) {
+      out += c;
+    } else {
+      char hex[5];
+      std::snprintf(hex, sizeof(hex), "\\x%02x", byte);
+      out += hex;
+    }
+  }
+  return out + "'";
 }
 
 }  // namespace
@@ -41,6 +63,7 @@ Graph read_dimacs(std::istream& is) {
   std::size_t m = 0;
   bool have_header = false;
   std::vector<WeightedEdge> edges;
+  std::map<std::pair<Vertex, Vertex>, std::size_t> edge_line;  // {u, v}
   for (std::size_t line_no = 1; std::getline(is, line); ++line_no) {
     if (line.empty() || line[0] == 'c') continue;
     const std::string at = " at line " + std::to_string(line_no);
@@ -65,9 +88,15 @@ Graph read_dimacs(std::istream& is) {
                      is_finite(w),
                  "bad edge line (want \"e <u> <v> <w>\", 1 <= u, v <= n, "
                  "w > 0 finite)" + at);
+      PMTE_CHECK(u != v, "self-loop e " + tokens[1] + " " + tokens[2] + at);
+      // from_edges would merge a repeated pair into one edge, and the file
+      // would not round-trip.
+      const auto [seen, fresh] = edge_line.emplace(std::minmax(u, v), line_no);
+      PMTE_CHECK(fresh, "edge {" + tokens[1] + ", " + tokens[2] + "}" + at +
+                            " repeats line " + std::to_string(seen->second));
       edges.push_back(WeightedEdge{u - 1, v - 1, w});
     } else {
-      PMTE_CHECK(false, "unknown line tag '" + tag + "'" + at);
+      PMTE_CHECK(false, "unknown line tag " + quoted(tag) + at);
     }
   }
   PMTE_CHECK(have_header, "missing problem line");

@@ -6,7 +6,10 @@
 // p and e line is exactly its tokens, each parsed in full (no trailing
 // junk, no extra token), a second p line is an error, and every error
 // names its line.  A header with more than m + 1 vertices is refused: such
-// a graph cannot be connected, which every embedding here needs.
+// a graph cannot be connected, which every embedding here needs.  A
+// self-loop, or a {u, v} pair repeated in either orientation, is refused
+// too, so a graph that loads has the header's n and m and writes back to
+// the same edges.
 
 #include <iosfwd>
 #include <string>

@@ -22,6 +22,19 @@ TraceSink& trace_sink() {
   return s;
 }
 
+void publish_trace_losses() {
+  const auto publish = [](const char* reason, std::uint64_t lost) {
+    Counter& c = registry().counter(
+        "pmte_trace_events_lost_total", {{"reason", reason}},
+        "Trace events lost: past the ring table's thread indices, or "
+        "overwritten in a full ring");
+    c.reset();
+    c.add(lost);
+  };
+  publish("thread_index", trace_sink().dropped());
+  publish("ring_overwrite", trace_sink().overwritten());
+}
+
 void configure(const ObsConfig& cfg) {
   if (cfg.trace) trace_sink().configure_capacity(cfg.trace_events_per_thread);
   detail::g_metrics_on.store(cfg.metrics, std::memory_order_relaxed);

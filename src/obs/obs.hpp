@@ -75,6 +75,12 @@ void configure(const ObsConfig& cfg);
 /// Process-wide trace sink.  Same lifetime guarantee.
 [[nodiscard]] TraceSink& trace_sink();
 
+/// Set pmte_trace_events_lost_total{reason="thread_index"} and
+/// {reason="ring_overwrite"} to trace_sink()'s dropped() and
+/// overwritten(), so an export of the registry shows what the trace lost.
+/// Serial only; call it before writing the registry out.
+void publish_trace_losses();
+
 /// RAII span: measures from construction to destruction and records a
 /// complete trace event (and optionally a latency histogram sample) on
 /// close.  Inactive spans — tracing off and no histogram wanted — skip

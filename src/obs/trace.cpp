@@ -23,11 +23,18 @@ void TraceSink::record(std::uint32_t tid, const TraceEvent& ev) noexcept {
   }
   Ring& r = rings_[tid];
   if (r.buf.size() != capacity_) r.buf.resize(capacity_);
+  r.overwritten += r.wrapped ? 1 : 0;
   r.buf[r.next] = ev;
   if (++r.next == capacity_) {
     r.next = 0;
     r.wrapped = true;
   }
+}
+
+std::uint64_t TraceSink::overwritten() const noexcept {
+  std::uint64_t n = 0;
+  for (const Ring& r : rings_) n += r.overwritten;
+  return n;
 }
 
 std::size_t TraceSink::num_events() const {

@@ -72,6 +72,11 @@ class TraceSink {
     return dropped_.load(std::memory_order_relaxed);
   }
 
+  /// Events overwritten in a full ring by a newer one of the same thread.
+  /// Like dropped(), a count over the sink's life: clear() and
+  /// configure_capacity() keep it.  Serial only.
+  [[nodiscard]] std::uint64_t overwritten() const noexcept;
+
   /// Events currently resident across all rings.
   [[nodiscard]] std::size_t num_events() const;
 
@@ -80,6 +85,7 @@ class TraceSink {
     std::vector<TraceEvent> buf;  ///< allocated lazily, sized capacity_
     std::size_t next = 0;
     bool wrapped = false;
+    std::uint64_t overwritten = 0;  ///< events lost to the wrap
   };
 
   std::vector<Ring> rings_ = std::vector<Ring>(kMaxThreads);

@@ -76,6 +76,7 @@
 #include <concepts>
 #include <cstdint>
 #include <iterator>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -395,13 +396,7 @@ class MbfOracle {
           buffers_.clear();
           parallel_for(changed_level_.size(), [&](std::size_t i) {
             const Vertex v = changed_level_[i];
-            State merged = seed[v];
-            alg_->aggregate(merged, x_[v]);
-            alg_->filter(merged);
-            if (!alg_->equal(merged, seed[v])) {
-              seed[v] = std::move(merged);
-              buffers_.local().push_back(v);
-            }
+            if (absorb(seed[v], x_[v])) buffers_.local().push_back(v);
           });
           buffers_.drain_sorted(delta_);
           if (touched) {
@@ -453,21 +448,33 @@ class MbfOracle {
     buffers_.clear();
     parallel_for(verts.size(), [&](std::size_t i) {
       const Vertex v = verts[i];
-      State merged = x_[v];
-      alg_->aggregate(merged, z[v]);
-      alg_->filter(merged);
-      if (!alg_->equal(merged, x_[v])) {
-        // A copy, not a move: `merged` holds the merge scratch's capacity,
-        // which the long-lived iterate would otherwise keep.
-        x_[v] = merged;
-        buffers_.local().push_back(v);
-      }
+      if (absorb(x_[v], z[v])) buffers_.local().push_back(v);
     });
     buffers_.drain_sorted(merged_);
     for (const Vertex v : merged_) stamp_[v] = event_;
     ++event_;
     WorkDepth::add_depth_serial(1);
     return !merged_.empty();
+  }
+
+  // x = r(x ⊕ y); returns whether x changed.  A GatherAlgebra takes y as
+  // one offer at shift 0, so an x that absorbs y is neither copied nor
+  // rewritten; other algebras aggregate into a copy, filter and compare.
+  // The result is copied into x, not moved: the per-thread `merged` keeps
+  // its capacity, and x keeps a buffer of its own.
+  bool absorb(State& x, const State& y) const {
+    thread_local State merged;
+    if constexpr (GatherAlgebra<Algebra>) {
+      const Offer<State> offer{&y, 0.0, 0};
+      if (!alg_->gather(merged, x, std::span(&offer, 1))) return false;
+    } else {
+      merged = x;
+      alg_->aggregate(merged, y);
+      alg_->filter(merged);
+      if (alg_->equal(merged, x)) return false;
+    }
+    x = merged;
+    return true;
   }
 
   const SimulatedGraph* h_;

@@ -35,4 +35,13 @@ using Weight = double;
   return w < inf_weight();
 }
 
+/// What one edge offers a receiver in an MBF round (src/mbf/engine.hpp):
+/// shift ⊙ *state, sent by `from`.
+template <typename State>
+struct Offer {
+  const State* state;
+  Weight shift;
+  Vertex from;
+};
+
 }  // namespace pmte

@@ -5,14 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "src/algebra/axioms.hpp"
 #include "src/algebra/distance_map.hpp"
-#include "src/parallel/parallel.hpp"  // PMTE_TSAN_ACTIVE
 #include "src/util/rng.hpp"
 
 namespace pmte {
@@ -185,23 +188,45 @@ DistanceMap random_staircase(Rng& rng, std::size_t length, Vertex first_key) {
   return DistanceMap::from_entries(std::move(entries));
 }
 
-TEST(DistanceMap, MergeLeastElementsAbsorbProbeMatchesMergeThenFilter) {
-  // The oracle's common case: x is a staircase and y an offer it mostly
+// Same keys, and the same bits in every distance.
+bool bit_equal(const DistanceMap& a, const DistanceMap& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].key != b[i].key ||
+        std::bit_cast<std::uint64_t>(a[i].dist) !=
+            std::bit_cast<std::uint64_t>(b[i].dist)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// f_x(k): the dist of x's entry at the largest key ≤ k, ∞ if there is none.
+Weight f_at(const DistanceMap& x, Vertex k) {
+  Weight f = inf_weight();
+  for (const auto& e : x.entries()) {
+    if (e.key <= k) f = e.dist;
+  }
+  return f;
+}
+
+TEST(DistanceMap, GatherLeavesUnchangedReceiverUnwritten) {
+  // The oracle's one-offer case: x is a staircase and y an offer it mostly
   // absorbs.  y takes entries of x at their own key or inside the gap to
   // the next key, at x's distance minus the shift plus 0–2 (0 ties with
   // the predecessor, which absorbs).  Trials then undercut one x key, add
-  // a key below x's first, break x's staircase, or make x longer than the
-  // probe limit.  Every result must equal merge_min + keep_least_elements
-  // bit for bit; the tallies make sure each case occurs.
+  // a key below x's first, break x's staircase, or make x long.  A change
+  // must give merge_min + keep_least_elements bit for bit, and a receiver
+  // found unchanged must leave `out` unwritten: same entries, same buffer.
   Rng rng(36);
-  constexpr std::size_t kLimit = DistanceMap::kAbsorbProbeMaxEntries;
   int absorbed = 0, tie_absorbed = 0, undercut_at_key = 0, below_first = 0,
       non_staircase = 0, long_x = 0;
+  const DistanceMap stale = DistanceMap::singleton(99, 1.0);
   for (int trial = 0; trial < 1200; ++trial) {
     const int kind = trial % 6;
-    const std::size_t length = kind == 4   ? (trial % 12 == 4 ? 4096 : kLimit + 1)
-                               : kind == 5 ? kLimit
-                                           : rng.below(kLimit + 1);
+    const std::size_t length = kind == 4   ? (trial % 12 == 4 ? 4096 : 33)
+                               : kind == 5 ? 32
+                                           : rng.below(33);
     auto x = random_staircase(rng, length, 3 + static_cast<Vertex>(rng.below(4)));
     const Weight shift = std::floor(rng.uniform(0.0, 6.0));
     std::vector<DistEntry> offer;
@@ -231,10 +256,10 @@ TEST(DistanceMap, MergeLeastElementsAbsorbProbeMatchesMergeThenFilter) {
       x = DistanceMap::from_entries(std::move(raised));
     }
     if (offer.empty()) offer.push_back(DistEntry{x.empty() ? 0 : x[0].key, 1e9});
-    const auto y = DistanceMap::from_entries(std::move(offer));
-    const bool staircase = x.is_least_element_list();
-    non_staircase += staircase ? 0 : 1;
-    long_x += x.size() > kLimit ? 1 : 0;
+    auto y = DistanceMap::from_entries(std::move(offer));
+    y.keep_least_elements();  // offers are LE lists
+    non_staircase += x.is_least_element_list() ? 0 : 1;
+    long_x += x.size() > 32 ? 1 : 0;
 
     auto expect = x;
     expect.merge_min(y, shift);
@@ -242,18 +267,18 @@ TEST(DistanceMap, MergeLeastElementsAbsorbProbeMatchesMergeThenFilter) {
     const bool absorbs = expect == x;
     absorbed += absorbs ? 1 : 0;
     tie_absorbed += absorbs && tie ? 1 : 0;
-    [[maybe_unused]] const DistEntry* const buffer = x.entries().data();
-    x.merge_least_elements(y, shift);
-    ASSERT_EQ(x, expect) << "trial " << trial << ", |x| " << length;
-#if !PMTE_TSAN_ACTIVE
-    // The probe returns with x's own buffer; a merge swaps in the scratch
-    // buffer (TSan builds copy into x's buffer instead).  So a staircase
-    // within the limit that absorbs y must keep its buffer, and every
-    // other input must have merged.
-    const bool probed = absorbs && staircase && length <= kLimit;
-    EXPECT_EQ(x.entries().data() == buffer, probed)
-        << "trial " << trial << ", |x| " << length;
-#endif
+    DistanceMap out = stale;
+    const DistEntry* const buffer = out.entries().data();
+    const Offer<DistanceMap> o{&y, shift, 0};
+    const bool changed =
+        DistanceMap::gather_least_elements(x, std::span(&o, 1), out);
+    ASSERT_EQ(changed, !absorbs) << "trial " << trial << ", |x| " << length;
+    if (changed) {
+      ASSERT_TRUE(bit_equal(out, expect)) << "trial " << trial;
+    } else {
+      EXPECT_TRUE(bit_equal(out, stale)) << "trial " << trial;
+      EXPECT_EQ(out.entries().data(), buffer) << "trial " << trial;
+    }
   }
   EXPECT_GT(absorbed, 300);
   EXPECT_GT(tie_absorbed, 150);
@@ -261,6 +286,147 @@ TEST(DistanceMap, MergeLeastElementsAbsorbProbeMatchesMergeThenFilter) {
   EXPECT_GT(below_first, 150);
   EXPECT_GT(non_staircase, 150);
   EXPECT_GT(long_x, 150);
+}
+
+TEST(DistanceMap, GatherMatchesSequentialMerges) {
+  // A receiver x and a list of offers (y_i, s_i), each y_i an LE list drawn
+  // around x: entries of x moved up inside their gap, at f_x minus s_i
+  // plus -1..2 (-1 beats x, 0 ties it), sometimes a key below x's first,
+  // sometimes a key that several offers share.  The gather must equal
+  // r(x ⊕ s_1⊙y_1 ⊕ …) computed by merge_min and one keep_least_elements,
+  // bit for bit, report a change exactly when that differs from x, and
+  // leave `out` unwritten otherwise.  The tallies make sure each case of
+  // the gather occurs.
+  Rng rng(37);
+  int bottom_x = 0, no_offers = 0, bottom_offer = 0, whole_absorbed = 0,
+      entry_absorbed = 0, partly_absorbed = 0, ties = 0, smaller_at_key = 0,
+      below_first = 0, shared_key = 0, many_offers = 0, non_staircase = 0,
+      long_offers = 0, changed_trials = 0, unchanged_trials = 0;
+  const DistanceMap stale = DistanceMap::singleton(99, 1.0);
+  std::vector<DistanceMap> ys;
+  std::vector<Weight> shifts;
+  std::vector<Offer<DistanceMap>> offers;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int kind = trial % 10;
+    // Kind 4 has long lists on both sides, which the gather walks.
+    const std::size_t length =
+        kind == 4 ? 32 + rng.below(33) : 1 + rng.below(24);
+    const auto first = 3 + static_cast<Vertex>(rng.below(4));
+    auto x = kind == 0 ? DistanceMap{} : random_staircase(rng, length, first);
+    if (kind == 1 && x.size() >= 2) {
+      std::vector<DistEntry> raised(x.entries().begin(), x.entries().end());
+      const std::size_t i = 1 + rng.below(raised.size() - 1);
+      raised[i].dist = raised[i - 1].dist + static_cast<Weight>(rng.below(2));
+      x = DistanceMap::from_entries(std::move(raised));
+    }
+    const bool staircase = x.is_least_element_list();
+    bottom_x += x.empty() ? 1 : 0;
+    non_staircase += staircase ? 0 : 1;
+    const std::size_t count = kind == 2   ? 0
+                              : kind == 3 ? 64 + rng.below(17)
+                                          : 1 + rng.below(8);
+    no_offers += count == 0 ? 1 : 0;
+    many_offers += count >= 64 ? 1 : 0;
+    const Vertex shared = x.empty() ? 5
+                                    : x[rng.below(x.size())].key +
+                                          static_cast<Vertex>(rng.below(2));
+    ys.clear();
+    shifts.clear();
+    for (std::size_t c = 0; c < count; ++c) {
+      const Weight shift = std::floor(rng.uniform(0.0, 6.0));
+      std::vector<DistEntry> es;
+      if (rng.below(8) != 0) {
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          if (rng.below(3) >= (kind == 4 ? 2U : 1U)) continue;
+          const Vertex gap = i + 1 < x.size() ? x[i + 1].key - x[i].key : 3;
+          const Vertex key = x[i].key + static_cast<Vertex>(rng.below(gap));
+          es.push_back(DistEntry{key, f_at(x, key) - shift - 1.0 +
+                                          static_cast<Weight>(rng.below(4))});
+        }
+        if (x.empty() || rng.below(6) == 0) {
+          es.push_back(DistEntry{static_cast<Vertex>(rng.below(3)),
+                                 std::floor(rng.uniform(20.0, 200.0))});
+        }
+        if (rng.below(3) == 0) {
+          const Weight f = f_at(x, shared);
+          const auto extra = static_cast<Weight>(rng.below(3));
+          es.push_back(DistEntry{
+              shared, is_finite(f) ? f - shift - 1.0 + extra : 50.0 + extra});
+        }
+      }
+      auto y = DistanceMap::from_entries(std::move(es));
+      y.keep_least_elements();
+      ys.push_back(std::move(y));
+      shifts.push_back(shift);
+    }
+    offers.clear();
+    for (std::size_t c = 0; c < count; ++c) {
+      offers.push_back(Offer<DistanceMap>{&ys[c], shifts[c], 0});
+    }
+
+    // Classify each offer as the gather sees it (staircase x only).
+    std::map<Vertex, int> offers_with_key;
+    for (std::size_t c = 0; c < count && staircase; ++c) {
+      const auto& y = ys[c];
+      const Weight s = shifts[c];
+      if (y.empty()) {
+        ++bottom_offer;
+        continue;
+      }
+      long_offers += x.size() >= 32 && y.size() >= 16 ? 1 : 0;
+      std::size_t beats = 0;
+      for (const auto& e : y.entries()) {
+        const Weight d = e.dist + s;
+        const Weight f = f_at(x, e.key);
+        beats += d < f ? 1 : 0;
+        ties += d == f ? 1 : 0;
+        smaller_at_key += d < x.at(e.key) && is_finite(x.at(e.key)) ? 1 : 0;
+        below_first += !x.empty() && e.key < x[0].key ? 1 : 0;
+        ++offers_with_key[e.key];
+      }
+      if (y[y.size() - 1].dist + s >= f_at(x, y[0].key)) {
+        ++whole_absorbed;
+      } else if (beats == 0) {
+        ++entry_absorbed;
+      } else if (beats < y.size()) {
+        ++partly_absorbed;
+      }
+    }
+    shared_key += std::any_of(offers_with_key.begin(), offers_with_key.end(),
+                              [](const auto& kv) { return kv.second > 1; })
+                      ? 1
+                      : 0;
+
+    auto expect = x;
+    for (std::size_t c = 0; c < count; ++c) expect.merge_min(ys[c], shifts[c]);
+    expect.keep_least_elements();
+    DistanceMap out = stale;
+    const bool changed =
+        DistanceMap::gather_least_elements(x, offers, out);
+    ASSERT_EQ(changed, !bit_equal(expect, x)) << "trial " << trial;
+    if (changed) {
+      ++changed_trials;
+      ASSERT_TRUE(bit_equal(out, expect)) << "trial " << trial;
+    } else {
+      ++unchanged_trials;
+      ASSERT_TRUE(bit_equal(out, stale)) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(bottom_x, 250);
+  EXPECT_GT(no_offers, 250);
+  EXPECT_GT(bottom_offer, 4000);
+  EXPECT_GT(whole_absorbed, 1500);
+  EXPECT_GT(entry_absorbed, 3500);
+  EXPECT_GT(partly_absorbed, 13000);
+  EXPECT_GT(ties, 20000);
+  EXPECT_GT(smaller_at_key, 14000);
+  EXPECT_GT(below_first, 3500);
+  EXPECT_GT(shared_key, 1500);
+  EXPECT_GT(many_offers, 250);
+  EXPECT_GT(non_staircase, 250);
+  EXPECT_GT(long_offers, 800);
+  EXPECT_GT(changed_trials, 2000);
+  EXPECT_GT(unchanged_trials, 350);
 }
 
 TEST(DistanceMap, AssignDifferenceMatchesBruteForce) {

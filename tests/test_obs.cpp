@@ -194,12 +194,15 @@ TEST(ObsTrace, RingKeepsMostRecentEvents) {
                                    static_cast<std::int64_t>(i), 0});
   }
   EXPECT_EQ(sink.num_events(), 4u);  // flight recorder: last 4 survive
+  EXPECT_EQ(sink.overwritten(), 6u);  // and the 6 older ones are counted
   EXPECT_EQ(sink.dropped(), 0u);
   sink.record(static_cast<std::uint32_t>(obs::TraceSink::kMaxThreads),
               obs::TraceEvent{"ev"});
   EXPECT_EQ(sink.dropped(), 1u);
+  EXPECT_EQ(sink.overwritten(), 6u);
   sink.clear();
   EXPECT_EQ(sink.num_events(), 0u);
+  EXPECT_EQ(sink.overwritten(), 6u);  // losses stay counted
 }
 
 #if PMTE_OBS
@@ -274,6 +277,30 @@ TEST(ObsSpan, NestedSpansUnderNestedParallelFor) {
   }
   EXPECT_EQ(events, 1 + kOuter + kOuter * kInner);
   EXPECT_EQ(inner, kOuter * kInner);
+}
+
+TEST(ObsTrace, LossesAreExportedAsMetric) {
+  const ObsGuard guard;
+  obs::configure(obs::ObsConfig{.trace = true, .trace_events_per_thread = 2});
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    obs::trace_sink().record(0, obs::TraceEvent{"ev", nullptr, i, 1, -1, 0});
+  }
+  obs::publish_trace_losses();
+  std::ostringstream os;
+  obs::registry().write_prometheus(os);
+  const std::string text = os.str();
+  const auto series = [&](const std::string& reason, std::uint64_t value) {
+    return "pmte_trace_events_lost_total{reason=\"" + reason + "\"} " +
+           std::to_string(value) + "\n";
+  };
+  EXPECT_NE(text.find(series("thread_index", obs::trace_sink().dropped())),
+            std::string::npos)
+      << text;
+  EXPECT_NE(
+      text.find(series("ring_overwrite", obs::trace_sink().overwritten())),
+      std::string::npos)
+      << text;
+  EXPECT_GE(obs::trace_sink().overwritten(), 3u);
 }
 
 #endif  // PMTE_OBS
