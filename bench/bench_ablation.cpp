@@ -1,4 +1,4 @@
-// E17 — ablations of the design choices called out in DESIGN.md:
+// E17 — ablations of three design choices:
 //   (a) FRT edge-weight rule: dominating (ours) vs khan (paper's constant);
 //   (b) penalty parameter ε̂: distortion of H and resulting stretch;
 //   (c) hop-set window: oracle iteration count vs hop-set size.

@@ -1,4 +1,5 @@
-// E12 — hop-set quality and cost (Equation (1.3); DESIGN.md substitution).
+// E12 — hop-set quality and cost (Equation (1.3); the hub hop set that
+// stands in for Cohen's, src/hopset/hopset.hpp).
 //
 // Claim: the hub hop set satisfies dist^d(v,w,G') ≤ (1+ε̂)·dist(v,w,G)
 // with ε̂ = 0 w.h.p.; size/hop-bound trade-off is controlled by the

@@ -30,7 +30,7 @@ unsigned sampled_spd(const Graph& g, std::size_t sources, Rng& rng) {
   }
   std::vector<unsigned> per(srcs.size(), 0);
   parallel_for(srcs.size(), [&](std::size_t i) {
-    const auto hops = min_hops_on_shortest_paths(g, srcs[i]);
+    const auto hops = min_hops_on_shortest_paths(g, srcs[i]).hops;
     unsigned w = 0;
     for (unsigned h : hops) {
       if (h != ~0U) w = std::max(w, h);

@@ -14,12 +14,17 @@ trees) for inline markdown links and images `[text](target)`, and checks:
                stripped, spaces become hyphens, repeated headings get
                -1/-2/... suffixes; fenced code blocks are ignored, so a
                `# comment` inside a transcript is not a heading.
+  citations  — each markdown file named in a source file under src/,
+               tests/, bench/, scripts/ or examples/ (a comment citing
+               `docs/FORMAT.md` or `PAPERS.md`) names a file in the repo:
+               a cited path resolves from the repo root or from the citing
+               file's directory, and a bare name is the name of some file.
 
 Usage:
   scripts/check_docs_links.py [--root DIR]
 
-Exit status: 0 = all relative links and anchors resolve, 1 = at least one
-is dead (each is printed as file:line: target).  Run locally before
+Exit status: 0 = all relative links, anchors and citations resolve, 1 = at
+least one is dead (each is printed as file:line: target).  Run locally before
 committing doc changes; CI runs it as the docs-links job.
 """
 
@@ -36,6 +41,11 @@ FENCE_RE = re.compile(r"^\s*(```|~~~)")
 
 SKIP_PREFIXES = ("http://", "https://", "mailto:")
 SKIP_DIRS = {".git", "build", ".ccache", "bench-out"}
+
+# A markdown file cited by name in source code: an upper-case name ending
+# in .md, optionally after a relative directory prefix (docs/, ../../docs/).
+CITATION_RE = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[A-Z][\w-]*\.md)\b")
+CODE_DIRS = ("src", "tests", "bench", "scripts", "examples")
 
 
 def github_slug(heading):
@@ -70,13 +80,47 @@ def document_anchors(path):
     return anchors
 
 
-def iter_markdown_files(root):
+def iter_files(root):
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = [d for d in dirnames
                        if d not in SKIP_DIRS and not d.startswith("build")]
         for name in sorted(filenames):
-            if name.endswith(".md"):
-                yield os.path.join(dirpath, name)
+            yield os.path.join(dirpath, name)
+
+
+def iter_markdown_files(root):
+    return (path for path in iter_files(root) if path.endswith(".md"))
+
+
+def check_citations(root):
+    """Markdown files cited in source files under CODE_DIRS that name no
+    file in the repo.  Markdown files themselves are skipped: their links
+    are checked by check_file."""
+    names = {os.path.basename(path) for path in iter_files(root)}
+    dead = []
+    for code_dir in CODE_DIRS:
+        for path in iter_files(os.path.join(root, code_dir)):
+            if path.endswith(".md"):
+                continue
+            try:
+                with open(path, "r", encoding="utf-8") as f:
+                    lines = f.readlines()
+            except UnicodeDecodeError:
+                continue  # binary fixture
+            for lineno, line in enumerate(lines, start=1):
+                for match in CITATION_RE.finditer(line):
+                    cited = match.group(1)
+                    if "/" in cited:
+                        found = any(
+                            os.path.exists(os.path.join(base, cited))
+                            for base in (root, os.path.dirname(path)))
+                    else:
+                        found = cited in names
+                    if not found:
+                        rel = os.path.relpath(path, root)
+                        dead.append(f"{rel}:{lineno}: {cited} "
+                                    "(cites no file in the repo)")
+    return dead
 
 
 def check_file(path, root, anchor_cache):
@@ -124,15 +168,16 @@ def main():
     for path in iter_markdown_files(args.root):
         files += 1
         dead.extend(check_file(path, args.root, anchor_cache))
+    dead.extend(check_citations(args.root))
 
     if dead:
-        print(f"{len(dead)} dead relative link(s)/anchor(s):",
+        print(f"{len(dead)} dead relative link(s)/anchor(s)/citation(s):",
               file=sys.stderr)
         for entry in dead:
             print(f"  DEAD {entry}", file=sys.stderr)
         return 1
-    print(f"docs links OK: {files} markdown files, all relative links "
-          "and anchors resolve")
+    print(f"docs links OK: {files} markdown files, all relative links, "
+          "anchors and source citations resolve")
     return 0
 
 

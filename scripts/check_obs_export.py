@@ -42,6 +42,11 @@ That run must record the ensemble.load and ensemble.load_mapped spans,
 and pmte_ensemble_loads_copied_total and pmte_ensemble_loads_mapped_total
 must each read 1.
 
+Hop-set decisions: the single run's gnm graph drops the hub clique, so
+pmte_hopset_builds_total reads {shortcuts="dropped"} 1 and
+{shortcuts="kept"} 0; a fourth run on a grid, whose hop distances the
+clique does shorten, reads the opposite.
+
 Usage:
   scripts/check_obs_export.py --serve-bin build/src/serve_queries
       [--keep-dir DIR]
@@ -266,13 +271,20 @@ LOAD_RUN_COUNTERS = {"pmte_ensemble_loads_copied_total": 1,
                      "pmte_ensemble_loads_mapped_total": 1}
 
 
+def hopset_builds(kept, dropped):
+    return {'pmte_hopset_builds_total{shortcuts="kept"}': kept,
+            'pmte_hopset_builds_total{shortcuts="dropped"}': dropped}
+
+
 def check_counters(path, expected, errors):
-    """Each unlabelled counter in `expected` has exactly that value."""
+    """Each series in `expected`, written as in the exposition
+    (name{labels}), has exactly that value."""
     values = {}
     for line in path.read_text().splitlines():
         m = SAMPLE_RE.match(line)
-        if m and not m.group(2):
-            values[m.group(1)] = float(m.group(3))
+        if m:
+            series = m.group(1) + (f"{{{m.group(2)}}}" if m.group(2) else "")
+            values[series] = float(m.group(3))
     for name, want in expected.items():
         if values.get(name) != want:
             errors.append(f"{path.name}: {name} = {values.get(name)}, "
@@ -350,17 +362,17 @@ def main():
         graph = ["--graph=gnm", "--n=256", "--seed=7"]
         exports = [f"--metrics-out={metrics}", f"--trace-out={trace}"]
 
-        # Toy graph, three runs: a single-workload replay with a cache
+        # Toy graphs, four runs: a single-workload replay with a cache
         # (exercises ensemble/cache instruments) that saves its artefact,
         # a many-tenant run with a hot-swap (exercises server phase spans +
-        # per-tenant series), and a reload of the artefact through both
-        # loaders.
+        # per-tenant series), a reload of the artefact through both
+        # loaders, and a grid build that keeps the hub clique.
         runs = [
             ("single", graph + ["--trees=4", "--pipeline=oracle",
                                 "--queries=5000", "--repeat=1", "--cache",
                                 "--cache-capacity=1024",
                                 f"--save={artefact}"] + exports,
-             SINGLE_RUN_SPANS, {}),
+             SINGLE_RUN_SPANS, hopset_builds(kept=0, dropped=1)),
             ("tenant", graph + ["--trees=4", "--queries=5000",
                                 "--tenants=2", "--batches=4",
                                 "--swap-at=2"] + exports,
@@ -368,6 +380,10 @@ def main():
             ("load", graph + [f"--load={artefact}", "--mmap",
                               "--queries=5000", "--repeat=1"] + exports,
              LOAD_RUN_SPANS, LOAD_RUN_COUNTERS),
+            ("grid", ["--graph=grid", "--n=256", "--seed=7", "--trees=1",
+                      "--pipeline=oracle", "--queries=1000",
+                      "--repeat=1"] + exports,
+             ("hopset.build",), hopset_builds(kept=1, dropped=0)),
         ]
         errors = []
         for mode, extra, spans, counters in runs:

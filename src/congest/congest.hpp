@@ -20,7 +20,7 @@
 //    spanner stretch (Equation (8.9)).  Round complexity Õ(√n + D(G)).
 //
 // The simulation preserves the exact message counts of the abstract
-// algorithms; hardware effects are out of scope (see DESIGN.md §3).
+// algorithms; hardware effects are out of scope.
 
 #include <cstdint>
 

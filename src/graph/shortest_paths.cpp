@@ -139,14 +139,14 @@ std::vector<unsigned> bfs_hops(const Graph& g, Vertex source) {
   return hops;
 }
 
-std::vector<unsigned> min_hops_on_shortest_paths(const Graph& g,
-                                                 Vertex source) {
+MinHopResult min_hops_on_shortest_paths(const Graph& g, Vertex source) {
   // Dijkstra over the lexicographic key (dist, hops): relaxation keeps the
   // smaller hop count among equal-distance paths, giving hop(source,·,G).
   const Vertex n = g.num_vertices();
   PMTE_CHECK(source < n, "min_hops: source out of range");
-  std::vector<Weight> dist(n, inf_weight());
-  std::vector<unsigned> hops(n, ~0U);
+  MinHopResult r{std::vector<Weight>(n, inf_weight()),
+                 std::vector<unsigned>(n, ~0U)};
+  auto& [dist, hops] = r;
 
   std::priority_queue<HopEntry, std::vector<HopEntry>, std::greater<>> heap;
   dist[source] = 0.0;
@@ -166,7 +166,7 @@ std::vector<unsigned> min_hops_on_shortest_paths(const Graph& g,
       }
     }
   }
-  return hops;
+  return r;
 }
 
 DiameterInfo shortest_path_diameter(const Graph& g) {
@@ -176,7 +176,8 @@ DiameterInfo shortest_path_diameter(const Graph& g) {
   std::vector<unsigned> spd_per_source(n, 0);
   std::vector<unsigned> hop_per_source(n, 0);
   parallel_for(n, [&](std::size_t v) {
-    const auto hops = min_hops_on_shortest_paths(g, static_cast<Vertex>(v));
+    const auto hops =
+        min_hops_on_shortest_paths(g, static_cast<Vertex>(v)).hops;
     unsigned worst = 0;
     for (unsigned h : hops)
       if (h != ~0U) worst = std::max(worst, h);

@@ -42,10 +42,15 @@ struct MultiSourceResult {
 [[nodiscard]] std::vector<unsigned> bfs_hops(const Graph& g, Vertex source);
 
 /// Min-hop count among *shortest* (by weight) paths from `source`:
-/// hop(source, v, G) of Section 1.2, computed by Dijkstra with
-/// lexicographic (dist, hops) keys.
-[[nodiscard]] std::vector<unsigned> min_hops_on_shortest_paths(const Graph& g,
-                                                               Vertex source);
+/// hop(source, v, G) of Section 1.2 (~0U when unreached), computed by
+/// Dijkstra with lexicographic (dist, hops) keys.  The distances it settles
+/// are bit-equal to dijkstra()'s: a hop tie never changes a distance.
+struct MinHopResult {
+  std::vector<Weight> dist;
+  std::vector<unsigned> hops;
+};
+[[nodiscard]] MinHopResult min_hops_on_shortest_paths(const Graph& g,
+                                                      Vertex source);
 
 /// Shortest-Path Diameter SPD(G) = max_{v,w} hop(v,w,G) and unweighted hop
 /// diameter D(G).  Exact; runs n (multi-criteria) Dijkstras in parallel, so

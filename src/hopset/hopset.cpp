@@ -11,6 +11,30 @@
 
 namespace pmte {
 
+#if PMTE_OBS
+namespace {
+
+/// Hub hop-set decisions, bound once on first use (logical counts —
+/// deterministic at any thread count).
+struct HopsetObs {
+  obs::Counter& kept;
+  obs::Counter& dropped;
+};
+
+HopsetObs& hopset_obs() {
+  auto& reg = obs::registry();
+  static HopsetObs o{
+      reg.counter("pmte_hopset_builds_total", {{"shortcuts", "kept"}},
+                  "Hub hop-set builds, by whether the hub clique was kept"),
+      reg.counter("pmte_hopset_builds_total", {{"shortcuts", "dropped"}},
+                  "Hub hop-set builds, by whether the hub clique was kept"),
+  };
+  return o;
+}
+
+}  // namespace
+#endif  // PMTE_OBS
+
 HopSet build_hub_hopset(const Graph& g, HubHopSetParams params, Rng& rng) {
   const Vertex n = g.num_vertices();
   PMTE_CHECK(n >= 1, "hop set needs a non-empty graph");
@@ -26,7 +50,6 @@ HopSet build_hub_hopset(const Graph& g, HubHopSetParams params, Rng& rng) {
                             std::log(std::max<double>(n, 2)))));
   }
   d0 = std::max(1U, std::min(d0, n));
-  hs.d = std::max(2 * d0, 1U);
 
   const double ln_n = std::log(std::max<double>(n, 2));
   const double p = std::min(1.0, params.sampling_constant * ln_n /
@@ -43,15 +66,44 @@ HopSet build_hub_hopset(const Graph& g, HubHopSetParams params, Rng& rng) {
   }
   hs.num_hubs = hubs.size();
 
-  // Exact distances from every hub; hub↔hub shortcuts preserve distances
-  // exactly (an edge of weight dist(a,b) can never shorten a path).
+  // One (dist, hops) Dijkstra per hub gives the exact hub-to-hub distances
+  // (an edge of weight dist(a,b) can never shorten a path) and hop(hub, ·).
   std::vector<std::vector<Weight>> hub_dist(hubs.size());
+  std::vector<std::vector<unsigned>> hub_hops(hubs.size());
   parallel_for(hubs.size(), [&](std::size_t i) {
-    hub_dist[i] = dijkstra(g, hubs[i]).dist;
+    auto r = min_hops_on_shortest_paths(g, hubs[i]);
+    hub_dist[i].reserve(hubs.size());
+    for (const Vertex b : hubs) hub_dist[i].push_back(r.dist[b]);
+    hub_hops[i] = std::move(r.hops);
   });
+
+  // h_max: the most hops from any hub; radius: the most hops from any
+  // vertex to its nearest hub.
+  unsigned h_max = 0;
+  std::vector<unsigned> nearest(n, ~0U);
+  for (const auto& hops : hub_hops) {
+    for (Vertex v = 0; v < n; ++v) {
+      if (hops[v] == ~0U) continue;
+      h_max = std::max(h_max, hops[v]);
+      nearest[v] = std::min(nearest[v], hops[v]);
+    }
+  }
+  unsigned radius = 0;
+  for (const unsigned h : nearest) {
+    if (h != ~0U) radius = std::max(radius, h);
+  }
+
+  // Keep the clique only if it at least halves hop counts (hopset.hpp).
+  if (h_max <= 2 * (2 * radius + 1)) {
+    hs.d = std::max(1U, std::min(n - 1, d0 + h_max));
+    PMTE_OBS_ONLY(if (obs::metrics_on()) hopset_obs().dropped.add(1));
+    return hs;
+  }
+  hs.d = std::max(2 * d0, 1U);
+  PMTE_OBS_ONLY(if (obs::metrics_on()) hopset_obs().kept.add(1));
   for (std::size_t i = 0; i < hubs.size(); ++i) {
     for (std::size_t j = i + 1; j < hubs.size(); ++j) {
-      const Weight d = hub_dist[i][hubs[j]];
+      const Weight d = hub_dist[i][j];
       if (is_finite(d) && d > 0.0) {
         hs.edges.push_back(WeightedEdge{hubs[i], hubs[j], d});
       }

@@ -1,6 +1,6 @@
 #pragma once
 // Markdown table printer.  Every experiment bench prints one or more of these
-// tables; EXPERIMENTS.md embeds the resulting rows.
+// tables; scripts/run_benches.sh keeps them in each BENCH_*.json's output.
 
 #include <iostream>
 #include <string>

@@ -1,8 +1,8 @@
 // Randomized FRT-embedding property tests (Sections 7.1–7.4) over the
 // shared small-graph corpus: on ~50 seeded connected graphs the sampled
 // tree metric must dominate the graph metric (the `dominating` weight rule
-// guarantees dist_T ≥ dist_G deterministically, DESIGN.md), every
-// per-sample stretch must be finite, and the scale hierarchy must shrink
+// of src/frt/frt_tree.hpp guarantees dist_T ≥ dist_G deterministically),
+// every per-sample stretch must be finite, and the scale hierarchy must shrink
 // geometrically (ball radii double per level, cluster counts are
 // monotone, and the number of levels is logarithmic in the weight spread).
 #include <gtest/gtest.h>

@@ -1,7 +1,7 @@
 // Tests for the k-Shortest Distance Problem over the all-paths semiring
 // (Section 3.3, Examples 3.23/3.24).
 //
-// Note on test strength (see DESIGN.md): because Pmin,+ contains loop-free
+// Note on test strength: because Pmin,+ contains loop-free
 // paths only, a dominating suffix at an intermediate vertex may be
 // non-extendable (it would close a loop), so for 2 ≤ k < ∞ the filtered
 // fixpoint is not always the brute-force list of k shortest *simple*

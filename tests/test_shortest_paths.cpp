@@ -105,7 +105,7 @@ TEST(MinHops, PrefersFewerHopsAmongEqualWeight) {
   // direct edge of weight 3 (1 hop).
   auto g = Graph::from_edges(
       4, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}, {0, 3, 3.0}});
-  const auto hops = min_hops_on_shortest_paths(g, 0);
+  const auto hops = min_hops_on_shortest_paths(g, 0).hops;
   EXPECT_EQ(hops[3], 1U);
   EXPECT_EQ(hops[1], 1U);
   EXPECT_EQ(hops[2], 2U);
