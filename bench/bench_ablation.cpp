@@ -8,7 +8,6 @@
 #include "bench/bench_common.hpp"
 #include "src/frt/pipelines.hpp"
 #include "src/frt/stretch.hpp"
-#include "src/graph/shortest_paths.hpp"
 
 namespace pmte::bench {
 namespace {

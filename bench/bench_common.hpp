@@ -14,7 +14,7 @@
 #include "src/graph/generators.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/stats.hpp"
-#include "src/util/table.hpp"
+#include "tests/support/reference/table.hpp"
 #include "src/util/timer.hpp"
 
 namespace pmte::bench {

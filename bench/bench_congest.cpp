@@ -8,7 +8,6 @@
 
 #include "bench/bench_common.hpp"
 #include "src/congest/congest.hpp"
-#include "src/graph/shortest_paths.hpp"
 #include "src/parallel/counters.hpp"
 
 namespace pmte::bench {

@@ -15,8 +15,8 @@
 
 #include "bench/bench_common.hpp"
 #include "src/frt/pipelines.hpp"
-#include "src/graph/shortest_paths.hpp"
 #include "src/parallel/counters.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte::bench {
 namespace {

@@ -7,6 +7,7 @@
 
 #include "bench/bench_common.hpp"
 #include "src/hopset/hopset.hpp"
+#include "tests/support/reference/hopset.hpp"
 
 namespace pmte::bench {
 namespace {

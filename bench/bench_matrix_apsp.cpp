@@ -6,8 +6,8 @@
 // the paper's oracle machinery on sparse ones.
 
 #include "bench/bench_common.hpp"
-#include "src/graph/shortest_paths.hpp"
-#include "src/metric/matrix_apsp.hpp"
+#include "tests/support/reference/matrix_apsp.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte::bench {
 namespace {

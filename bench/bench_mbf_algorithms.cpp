@@ -2,7 +2,7 @@
 // baselines: sanity performance of the algebraic framework.
 
 #include "bench/bench_common.hpp"
-#include "src/graph/delta_stepping.hpp"
+#include "tests/support/reference/delta_stepping.hpp"
 #include "src/graph/shortest_paths.hpp"
 #include "src/mbf/algebras.hpp"
 #include "src/mbf/algorithms.hpp"

@@ -6,9 +6,9 @@
 // time against the exact APSP baseline (n Dijkstras).
 
 #include "bench/bench_common.hpp"
-#include "src/graph/shortest_paths.hpp"
 #include "src/metric/approx_metric.hpp"
 #include "src/parallel/counters.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte::bench {
 namespace {

@@ -48,7 +48,6 @@ CounterScenario build_scenario(const std::string& name, const Graph& g,
   return s;
 }
 
-#if PMTE_OBS
 /// Informational latency keys (warn-only in the CI gate, see
 /// scripts/check_bench_regression.py): replay the workload in 16
 /// sub-batches and report log2-coarse percentiles of the per-batch wall
@@ -74,7 +73,6 @@ void add_latency_keys(CounterScenario& s, const serve::FrtEnsemble& e,
   s.metrics.emplace_back("batch_ns_p95", lat.percentile(0.95));
   s.metrics.emplace_back("batch_ns_p99", lat.percentile(0.99));
 }
-#endif  // PMTE_OBS
 
 CounterScenario query_scenario(const std::string& name,
                                const serve::FrtEnsemble& e, const Graph& g,
@@ -92,7 +90,7 @@ CounterScenario query_scenario(const std::string& name,
                      {"tree_lookups", st.tree_lookups},
                      {"lca_probes", st.lca_probes},
                      {"result_hash32", result_hash32(out)}}};
-  PMTE_OBS_ONLY(add_latency_keys(s, e, workload, policy));
+  add_latency_keys(s, e, workload, policy);
   return s;
 }
 

@@ -78,15 +78,14 @@ void run_counters() {
   std::vector<Weight> out;
   // Per-batch serve latency, log2-bucketed; surfaces below as the
   // informational batch_ns_p* keys (warn-only in the CI gate).
-  PMTE_OBS_ONLY(obs::Histogram lat);
+  obs::Histogram lat;
   for (std::size_t b = 0; b < kBatches; ++b) {
     if (b == kSwapAt) server.stage_swap(0, fp_b);
     const std::size_t lo = stream.size() * b / kBatches;
     const std::size_t hi = stream.size() * (b + 1) / kBatches;
     const Timer timer;
     server.serve(std::span(stream).subspan(lo, hi - lo), out);
-    PMTE_OBS_ONLY(
-        lat.record(static_cast<std::uint64_t>(timer.seconds() * 1e9)));
+    lat.record(static_cast<std::uint64_t>(timer.seconds() * 1e9));
   }
 
   std::vector<CounterScenario> scenarios;
@@ -121,12 +120,10 @@ void run_counters() {
                       {{"queries", total_queries},
                        {"ensembles_resident", server.registry().size()},
                        {"epochs_retired", server.epochs_retired()}}});
-  PMTE_OBS_ONLY({
-    auto& reg_metrics = scenarios.back().metrics;
-    reg_metrics.emplace_back("batch_ns_p50", lat.percentile(0.50));
-    reg_metrics.emplace_back("batch_ns_p95", lat.percentile(0.95));
-    reg_metrics.emplace_back("batch_ns_p99", lat.percentile(0.99));
-  });
+  auto& reg_metrics = scenarios.back().metrics;
+  reg_metrics.emplace_back("batch_ns_p50", lat.percentile(0.50));
+  reg_metrics.emplace_back("batch_ns_p95", lat.percentile(0.95));
+  reg_metrics.emplace_back("batch_ns_p99", lat.percentile(0.99));
   emit_counters(std::cout, scenarios);
 }
 

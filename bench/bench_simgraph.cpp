@@ -15,6 +15,7 @@
 #include "src/hopset/hopset.hpp"
 #include "src/parallel/parallel.hpp"
 #include "src/simgraph/simulated_graph.hpp"
+#include "tests/support/reference/simulated_graph.hpp"
 
 namespace pmte::bench {
 namespace {
@@ -65,7 +66,7 @@ void run(const Cli& cli) {
       const auto hopset = build_hub_hopset(g, {}, rng);
       for (const double eps : {1.0 / std::ceil(log2n), 0.05, 0.1}) {
         auto h = build_simulated_graph(g, hopset, eps, rng);
-        const auto mat = h.materialize(false);
+        const auto mat = materialize(h, false);
         if (eps == 0.05) {
           const unsigned spd_h = sampled_spd(mat, 16, rng);
           t.add_row({inst.name, cell(std::size_t{g.num_vertices()}),

@@ -11,7 +11,7 @@
 #include "bench/bench_common.hpp"
 #include "src/frt/pipelines.hpp"
 #include "src/frt/stretch.hpp"
-#include "src/graph/shortest_paths.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte::bench {
 namespace {

@@ -13,6 +13,7 @@
 int main(int argc, char** argv) {
   using namespace pmte;
   const Cli cli(argc, argv);
+  cli.reject_unknown({"seed"});
   Rng rng(cli.seed(7));
 
   // A small "sensor network": random geometric graph in the unit square.

@@ -18,6 +18,7 @@
 int main(int argc, char** argv) {
   using namespace pmte;
   const Cli cli(argc, argv);
+  cli.reject_unknown({"n", "demands", "seed"});
   Rng rng(cli.seed(13));
   const auto n = static_cast<Vertex>(cli.get_int("n", 300));
   const auto demand_count =

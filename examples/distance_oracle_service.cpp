@@ -21,6 +21,7 @@
 int main(int argc, char** argv) {
   using namespace pmte;
   const Cli cli(argc, argv);
+  cli.reject_unknown({"n", "T", "seed"});
   Rng rng(cli.seed(19));
   const auto n = static_cast<Vertex>(cli.get_int("n", 2000));
   const auto T = static_cast<std::size_t>(cli.get_int("T", 8));

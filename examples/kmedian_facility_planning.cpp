@@ -17,6 +17,7 @@
 int main(int argc, char** argv) {
   using namespace pmte;
   const Cli cli(argc, argv);
+  cli.reject_unknown({"k", "n", "seed"});
   Rng rng(cli.seed(11));
   const auto k = static_cast<std::size_t>(cli.get_int("k", 8));
   const auto n = static_cast<Vertex>(cli.get_int("n", 600));

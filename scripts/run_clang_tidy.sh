@@ -42,22 +42,25 @@ tidy_version="$("${clang_tidy}" --version | tr -d '\n')"
 config_hash="$(sha256sum "${root}/.clang-tidy" | cut -d' ' -f1)"
 mkdir -p "${cache_dir}"
 
-# TUs under src/ only: that is the shipped library + apps surface.  Tests
-# and benches build under the same -Werror flags but lean on gtest macros
-# that trip bugprone checks with no actionable signal.
+# TUs under src/ (the shipped library + apps surface) and under
+# tests/support/reference/ (the baselines and checkers the suites and
+# benches measure it against; configure with benches on to list them).
+# Test suites and benches build under the same -Werror flags but lean on
+# gtest macros that trip bugprone checks with no actionable signal.
 mapfile -t files < <(python3 - "${db}" "${root}" <<'PY'
 import json, sys
 db_path, root = sys.argv[1], sys.argv[2]
+prefixes = (root + "/src/", root + "/tests/support/reference/")
 seen = set()
 for entry in json.load(open(db_path)):
     f = entry["file"]
-    if f.startswith(root + "/src/") and f not in seen:
+    if f.startswith(prefixes) and f not in seen:
         seen.add(f)
         print(f)
 PY
 )
 if [ "${#files[@]}" -eq 0 ]; then
-  echo "error: no src/ translation units in ${db}" >&2
+  echo "error: no src/ or tests/support/reference/ translation units in ${db}" >&2
   exit 2
 fi
 

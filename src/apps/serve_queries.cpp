@@ -158,7 +158,6 @@ struct ObsExportGuard {
   std::string trace_path;
 
   ~ObsExportGuard() {
-#if PMTE_OBS
     if (!metrics_path.empty()) {
       std::ofstream os(metrics_path);
       if (os) {
@@ -183,12 +182,6 @@ struct ObsExportGuard {
         std::cerr << "cannot open " << trace_path << " for writing\n";
       }
     }
-#else
-    if (!metrics_path.empty() || !trace_path.empty()) {
-      std::cerr << "warning: built with PMTE_OBS=0 — "
-                   "--metrics-out/--trace-out ignored\n";
-    }
-#endif
   }
 };
 

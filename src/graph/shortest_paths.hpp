@@ -1,9 +1,11 @@
 #pragma once
-// Classical shortest-path baselines: Dijkstra (exact distances), hop-limited
-// Bellman-Ford (the h-hop distances dist^h of Section 1.2), and BFS hop
-// counts.  These serve three roles: reference implementations for testing
-// the MBF-like algebra, building blocks of the hub hop set, and the
-// sequential baselines the benches compare against.
+// Classical shortest-path routines: Dijkstra (exact distances, from one
+// source or several), BFS hop counts and min-hop shortest paths.  They are
+// building blocks of the pipeline and the apps: the hub hop set, the
+// exact side of stretch measurement, k-median's assignments, buy-at-bulk's
+// routing and CONGEST's diameter estimate.  The baselines and checkers
+// built on them (hop-limited Bellman-Ford, SPD, connectivity, exact APSP)
+// live in the reference library, tests/support/reference/.
 
 #include <functional>
 #include <span>
@@ -32,12 +34,6 @@ struct MultiSourceResult {
 [[nodiscard]] MultiSourceResult multi_source_dijkstra(
     const Graph& g, std::span<const Vertex> sources);
 
-/// Exact h-hop distances dist^h(source, ·, G) via h rounds of Bellman-Ford
-/// (Lemma 3.1 reference).  O(h·m) work.
-[[nodiscard]] std::vector<Weight> bellman_ford_hops(const Graph& g,
-                                                    Vertex source,
-                                                    unsigned hops);
-
 /// Unweighted hop distances (BFS levels).
 [[nodiscard]] std::vector<unsigned> bfs_hops(const Graph& g, Vertex source);
 
@@ -51,20 +47,5 @@ struct MinHopResult {
 };
 [[nodiscard]] MinHopResult min_hops_on_shortest_paths(const Graph& g,
                                                       Vertex source);
-
-/// Shortest-Path Diameter SPD(G) = max_{v,w} hop(v,w,G) and unweighted hop
-/// diameter D(G).  Exact; runs n (multi-criteria) Dijkstras in parallel, so
-/// use on bench-sized graphs only.
-struct DiameterInfo {
-  unsigned spd = 0;      ///< SPD(G)
-  unsigned hop_diam = 0; ///< D(G)
-};
-[[nodiscard]] DiameterInfo shortest_path_diameter(const Graph& g);
-
-/// True iff the graph is connected (n == 0 counts as connected).
-[[nodiscard]] bool is_connected(const Graph& g);
-
-/// Exact all-pairs distances via n parallel Dijkstras; row-major n×n.
-[[nodiscard]] std::vector<Weight> exact_apsp(const Graph& g);
 
 }  // namespace pmte

@@ -29,7 +29,6 @@
 // the caller samples from its Rng afterwards is unchanged.
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "src/graph/graph.hpp"
@@ -37,13 +36,12 @@
 
 namespace pmte {
 
-/// A constructed hop set: the extra edges plus its certified parameters.
+/// A constructed hop set: the extra edges plus its certified hop bound
+/// (the stretch slack ε̂ is 0 for every hop set built here).
 struct HopSet {
   std::vector<WeightedEdge> edges;  ///< shortcut edges to add to G
   unsigned d = 1;                   ///< certified hop bound
-  double epsilon = 0.0;             ///< certified stretch slack ε̂
   std::size_t num_hubs = 0;
-  std::string method;
 
   /// G' = G + E'.
   [[nodiscard]] Graph apply(const Graph& g) const { return g.augmented(edges); }
@@ -52,8 +50,6 @@ struct HopSet {
 struct HubHopSetParams {
   /// Hitting-window length d0; 0 → auto ⌈√(n·ln n)⌉ (near-linear clique).
   unsigned window = 0;
-  /// Oversampling constant c in the hub probability c·ln(n)/d0.
-  double sampling_constant = 2.0;
   /// Hard cap on the number of hubs (0 = none); guards against parameter
   /// choices that would produce a quadratic shortcut clique.
   std::size_t max_hubs = 0;
@@ -63,20 +59,5 @@ struct HubHopSetParams {
 /// with the hub clique, d = min(n − 1, window + Hmax) without it.
 [[nodiscard]] HopSet build_hub_hopset(const Graph& g, HubHopSetParams params,
                                       Rng& rng);
-
-/// Exhaustive exact hop set: an edge per connected vertex pair (full APSP),
-/// making d = 1, ε̂ = 0.  Θ(n²) size — test/baseline use only.
-[[nodiscard]] HopSet build_exact_hopset(const Graph& g);
-
-/// The empty hop set: d = n−1, ε̂ = 0 (G itself).  Baseline.
-[[nodiscard]] HopSet build_trivial_hopset(const Graph& g);
-
-/// Empirical validation of (1.3): returns the maximum over sampled vertex
-/// pairs of dist^d(v,w,G') / dist(v,w,G).  Values ≤ 1+ε̂ certify the hop
-/// set on the sample; exact when sample_sources == n.
-[[nodiscard]] double measure_hopset_stretch(const Graph& g,
-                                            const HopSet& hopset,
-                                            std::size_t sample_sources,
-                                            Rng& rng);
 
 }  // namespace pmte

@@ -1,7 +1,5 @@
 #include "src/obs/obs.hpp"
 
-#if PMTE_OBS
-
 #include "src/parallel/parallel.hpp"
 #include "src/util/timer.hpp"
 
@@ -75,5 +73,3 @@ void ScopedSpan::finish() noexcept {
 }
 
 }  // namespace pmte::obs
-
-#endif  // PMTE_OBS

@@ -1,19 +1,15 @@
 #pragma once
 // Entry point of the observability layer (docs/OBSERVABILITY.md): the
-// compile-time PMTE_OBS toggle, the runtime ObsConfig switches, the
-// process-wide MetricsRegistry / TraceSink singletons, and the RAII
-// ScopedSpan that instrumented code uses through the PMTE_OBS_SPAN /
-// PMTE_OBS_ONLY macros.
+// runtime ObsConfig switches, the process-wide MetricsRegistry /
+// TraceSink singletons, and the RAII ScopedSpan that instrumented code
+// uses through the PMTE_OBS_SPAN macro.
 //
-// Cost model — three independent levels:
+// Cost model — two levels:
 //
-//   1. Compile-time: building with -DPMTE_OBS=0 (CMake option PMTE_OBS=OFF)
-//      expands every macro below to `static_cast<void>(0)` — instrumented
-//      translation units contain no obs code at all.
-//   2. Runtime off (the default): metrics_on()/trace_on() are single
+//   1. Runtime off (the default): metrics_on()/trace_on() are single
 //      relaxed atomic loads; spans read no clock and record nothing, and
 //      instrumented code never touches the registry.
-//   3. Runtime on: counters/histograms are relaxed atomic adds, spans are
+//   2. Runtime on: counters/histograms are relaxed atomic adds, spans are
 //      two steady_clock reads plus a wait-free per-thread ring write.
 //
 // In every mode the obs layer is write-only with respect to algorithmic
@@ -22,33 +18,28 @@
 // docs/DETERMINISM.md), which is why enabling it cannot perturb gated
 // counters — pinned by test_obs.cpp's on/off differential test.
 
-#ifndef PMTE_OBS
+// The layer is always built in.  The macro stays defined, as 1, because
+// the lifecycle benchmark (lifecycle_bench/lifecycle.cpp) reads it.
 #define PMTE_OBS 1
-#endif
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
-#if PMTE_OBS
-#include <atomic>
-
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-#endif
 
 namespace pmte::obs {
 
 /// Runtime switches, applied atomically by configure().  All default to
-/// off: a binary built with PMTE_OBS=1 records nothing until an app (e.g.
-/// serve_queries --metrics-out/--trace-out) or test opts in.
+/// off: a binary records nothing until an app (e.g. serve_queries
+/// --metrics-out/--trace-out) or test opts in.
 struct ObsConfig {
   bool metrics = false;
   bool trace = false;
   /// Per-thread trace ring capacity (most recent events win).
   std::size_t trace_events_per_thread = std::size_t{1} << 12;
 };
-
-#if PMTE_OBS
 
 namespace detail {
 extern std::atomic<bool> g_metrics_on;
@@ -111,28 +102,12 @@ class ScopedSpan {
   std::uint64_t start_ns_;  ///< 0 ⇒ inactive, nothing to record
 };
 
-#else  // !PMTE_OBS
-
-[[nodiscard]] inline bool metrics_on() noexcept { return false; }
-[[nodiscard]] inline bool trace_on() noexcept { return false; }
-inline void configure(const ObsConfig&) {}
-
-#endif  // PMTE_OBS
-
 }  // namespace pmte::obs
 
-// Instrumentation macros.  PMTE_OBS_SPAN declares an anonymous ScopedSpan
-// covering the rest of the enclosing scope; PMTE_OBS_ONLY compiles its
-// argument only when the obs layer is built in (use it to guard metric
-// handle lookups and counter adds).  Both vanish entirely at PMTE_OBS=0.
-#if PMTE_OBS
+// PMTE_OBS_SPAN declares an anonymous ScopedSpan covering the rest of the
+// enclosing scope.
 #define PMTE_OBS_CONCAT_IMPL(a, b) a##b
 #define PMTE_OBS_CONCAT(a, b) PMTE_OBS_CONCAT_IMPL(a, b)
 #define PMTE_OBS_SPAN(...) \
   const ::pmte::obs::ScopedSpan PMTE_OBS_CONCAT(pmte_obs_span_, \
                                                 __LINE__)(__VA_ARGS__)
-#define PMTE_OBS_ONLY(...) __VA_ARGS__
-#else
-#define PMTE_OBS_SPAN(...) static_cast<void>(0)
-#define PMTE_OBS_ONLY(...) static_cast<void>(0)
-#endif

@@ -86,7 +86,6 @@
 
 namespace pmte {
 
-#if PMTE_OBS
 namespace obs_detail {
 
 /// Oracle-wide instruments, bound once on first use.  The outcome-labelled
@@ -117,7 +116,6 @@ inline OracleObs& oracle_obs() {
 }
 
 }  // namespace obs_detail
-#endif  // PMTE_OBS
 
 template <typename A>
 concept OracleAlgebra =
@@ -285,7 +283,7 @@ class MbfOracle {
   void run_and_cache(unsigned lambda) {
     PMTE_OBS_SPAN("oracle.level_run", static_cast<std::int64_t>(lambda),
                   "level");
-    PMTE_OBS_ONLY(const unsigned base_before = stats_.base_iterations);
+    const unsigned base_before = stats_.base_iterations;
     bool fixpoint = false;
     for (unsigned s = 0; s < h_->hop_bound(); ++s) {
       const bool stepped = engine_.step();
@@ -299,17 +297,17 @@ class MbfOracle {
     cache_[lambda] = engine_.take_states();
     cache_state_[lambda] =
         fixpoint ? CacheState::kFixpoint : CacheState::kTruncated;
-    PMTE_OBS_ONLY(if (obs::metrics_on()) {
+    if (obs::metrics_on()) {
       obs_detail::oracle_obs().level_base_iters.record(
           stats_.base_iterations - base_before);
-    });
+    }
   }
 
   // Full support-seeded start: seed = P_λ x, frontier = supp(P_λ x) (⊥
   // entries make no offers, so they need not enter the frontier).
   void full_start(unsigned lambda) {
     ++stats_.levels_full;
-    PMTE_OBS_ONLY(if (obs::metrics_on()) obs_detail::oracle_obs().full.add(1));
+    if (obs::metrics_on()) obs_detail::oracle_obs().full.add(1);
     std::vector<State> seed = std::move(cache_[lambda]);
     seed.resize(x_.size());
     buffers_.clear();
@@ -377,8 +375,7 @@ class MbfOracle {
           // Unchanged input — and x already absorbed this cache when it
           // was last merged, so even the output merge is a no-op.
           ++stats_.levels_skipped;
-          PMTE_OBS_ONLY(
-              if (obs::metrics_on()) obs_detail::oracle_obs().skipped.add(1));
+          if (obs::metrics_on()) obs_detail::oracle_obs().skipped.add(1);
           last_scan_[lambda] = event_;
           continue;
         }
@@ -413,16 +410,13 @@ class MbfOracle {
             // x ⊆ cache modulo domination: the run would reproduce the
             // cache (r(cache ⊕ A^d δ) = cache for absorbed δ) — skip.
             ++stats_.levels_skipped;
-            PMTE_OBS_ONLY(if (obs::metrics_on()) {
-              obs_detail::oracle_obs().skipped.add(1);
-            });
+            if (obs::metrics_on()) obs_detail::oracle_obs().skipped.add(1);
             cache_[lambda] = std::move(seed);
             last_scan_[lambda] = event_;
             continue;
           }
           ++stats_.levels_warm;
-          PMTE_OBS_ONLY(
-              if (obs::metrics_on()) obs_detail::oracle_obs().warm.add(1));
+          if (obs::metrics_on()) obs_detail::oracle_obs().warm.add(1);
           engine_.reset_with_frontier(std::move(seed), delta_);
           run_and_cache(lambda);
         }

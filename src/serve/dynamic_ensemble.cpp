@@ -9,7 +9,6 @@ namespace pmte::serve {
 
 namespace {
 
-#if PMTE_OBS
 /// Dynamic-maintenance instruments, bound once on first use.  All logical
 /// counts — deterministic at any thread count (the per-scenario values
 /// stay gated through BENCH_dynamic.json).
@@ -40,7 +39,6 @@ DynamicObs& dynamic_obs() {
   };
   return o;
 }
-#endif  // PMTE_OBS
 
 }  // namespace
 
@@ -133,14 +131,14 @@ DynamicEnsemble::UpdateStats DynamicEnsemble::update(Vertex u, Vertex v,
   stats.relaxations = scope.relaxations_delta();
   ++updates_;
 
-  PMTE_OBS_ONLY(if (obs::metrics_on()) {
+  if (obs::metrics_on()) {
     auto& o = dynamic_obs();
     o.updates.add(1);
     if (stats.incremental) o.updates_incremental.add(1);
     o.levels_recomputed.add(stats.levels_recomputed);
     o.levels_skipped.add(stats.levels_skipped);
     o.trees_rebuilt.add(stats.trees_rebuilt);
-  });
+  }
   return stats;
 }
 

@@ -16,7 +16,6 @@ namespace pmte::serve {
 
 namespace {
 
-#if PMTE_OBS
 /// Ensemble-wide instruments, bound once on first use.  batch_pairs is a
 /// logical-value histogram (deterministic bucket counts); *_duration_ns
 /// histograms are wall-time and informational only.
@@ -49,7 +48,6 @@ EnsembleObs& ensemble_obs() {
   };
   return o;
 }
-#endif  // PMTE_OBS
 
 /// The min-over-k / median-over-k aggregate for one u ≠ v pair: one
 /// plain loop over the trees reads the pair's two ancestor rows per tree
@@ -114,7 +112,7 @@ FrtEnsemble FrtEnsemble::build(const Graph& g, std::uint64_t master_seed,
   PMTE_CHECK(g.num_vertices() >= 1, "FrtEnsemble: empty graph");
   PMTE_OBS_SPAN("ensemble.build", static_cast<std::int64_t>(opts.trees),
                 "trees", &ensemble_obs().build_ns);
-  PMTE_OBS_ONLY(if (obs::metrics_on()) ensemble_obs().builds.add(1));
+  if (obs::metrics_on()) ensemble_obs().builds.add(1);
   const Timer timer;
   const WorkDepthScope scope;
 
@@ -198,9 +196,7 @@ FrtEnsemble::BatchStats FrtEnsemble::query_batch(
   const std::size_t k = indices_.size();
   PMTE_OBS_SPAN("ensemble.query_batch", static_cast<std::int64_t>(q),
                 "pairs", &ensemble_obs().batch_ns);
-  PMTE_OBS_ONLY(if (obs::metrics_on()) {
-    ensemble_obs().batch_pairs.record(q);
-  });
+  if (obs::metrics_on()) ensemble_obs().batch_pairs.record(q);
   out.assign(q, 0.0);
 
   // Validate every pair *before* touching the cache or the parallel
@@ -374,14 +370,14 @@ FrtEnsemble FrtEnsemble::parse(ImageReader& r) {
 
 FrtEnsemble FrtEnsemble::load(std::span<const std::byte> image) {
   PMTE_OBS_SPAN("ensemble.load");
-  PMTE_OBS_ONLY(if (obs::metrics_on()) ensemble_obs().loads_copied.add(1));
+  if (obs::metrics_on()) ensemble_obs().loads_copied.add(1);
   ImageReader r(image, ImageReader::Sections::copy);
   return parse(r);
 }
 
 FrtEnsemble FrtEnsemble::load_mapped(MappedFile file) {
   PMTE_OBS_SPAN("ensemble.load_mapped");
-  PMTE_OBS_ONLY(if (obs::metrics_on()) ensemble_obs().loads_mapped.add(1));
+  if (obs::metrics_on()) ensemble_obs().loads_mapped.add(1);
   // The index sections are views into the mapping; the shared_ptr travels
   // with the ensemble through moves and the registry, keeping the address
   // range alive until the last reference drops.

@@ -7,7 +7,6 @@
 
 namespace pmte::serve {
 
-#if PMTE_OBS
 namespace {
 
 /// Process-wide admission/conflict/hit stream, aggregated across every
@@ -39,7 +38,6 @@ CacheObs& cache_obs() {
 }
 
 }  // namespace
-#endif  // PMTE_OBS
 
 HotPairCache::HotPairCache(std::size_t capacity) {
   PMTE_CHECK(capacity >= 1, "HotPairCache: capacity must be positive");
@@ -53,7 +51,7 @@ HotPairCache::HotPairCache(std::size_t capacity) {
 void HotPairCache::clear() {
   for (auto& s : slots_) s = Slot{};
   stats_ = HotPairCacheStats{};
-  PMTE_OBS_ONLY(if (obs::metrics_on()) cache_obs().resets.add(1));
+  if (obs::metrics_on()) cache_obs().resets.add(1);
 }
 
 HotPairCache::Outcome HotPairCache::probe(std::uint64_t key,
@@ -61,30 +59,30 @@ HotPairCache::Outcome HotPairCache::probe(std::uint64_t key,
   const std::uint32_t s = slot_of(key);
   *slot = s;
   ++stats_.lookups;
-  PMTE_OBS_ONLY(const bool obs_metrics = obs::metrics_on());
+  const bool obs_metrics = obs::metrics_on();
   Slot& sl = slots_[s];
   if (!sl.valid) {
     sl.valid = true;
     sl.key = key;
     ++stats_.misses;
     ++stats_.admissions;
-    PMTE_OBS_ONLY(if (obs_metrics) {
+    if (obs_metrics) {
       cache_obs().misses.add(1);
       cache_obs().admissions.add(1);
-    });
+    }
     return Outcome::fill;
   }
   if (sl.key == key) {
     ++stats_.hits;
-    PMTE_OBS_ONLY(if (obs_metrics) cache_obs().hits.add(1));
+    if (obs_metrics) cache_obs().hits.add(1);
     return Outcome::hit;
   }
   ++stats_.misses;
   ++stats_.conflicts;
-  PMTE_OBS_ONLY(if (obs_metrics) {
+  if (obs_metrics) {
     cache_obs().misses.add(1);
     cache_obs().conflicts.add(1);
-  });
+  }
   return Outcome::bypass;
 }
 

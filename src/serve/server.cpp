@@ -7,7 +7,6 @@
 
 namespace pmte::serve {
 
-#if PMTE_OBS
 namespace {
 
 /// Server-wide instruments, bound once on first use (the registry returns
@@ -55,7 +54,6 @@ void Server::ensure_tenant_obs() {
   server_obs().ensembles.set(static_cast<std::int64_t>(registry_.size()));
   server_obs().tenants.set(static_cast<std::int64_t>(tenants_.size()));
 }
-#endif  // PMTE_OBS
 
 std::uint64_t EnsembleRegistry::add(FrtEnsemble e) {
   const std::uint64_t fp = e.registry_fingerprint();
@@ -108,7 +106,7 @@ void Server::apply_staged_swaps() {
     Tenant& ten = tenants_[t];
     if (!ten.has_staged) continue;
     PMTE_OBS_SPAN("server.swap", static_cast<std::int64_t>(t), "tenant");
-    PMTE_OBS_ONLY(if (obs::metrics_on()) server_obs().swaps.add(1));
+    if (obs::metrics_on()) server_obs().swaps.add(1);
     auto next = registry_.find(ten.staged);
     PMTE_CHECK(next != nullptr,
                "Server::serve: staged swap targets an unregistered "
@@ -148,9 +146,7 @@ void Server::serve(std::span<const TenantQuery> batch,
     PMTE_OBS_SPAN("server.flip");
     apply_staged_swaps();
   }
-#if PMTE_OBS
   if (obs::metrics_on()) ensure_tenant_obs();
-#endif
   {
     PMTE_OBS_SPAN("server.route", static_cast<std::int64_t>(batch.size()),
                   "batch");
@@ -211,7 +207,7 @@ void Server::serve(std::span<const TenantQuery> batch,
   // Serial counter fold, tenant id order: cumulative logical counts plus
   // the running FNV-1a over this tenant's served doubles in stream order.
   PMTE_OBS_SPAN("server.fold");
-  PMTE_OBS_ONLY(const bool obs_metrics = obs::metrics_on());
+  const bool obs_metrics = obs::metrics_on();
   for (auto& ten : tenants_) {
     if (ten.pairs.empty()) continue;
     auto& c = ten.counters;
@@ -228,11 +224,11 @@ void Server::serve(std::span<const TenantQuery> batch,
       std::memcpy(&bits, &w, sizeof(bits));
       c.result_hash64 = fnv1a_fold(c.result_hash64, bits);
     }
-    PMTE_OBS_ONLY(if (obs_metrics && ten.obs.batches != nullptr) {
+    if (obs_metrics && ten.obs.batches != nullptr) {
       ten.obs.batches->add(1);
       ten.obs.pairs->add(ten.stats.pairs);
       ten.obs.shard_pairs->record(ten.stats.pairs);
-    });
+    }
   }
 }
 

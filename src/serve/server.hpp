@@ -197,7 +197,6 @@ class Server {
   void serve(std::span<const TenantQuery> batch, std::vector<Weight>& out);
 
  private:
-#if PMTE_OBS
   /// Lazily bound per-tenant metric handles (labels like tenant="3").
   /// Raw pointers into the process-wide registry, which never dies;
   /// nullptr until metrics are first enabled (see ensure_tenant_obs).
@@ -207,7 +206,6 @@ class Server {
     obs::Histogram* shard_pairs = nullptr;  ///< logical — deterministic
     obs::Histogram* shard_ns = nullptr;     ///< wall-time — informational
   };
-#endif
 
   struct Tenant {
     TenantConfig cfg;
@@ -224,21 +222,17 @@ class Server {
     std::vector<std::uint32_t> positions;
     std::vector<Weight> out;
     FrtEnsemble::BatchStats stats;
-#if PMTE_OBS
     TenantObsHandles obs;
-#endif
   };
 
   /// Serial flip phase: apply staged swaps, then retire drained epochs.
   void apply_staged_swaps();
 
-#if PMTE_OBS
   /// Bind metric handles for any tenant that lacks them and refresh the
   /// registry/tenant gauges.  Serial phase, called only when metrics are
   /// on — tenants added before obs was enabled get their handles at the
   /// next batch.
   void ensure_tenant_obs();
-#endif
 
   EnsembleRegistry registry_;
   std::vector<Tenant> tenants_;

@@ -2,10 +2,7 @@
 
 #include <cmath>
 
-#include "src/graph/shortest_paths.hpp"
-#include "src/mbf/algorithms.hpp"
 #include "src/obs/obs.hpp"
-#include "src/parallel/parallel.hpp"
 #include "src/util/assertions.hpp"
 
 namespace pmte {
@@ -30,36 +27,6 @@ SimulatedGraph::SimulatedGraph(Graph g_prime, unsigned hop_bound,
 
 double SimulatedGraph::level_scale(unsigned lambda) const noexcept {
   return lambda < scale_.size() ? scale_[lambda] : 1.0;
-}
-
-Weight SimulatedGraph::edge_weight_exact(Vertex v, Vertex w) const {
-  if (v == w) return 0.0;
-  // dist^d via the frontier-driven scalar engine (== d-hop Bellman-Ford).
-  const auto dists = mbf_sssp(g_prime_, v, d_);
-  if (!is_finite(dists[w])) return inf_weight();
-  return level_scale(levels_.edge_level(v, w)) * dists[w];
-}
-
-Graph SimulatedGraph::materialize(bool use_true_hop_distances) const {
-  const Vertex n = g_prime_.num_vertices();
-  std::vector<std::vector<Weight>> dist(n);
-  parallel_for(n, [&](std::size_t v) {
-    if (use_true_hop_distances) {
-      dist[v] = mbf_sssp(g_prime_, static_cast<Vertex>(v), d_);
-    } else {
-      dist[v] = dijkstra(g_prime_, static_cast<Vertex>(v)).dist;
-    }
-  });
-  std::vector<WeightedEdge> edges;
-  edges.reserve(static_cast<std::size_t>(n) * (n - 1) / 2);
-  for (Vertex v = 0; v < n; ++v) {
-    for (Vertex w = v + 1; w < n; ++w) {
-      if (!is_finite(dist[v][w]) || dist[v][w] <= 0.0) continue;
-      edges.push_back(WeightedEdge{
-          v, w, level_scale(levels_.edge_level(v, w)) * dist[v][w]});
-    }
-  }
-  return Graph::from_edges(n, std::move(edges));
 }
 
 SimulatedGraph build_simulated_graph(const Graph& g, const HopSet& hopset,

@@ -11,7 +11,8 @@
 //
 // H has Θ(n²) edges and is *never* stored: the class keeps G', the levels
 // and the parameters, which is all the oracle (Section 5) needs.  Explicit
-// materialisation is provided for validation on small instances.
+// materialisation, for validation on small instances, is in the reference
+// library (tests/support/reference/simulated_graph.hpp).
 
 #include "src/graph/graph.hpp"
 #include "src/hopset/hopset.hpp"
@@ -49,16 +50,6 @@ class SimulatedGraph {
   void set_base_edge_weight(Vertex u, Vertex v, Weight w) {
     g_prime_.set_edge_weight(u, v, w);
   }
-
-  /// ω_Λ({v,w}) computed from explicit d-hop distances — O(d·m) per call;
-  /// for tests.
-  [[nodiscard]] Weight edge_weight_exact(Vertex v, Vertex w) const;
-
-  /// Materialise H explicitly.  `use_true_hop_distances` selects the exact
-  /// Definition 4.2 semantics via d-hop Bellman-Ford (Θ(n·d·m), tests) or
-  /// the Dijkstra shortcut dist instead of dist^d (valid w.h.p. for exact
-  /// hop sets; benches).
-  [[nodiscard]] Graph materialize(bool use_true_hop_distances = true) const;
 
  private:
   Graph g_prime_;

@@ -1,4 +1,5 @@
 #include "tests/support/fixtures.hpp"
+#include "tests/support/reference/hopset.hpp"
 
 #include <cmath>
 #include <stdexcept>

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "src/graph/shortest_paths.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte::test {
 

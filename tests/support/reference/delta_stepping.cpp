@@ -1,4 +1,4 @@
-#include "src/graph/delta_stepping.hpp"
+#include "tests/support/reference/delta_stepping.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -1,7 +1,7 @@
-#include "src/metric/matrix_apsp.hpp"
+#include "tests/support/reference/matrix_apsp.hpp"
 
-#include "src/algebra/matrix.hpp"
 #include "src/util/timer.hpp"
+#include "tests/support/reference/matrix.hpp"
 
 namespace pmte {
 

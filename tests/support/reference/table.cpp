@@ -1,4 +1,4 @@
-#include "src/util/table.hpp"
+#include "tests/support/reference/table.hpp"
 
 #include <algorithm>
 

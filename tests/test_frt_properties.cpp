@@ -10,10 +10,10 @@
 #include <cmath>
 
 #include "src/frt/pipelines.hpp"
-#include "src/graph/shortest_paths.hpp"
 #include "src/serve/frt_index.hpp"
 #include "tests/support/fixtures.hpp"
 #include "tests/support/reference.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte {
 namespace {

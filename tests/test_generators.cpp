@@ -12,6 +12,7 @@
 #include "src/serve/dynamic_ensemble.hpp"
 #include "src/serve/workloads.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte {
 namespace {

@@ -10,7 +10,6 @@
 #include "src/apps/kmedian.hpp"
 #include "src/frt/pipelines.hpp"
 #include "src/graph/generators.hpp"
-#include "src/graph/shortest_paths.hpp"
 #include "src/serve/frt_index.hpp"
 #include "tests/support/fixtures.hpp"
 

@@ -6,8 +6,8 @@
 
 #include "src/frt/le_lists.hpp"
 #include "src/graph/generators.hpp"
-#include "src/graph/shortest_paths.hpp"
 #include "tests/support/reference.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte {
 namespace {

@@ -1,13 +1,15 @@
-// Tests for dense semiring matrices (src/algebra/matrix.hpp) and matrix
-// APSP (Section 1.1): the distance product is the reference model the
-// MBF-like engine must agree with (Lemma 3.1), over every semiring.
+// Tests for dense semiring matrices (tests/support/reference/matrix.hpp)
+// and matrix APSP (Section 1.1): the distance product is the reference
+// model the MBF-like engine must agree with (Lemma 3.1), over every
+// semiring.
 #include <gtest/gtest.h>
 
-#include "src/algebra/matrix.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/shortest_paths.hpp"
 #include "src/mbf/algorithms.hpp"
-#include "src/metric/matrix_apsp.hpp"
+#include "tests/support/reference/matrix.hpp"
+#include "tests/support/reference/matrix_apsp.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte {
 namespace {

@@ -7,6 +7,7 @@
 #include "src/graph/generators.hpp"
 #include "src/graph/shortest_paths.hpp"
 #include "src/mbf/algorithms.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte {
 namespace {

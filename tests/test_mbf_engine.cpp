@@ -6,7 +6,6 @@
 
 #include "src/frt/le_lists.hpp"
 #include "src/graph/generators.hpp"
-#include "src/graph/shortest_paths.hpp"
 #include "src/mbf/algebras.hpp"
 #include "src/mbf/engine.hpp"
 #include "src/parallel/parallel.hpp"

@@ -4,8 +4,8 @@
 #include <cmath>
 
 #include "src/graph/generators.hpp"
-#include "src/graph/shortest_paths.hpp"
 #include "src/metric/approx_metric.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte {
 namespace {

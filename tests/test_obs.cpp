@@ -205,8 +205,6 @@ TEST(ObsTrace, RingKeepsMostRecentEvents) {
   EXPECT_EQ(sink.overwritten(), 6u);  // losses stay counted
 }
 
-#if PMTE_OBS
-
 /// Restores the obs layer to its all-off default and drops recorded
 /// events, so tests never leak runtime state into each other.
 class ObsGuard {
@@ -303,13 +301,9 @@ TEST(ObsTrace, LossesAreExportedAsMetric) {
   EXPECT_GE(obs::trace_sink().overwritten(), 3u);
 }
 
-#endif  // PMTE_OBS
-
 // ---------------------------------------------------------------------------
 // The on/off differential: enabling the obs layer at runtime must not
-// change a single served bit or logical counter.  (At PMTE_OBS=0 the
-// configure() calls are no-ops and the test degenerates to running the
-// scenario three times — which must STILL agree, so it stays meaningful.)
+// change a single served bit or logical counter.
 
 Graph test_graph() {
   Rng rng(4242);
@@ -337,9 +331,7 @@ serve::EnsembleOptions ensemble_options() {
 }
 
 TEST(ObsDifferential, BatchStatsAndOutputsIdenticalOnAndOff) {
-#if PMTE_OBS
   const ObsGuard guard;
-#endif
   const auto g = test_graph();
   const auto e = serve::FrtEnsemble::build(g, 9001, ensemble_options());
   serve::WorkloadOptions wopts;
@@ -384,9 +376,7 @@ TEST(ObsDifferential, BatchStatsAndOutputsIdenticalOnAndOff) {
 }
 
 TEST(ObsDifferential, TenantCountersAndHashIdenticalOnAndOff) {
-#if PMTE_OBS
   const ObsGuard guard;
-#endif
   const auto g = test_graph();
   constexpr std::size_t kTenants = 4, kBatches = 4, kSwapAt = 2;
 

@@ -24,6 +24,7 @@
 #include "tests/support/fixtures.hpp"
 #include "tests/support/jacobi_oracle.hpp"
 #include "tests/support/reference.hpp"
+#include "tests/support/reference/simulated_graph.hpp"
 
 namespace pmte {
 namespace {
@@ -40,7 +41,7 @@ TEST_P(OracleEquivalence, LeListsMatchExplicitH) {
   // ε̂ = 0 keeps all level scales exactly 1.0, so floating-point results
   // on the implicit and explicit sides are bit-identical.
   const auto h = make_h(g, 0.0, GetParam() + 1);
-  const auto explicit_h = h.materialize(true);
+  const auto explicit_h = materialize(h, true);
   const auto order = VertexOrder::random(40, rng);
   const LeListAlgebra alg;
 
@@ -58,7 +59,7 @@ TEST_P(OracleEquivalence, LeListsMatchWithPenalties) {
   const auto g = make_gnm(32, 70, {1.0, 3.0}, rng);
   const double eps = 0.25;
   const auto h = make_h(g, eps, GetParam() + 51);
-  const auto explicit_h = h.materialize(true);
+  const auto explicit_h = materialize(h, true);
   const auto order = VertexOrder::random(32, rng);
   const LeListAlgebra alg;
 
@@ -79,7 +80,7 @@ TEST_P(OracleEquivalence, SourceDetectionMatchesExplicitH) {
   Rng rng(GetParam() + 100);
   const auto g = make_gnm(36, 80, {1.0, 5.0}, rng);
   const auto h = make_h(g, 0.0, GetParam() + 101);
-  const auto explicit_h = h.materialize(true);
+  const auto explicit_h = materialize(h, true);
   SourceDetectionAlgebra alg{.k = 4, .max_dist = inf_weight()};
   std::vector<DistanceMap> x0(36);
   for (Vertex s : {0U, 9U, 20U, 33U}) x0[s] = DistanceMap::singleton(s, 0.0);
@@ -101,7 +102,7 @@ TEST(Oracle, ForestFireOnHMatchesExplicit) {
   Rng rng(21);
   const auto g = make_gnm(30, 64, {1.0, 3.0}, rng);
   const auto h = make_h(g, 0.0, 22);
-  const auto explicit_h = h.materialize(true);
+  const auto explicit_h = materialize(h, true);
   ScalarDistanceAlgebra alg;  // unbounded radius
   std::vector<Weight> x0(30, inf_weight());
   x0[4] = 0.0;
@@ -131,7 +132,7 @@ TEST(Oracle, HopBoundGreaterThanOne) {
   params.window = 4;
   const auto hs = build_hub_hopset(g, params, rng);
   const auto h = build_simulated_graph(g, hs, 0.0, rng);
-  const auto explicit_h = h.materialize(true);  // d-hop Bellman-Ford
+  const auto explicit_h = materialize(h, true);  // d-hop Bellman-Ford
   const auto order = VertexOrder::random(48, rng);
   const LeListAlgebra alg;
   auto via_oracle = oracle_run(h, alg, le_initial_state(order), 128);

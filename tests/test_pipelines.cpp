@@ -8,9 +8,9 @@
 
 #include "src/frt/pipelines.hpp"
 #include "src/frt/stretch.hpp"
-#include "src/graph/shortest_paths.hpp"
 #include "src/serve/frt_index.hpp"
 #include "tests/support/fixtures.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte {
 namespace {

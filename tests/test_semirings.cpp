@@ -1,10 +1,11 @@
 // Property tests for the semiring axioms (Definition A.2) of all four
-// semirings, using the generic checkers from src/algebra/axioms.hpp.
+// semirings, using the generic checkers from
+// tests/support/reference/axioms.hpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "src/algebra/axioms.hpp"
+#include "tests/support/reference/axioms.hpp"
 #include "src/algebra/path_set.hpp"
 #include "src/util/rng.hpp"
 

@@ -7,6 +7,7 @@
 
 #include "src/graph/generators.hpp"
 #include "src/graph/shortest_paths.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte {
 namespace {

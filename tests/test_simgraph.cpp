@@ -7,6 +7,9 @@
 #include "src/graph/generators.hpp"
 #include "src/graph/shortest_paths.hpp"
 #include "src/simgraph/simulated_graph.hpp"
+#include "tests/support/reference/hopset.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
+#include "tests/support/reference/simulated_graph.hpp"
 
 namespace pmte {
 namespace {
@@ -63,10 +66,10 @@ TEST(SimGraph, EdgeWeightFormula) {
   EXPECT_DOUBLE_EQ(h.level_scale(1), 1.0);
   EXPECT_DOUBLE_EQ(h.level_scale(0), 1.5);
   // ω_Λ(0,1): λ(0,1)=0 → 1.5 · dist²(0,1)=1 → 1.5.
-  EXPECT_DOUBLE_EQ(h.edge_weight_exact(0, 1), 1.5);
+  EXPECT_DOUBLE_EQ(edge_weight_exact(h, 0, 1), 1.5);
   // ω_Λ(0,2): λ=0 → 1.5 · dist²(0,2)=2 → 3.
-  EXPECT_DOUBLE_EQ(h.edge_weight_exact(0, 2), 3.0);
-  const auto mat = h.materialize(true);
+  EXPECT_DOUBLE_EQ(edge_weight_exact(h, 0, 2), 3.0);
+  const auto mat = materialize(h, true);
   EXPECT_DOUBLE_EQ(mat.edge_weight(0, 1), 1.5);
   EXPECT_DOUBLE_EQ(mat.edge_weight(0, 2), 3.0);
   EXPECT_DOUBLE_EQ(mat.edge_weight(1, 2), 1.5);
@@ -77,7 +80,7 @@ TEST(SimGraph, HopBoundLimitsMaterialisedEdges) {
   const auto g = make_path(4);
   auto levels = LevelAssignment::from_levels({0, 0, 0, 0});
   SimulatedGraph h(g, /*d=*/1, 0.0, std::move(levels));
-  const auto mat = h.materialize(true);
+  const auto mat = materialize(h, true);
   EXPECT_EQ(mat.num_edges(), 3U);  // the path's own edges only
 }
 
@@ -91,7 +94,7 @@ TEST_P(SimGraphSandwich, DistanceSandwichHolds) {
   const auto hs = build_exact_hopset(g);
   const double eps = 0.1;
   const auto h = build_simulated_graph(g, hs, eps, rng);
-  const auto mat = h.materialize(true);
+  const auto mat = materialize(h, true);
   const double bound =
       std::pow(1.0 + eps, static_cast<double>(h.max_level()) + 1.0);
   for (Vertex s : {0U, 11U, 37U}) {
@@ -113,7 +116,7 @@ TEST_P(SimGraphSandwich, SpdCollapsesOnPathGraphs) {
   const auto g = make_path(n);
   const auto hs = build_hub_hopset(g, {}, rng);
   const auto h = build_simulated_graph(g, hs, 1.0 / std::log2(n), rng);
-  const auto mat = h.materialize(false);  // Dijkstra distances (fast path)
+  const auto mat = materialize(h, false);  // Dijkstra distances (fast path)
   const auto info = shortest_path_diameter(mat);
   const auto log2n = std::log2(static_cast<double>(n));
   EXPECT_EQ(shortest_path_diameter(g).spd, n - 1);

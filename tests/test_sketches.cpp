@@ -9,6 +9,7 @@
 #include "src/graph/shortest_paths.hpp"
 #include "src/serve/workloads.hpp"
 #include "tests/support/fixtures.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte {
 namespace {

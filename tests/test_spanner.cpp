@@ -8,6 +8,7 @@
 #include "src/graph/generators.hpp"
 #include "src/graph/shortest_paths.hpp"
 #include "src/spanner/baswana_sen.hpp"
+#include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte {
 namespace {

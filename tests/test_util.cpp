@@ -12,7 +12,7 @@
 #include "src/util/cli.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
-#include "src/util/table.hpp"
+#include "tests/support/reference/table.hpp"
 
 namespace pmte {
 namespace {
