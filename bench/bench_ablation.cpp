@@ -12,11 +12,11 @@
 namespace pmte::bench {
 namespace {
 
-void weight_rule_ablation(const Cli& cli, Rng& rng) {
+void weight_rule_ablation(const Args& args, Rng& rng) {
   print_header("E17a: FRT weight rule",
                "dominating rule doubles distances but guarantees "
                "dist_T >= dist_G; khan rule can undershoot");
-  const Vertex n = quick(cli) ? 96 : 192;
+  const Vertex n = args.small ? 96 : 192;
   const auto g = make_gnm(n, 3 * static_cast<std::size_t>(n), {1.0, 5.0},
                           rng);
   const auto pairs = sample_pairs(g, 24, 400, rng);
@@ -45,11 +45,11 @@ void weight_rule_ablation(const Cli& cli, Rng& rng) {
   t.print();
 }
 
-void eps_hat_ablation(const Cli& cli, Rng& rng) {
+void eps_hat_ablation(const Args& args, Rng& rng) {
   print_header("E17b: penalty parameter",
                "eps controls H's distortion (1+eps)^(Lambda+1); the auto "
                "default 1/ceil(log2 n)^2 keeps it 1+o(1)");
-  const Vertex n = quick(cli) ? 96 : 192;
+  const Vertex n = args.small ? 96 : 192;
   const auto g = make_gnm(n, 3 * static_cast<std::size_t>(n), {1.0, 4.0},
                           rng);
   const auto pairs = sample_pairs(g, 16, 300, rng);
@@ -75,11 +75,11 @@ void eps_hat_ablation(const Cli& cli, Rng& rng) {
   t.print();
 }
 
-void window_ablation(const Cli& cli, Rng& rng) {
+void window_ablation(const Args& args, Rng& rng) {
   print_header("E17c: hop-set window",
                "smaller windows buy fewer G'-iterations per H-iteration "
                "with more shortcut edges");
-  const Vertex n = quick(cli) ? 128 : 256;
+  const Vertex n = args.small ? 128 : 256;
   const auto g = make_path(n, {1.0, 2.0}, rng);
   Table t({"window", "d", "hopset edges", "H-iterations", "G'-iterations",
            "time [ms]"});
@@ -95,14 +95,16 @@ void window_ablation(const Cli& cli, Rng& rng) {
   t.print();
 }
 
+void run(const Args& args) {
+  Rng rng(args.seed);
+  weight_rule_ablation(args, rng);
+  eps_hat_ablation(args, rng);
+  window_ablation(args, rng);
+}
+
 }  // namespace
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  const pmte::Cli cli(argc, argv);
-  pmte::Rng rng(cli.seed());
-  pmte::bench::weight_rule_ablation(cli, rng);
-  pmte::bench::eps_hat_ablation(cli, rng);
-  pmte::bench::window_ablation(cli, rng);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run);
 }

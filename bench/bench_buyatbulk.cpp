@@ -45,13 +45,13 @@ void run_counters() {
   emit_counters(std::cout, scenarios);
 }
 
-void run(const Cli& cli) {
+void run(const Args& args) {
   print_header("E10: buy-at-bulk",
                "Theorem 10.2 — expected O(log n)-approximation via FRT "
                "routing + per-edge cable optimisation");
-  Rng rng(cli.seed());
+  Rng rng(args.seed);
   const std::vector<CableType> cables{{1.0, 1.0}, {8.0, 4.0}, {64.0, 16.0}};
-  const std::vector<Vertex> sizes = quick(cli)
+  const std::vector<Vertex> sizes = args.small
                                         ? std::vector<Vertex>{128}
                                         : std::vector<Vertex>{128, 256, 512};
   Table t({"family", "n", "demands", "FRT cost", "direct cost",
@@ -86,11 +86,6 @@ void run(const Cli& cli) {
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  if (pmte::bench::wants_counters(argc, argv)) {
-    pmte::bench::run_counters();
-    return 0;
-  }
-  const pmte::Cli cli(argc, argv);
-  pmte::bench::run(cli);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run,
+                                 pmte::bench::run_counters);
 }

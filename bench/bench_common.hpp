@@ -36,14 +36,6 @@ struct CounterScenario {
   std::vector<std::pair<std::string, std::uint64_t>> metrics;
 };
 
-/// True iff the binary was invoked with --counters (scale flags ignored).
-inline bool wants_counters(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--counters") == 0) return true;
-  }
-  return false;
-}
-
 /// Fold a double's IEEE-754 bit pattern into an FNV-1a hash (result
 /// pinning for the counter scenarios).
 inline std::uint64_t fnv1a_fold_f64(std::uint64_t hash, double v) {
@@ -87,8 +79,29 @@ inline void print_header(const std::string& experiment,
             << "Paper claim: " << claim << "\n\n";
 }
 
-/// Whether the bench runs the reduced sweep (default: full).
-inline bool quick(const Cli& cli) { return cli.get("scale", "full") == "small"; }
+/// The flags of a sweep, read once.
+struct Args {
+  bool small = false;      ///< --scale=small: the reduced sweep
+  std::uint64_t seed = 0;  ///< --seed
+};
+
+/// main() of a bench: its flags are --scale=small|full (default full),
+/// --seed (default 42) and, for a bench with gated counter scenarios,
+/// the --counters switch, which runs `counters` instead of `sweep`.  Any
+/// other flag exits 2.
+inline int bench_main(int argc, char** argv, void (*sweep)(const Args&),
+                      void (*counters)() = nullptr) {
+  std::vector<Flag> flags{Flag::choice("scale", "full", {"small", "full"}),
+                          Flag::seed(42)};
+  if (counters != nullptr) flags.push_back(Flag::toggle("counters"));
+  const Cli cli(argc, argv, std::move(flags));
+  if (counters != nullptr && cli.has("counters")) {
+    counters();
+  } else {
+    sweep({cli.get("scale") == "small", cli.seed()});
+  }
+  return 0;
+}
 
 /// A named graph instance for family sweeps.
 struct Instance {

@@ -22,14 +22,14 @@ Graph path_with_star(Vertex n) {
   return Graph::from_edges(n, std::move(edges));
 }
 
-void run(const Cli& cli) {
+void run(const Args& args) {
   print_header("E8: Congest rounds",
                "Theorem 8.1 — skeleton algorithm ~O(sqrt(n)+D) rounds vs "
                "O(SPD log n) for direct iteration (Khan et al.)");
   const std::vector<Vertex> sizes =
-      quick(cli) ? std::vector<Vertex>{200, 400}
+      args.small ? std::vector<Vertex>{200, 400}
                  : std::vector<Vertex>{200, 400, 800, 1600};
-  Rng rng(cli.seed());
+  Rng rng(args.seed);
   Table t({"graph", "n", "SPD-ish", "sqrt(n)", "khan rounds", "khan relax",
            "skeleton rounds", "skel setup", "skel iters", "|S|",
            "spanner |E|"});
@@ -68,7 +68,5 @@ void run(const Cli& cli) {
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  const pmte::Cli cli(argc, argv);
-  pmte::bench::run(cli);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run);
 }

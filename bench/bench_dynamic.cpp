@@ -120,18 +120,18 @@ void run_counters() {
   emit_counters(std::cout, scenarios);
 }
 
-void run(const Cli& cli) {
+void run(const Args& args) {
   print_header(
       "E-dynamic: incremental FRT maintenance",
       "a local weight decrease warm-restarts only the affected oracle "
       "levels (relaxations a small fraction of a rebuild); an increase "
       "invalidates and is bounded by one fresh build; snapshots stay "
       "bit-identical to the maintained metric at any thread count");
-  const std::size_t trees = quick(cli) ? 2 : 4;
-  Rng rng(cli.seed());
+  const std::size_t trees = args.small ? 2 : 4;
+  Rng rng(args.seed);
   Table t({"family", "n", "op", "relaxations", "levels", "time [ms]",
            "vs rebuild"});
-  for (const Vertex n : quick(cli)
+  for (const Vertex n : args.small
                             ? std::vector<Vertex>{256, 512}
                             : std::vector<Vertex>{256, 512, 1024, 2048}) {
     auto inst = make_instance("gnm", n, rng());
@@ -175,11 +175,6 @@ void run(const Cli& cli) {
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  if (pmte::bench::wants_counters(argc, argv)) {
-    pmte::bench::run_counters();
-    return 0;
-  }
-  const pmte::Cli cli(argc, argv);
-  pmte::bench::run(cli);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run,
+                                 pmte::bench::run_counters);
 }

@@ -66,7 +66,7 @@ void run_counters() {
   emit_counters(std::cout, scenarios);
 }
 
-void run(const Cli& cli) {
+void run(const Args& args) {
   print_header(
       "E4: pipeline depth & work",
       "Theorem 7.9 — polylog depth, ~O(m^(1+eps)) work vs Theta(SPD) "
@@ -76,9 +76,9 @@ void run(const Cli& cli) {
   // iteration counts carry the paper's depth claim.  Sizes are kept
   // moderate so the whole sweep finishes in minutes.
   const std::vector<Vertex> sizes =
-      quick(cli) ? std::vector<Vertex>{128, 256}
+      args.small ? std::vector<Vertex>{128, 256}
                  : std::vector<Vertex>{128, 256, 384};
-  Rng rng(cli.seed());
+  Rng rng(args.seed);
   Table t({"family", "n", "pipeline", "iterations", "G'-iterations",
            "work [ops]", "relax", "time [ms]", "max |list|"});
 
@@ -123,11 +123,6 @@ void run(const Cli& cli) {
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  if (pmte::bench::wants_counters(argc, argv)) {
-    pmte::bench::run_counters();
-    return 0;
-  }
-  const pmte::Cli cli(argc, argv);
-  pmte::bench::run(cli);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run,
+                                 pmte::bench::run_counters);
 }

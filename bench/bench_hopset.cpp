@@ -12,13 +12,13 @@
 namespace pmte::bench {
 namespace {
 
-void run(const Cli& cli) {
+void run(const Args& args) {
   print_header("E12: hop sets",
                "Equation (1.3) — dist^d(v,w,G') <= (1+eps) dist(v,w,G); hub "
                "substitution is exact (eps = 0) w.h.p.");
-  Rng rng(cli.seed());
+  Rng rng(args.seed);
   const std::vector<Vertex> sizes =
-      quick(cli) ? std::vector<Vertex>{256} : std::vector<Vertex>{256, 1024};
+      args.small ? std::vector<Vertex>{256} : std::vector<Vertex>{256, 1024};
   Table t({"family", "n", "window", "d", "hubs", "added edges",
            "measured stretch", "build [ms]"});
 
@@ -48,7 +48,5 @@ void run(const Cli& cli) {
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  const pmte::Cli cli(argc, argv);
-  pmte::bench::run(cli);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run);
 }

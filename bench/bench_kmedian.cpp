@@ -40,12 +40,12 @@ void run_counters() {
   emit_counters(std::cout, scenarios);
 }
 
-void run(const Cli& cli) {
+void run(const Args& args) {
   print_header("E9: k-median",
                "Theorem 9.2 — expected O(log k)-approximation with "
                "~O(m^(1+eps)+k^3) work");
-  Rng rng(cli.seed());
-  const Vertex n = quick(cli) ? 256 : 900;
+  Rng rng(args.seed);
+  const Vertex n = args.small ? 256 : 900;
   Table t({"family", "n", "k", "FRT cost", "local-search cost",
            "random cost", "FRT/LS", "|Q|", "FRT time [ms]"});
 
@@ -73,11 +73,6 @@ void run(const Cli& cli) {
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  if (pmte::bench::wants_counters(argc, argv)) {
-    pmte::bench::run_counters();
-    return 0;
-  }
-  const pmte::Cli cli(argc, argv);
-  pmte::bench::run(cli);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run,
+                                 pmte::bench::run_counters);
 }

@@ -71,15 +71,15 @@ void run_counters() {
   emit_counters(std::cout, scenarios);
 }
 
-void run(const Cli& cli) {
+void run(const Args& args) {
   print_header("E3: LE-list length",
                "Lemma 7.6 — |LE list| in O(log n) w.h.p.; expected ~ ln n; "
                "plus the frontier-driven MBF iteration vs the sequential "
                "baseline");
   const std::vector<Vertex> sizes =
-      quick(cli) ? std::vector<Vertex>{256, 1024}
+      args.small ? std::vector<Vertex>{256, 1024}
                  : std::vector<Vertex>{256, 1024, 4096, 16384};
-  Rng rng(cli.seed());
+  Rng rng(args.seed);
   Table t({"family", "n", "ln(n)", "avg |list|", "p99 |list|", "max |list|",
            "seq time [ms]", "iter time [ms]", "iter relax", "iter == seq"});
   for (const auto* family : {"gnm", "grid", "path", "geometric"}) {
@@ -117,11 +117,6 @@ void run(const Cli& cli) {
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  if (pmte::bench::wants_counters(argc, argv)) {
-    pmte::bench::run_counters();
-    return 0;
-  }
-  const pmte::Cli cli(argc, argv);
-  pmte::bench::run(cli);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run,
+                                 pmte::bench::run_counters);
 }

@@ -12,12 +12,12 @@
 namespace pmte::bench {
 namespace {
 
-void run(const Cli& cli) {
+void run(const Args& args) {
   print_header("E16: algebraic APSP baseline",
                "Section 1.1 — A <- A^2 fixpoint: ceil(log2 SPD) rounds, "
                "Theta(n^3 log n) work");
-  Rng rng(cli.seed());
-  const std::vector<Vertex> sizes = quick(cli)
+  Rng rng(args.seed);
+  const std::vector<Vertex> sizes = args.small
                                         ? std::vector<Vertex>{64, 128}
                                         : std::vector<Vertex>{64, 128, 256};
   Table t({"family", "n", "m", "squarings", "matrix time [ms]",
@@ -46,7 +46,5 @@ void run(const Cli& cli) {
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  const pmte::Cli cli(argc, argv);
-  pmte::bench::run(cli);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run);
 }

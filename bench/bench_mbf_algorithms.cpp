@@ -11,12 +11,12 @@
 namespace pmte::bench {
 namespace {
 
-void run(const Cli& cli) {
+void run(const Args& args) {
   print_header("E14: MBF-like algorithm collection",
                "Section 3 — one framework, many algorithms; timings vs "
                "classical baselines");
-  Rng rng(cli.seed());
-  const Vertex n = quick(cli) ? 512 : 2048;
+  Rng rng(args.seed);
+  const Vertex n = args.small ? 512 : 2048;
   const auto g = make_gnm(n, 4 * static_cast<std::size_t>(n), {1.0, 5.0},
                           rng);
   Table t({"problem", "method", "n", "time [ms]", "result checksum"});
@@ -124,7 +124,7 @@ void run(const Cli& cli) {
                cell(static_cast<std::size_t>(scope.edges_touched_delta())),
                cell(r.iterations)});
   };
-  const Vertex n_sparse = quick(cli) ? 2048 : 8192;
+  const Vertex n_sparse = args.small ? 2048 : 8192;
   for (const char* family : {"path", "grid"}) {
     const auto inst = make_instance(family, n_sparse, 7);
     engine_row(inst, MbfMode::kDense, "dense");
@@ -137,7 +137,5 @@ void run(const Cli& cli) {
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  const pmte::Cli cli(argc, argv);
-  pmte::bench::run(cli);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run);
 }

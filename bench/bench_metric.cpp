@@ -13,17 +13,17 @@
 namespace pmte::bench {
 namespace {
 
-void run(const Cli& cli) {
+void run(const Args& args) {
   print_header("E6: approximate metrics",
                "Theorem 6.1 — (1+o(1))-approximate metric; Theorem 6.2 — "
                "O(1)-approximate after spanner sparsification");
   // APSP states are Θ(n) entries per vertex (no filtering is possible —
   // the answer itself is quadratic), so sizes stay small; the work column
   // carries the asymptotic comparison.
-  const std::vector<Vertex> sizes = quick(cli)
+  const std::vector<Vertex> sizes = args.small
                                         ? std::vector<Vertex>{96}
                                         : std::vector<Vertex>{96, 192};
-  Rng rng(cli.seed());
+  Rng rng(args.seed);
   Table t({"family", "n", "method", "stretch", "H-iters", "work [ops]",
            "time [ms]", "aux edges"});
 
@@ -72,7 +72,5 @@ void run(const Cli& cli) {
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  const pmte::Cli cli(argc, argv);
-  pmte::bench::run(cli);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run);
 }

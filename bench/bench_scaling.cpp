@@ -13,12 +13,12 @@
 namespace pmte::bench {
 namespace {
 
-void run(const Cli& cli) {
+void run(const Args& args) {
   print_header("E11: thread scaling",
                "depth bounds presume parallel propagate/aggregate/filter; "
                "measured speedup of the OpenMP realisation");
-  Rng rng(cli.seed());
-  const Vertex n = quick(cli) ? 20000 : 60000;
+  Rng rng(args.seed);
+  const Vertex n = args.small ? 20000 : 60000;
   const auto g = make_gnm(n, 4 * static_cast<std::size_t>(n), {1.0, 4.0},
                           rng);
   const auto order = VertexOrder::random(g.num_vertices(), rng);
@@ -27,7 +27,7 @@ void run(const Cli& cli) {
   Table t({"threads", "5 LE iterations [ms]", "speedup",
            "64 Dijkstras [ms]", "speedup", "oracle FRT [ms]", "speedup"});
   double base_iter = 0.0, base_dij = 0.0, base_frt = 0.0;
-  const Vertex n_frt = quick(cli) ? 256 : 512;
+  const Vertex n_frt = args.small ? 256 : 512;
   const auto g_frt = make_instance("gnm", n_frt, 123).graph;
   for (int threads = 1; threads <= max_threads; ++threads) {
     set_num_threads(threads);
@@ -50,7 +50,7 @@ void run(const Cli& cli) {
     const double dij_ms = t_dij.millis();
 
     // Phase 3: an end-to-end oracle FRT sample.
-    Rng frt_rng(cli.seed() + 17);
+    Rng frt_rng(args.seed + 17);
     const Timer t_frt;
     (void)sample_frt_oracle(g_frt, frt_rng);
     const double frt_ms = t_frt.millis();
@@ -72,7 +72,5 @@ void run(const Cli& cli) {
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  const pmte::Cli cli(argc, argv);
-  pmte::bench::run(cli);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run);
 }

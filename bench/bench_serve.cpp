@@ -217,15 +217,15 @@ void run_counters() {
   emit_counters(std::cout, scenarios);
 }
 
-void run(const Cli& cli) {
+void run(const Args& args) {
   print_header(
       "E-serve: ensemble serving throughput",
       "tree-distance queries from two ancestor rows per tree; k-tree "
       "ensembles cut the served stretch (Blelloch-Gu-Sun style) at k flat "
       "lookups per query");
-  const Vertex n = quick(cli) ? 1024 : 4096;
-  const std::size_t queries = quick(cli) ? 100000 : 1000000;
-  Rng rng(cli.seed());
+  const Vertex n = args.small ? 1024 : 4096;
+  const std::size_t queries = args.small ? 100000 : 1000000;
+  Rng rng(args.seed);
 
   Table t({"family", "n", "trees", "build [ms]", "workload", "policy",
            "queries", "Mq/s", "ns/query"});
@@ -281,7 +281,7 @@ void run(const Cli& cli) {
   // certifies dominance of the served values.
   std::cout << "\nExact served stretch (distance-weighted, vs brute-force "
                "Dijkstra):\n\n";
-  const Vertex sn = quick(cli) ? 256 : 512;
+  const Vertex sn = args.small ? 256 : 512;
   Table st({"family", "n", "trees", "policy", "pairs", "weighted",
             "mean", "max", "min"});
   for (const auto* family : {"gnm", "grid", "geometric"}) {
@@ -308,11 +308,6 @@ void run(const Cli& cli) {
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  if (pmte::bench::wants_counters(argc, argv)) {
-    pmte::bench::run_counters();
-    return 0;
-  }
-  const pmte::Cli cli(argc, argv);
-  pmte::bench::run(cli);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run,
+                                 pmte::bench::run_counters);
 }

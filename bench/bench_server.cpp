@@ -127,16 +127,16 @@ void run_counters() {
   emit_counters(std::cout, scenarios);
 }
 
-void run(const Cli& cli) {
+void run(const Args& args) {
   print_header(
       "E-server: many-tenant serving engine",
       "serial routing + parallel per-tenant shards keep every stream's "
       "outputs and counters bit-identical at any thread count; epoch "
       "hot-swaps flip at batch boundaries without a serving gap");
-  const std::size_t per_tenant = quick(cli) ? 50000 : 200000;
+  const std::size_t per_tenant = args.small ? 50000 : 200000;
   const std::size_t batches = 8;
-  Rng rng(cli.seed());
-  auto inst = make_instance("gnm", quick(cli) ? 1024 : 4096, rng());
+  Rng rng(args.seed);
+  auto inst = make_instance("gnm", args.small ? 1024 : 4096, rng());
 
   const auto e_seed = rng();
   Table t({"tenants", "queries", "batches", "swap", "route [ms]",
@@ -181,11 +181,6 @@ void run(const Cli& cli) {
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  if (pmte::bench::wants_counters(argc, argv)) {
-    pmte::bench::run_counters();
-    return 0;
-  }
-  const pmte::Cli cli(argc, argv);
-  pmte::bench::run(cli);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run,
+                                 pmte::bench::run_counters);
 }

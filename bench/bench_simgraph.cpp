@@ -43,14 +43,14 @@ unsigned sampled_spd(const Graph& g, std::size_t sources, Rng& rng) {
   return worst;
 }
 
-void run(const Cli& cli) {
+void run(const Args& args) {
   print_header("E1: SPD(H) vs SPD(G)",
                "Theorem 4.5 — SPD(H) in O(log^2 n) w.h.p. while SPD(G) can "
                "be Theta(n)");
   const std::vector<Vertex> sizes =
-      quick(cli) ? std::vector<Vertex>{128, 256}
+      args.small ? std::vector<Vertex>{128, 256}
                  : std::vector<Vertex>{128, 256, 512, 1024};
-  Rng rng(cli.seed());
+  Rng rng(args.seed);
 
   Table t({"family", "n", "SPD(G)", "SPD(H)", "Lambda", "log2^2(n)",
            "hopset edges", "d"});
@@ -102,7 +102,5 @@ void run(const Cli& cli) {
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  const pmte::Cli cli(argc, argv);
-  pmte::bench::run(cli);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run);
 }

@@ -122,12 +122,12 @@ void run_counters() {
   emit_counters(std::cout, scenarios);
 }
 
-void run(const Cli& cli) {
+void run(const Args& args) {
   print_header("E15: distance sketches",
                "LE lists as distance labels: T x O(log n) entries/vertex, "
                "upper-bound estimates tightening with T");
-  Rng rng(cli.seed());
-  const std::vector<Vertex> sizes = quick(cli)
+  Rng rng(args.seed);
+  const std::vector<Vertex> sizes = args.small
                                         ? std::vector<Vertex>{256}
                                         : std::vector<Vertex>{256, 1024};
   Table t({"family", "n", "T", "entries/vertex", "avg est/dist",
@@ -174,11 +174,6 @@ void run(const Cli& cli) {
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  if (pmte::bench::wants_counters(argc, argv)) {
-    pmte::bench::run_counters();
-    return 0;
-  }
-  const pmte::Cli cli(argc, argv);
-  pmte::bench::run(cli);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run,
+                                 pmte::bench::run_counters);
 }

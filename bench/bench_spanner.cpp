@@ -14,15 +14,15 @@
 namespace pmte::bench {
 namespace {
 
-void run(const Cli& cli) {
+void run(const Args& args) {
   print_header("E7: spanner trade-off",
                "Corollary 7.11 — (2k-1)-spanner preprocessing: size "
                "O(k n^(1+1/k)), embedding stretch grows by O(k)");
-  Rng rng(cli.seed());
+  Rng rng(args.seed);
   // Dense enough that k ≥ 2 actually sparsifies: m ≫ n^{3/2}.
-  const Vertex n = quick(cli) ? 128 : 256;
+  const Vertex n = args.small ? 128 : 256;
   const std::size_t m = static_cast<std::size_t>(n) * n / 6;
-  const std::size_t trees = quick(cli) ? 6 : 12;
+  const std::size_t trees = args.small ? 6 : 12;
   const auto g = make_gnm(n, m, {1.0, 6.0}, rng);
   const auto pairs = sample_pairs(g, 24, 500, rng);
 
@@ -52,7 +52,5 @@ void run(const Cli& cli) {
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  const pmte::Cli cli(argc, argv);
-  pmte::bench::run(cli);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run);
 }

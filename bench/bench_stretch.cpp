@@ -16,15 +16,15 @@
 namespace pmte::bench {
 namespace {
 
-void run(const Cli& cli) {
+void run(const Args& args) {
   print_header("E5: expected stretch",
                "[19] via Section 7 — expected stretch O(log n); oracle "
                "pipeline within (1+o(1)) of the exact-metric pipeline");
   const std::vector<Vertex> sizes =
-      quick(cli) ? std::vector<Vertex>{64, 128}
+      args.small ? std::vector<Vertex>{64, 128}
                  : std::vector<Vertex>{64, 128, 256};
-  const std::size_t trees = quick(cli) ? 8 : 12;
-  Rng rng(cli.seed());
+  const std::size_t trees = args.small ? 8 : 12;
+  Rng rng(args.seed);
   Table t({"family", "n", "log2(n)", "pipeline", "avg E[stretch]",
            "max E[stretch]", "max ratio", "min ratio"});
 
@@ -66,7 +66,5 @@ void run(const Cli& cli) {
 }  // namespace pmte::bench
 
 int main(int argc, char** argv) {
-  const pmte::Cli cli(argc, argv);
-  pmte::bench::run(cli);
-  return 0;
+  return pmte::bench::bench_main(argc, argv, pmte::bench::run);
 }

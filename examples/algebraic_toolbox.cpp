@@ -12,9 +12,8 @@
 
 int main(int argc, char** argv) {
   using namespace pmte;
-  const Cli cli(argc, argv);
-  cli.reject_unknown({"seed"});
-  Rng rng(cli.seed(7));
+  const Cli cli(argc, argv, {Flag::seed(7)});
+  Rng rng(cli.seed());
 
   // A small "sensor network": random geometric graph in the unit square.
   const Graph g = make_geometric(60, 0.25, rng);

@@ -17,12 +17,12 @@
 
 int main(int argc, char** argv) {
   using namespace pmte;
-  const Cli cli(argc, argv);
-  cli.reject_unknown({"n", "demands", "seed"});
-  Rng rng(cli.seed(13));
-  const auto n = static_cast<Vertex>(cli.get_int("n", 300));
-  const auto demand_count =
-      static_cast<std::size_t>(cli.get_int("demands", 80));
+  const Cli cli(argc, argv,  // a demand joins two distinct sites
+                {Flag::integer("n", 300, 2, 1'000'000),
+                 Flag::integer("demands", 80, 1, 1'000'000), Flag::seed(13)});
+  Rng rng(cli.seed());
+  const auto n = static_cast<Vertex>(cli.get_int("n"));
+  const auto demand_count = static_cast<std::size_t>(cli.get_int("demands"));
 
   const Graph net =
       make_geometric(n, 2.0 / std::sqrt(static_cast<double>(n)), rng);

@@ -17,10 +17,10 @@
 
 int main(int argc, char** argv) {
   using namespace pmte;
-  const Cli cli(argc, argv);
-  cli.reject_unknown({"n", "seed"});
-  Rng rng(cli.seed(17));
-  const auto n = static_cast<Vertex>(cli.get_int("n", 400));
+  const Cli cli(argc, argv,  // the chain and the satellite: n >= 2
+                {Flag::integer("n", 400, 2, 1'000'000), Flag::seed(17)});
+  Rng rng(cli.seed());
+  const auto n = static_cast<Vertex>(cli.get_int("n"));
 
   // A long chain of unit links plus a satellite uplink: every vertex can
   // reach every other in 2 hops (via the expensive satellite), but all

@@ -20,11 +20,12 @@
 
 int main(int argc, char** argv) {
   using namespace pmte;
-  const Cli cli(argc, argv);
-  cli.reject_unknown({"n", "T", "seed"});
-  Rng rng(cli.seed(19));
-  const auto n = static_cast<Vertex>(cli.get_int("n", 2000));
-  const auto T = static_cast<std::size_t>(cli.get_int("T", 8));
+  const Cli cli(argc, argv,  // a geometric graph needs two vertices
+                {Flag::integer("n", 2000, 2, 1'000'000),
+                 Flag::integer("T", 8, 1, 64), Flag::seed(19)});
+  Rng rng(cli.seed());
+  const auto n = static_cast<Vertex>(cli.get_int("n"));
+  const auto T = static_cast<std::size_t>(cli.get_int("T"));
 
   const Graph g =
       make_geometric(n, 2.0 / std::sqrt(static_cast<double>(n)), rng);

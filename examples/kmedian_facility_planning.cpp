@@ -16,11 +16,12 @@
 
 int main(int argc, char** argv) {
   using namespace pmte;
-  const Cli cli(argc, argv);
-  cli.reject_unknown({"k", "n", "seed"});
-  Rng rng(cli.seed(11));
-  const auto k = static_cast<std::size_t>(cli.get_int("k", 8));
-  const auto n = static_cast<Vertex>(cli.get_int("n", 600));
+  const Cli cli(argc, argv,  // k <= 64 <= n: never more facilities than sites
+                {Flag::integer("k", 8, 1, 64),
+                 Flag::integer("n", 600, 64, 1'000'000), Flag::seed(11)});
+  Rng rng(cli.seed());
+  const auto k = static_cast<std::size_t>(cli.get_int("k"));
+  const auto n = static_cast<Vertex>(cli.get_int("n"));
 
   Vertex side = 1;
   while (side * side < n) ++side;

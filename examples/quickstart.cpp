@@ -17,10 +17,10 @@
 
 int main(int argc, char** argv) {
   using namespace pmte;
-  const Cli cli(argc, argv);
-  cli.reject_unknown({"n", "seed"});
+  const Cli cli(argc, argv,  // a simple graph with 3n edges needs n >= 7
+                {Flag::integer("n", 400, 7, 1'000'000), Flag::seed(42)});
   Rng rng(cli.seed());
-  const auto n = static_cast<Vertex>(cli.get_int("n", 400));
+  const auto n = static_cast<Vertex>(cli.get_int("n"));
 
   // A sparse random weighted graph; any connected pmte::Graph works.
   const Graph g = make_gnm(n, 3 * static_cast<std::size_t>(n), {1.0, 10.0},

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Validate the observability exports of serve_queries.
 
-Runs `serve_queries --metrics-out --trace-out` on a toy graph and checks
-both artefacts against their format contracts (docs/OBSERVABILITY.md):
+Runs `serve_queries replay|tenants --metrics-out --trace-out` on toy
+graphs and checks both artefacts against their format contracts
+(docs/OBSERVABILITY.md):
 
 Prometheus text exposition:
   - every non-comment line is `series[{labels}] value`
@@ -21,10 +22,10 @@ Chrome trace-event JSON:
     rings into one timeline) and rebased so the earliest ts is 0
 
 Span tree (docs/OBSERVABILITY.md):
-  - the single-workload run (oracle pipeline, --cache, --save) records
-    every build, save and cached-query span, from ensemble.build through
+  - the `replay` run (oracle pipeline, --cache, --save) records every
+    build, save and cached-query span, from ensemble.build through
     hopset.build, simgraph.build, oracle.level_run, frt.tree_build and
-    index.build to ensemble.save; the tenant run records every server.*
+    index.build to ensemble.save; the `tenants` run records every server.*
     phase span
   - every oracle.level_run lies inside an oracle.step, and every
     frt.tree_build and index.build inside an ensemble.build_tree, on the
@@ -36,16 +37,16 @@ Trace losses: every run's exposition carries
 pmte_trace_events_lost_total{reason="thread_index"} and
 {reason="ring_overwrite"}, and the thread_index series reads 0.
 
-Both loaders: the single-workload run --saves its artefact, and a third
-run reloads it with --load=<artefact> --mmap on the same graph flags.
+Both loaders: the `replay` run --saves its artefact, and a third run,
+`replay --load=<artefact> --mmap` on the same graph flags, reloads it.
 That run must record the ensemble.load and ensemble.load_mapped spans,
 and pmte_ensemble_loads_copied_total and pmte_ensemble_loads_mapped_total
 must each read 1.
 
-Hop-set decisions: the single run's gnm graph drops the hub clique, so
+Hop-set decisions: the `replay` run's gnm graph drops the hub clique, so
 pmte_hopset_builds_total reads {shortcuts="dropped"} 1 and
-{shortcuts="kept"} 0; a fourth run on a grid, whose hop distances the
-clique does shorten, reads the opposite.
+{shortcuts="kept"} 0; a fourth `replay` run on a grid, whose hop
+distances the clique does shorten, reads the opposite.
 
 Usage:
   scripts/check_obs_export.py --serve-bin build/src/serve_queries
@@ -362,26 +363,27 @@ def main():
         graph = ["--graph=gnm", "--n=256", "--seed=7"]
         exports = [f"--metrics-out={metrics}", f"--trace-out={trace}"]
 
-        # Toy graphs, four runs: a single-workload replay with a cache
-        # (exercises ensemble/cache instruments) that saves its artefact,
-        # a many-tenant run with a hot-swap (exercises server phase spans +
-        # per-tenant series), a reload of the artefact through both
-        # loaders, and a grid build that keeps the hub clique.
+        # Toy graphs, four runs: a replay with a cache (exercises
+        # ensemble/cache instruments) that saves its artefact, a tenants
+        # run with a hot-swap (exercises server phase spans + per-tenant
+        # series), a replay that reloads the artefact through both
+        # loaders, and a replay of a grid build that keeps the hub clique.
         runs = [
-            ("single", graph + ["--trees=4", "--pipeline=oracle",
-                                "--queries=5000", "--repeat=1", "--cache",
-                                "--cache-capacity=1024",
-                                f"--save={artefact}"] + exports,
+            ("single", ["replay"] + graph + [
+                "--trees=4", "--pipeline=oracle", "--queries=5000",
+                "--repeat=1", "--cache", "--cache-capacity=1024",
+                f"--save={artefact}"] + exports,
              SINGLE_RUN_SPANS, hopset_builds(kept=0, dropped=1)),
-            ("tenant", graph + ["--trees=4", "--queries=5000",
-                                "--tenants=2", "--batches=4",
-                                "--swap-at=2"] + exports,
+            ("tenant", ["tenants"] + graph + [
+                "--trees=4", "--queries=5000", "--tenants=2", "--batches=4",
+                "--swap-at=2"] + exports,
              TENANT_RUN_SPANS, {}),
-            ("load", graph + [f"--load={artefact}", "--mmap",
-                              "--queries=5000", "--repeat=1"] + exports,
+            ("load", ["replay"] + graph + [
+                f"--load={artefact}", "--mmap", "--queries=5000",
+                "--repeat=1"] + exports,
              LOAD_RUN_SPANS, LOAD_RUN_COUNTERS),
-            ("grid", ["--graph=grid", "--n=256", "--seed=7", "--trees=1",
-                      "--pipeline=oracle", "--queries=1000",
+            ("grid", ["replay", "--graph=grid", "--n=256", "--seed=7",
+                      "--trees=1", "--pipeline=oracle", "--queries=1000",
                       "--repeat=1"] + exports,
              ("hopset.build",), hopset_builds(kept=1, dropped=0)),
         ]

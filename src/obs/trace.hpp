@@ -28,6 +28,8 @@
 #include <ostream>
 #include <vector>
 
+#include "src/parallel/parallel.hpp"
+
 namespace pmte::obs {
 
 /// One completed span.  `name`/`arg_name` must point at static-storage
@@ -44,11 +46,6 @@ struct TraceEvent {
 
 class TraceSink {
  public:
-  /// Ring slots are preallocated per thread index on first use; indices
-  /// beyond this are counted in dropped() instead of recorded (matches
-  /// the WorkDepth per-thread-slot bound).
-  static constexpr std::size_t kMaxThreads = 256;
-
   /// Resize every ring (existing events are discarded).  Serial only.
   void configure_capacity(std::size_t events_per_thread);
 
@@ -67,7 +64,7 @@ class TraceSink {
   /// Drop all recorded events (capacity retained).  Serial only.
   void clear();
 
-  /// Events not recorded because the thread index exceeded kMaxThreads.
+  /// Events not recorded because the thread index was kMaxThreads or more.
   [[nodiscard]] std::uint64_t dropped() const noexcept {
     return dropped_.load(std::memory_order_relaxed);
   }

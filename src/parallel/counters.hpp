@@ -31,8 +31,6 @@ namespace pmte {
 /// Concurrent reads are then snapshots — exact once the region joins.
 class WorkDepth {
  public:
-  static constexpr int kMaxThreads = 256;
-
   /// Record `n` units of work on the calling thread.
   static void add_work(std::uint64_t n) noexcept { bump(&Slot::work, n); }
 

@@ -62,6 +62,11 @@ struct TsanJoin {
 #endif
 }  // namespace detail
 
+/// The most threads the per-thread bookkeeping keeps apart: WorkDepth
+/// folds the threads past it into one overflow slot, and obs::TraceSink
+/// drops their events.  serve_queries caps --threads at it.
+inline constexpr std::size_t kMaxThreads = 256;
+
 /// Number of threads OpenMP will use for parallel regions.
 [[nodiscard]] inline int num_threads() noexcept {
 #ifdef _OPENMP

@@ -1,9 +1,14 @@
 #include "src/serve/dynamic_ensemble.hpp"
 
+#include <cmath>
+#include <iterator>
+#include <sstream>
+
 #include "src/obs/obs.hpp"
 #include "src/parallel/counters.hpp"
 #include "src/parallel/parallel.hpp"
 #include "src/util/assertions.hpp"
+#include "src/util/cli.hpp"
 
 namespace pmte::serve {
 
@@ -146,6 +151,37 @@ FrtEnsemble DynamicEnsemble::snapshot() const {
   PMTE_OBS_SPAN("dynamic.snapshot");
   return FrtEnsemble::assemble(indices_, master_seed_,
                                FrtEnsemble::fingerprint(g_));
+}
+
+std::vector<UpdateEvent> read_update_file(std::istream& in,
+                                          const std::string& name,
+                                          std::size_t num_edges,
+                                          std::size_t batches) {
+  std::vector<UpdateEvent> events;
+  std::ostringstream bad;
+  std::string line;
+  for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
+    const auto hash = line.find('#');
+    if (hash != std::string::npos) line.erase(hash);
+    std::istringstream ls(line);
+    const std::vector<std::string> tokens{
+        std::istream_iterator<std::string>(ls), {}};
+    if (tokens.empty()) continue;
+    UpdateEvent ev;
+    if (tokens.size() == 3 && parse_token(tokens[0], ev.batch) &&
+        parse_token(tokens[1], ev.edge) && parse_token(tokens[2], ev.factor) &&
+        std::isfinite(ev.factor) && ev.factor > 0.0 && ev.edge < num_edges &&
+        ev.batch < batches) {
+      events.push_back(ev);
+      continue;
+    }
+    bad << (bad.tellp() > 0 ? "\n" : "") << name << ':' << line_no
+        << ": bad update line (want \"<batch> <edge-index> <factor>\", batch < "
+        << batches << ", edge-index < " << num_edges
+        << ", factor finite > 0): " << line;
+  }
+  PMTE_CHECK(bad.tellp() == 0, bad.str());
+  return events;
 }
 
 }  // namespace pmte::serve

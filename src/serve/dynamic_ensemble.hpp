@@ -36,7 +36,9 @@
 // Single-writer, like Server: one update()/snapshot() at a time.
 
 #include <cstdint>
+#include <istream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/frt/dynamic_frt.hpp"
@@ -106,5 +108,23 @@ class DynamicEnsemble {
   std::vector<FrtIndex> indices_;  ///< current flat indices, kept in sync
   std::uint64_t updates_ = 0;
 };
+
+/// One live edge update: before batch `batch` is served, edge `edge` of
+/// the graph's canonical edge list (Graph::edge_list) re-weights to
+/// old · `factor`.
+struct UpdateEvent {
+  std::size_t batch = 0;
+  std::size_t edge = 0;
+  double factor = 1.0;
+};
+
+/// Read an update file: each line, less any '#' comment, is blank or
+/// exactly "<batch> <edge-index> <factor>", every token parsed in full,
+/// with batch < `batches`, edge-index < `num_edges`, factor finite > 0.
+/// Throws CheckError naming every bad line, one "<name>:<line>: bad update
+/// line ..." per line of its message.
+[[nodiscard]] std::vector<UpdateEvent> read_update_file(
+    std::istream& in, const std::string& name, std::size_t num_edges,
+    std::size_t batches);
 
 }  // namespace pmte::serve

@@ -76,14 +76,6 @@ EnsembleObs& ensemble_obs() {
 
 }  // namespace
 
-AggregatePolicy parse_policy(const std::string& name) {
-  if (name == "min") return AggregatePolicy::min;
-  if (name == "median") return AggregatePolicy::median;
-  PMTE_CHECK(false, "unknown aggregation policy: " + name +
-                        " (expected min|median)");
-  return AggregatePolicy::min;  // unreachable
-}
-
 const char* policy_name(AggregatePolicy policy) noexcept {
   return policy == AggregatePolicy::min ? "min" : "median";
 }

@@ -206,7 +206,6 @@ class FrtEnsemble {
   std::shared_ptr<const MappedFile> mapping_;
 };
 
-[[nodiscard]] AggregatePolicy parse_policy(const std::string& name);
 [[nodiscard]] const char* policy_name(AggregatePolicy policy) noexcept;
 
 }  // namespace pmte::serve

@@ -7,15 +7,6 @@
 
 namespace pmte::serve {
 
-WorkloadKind parse_workload(const std::string& name) {
-  if (name == "uniform") return WorkloadKind::uniform;
-  if (name == "bfs" || name == "bfs_local") return WorkloadKind::bfs_local;
-  if (name == "zipf") return WorkloadKind::zipf;
-  PMTE_CHECK(false, "unknown workload: " + name +
-                        " (expected uniform|bfs_local|zipf)");
-  return WorkloadKind::uniform;  // unreachable
-}
-
 const char* workload_name(WorkloadKind kind) noexcept {
   switch (kind) {
     case WorkloadKind::uniform:

@@ -25,7 +25,6 @@
 // subsequence are pure functions of (graph, specs, seed).
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -50,9 +49,6 @@ struct WorkloadOptions {
 [[nodiscard]] std::vector<std::pair<Vertex, Vertex>> make_workload(
     const Graph& g, WorkloadKind kind, const WorkloadOptions& opts, Rng& rng);
 
-/// Parse "uniform" | "bfs_local" ("bfs") | "zipf"; PMTE_CHECK-fails on
-/// anything else.
-[[nodiscard]] WorkloadKind parse_workload(const std::string& name);
 [[nodiscard]] const char* workload_name(WorkloadKind kind) noexcept;
 
 // --- Multi-tenant interleaved streams --------------------------------------

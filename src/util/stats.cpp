@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "src/util/assertions.hpp"
 
@@ -72,22 +71,6 @@ void RunningStats::merge(const RunningStats& other) noexcept {
 
 double RunningStats::variance() const noexcept {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-std::string format_double(double v, int precision) {
-  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
-  if (std::isnan(v)) return "nan";
-  std::ostringstream os;
-  const double a = std::abs(v);
-  if (a != 0.0 && (a >= 1e6 || a < 1e-3)) {
-    os.setf(std::ios::scientific);
-    os.precision(precision - 1);
-  } else {
-    os.setf(std::ios::fixed);
-    os.precision(precision);
-  }
-  os << v;
-  return os.str();
 }
 
 }  // namespace pmte

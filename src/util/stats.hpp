@@ -4,7 +4,6 @@
 // lengths, round counts, …
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace pmte {
@@ -47,8 +46,5 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Format a double compactly ("12.3", "1.2e+06", "inf").
-[[nodiscard]] std::string format_double(double v, int precision = 3);
 
 }  // namespace pmte

@@ -1,9 +1,10 @@
 #include "tests/support/reference/table.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <sstream>
 
 #include "src/util/assertions.hpp"
-#include "src/util/stats.hpp"
 
 namespace pmte {
 
@@ -34,6 +35,22 @@ void Table::print(std::ostream& os) const {
   os << '\n';
   for (const auto& row : rows_) emit(row);
   os.flush();
+}
+
+std::string format_double(double v, int precision) {
+  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
+  if (std::isnan(v)) return "nan";
+  std::ostringstream os;
+  const double a = std::abs(v);
+  if (a != 0.0 && (a >= 1e6 || a < 1e-3)) {
+    os.setf(std::ios::scientific);
+    os.precision(precision - 1);
+  } else {
+    os.setf(std::ios::fixed);
+    os.precision(precision);
+  }
+  os << v;
+  return os.str();
 }
 
 std::string cell(double v) { return format_double(v); }

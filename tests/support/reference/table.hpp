@@ -26,6 +26,9 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
+/// Format a double compactly ("12.3", "1.2e+06", "inf").
+[[nodiscard]] std::string format_double(double v, int precision = 3);
+
 /// Convenience: to_string that also handles doubles via format_double.
 [[nodiscard]] std::string cell(double v);
 [[nodiscard]] std::string cell(std::size_t v);

@@ -14,10 +14,14 @@
 // ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,6 +35,7 @@
 #include "src/serve/hot_pair_cache.hpp"
 #include "src/serve/server.hpp"
 #include "src/serve/workloads.hpp"
+#include "src/util/assertions.hpp"
 #include "tests/support/fixtures.hpp"
 
 namespace pmte {
@@ -591,6 +596,129 @@ TEST(Dynamic, MappedSnapshotServesUpdatedMetric) {
 
   std::remove(path1.c_str());
   std::remove(path2.c_str());
+}
+
+TEST(UpdateFile, ReadsEventsAndNamesEveryBadLine) {
+  std::istringstream good("# fixture\n1 3 0.5\n\n2 7 1.7  # increase\n");
+  const auto events = serve::read_update_file(good, "good.txt", 10, 4);
+  ASSERT_EQ(events.size(), 2U);
+  EXPECT_EQ(events[0].batch, 1U);
+  EXPECT_EQ(events[0].edge, 3U);
+  EXPECT_EQ(events[0].factor, 0.5);
+  EXPECT_EQ(events[1].batch, 2U);
+  EXPECT_EQ(events[1].edge, 7U);
+  EXPECT_EQ(events[1].factor, 1.7);
+
+  std::istringstream bad("1 3 0.5\n0 1 nan\n\n3 -1 0.5\n4 0 0.5\n0 10 2\n");
+  try {
+    (void)serve::read_update_file(bad, "bad.txt", 10, 4);
+    ADD_FAILURE() << "bad.txt was read";
+  } catch (const CheckError& err) {
+    const std::string message = err.message();
+    EXPECT_EQ(message.find("bad.txt:2: bad update line"), 0U) << message;
+    for (const char* line :
+         {"\nbad.txt:4: ", "\nbad.txt:5: ", "\nbad.txt:6: "}) {
+      EXPECT_NE(message.find(line), std::string::npos) << message;
+    }
+    EXPECT_EQ(message.find("bad.txt:1:"), std::string::npos) << message;
+  }
+}
+
+TEST(UpdateFile, RandomizedMalformedInputSweep) {
+  // Seeded mutations of one line of a valid update file: a token deleted,
+  // duplicated or given a junk suffix, a sign on an index, a 20+-digit
+  // number in place of any token, a nan, inf, zero or negative factor, an
+  // edge index equal to the edge count, and a batch equal to the batch
+  // count.  The contract on read_update_file is "reject or read": a
+  // rejection is a CheckError naming exactly the mutated line as
+  // file:line, never another exception type; a read returns one in-range
+  // event per data line.
+  constexpr std::size_t kEdges = 40;
+  constexpr std::size_t kBatches = 6;
+  Rng rng(split_seed(0x0F11E, 0));
+  using Lines = std::vector<std::vector<std::string>>;
+  Lines good{{"#", "fixture"}};
+  for (int i = 0; i < 12; ++i) {
+    if (i % 4 == 3) good.emplace_back();  // a blank line
+    good.push_back({std::to_string(rng.below(kBatches)),
+                    std::to_string(rng.below(kEdges)),
+                    std::to_string(rng.uniform(0.25, 4.0))});
+  }
+  const std::size_t data_lines = 12;
+
+  constexpr int kKinds = 8;
+  std::array<int, kKinds> tried{}, rejected{}, read{};
+  for (int iter = 0; iter < kKinds * 500; ++iter) {
+    const int kind = iter % kKinds;
+    auto lines = good;
+    std::size_t at = 0;  // a data line
+    while (lines[at].size() != 3) at = rng.below(lines.size());
+    auto& tokens = lines[at];
+    const std::size_t t = rng.below(3);
+    const std::size_t index = rng.below(2);  // batch or edge
+    if (kind == 0) {
+      tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(t));
+    } else if (kind == 1) {
+      tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(t),
+                    tokens[t]);
+    } else if (kind == 2) {
+      const char* junk[] = {"x", "!", "e", "..", "-", ",", "0x"};
+      tokens[t] += junk[rng.below(std::size(junk))];
+    } else if (kind == 3) {
+      tokens[index] = (rng.flip(0.5) ? "+" : "-") + tokens[index];
+    } else if (kind == 4) {  // 20–29 digits in place of any token
+      std::string digits(20 + rng.below(10), '0');
+      for (char& c : digits) c = static_cast<char>('1' + rng.below(9));
+      tokens[t] = digits;
+    } else if (kind == 5) {
+      const char* factor[] = {"nan", "inf", "-inf", "0", "0.0", "-0",
+                              "-0.5", "-1e-300", "1e999"};
+      tokens[2] = factor[rng.below(std::size(factor))];
+    } else if (kind == 6) {
+      tokens[1] = std::to_string(kEdges);
+    } else {
+      tokens[0] = std::to_string(kBatches);
+    }
+    std::string text;
+    for (const auto& line : lines) {
+      for (std::size_t i = 0; i < line.size(); ++i) {
+        text += (i == 0 ? "" : " ") + line[i];
+      }
+      text += '\n';
+    }
+    ++tried[kind];
+    try {
+      std::istringstream in(text);
+      const auto events =
+          serve::read_update_file(in, "sweep.txt", kEdges, kBatches);
+      ASSERT_EQ(events.size(), data_lines) << text;
+      for (const auto& ev : events) {
+        ASSERT_LT(ev.batch, kBatches) << text;
+        ASSERT_LT(ev.edge, kEdges) << text;
+        ASSERT_TRUE(std::isfinite(ev.factor) && ev.factor > 0.0) << text;
+      }
+      ++read[kind];
+    } catch (const CheckError& err) {
+      const std::string message = err.message();
+      const std::string named = "sweep.txt:" + std::to_string(at + 1) + ": ";
+      ASSERT_EQ(message.find(named + "bad update line"), 0U)
+          << message << "\n" << text;
+      ASSERT_EQ(message.find('\n'), std::string::npos) << message;
+      ++rejected[kind];
+    } catch (...) {
+      FAIL() << "not a CheckError for kind " << kind << ":\n" << text;
+    }
+  }
+  for (int kind = 0; kind < kKinds; ++kind) {
+    EXPECT_EQ(tried[kind], 500) << "kind " << kind;
+  }
+  // Only a long number can read, and only as a factor; every other
+  // mutation is rejected.
+  for (const int kind : {0, 1, 2, 3, 5, 6, 7}) {
+    EXPECT_EQ(rejected[kind], 500) << "kind " << kind;
+  }
+  EXPECT_GT(rejected[4], 280);
+  EXPECT_GT(read[4], 120);
 }
 
 }  // namespace

@@ -196,7 +196,7 @@ TEST(ObsTrace, RingKeepsMostRecentEvents) {
   EXPECT_EQ(sink.num_events(), 4u);  // flight recorder: last 4 survive
   EXPECT_EQ(sink.overwritten(), 6u);  // and the 6 older ones are counted
   EXPECT_EQ(sink.dropped(), 0u);
-  sink.record(static_cast<std::uint32_t>(obs::TraceSink::kMaxThreads),
+  sink.record(static_cast<std::uint32_t>(kMaxThreads),
               obs::TraceEvent{"ev"});
   EXPECT_EQ(sink.dropped(), 1u);
   EXPECT_EQ(sink.overwritten(), 6u);

@@ -8,6 +8,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "src/parallel/parallel.hpp"
 #include "src/util/assertions.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/rng.hpp"
@@ -188,38 +189,77 @@ TEST(Check, ErrorCarriesMessageApartFromLocation) {
   EXPECT_THROW(PMTE_CHECK(false, "x"), std::logic_error);
 }
 
-TEST(Cli, ParsesOptions) {
-  const char* argv[] = {"prog", "--n=42", "--flag", "--rate=1.5",
-                        "positional"};
-  Cli cli(5, const_cast<char**>(argv));
-  EXPECT_EQ(cli.get_int("n", 0), 42);
+TEST(Cli, ReadsDeclaredFlagsAndTheirDefaults) {
+  const char* argv[] = {"prog", "--n=42", "--flag", "--rate=1.5", "--mode=b"};
+  const Cli cli(5, const_cast<char**>(argv),
+                {Flag::integer("n", 7, 1, 100), Flag::toggle("flag"),
+                 Flag::real("rate", 0.25),
+                 Flag::choice("mode", "a", {"a", "b"}),
+                 Flag::text("out"), Flag::integer("k", 3, 0, 9),
+                 Flag::integer("at", std::nullopt, 0, 9), Flag::seed(99),
+                 Flag::toggle("quiet"), Flag::real("zipf-s", 1.1)});
+  EXPECT_EQ(cli.get_int("n"), 42);
   EXPECT_TRUE(cli.has("flag"));
-  EXPECT_DOUBLE_EQ(cli.get_double("rate", 0.0), 1.5);
-  EXPECT_EQ(cli.get_int("missing", 7), 7);
-  EXPECT_FALSE(cli.has("positional"));
-  EXPECT_EQ(cli.seed(99), 99U);
+  EXPECT_FALSE(cli.has("quiet"));
+  EXPECT_DOUBLE_EQ(cli.get_double("rate"), 1.5);
+  EXPECT_EQ(cli.get("mode"), "b");
+  EXPECT_EQ(cli.choice("mode"), 1U);
+  EXPECT_EQ(cli.get("out"), "");
+  EXPECT_EQ(cli.get_int("k"), 3);
+  EXPECT_FALSE(cli.has("at"));
+  EXPECT_EQ(cli.seed(), 99U);
+  EXPECT_EQ(cli.get_double("zipf-s"), 1.1);  // the default, bit for bit
+
+  // Reading a flag that is undeclared, of another kind, or absent without
+  // a default is a programming error, and so is a default outside its own
+  // declaration.
+  EXPECT_THROW((void)cli.get_int("missing"), CheckError);
+  EXPECT_THROW((void)cli.has("missing"), CheckError);
+  EXPECT_THROW((void)cli.get_int("rate"), CheckError);
+  EXPECT_THROW((void)cli.get("flag"), CheckError);
+  EXPECT_THROW((void)cli.choice("out"), CheckError);
+  EXPECT_THROW((void)cli.get_int("at"), CheckError);
+  char** bare = const_cast<char**>(argv);
+  EXPECT_THROW(Cli(1, bare, {Flag::integer("n", 0, 1, 9)}), CheckError);
+  EXPECT_THROW(Cli(1, bare, {Flag::choice("mode", "c", {"a", "b"})}),
+               CheckError);
 }
 
-TEST(CliDeathTest, RejectsMalformedValuesAndUnknownArguments) {
-  const char* argv[] = {"prog", "--n=96x", "--rate=nan", "--k=7", "--big=1e999"};
-  const Cli cli(5, const_cast<char**>(argv));
-  EXPECT_EQ(cli.get_int("k", 0), 7);
-  EXPECT_EXIT((void)cli.get_int("n", 0), ::testing::ExitedWithCode(2),
-              "--n=96x: not an integer");
-  EXPECT_EXIT((void)cli.get_double("rate", 0.0), ::testing::ExitedWithCode(2),
+TEST(CliDeathTest, RejectsBadArgumentsWhenParsing) {
+  const auto parse = [](std::vector<const char*> args) {
+    args.insert(args.begin(), "prog");
+    const Cli cli(static_cast<int>(args.size()),
+                  const_cast<char**>(args.data()),
+                  {Flag::integer("n", 1, 1, 100), Flag::real("rate", 1.0),
+                   Flag::choice("scale", "full", {"small", "full"}),
+                   Flag::toggle("cache"),
+                   Flag::integer("threads", 0, 0,
+                                 static_cast<std::int64_t>(kMaxThreads))});
+  };
+  const auto exits_2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(parse({"--n=96x"}), exits_2, "--n=96x: not an integer");
+  EXPECT_EXIT(parse({"--n=0"}), exits_2, "--n=0: not in \\[1, 100\\]");
+  EXPECT_EXIT(parse({"--n=-5"}), exits_2, "--n=-5: not in \\[1, 100\\]");
+  EXPECT_EXIT(parse({"--n=99999999999999999999"}), exits_2,
+              "--n=99999999999999999999: not an integer");
+  EXPECT_EXIT(parse({"--n"}), exits_2, "--n needs a value");
+  EXPECT_EXIT(parse({"--rate=nan"}), exits_2,
               "--rate=nan: not a finite number");
-  EXPECT_EXIT((void)cli.get_double("big", 0.0), ::testing::ExitedWithCode(2),
-              "--big=1e999: not a finite number");
-  cli.reject_unknown({"n", "rate", "k", "big"});  // all declared: returns
-  EXPECT_EXIT(cli.reject_unknown({"n", "rate", "k"}),
-              ::testing::ExitedWithCode(2), "unknown flag --big");
-
-  const char* stray[] = {"prog", "--n=1", "stray"};
-  EXPECT_EXIT(Cli(3, const_cast<char**>(stray)).reject_unknown({"n"}),
-              ::testing::ExitedWithCode(2), "unexpected argument stray");
-  const char* twice[] = {"prog", "--n=1", "--n=2"};
-  EXPECT_EXIT(Cli(3, const_cast<char**>(twice)), ::testing::ExitedWithCode(2),
-              "--n given twice");
+  EXPECT_EXIT(parse({"--rate=1e999"}), exits_2,
+              "--rate=1e999: not a finite number");
+  EXPECT_EXIT(parse({"--scale=smal"}), exits_2,
+              "--scale=smal: not one of small.full");
+  EXPECT_EXIT(parse({"--cache=1"}), exits_2,
+              "--cache=1: a switch takes no value");
+  EXPECT_EXIT(parse({"--n=5", "--bogus=1"}), exits_2, "unknown flag --bogus");
+  EXPECT_EXIT(parse({"stray"}), exits_2, "unexpected argument stray");
+  EXPECT_EXIT(parse({"--n=1", "--n=2"}), exits_2, "--n given twice");
+  // --threads stops at the library's thread limit, checked before any
+  // thread starts.
+  EXPECT_EXIT(parse({"--threads=257"}), exits_2,
+              "--threads=257: not in \\[0, 256\\]");
+  parse({"--threads=256", "--n=100", "--rate=-2.5", "--scale=small",
+         "--cache"});  // all valid: returns
 }
 
 }  // namespace
