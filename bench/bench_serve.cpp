@@ -11,6 +11,8 @@
 // work on fixed graphs plus per-workload query counters (queries, per-tree
 // lookups, LCA probes).  result_hash32 additionally pins the served
 // distances bit-for-bit (ungated, but any drift shows in the JSON diff).
+// The report holds no wall time, so it is byte-identical at any thread
+// count; the batch-latency percentiles are in the printed table.
 
 
 #include <cstdio>
@@ -48,15 +50,13 @@ CounterScenario build_scenario(const std::string& name, const Graph& g,
   return s;
 }
 
-/// Informational latency keys (warn-only in the CI gate, see
-/// scripts/check_bench_regression.py): replay the workload in 16
-/// sub-batches and report log2-coarse percentiles of the per-batch wall
-/// time.  A *separate* replay after the gated run — the gated counters
-/// above come from the original unchunked batch and are untouched.
-void add_latency_keys(CounterScenario& s, const serve::FrtEnsemble& e,
-                      const std::vector<std::pair<Vertex, Vertex>>& workload,
-                      serve::AggregatePolicy policy) {
-  obs::Histogram lat;
+/// Record into `lat` the wall time of each of 16 sub-batches of
+/// `workload`, in log2-coarse ns buckets: the printed table's batch-latency
+/// percentiles.  Wall time, so it stays out of the --counters report.
+void record_batch_latency(
+    obs::Histogram& lat, const serve::FrtEnsemble& e,
+    const std::vector<std::pair<Vertex, Vertex>>& workload,
+    serve::AggregatePolicy policy) {
   std::vector<Weight> scratch;
   constexpr std::size_t kChunks = 16;
   for (std::size_t c = 0; c < kChunks; ++c) {
@@ -69,9 +69,11 @@ void add_latency_keys(CounterScenario& s, const serve::FrtEnsemble& e,
     (void)e.query_batch(chunk, policy, scratch);
     lat.record(static_cast<std::uint64_t>(t.seconds() * 1e9));
   }
-  s.metrics.emplace_back("batch_ns_p50", lat.percentile(0.50));
-  s.metrics.emplace_back("batch_ns_p95", lat.percentile(0.95));
-  s.metrics.emplace_back("batch_ns_p99", lat.percentile(0.99));
+}
+
+/// A log2-coarse percentile of `lat` (recorded in ns) in microseconds.
+std::string micros(const obs::Histogram& lat, double q) {
+  return cell(static_cast<double>(lat.percentile(q)) / 1e3);
 }
 
 CounterScenario query_scenario(const std::string& name,
@@ -85,13 +87,11 @@ CounterScenario query_scenario(const std::string& name,
   const auto workload = serve::make_workload(g, kind, wopts, rng);
   std::vector<Weight> out;
   const auto st = e.query_batch(workload, policy, out);
-  CounterScenario s{name,
-                    {{"queries", st.pairs},
-                     {"tree_lookups", st.tree_lookups},
-                     {"lca_probes", st.lca_probes},
-                     {"result_hash32", result_hash32(out)}}};
-  add_latency_keys(s, e, workload, policy);
-  return s;
+  return CounterScenario{name,
+                         {{"queries", st.pairs},
+                          {"tree_lookups", st.tree_lookups},
+                          {"lca_probes", st.lca_probes},
+                          {"result_hash32", result_hash32(out)}}};
 }
 
 CounterScenario cached_query_scenario(const std::string& name,
@@ -227,8 +227,10 @@ void run(const Args& args) {
   const std::size_t queries = args.small ? 100000 : 1000000;
   Rng rng(args.seed);
 
+  // The batch percentiles replay each workload in 16 sub-batches.
   Table t({"family", "n", "trees", "build [ms]", "workload", "policy",
-           "queries", "Mq/s", "ns/query"});
+           "queries", "Mq/s", "ns/query", "batch p50 [us]", "p95 [us]",
+           "p99 [us]"});
   for (const auto* family : {"gnm", "grid", "geometric"}) {
     auto inst = make_instance(family, n, rng());
     serve::EnsembleOptions opts;
@@ -249,12 +251,15 @@ void run(const Args& args) {
         Timer timer;
         (void)e.query_batch(pairs, policy, out);
         const double s = timer.seconds();
+        obs::Histogram lat;
+        record_batch_latency(lat, e, pairs, policy);
         t.add_row({inst.name, cell(std::size_t{inst.graph.num_vertices()}),
                    cell(e.num_trees()), cell(build_ms),
                    serve::workload_name(kind), serve::policy_name(policy),
                    cell(pairs.size()),
                    cell(static_cast<double>(pairs.size()) / s / 1e6),
-                   cell(s * 1e9 / static_cast<double>(pairs.size()))});
+                   cell(s * 1e9 / static_cast<double>(pairs.size())),
+                   micros(lat, 0.50), micros(lat, 0.95), micros(lat, 0.99)});
       }
       if (kind == serve::WorkloadKind::zipf) {
         // Zipf again with the hot-pair cache (warmed by one pre-pass so
@@ -269,7 +274,8 @@ void run(const Args& args) {
                    cell(e.num_trees()), cell(build_ms), "zipf+cache", "min",
                    cell(pairs.size()),
                    cell(static_cast<double>(pairs.size()) / s / 1e6),
-                   cell(s * 1e9 / static_cast<double>(pairs.size()))});
+                   cell(s * 1e9 / static_cast<double>(pairs.size())), "-",
+                   "-", "-"});
       }
     }
   }

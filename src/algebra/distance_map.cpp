@@ -124,7 +124,7 @@ void DistanceMap::merge_least_elements(const DistanceMap& other,
 
 bool DistanceMap::gather_least_elements(
     const DistanceMap& x, std::span<const Offer<DistanceMap>> offers,
-    DistanceMap& out) {
+    DistanceMap& out, std::span<const Weight> bound) {
   PMTE_ASSERT(&out != &x, "gather_least_elements: out must not be x");
   const auto& xs = x.entries_;
   const std::size_t m = xs.size();
@@ -142,22 +142,28 @@ bool DistanceMap::gather_least_elements(
     staircase &= xs[i].dist < f[i];
   }
   if (!staircase) {
-    out = x;
-    for (const auto& o : offers) out.merge_least_elements(*o.state, o.shift);
-    out.keep_least_elements();
-    return !(out == x);
+    DistanceMap filtered = x;
+    filtered.keep_least_elements();
+    if (!gather_least_elements(filtered, offers, out, bound)) {
+      out = std::move(filtered);
+    }
+    return true;
   }
   const auto f_x = [&](Vertex k) {
     Vertex at_or_below = 0;
     for (std::size_t i = 0; i < m; ++i) at_or_below += keys[i] <= k ? 1 : 0;
     return f[at_or_below];
   };
+  // What an offered entry at key k must stay below, given f = f_x(k).
+  const auto limit = [&](Vertex k, Weight f_k) {
+    return bound.empty() ? f_k : std::min(f_k, bound[k]);
+  };
 
-  // The offered entries that beat x's staircase.  Per offer they are
-  // collected into beat[0, n), where every entry writes its slot and only
-  // a beating one advances n.  Each offer's entries arrive sorted by key,
-  // so `found` takes them by a running-minimum merge: it holds r(C) for
-  // the entries C so far, and r(x ⊕ C) = r(x ⊕ r(C)).
+  // The offered entries that beat x's staircase and the bound.  Per offer
+  // they are collected into beat[0, n), where every entry writes its slot
+  // and only a beating one advances n.  Each offer's entries arrive sorted
+  // by key, so `found` takes them by a running-minimum merge: it holds r(C)
+  // for the entries C so far, and r(x ⊕ C) = r(x ⊕ r(C)).
   thread_local std::vector<DistEntry> beat, found, merged;
   found.clear();
   std::uint64_t work = 0;
@@ -165,10 +171,13 @@ bool DistanceMap::gather_least_elements(
     const auto& ys = o.state->entries_;
     PMTE_ASSERT(o.state->is_least_element_list(),
                 "gather_least_elements: an offer is not an LE list");
+    PMTE_ASSERT(bound.empty() || ys.empty() || ys.back().key < bound.size(),
+                "gather_least_elements: a key past the bound");
     work += m + ys.size();
-    // y's last entry has its smallest distance and f_x falls with the key,
-    // so this one test covers the whole offer.
-    if (ys.empty() || ys.back().dist + o.shift >= f_x(ys.front().key)) {
+    // y's last entry has its smallest distance and the limit falls with the
+    // key, so this one test covers the whole offer.
+    if (ys.empty() || ys.back().dist + o.shift >=
+                          limit(ys.front().key, f_x(ys.front().key))) {
       continue;
     }
     if (beat.size() < ys.size()) beat.resize(ys.size());
@@ -182,7 +191,7 @@ bool DistanceMap::gather_least_elements(
       for (const auto& e : ys) {
         const Weight d = e.dist + o.shift;
         beat[n] = DistEntry{e.key, d};
-        n += d < f_x(e.key) ? 1 : 0;
+        n += d < limit(e.key, f_x(e.key)) ? 1 : 0;
       }
     } else {
       // Each step passes an x key at or below the current y key, or tests
@@ -192,7 +201,7 @@ bool DistanceMap::gather_least_elements(
         const bool pass = c < m && keys[c] <= ys[j].key;
         const Weight d = ys[j].dist + o.shift;
         beat[n] = DistEntry{ys[j].key, d};
-        n += !pass && d < f[c] ? 1 : 0;
+        n += !pass && d < limit(ys[j].key, f[c]) ? 1 : 0;
         c += pass ? 1 : 0;
         j += pass ? 0 : 1;
       }
@@ -227,6 +236,12 @@ void DistanceMap::assign_difference(const DistanceMap& now,
 void DistanceMap::drop_beyond(Weight bound) {
   std::erase_if(entries_,
                 [bound](const DistEntry& e) { return e.dist > bound; });
+}
+
+void DistanceMap::drop_at_or_above(std::span<const Weight> bound) {
+  std::erase_if(entries_, [bound](const DistEntry& e) {
+    return e.dist >= bound[e.key];
+  });
 }
 
 void DistanceMap::keep_k_smallest(std::size_t k) {

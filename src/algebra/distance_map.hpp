@@ -86,11 +86,19 @@ class DistanceMap {
   /// running-minimum list, which is then merged with x into `out`; there
   /// are such entries iff the result differs from x, and when there are
   /// none `out` is left unwritten.  Work is counted as |x| + |y_i| per
-  /// offer.  A non-staircase x is copied into `out`, which then merges the
-  /// offers one by one (merge_least_elements) and is written either way.
+  /// offer.  A non-staircase x is filtered into a copy first, and the
+  /// offers are gathered into that (r(x ⊕ y) = r(r(x) ⊕ y)); `out` is
+  /// written either way.
+  ///
+  /// A non-empty `bound` (one weight per key) also drops every offered
+  /// entry (k, d) with d ≥ bound[k]: an entry is kept only when d <
+  /// min(f_x(k), bound[k]), in the whole-offer test and per entry alike.
+  /// x's own entries are kept.  The oracle bounds its level runs this way
+  /// (mbf_oracle.hpp, "Output-bounded level runs").
   static bool gather_least_elements(const DistanceMap& x,
                                     std::span<const Offer<DistanceMap>> offers,
-                                    DistanceMap& out);
+                                    DistanceMap& out,
+                                    std::span<const Weight> bound = {});
 
   /// *this = the entries of `now` that are not entries of `before`: a key
   /// of `now` stays unless `before` holds it at the same distance.  This
@@ -101,6 +109,10 @@ class DistanceMap {
   /// Remove all entries with dist > bound (used by distance-bounded
   /// filters; ⊥-preserving).
   void drop_beyond(Weight bound);
+
+  /// Remove every entry (k, d) with d ≥ bound[k] (`bound` holds one weight
+  /// per key); a staircase stays one.
+  void drop_at_or_above(std::span<const Weight> bound);
 
   /// Keep the k smallest entries under lexicographic (dist, key) order —
   /// the source-detection filter core (Example 3.2).  k = 0 yields ⊥.

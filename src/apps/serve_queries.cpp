@@ -338,7 +338,12 @@ int serve_main(int argc, char** argv) {
   serve::EnsembleOptions opts;
   opts.trees = static_cast<std::size_t>(cli.get_int("trees"));
   opts.pipeline = static_cast<serve::EnsemblePipeline>(cli.choice("pipeline"));
-  // The two checks that span flags, made before the graph is built.
+  // The three checks that span flags, made before the graph is built.
+  if (!tenants && cli.has("cache-capacity") && !cli.has("cache")) {
+    std::cerr << "--cache-capacity needs --cache (replay serves without a "
+                 "hot-pair cache otherwise)\n";
+    return 2;
+  }
   if (tenants && cli.has("swap-at") &&
       cli.get_int("swap-at") >= cli.get_int("batches")) {
     std::cerr << "--swap-at=" << cli.get_int("swap-at") << ": not in [0, "

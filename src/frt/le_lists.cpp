@@ -23,6 +23,32 @@ VertexOrder VertexOrder::identity(Vertex n) {
   return o;
 }
 
+void LeListAlgebra::bound_outputs(std::vector<Weight>& bound,
+                                  const std::vector<State>& x,
+                                  std::span<const Vertex> outputs) {
+  // f_x takes its i-th entry's dist on the ranks [k_i, k_{i+1}) and ∞
+  // below k_0, and it falls with the rank, so f_x(k) is the largest value
+  // whose ranks end at or after k.  One pass records each value at the last
+  // rank it covers; one backward running maximum then yields every B(k).
+  const std::size_t n = x.size();
+  bound.assign(n, -inf_weight());
+  for (const Vertex v : outputs) {
+    const auto es = x[v].entries();
+    PMTE_CHECK(es.empty() || es.back().key < n,
+               "LeListAlgebra::bound_outputs: a key is not a rank");
+    const std::size_t first = es.empty() ? n : es.front().key;
+    if (first > 0) bound[first - 1] = inf_weight();
+    for (std::size_t i = 0; i < es.size(); ++i) {
+      const std::size_t last = (i + 1 < es.size() ? es[i + 1].key : n) - 1;
+      bound[last] = std::max(bound[last], es[i].dist);
+    }
+  }
+  for (std::size_t k = n; k-- > 1;) {
+    bound[k - 1] = std::max(bound[k - 1], bound[k]);
+  }
+  bound_ = bound;
+}
+
 std::vector<DistanceMap> le_initial_state(const VertexOrder& order) {
   std::vector<DistanceMap> x0(order.n());
   for (Vertex v = 0; v < order.n(); ++v) {

@@ -44,10 +44,30 @@ struct VertexOrder {
 /// the offered entries that beat the receiver's staircase before merging
 /// them (DistanceMap::gather_least_elements).  The engine and the oracle
 /// call gather; relax and aggregate remain for callers outside them.
+///
+/// It is the one OutputBoundedAlgebra (mbf_oracle.hpp, "Output-bounded
+/// level runs"): the oracle's own copy carries a level's output bound, and
+/// gather and drop_bounded drop what that bound rejects.  A copy on which
+/// bound_outputs was never called has no bound.
 struct LeListAlgebra {
   using State = DistanceMap;
 
   [[nodiscard]] State bottom() const { return DistanceMap{}; }
+
+  /// Write into `bound` (one weight per rank, x.size() of them) B(k) = max
+  /// over v in `outputs` of f_{x_v}(k), where f_x(k) is the dist of x's
+  /// entry at the largest rank ≤ k and ∞ below x's first rank, and bound
+  /// this algebra by it: from now on gather and drop_bounded drop every
+  /// entry (k, d) with d ≥ B(k).  B never rises with the rank.  `bound`
+  /// must outlive the algebra's gathers.
+  void bound_outputs(std::vector<Weight>& bound,
+                     const std::vector<State>& x,
+                     std::span<const Vertex> outputs);
+
+  /// Drop the entries of x that the bound rejects (none when unbounded).
+  void drop_bounded(State& x) const {
+    if (!bound_.empty()) x.drop_at_or_above(bound_);
+  }
 
   void relax(State& acc, Weight w, Vertex /*from*/, Vertex /*to*/,
              const State& x_from) const {
@@ -60,10 +80,11 @@ struct LeListAlgebra {
 
   void filter(State& x) const { x.keep_least_elements(); }
 
-  /// out = r(x ⊕ ⊕ offers); false (out unwritten) when that is x.
+  /// out = r(x ⊕ ⊕ offers), without the offered entries the bound rejects;
+  /// false (out unwritten) when that is x.
   bool gather(State& out, const State& x,
               std::span<const Offer<State>> offers) const {
-    return DistanceMap::gather_least_elements(x, offers, out);
+    return DistanceMap::gather_least_elements(x, offers, out, bound_);
   }
 
   /// The engine's per-entry offer (DeltaOfferAlgebra in engine.hpp).
@@ -74,12 +95,15 @@ struct LeListAlgebra {
   [[nodiscard]] bool equal(const State& a, const State& b) const {
     return a == b;
   }
+
+ private:
+  std::span<const Weight> bound_;  // empty: unbounded
 };
 
 static_assert(MbfAlgebra<LeListAlgebra>);
 static_assert(DeltaOfferAlgebra<LeListAlgebra>);
 static_assert(GatherAlgebra<LeListAlgebra>);
-static_assert(OracleAlgebra<LeListAlgebra>);
+static_assert(OutputBoundedAlgebra<LeListAlgebra>);
 
 /// x⁽⁰⁾ for LE-list computations: v starts knowing (rank(v), 0).
 [[nodiscard]] std::vector<DistanceMap> le_initial_state(

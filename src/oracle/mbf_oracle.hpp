@@ -56,6 +56,42 @@
 // the differential tests check.  Intermediate iterates differ: a sweep is
 // not an application of Equation (5.9)'s operator.
 //
+// == Output-bounded level runs ==
+//
+// P_λ keeps only the states of V_λ, so a level run counts only through
+// what it adds to x at V_λ.  Before every level run that is not skipped
+// (a full start or a warm restart) the oracle takes the level's output
+// bound from the iterate at V_λ.  For LE lists it is
+//     B_λ(k) = max_{u ∈ V_λ} f_{x_u}(k),
+// with f_x(k) the dist of x's entry at the largest rank ≤ k, ∞ below x's
+// first rank; one pass over those states and one backward pass over the n
+// ranks build it.  The run then drops every entry (k, d) with d ≥ B_λ(k):
+// its gathers keep an offered entry only when d < min(f_x(k), B_λ(k)),
+// and full-start seeds and the warm restart's absorb of x into the cache
+// drop such entries.  The merge of the output into x stays unbounded.
+// This is exact:
+//   * Such an entry is dominated at every V_λ vertex (f_{x_u}(k) ≤ B_λ(k)
+//     ≤ d), so merging it changes no x_u, and it stays dominated while x
+//     improves.
+//   * B_λ never rises with the rank, so every entry that a dropped entry
+//     dominates (a larger rank, no smaller dist) or derives (its rank, a
+//     larger dist) is dropped too.  Like r (Lemma 7.5, Corollary 2.17),
+//     the drop is the projection of a congruence: step for step, a
+//     bounded run agrees with the unbounded one on every entry below B_λ.
+//   * B_λ only falls from one run of a level to the next (x only improves
+//     until restart()), so a cache bounded by an earlier B_λ still agrees
+//     with the unbounded cache below the current one.
+// So each level's merge into x, the sweep sequence, the fixpoint, the
+// trees and every served double are unchanged.  A run that d steps would
+// truncate may now reach its fixpoint (only entries that no V_λ state can
+// take were still moving) and warm-restart later, which is exact for the
+// same reasons; DynamicFrt's warm decreases stay exact because B_λ only
+// falls.  A one-vertex level, which can never change x, now seeds nothing
+// and makes no relaxation.  The bound is data the oracle owns; it reaches
+// the gathers through the oracle's own copy of the algebra, which is
+// bounded only if it is an OutputBoundedAlgebra (LeListAlgebra alone).
+// Other algebras, SourceDetectionAlgebra included, run unbounded.
+//
 // == Dynamic updates (update()) ==
 //
 // The change-stamp machinery doubles as the delta-propagation substrate
@@ -124,6 +160,20 @@ concept OracleAlgebra =
       { alg.aggregate(acc, y) };  // acc ⊕= y in the semimodule
     };
 
+/// An oracle algebra whose level runs drop what their output vertices
+/// cannot take ("Output-bounded level runs"): bound_outputs(bound, x, V)
+/// writes the bound of V's states into `bound` and bounds the algebra's
+/// gathers by it, and drop_bounded(s) drops from s what it rejects.
+template <typename A>
+concept OutputBoundedAlgebra =
+    OracleAlgebra<A> && GatherAlgebra<A> &&
+    requires(A& alg, const A& bounded, std::vector<Weight>& bound,
+             const std::vector<typename A::State>& x,
+             std::span<const Vertex> outputs, typename A::State& s) {
+      { alg.bound_outputs(bound, x, outputs) };
+      { bounded.drop_bounded(s) };
+    };
+
 /// Outcome of MbfOracle::update (see the member doc).
 enum class OracleUpdateKind : std::uint8_t {
   kIncremental,  ///< weight decrease absorbed; run() continues in place
@@ -145,7 +195,8 @@ struct OracleStats {
 
 /// Stateful oracle: the H-iterate plus one engine and per-level state
 /// caches, reused across H-iterations.  The simulated graph and the
-/// algebra must outlive it.
+/// algebra must outlive it.  Not copyable or movable: the engine runs on
+/// the oracle's own copy of the algebra, which carries the level bound.
 template <OracleAlgebra Algebra>
 class MbfOracle {
  public:
@@ -156,7 +207,8 @@ class MbfOracle {
             std::vector<State> x0, MbfOptions opts = {})
       : h_(&h),
         alg_(&alg),
-        engine_(h.base(), alg, engine_options(opts)),
+        level_alg_(alg),
+        engine_(h.base(), level_alg_, engine_options(opts)),
         bottom_(alg.bottom()),
         x0_(std::move(x0)) {
     PMTE_CHECK(x0_.size() == h.num_vertices(),
@@ -170,6 +222,9 @@ class MbfOracle {
     }
     restart();
   }
+
+  MbfOracle(const MbfOracle&) = delete;
+  MbfOracle& operator=(const MbfOracle&) = delete;
 
   /// Sweep the iterate in place until a sweep changes nothing (the
   /// filtered fixpoint, ≤ SPD(H) ∈ O(log² n) sweeps w.h.p., Theorem 4.5)
@@ -303,11 +358,21 @@ class MbfOracle {
     }
   }
 
-  // Full support-seeded start: seed = P_λ x, frontier = supp(P_λ x) (⊥
-  // entries make no offers, so they need not enter the frontier).
+  // Bound the level algebra by what V_λ's states can still take (see
+  // "Output-bounded level runs"); a no-op for other algebras.
+  void bound_level(unsigned lambda) {
+    if constexpr (OutputBoundedAlgebra<Algebra>) {
+      level_alg_.bound_outputs(bound_, x_, level_vertices_[lambda]);
+    }
+  }
+
+  // Full support-seeded start: seed = P_λ x without what the bound drops,
+  // frontier = supp(seed) (⊥ entries make no offers, so they need not
+  // enter the frontier).
   void full_start(unsigned lambda) {
     ++stats_.levels_full;
     if (obs::metrics_on()) obs_detail::oracle_obs().full.add(1);
+    bound_level(lambda);
     std::vector<State> seed = std::move(cache_[lambda]);
     seed.resize(x_.size());
     buffers_.clear();
@@ -315,6 +380,9 @@ class MbfOracle {
       const auto v = static_cast<Vertex>(vi);
       if (h_->levels().level(v) >= lambda) {
         seed[vi] = x_[vi];
+        if constexpr (OutputBoundedAlgebra<Algebra>) {
+          level_alg_.drop_bounded(seed[vi]);
+        }
         if (!alg_->equal(seed[vi], bottom_)) buffers_.local().push_back(v);
       } else {
         seed[vi] = alg_->bottom();
@@ -388,12 +456,16 @@ class MbfOracle {
           // C_λ but its *unabsorbed* subset: the cache is the closure of
           // the previous input, so inputs it dominates are entries the
           // level's own run already derived — merging them is a no-op and
-          // an absorbed vertex makes no new offers.
+          // an absorbed vertex makes no new offers.  Nor does one whose
+          // new entries the bound drops.
+          bound_level(lambda);
           std::vector<State> seed = std::move(cache_[lambda]);
           buffers_.clear();
           parallel_for(changed_level_.size(), [&](std::size_t i) {
             const Vertex v = changed_level_[i];
-            if (absorb(seed[v], x_[v])) buffers_.local().push_back(v);
+            if (absorb(level_alg_, seed[v], x_[v])) {
+              buffers_.local().push_back(v);
+            }
           });
           buffers_.drain_sorted(delta_);
           if (touched) {
@@ -442,7 +514,7 @@ class MbfOracle {
     buffers_.clear();
     parallel_for(verts.size(), [&](std::size_t i) {
       const Vertex v = verts[i];
-      if (absorb(x_[v], z[v])) buffers_.local().push_back(v);
+      if (absorb(*alg_, x_[v], z[v])) buffers_.local().push_back(v);
     });
     buffers_.drain_sorted(merged_);
     for (const Vertex v : merged_) stamp_[v] = event_;
@@ -451,28 +523,31 @@ class MbfOracle {
     return !merged_.empty();
   }
 
-  // x = r(x ⊕ y); returns whether x changed.  A GatherAlgebra takes y as
-  // one offer at shift 0, so an x that absorbs y is neither copied nor
+  // x = r(x ⊕ y) under `alg` (the level algebra drops what its bound
+  // rejects); returns whether x changed.  A GatherAlgebra takes y as one
+  // offer at shift 0, so an x that absorbs y is neither copied nor
   // rewritten; other algebras aggregate into a copy, filter and compare.
   // The result is copied into x, not moved: the per-thread `merged` keeps
   // its capacity, and x keeps a buffer of its own.
-  bool absorb(State& x, const State& y) const {
+  static bool absorb(const Algebra& alg, State& x, const State& y) {
     thread_local State merged;
     if constexpr (GatherAlgebra<Algebra>) {
       const Offer<State> offer{&y, 0.0, 0};
-      if (!alg_->gather(merged, x, std::span(&offer, 1))) return false;
+      if (!alg.gather(merged, x, std::span(&offer, 1))) return false;
     } else {
       merged = x;
-      alg_->aggregate(merged, y);
-      alg_->filter(merged);
-      if (alg_->equal(merged, x)) return false;
+      alg.aggregate(merged, y);
+      alg.filter(merged);
+      if (alg.equal(merged, x)) return false;
     }
     x = merged;
     return true;
   }
 
   const SimulatedGraph* h_;
-  const Algebra* alg_;
+  const Algebra* alg_;  // unbounded: the merges into x
+  Algebra level_alg_;   // the engine's, bounded per level run
+  std::vector<Weight> bound_;  // the level bound level_alg_ reads
   MbfEngine<Algebra> engine_;
   State bottom_;
   std::vector<State> x0_;  // r^V x⁽⁰⁾, re-installed by restart()

@@ -429,6 +429,178 @@ TEST(DistanceMap, GatherMatchesSequentialMerges) {
   EXPECT_GT(unchanged_trials, 350);
 }
 
+// x without its entries (k, d) with d ≥ bound[k].
+DistanceMap drop_at_or_above(DistanceMap x, const std::vector<Weight>& bound) {
+  x.drop_at_or_above(bound);
+  return x;
+}
+
+TEST(DistanceMap, GatherWithBoundMatchesGatherThenDrop) {
+  // The oracle's bounded gather: an offered entry (k, d) is kept only when
+  // d < min(f_x(k), B(k)), B a non-increasing bound over the keys.  The
+  // bound is all ∞, lies just above x's staircase, or is a random
+  // non-increasing step function around it with an ∞ prefix.  Offered
+  // entries sit around f_x or around B (half of the latter offers keep one
+  // entry), so an entry or a whole offer is cut by the bound alone.
+  // Without its entries at or above B, the result must be the unbounded
+  // r(x ⊕ offers) without them — all of it when x lies below B — and every
+  // entry at or above B must be one of x's own.  A staircase x must report
+  // a change exactly when that differs from x without its entries at or
+  // above B, and leave `out` unwritten otherwise.
+  Rng rng(38);
+  constexpr Vertex kKeys = 256;
+  int all_infinite = 0, x_below = 0, whole_cut_by_bound = 0,
+      entry_cut_by_bound = 0, walked = 0, non_staircase = 0,
+      changed_trials = 0, unchanged_trials = 0;
+  const DistanceMap stale = DistanceMap::singleton(99, 1.0);
+  std::vector<Weight> bound(kKeys);
+  std::vector<DistanceMap> ys;
+  std::vector<Offer<DistanceMap>> offers;
+  for (int trial = 0; trial < 3600; ++trial) {
+    const int kind = trial % 6;
+    const std::size_t length =
+        kind == 4 ? 32 + rng.below(33) : rng.below(25);
+    auto x = random_staircase(rng, length,
+                              3 + static_cast<Vertex>(rng.below(4)));
+    if (kind == 5 && x.size() >= 2) {
+      std::vector<DistEntry> raised(x.entries().begin(), x.entries().end());
+      const std::size_t i = 1 + rng.below(raised.size() - 1);
+      raised[i].dist = raised[i - 1].dist + static_cast<Weight>(rng.below(2));
+      x = DistanceMap::from_entries(std::move(raised));
+    }
+    const bool staircase = x.is_least_element_list();
+    non_staircase += staircase ? 0 : 1;
+
+    auto filtered = x;  // f of a staircase falls with the key
+    filtered.keep_least_elements();
+    const int shape = trial % 7;  // 0: all ∞, 1: above x, else around x
+    if (shape == 0) {
+      std::fill(bound.begin(), bound.end(), inf_weight());
+      ++all_infinite;
+    } else if (shape == 1) {
+      const auto above = static_cast<Weight>(1 + rng.below(3));
+      for (Vertex k = 0; k < kKeys; ++k) bound[k] = f_at(filtered, k) + above;
+    } else {
+      // f_x (60 where it is ∞) plus -8..3 at each key, made non-increasing
+      // by a running maximum from the top key down, and ∞ below a random
+      // key.
+      const auto infinite_below = static_cast<Vertex>(rng.below(8));
+      Weight running = -inf_weight();
+      for (Vertex k = kKeys; k-- > 0;) {
+        const Weight f = f_at(filtered, k);
+        running = std::max(running, (is_finite(f) ? f : 60.0) +
+                                        std::floor(rng.uniform(-8.0, 4.0)));
+        bound[k] = k < infinite_below ? inf_weight() : running;
+      }
+    }
+    const bool below = std::all_of(
+        x.entries().begin(), x.entries().end(),
+        [&](const DistEntry& e) { return e.dist < bound[e.key]; });
+    x_below += below ? 1 : 0;
+
+    const std::size_t count = 1 + rng.below(6);
+    ys.clear();
+    std::vector<Weight> shifts;
+    for (std::size_t c = 0; c < count; ++c) {
+      const Weight shift = std::floor(rng.uniform(0.0, 6.0));
+      // Around f_x, around B, or around the smaller of the two.
+      const auto around = rng.below(3);
+      const auto target = [&](Vertex k) {
+        const Weight f = f_at(x, k);
+        const Weight t = around == 0 ? f
+                         : around == 1 ? bound[k]
+                                       : std::min(f, bound[k]);
+        return is_finite(t) ? t : 40.0;
+      };
+      std::vector<DistEntry> es;
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        if (rng.below(3) >= (kind == 4 ? 2U : 1U)) continue;
+        const Vertex gap = i + 1 < x.size() ? x[i + 1].key - x[i].key : 3;
+        const Vertex key = x[i].key + static_cast<Vertex>(rng.below(gap));
+        es.push_back(DistEntry{key, target(key) - shift - 1.0 +
+                                        static_cast<Weight>(rng.below(4))});
+      }
+      if (x.empty() || rng.below(4) == 0) {
+        const auto key = static_cast<Vertex>(rng.below(3));
+        es.push_back(DistEntry{key, target(key) - shift - 1.0 +
+                                        static_cast<Weight>(rng.below(4))});
+      }
+      if (around == 1 && es.size() > 1 && rng.below(2) == 0) {
+        es = {es[rng.below(es.size())]};
+      }
+      auto y = DistanceMap::from_entries(std::move(es));
+      y.keep_least_elements();
+      ys.push_back(std::move(y));
+      shifts.push_back(shift);
+    }
+    offers.clear();
+    for (std::size_t c = 0; c < count; ++c) {
+      offers.push_back(Offer<DistanceMap>{&ys[c], shifts[c], 0});
+    }
+
+    // Classify each offer as the bounded gather sees it.
+    for (std::size_t c = 0; c < count && staircase; ++c) {
+      const auto& y = ys[c];
+      if (y.empty()) continue;
+      const Weight s = shifts[c];
+      const Vertex first = y[0].key;
+      const Weight least = y[y.size() - 1].dist + s;
+      if (least >= std::min(f_at(x, first), bound[first])) {
+        whole_cut_by_bound += least < f_at(x, first) ? 1 : 0;
+        continue;
+      }
+      walked += x.size() * y.size() >= 8 * (x.size() + y.size()) ? 1 : 0;
+      for (const auto& e : y.entries()) {
+        const Weight d = e.dist + s;
+        entry_cut_by_bound += d < f_at(x, e.key) && d >= bound[e.key] ? 1 : 0;
+      }
+    }
+
+    auto unbounded = x;
+    for (std::size_t c = 0; c < count; ++c) {
+      unbounded.merge_min(ys[c], shifts[c]);
+    }
+    unbounded.keep_least_elements();
+    const auto expect = drop_at_or_above(unbounded, bound);
+
+    DistanceMap out = stale;
+    const DistEntry* const buffer = out.entries().data();
+    const bool changed =
+        DistanceMap::gather_least_elements(x, offers, out, bound);
+    const DistanceMap& result = changed ? out : x;
+    ASSERT_TRUE(bit_equal(drop_at_or_above(result, bound), expect))
+        << "trial " << trial;
+    if (below) {
+      ASSERT_TRUE(bit_equal(result, expect)) << "trial " << trial;
+    }
+    for (const auto& e : result.entries()) {
+      ASSERT_TRUE(e.dist < bound[e.key] || x.at(e.key) == e.dist)
+          << "trial " << trial << ", key " << e.key;
+    }
+    if (!staircase) {
+      ASSERT_TRUE(changed) << "trial " << trial;
+      continue;
+    }
+    ASSERT_EQ(changed, !bit_equal(expect, drop_at_or_above(x, bound)))
+        << "trial " << trial;
+    if (changed) {
+      ++changed_trials;
+    } else {
+      ++unchanged_trials;
+      ASSERT_TRUE(bit_equal(out, stale)) << "trial " << trial;
+      ASSERT_EQ(out.entries().data(), buffer) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(all_infinite, 400);
+  EXPECT_GT(x_below, 1000);
+  EXPECT_GT(whole_cut_by_bound, 180);
+  EXPECT_GT(entry_cut_by_bound, 4000);
+  EXPECT_GT(walked, 1000);
+  EXPECT_GT(non_staircase, 400);
+  EXPECT_GT(changed_trials, 2000);
+  EXPECT_GT(unchanged_trials, 300);
+}
+
 TEST(DistanceMap, AssignDifferenceMatchesBruteForce) {
   // now ∖ before keeps an entry of `now` unless `before` holds the same key
   // at the same distance.  `before` is drawn around `now` (entries dropped,

@@ -170,6 +170,47 @@ TEST(Oracle, StatsAreAccounted) {
   EXPECT_LE(reuse.base_iterations, ref.base_iterations);
 }
 
+TEST(Oracle, OneVertexTopLevelMakesNoRelaxations) {
+  // P_λ keeps only V_λ, so a level whose V_λ is one vertex u never changes
+  // x: whatever it derives is dominated at u.  Bounded by u's own list,
+  // such a level seeds nothing and makes no relaxation.  So the oracle
+  // relaxes exactly as often with u alone on level 1 as with every vertex
+  // on level 0 (ε̂ = 0: both levels weigh G' alike), and reaches the same
+  // lists.  u is the vertex of largest degree, whose unbounded runs would
+  // flood G'.
+  Rng rng(9100);
+  const Vertex n = 64;
+  const auto g = make_gnm(n, 192, {1.0, 5.0}, rng);
+  Vertex hub = 0;
+  for (Vertex v = 1; v < n; ++v) {
+    if (g.degree(v) > g.degree(hub)) hub = v;
+  }
+  std::vector<unsigned> levels(n, 0);
+  const SimulatedGraph flat(g, n - 1, 0.0, LevelAssignment::from_levels(levels));
+  levels[hub] = 1;
+  const SimulatedGraph top(g, n - 1, 0.0, LevelAssignment::from_levels(levels));
+  const auto order = VertexOrder::random(n, rng);
+
+  const WorkDepthScope flat_scope;
+  const auto without = le_lists_oracle(flat, order);
+  const std::uint64_t flat_relax = flat_scope.relaxations_delta();
+  const WorkDepthScope top_scope;
+  const auto with_top = le_lists_oracle(top, order);
+  const std::uint64_t top_relax = top_scope.relaxations_delta();
+
+  ASSERT_TRUE(without.converged);
+  ASSERT_TRUE(with_top.converged);
+  EXPECT_EQ(with_top.lists, without.lists);
+  EXPECT_EQ(with_top.iterations, without.iterations);
+  // Level 1 was accounted in every sweep, and started at least once.
+  EXPECT_EQ(with_top.levels_full + with_top.levels_warm +
+                with_top.levels_skipped,
+            2 * with_top.iterations);
+  EXPECT_GT(with_top.levels_full, without.levels_full);
+  EXPECT_GT(flat_relax, 0U);
+  EXPECT_EQ(top_relax, flat_relax);
+}
+
 TEST(Oracle, FixpointIsFastOnHighSpdGraph) {
   // SPD(G) = n−1 would force Θ(n) direct iterations; the oracle needs
   // O(log² n) H-iterations (Theorem 4.5 + Theorem 5.2).
