@@ -7,7 +7,9 @@
 //     JSON.  The counts are logical-operation counts — identical across
 //     thread counts, compilers, and machines — so scripts/
 //     check_bench_regression.py can hard-fail CI on any >5% regression
-//     against the committed BENCH_micro_ops.json baseline.
+//     against the committed BENCH_micro_ops.json baseline.  Beside each
+//     run, stderr gets its dense bill: iterations × 2m, the relaxations of
+//     recomputing every vertex from all of its edges in every round.
 //   * default: google-benchmark timings of aggregation merges (Lemma 2.3),
 //     the filtering LE-list merge, one receiver's LE gather, the LE
 //     filter (Lemma 7.7), the k-smallest filter, and path-set products.
@@ -46,11 +48,13 @@ namespace {
 template <MbfAlgebra Algebra>
 bench::CounterScenario run_scenario(const std::string& name, const Graph& g,
                                     const Algebra& alg,
-                                    std::vector<typename Algebra::State> x0,
-                                    MbfMode mode) {
+                                    std::vector<typename Algebra::State> x0) {
   WorkDepth::reset();
   const WorkDepthScope scope;
-  const auto run = mbf_run(g, alg, std::move(x0), g.num_vertices(), 1.0, mode);
+  const auto run = mbf_run(g, alg, std::move(x0), g.num_vertices());
+  std::cerr << name << ": " << scope.relaxations_delta()
+            << " relaxations; dense bill (iterations x 2m) "
+            << std::uint64_t{run.iterations} * 2 * g.num_edges() << "\n";
   return bench::CounterScenario{name,
                                 {{"relaxations", scope.relaxations_delta()},
                                  {"edges_touched", scope.edges_touched_delta()},
@@ -62,7 +66,7 @@ bench::CounterScenario run_scenario(const std::string& name, const Graph& g,
 void emit_counters(std::ostream& os) {
   std::vector<bench::CounterScenario> reports;
 
-  // Scalar SSSP on a long path — SPD = n−1, the dense engine's worst case
+  // Scalar SSSP on a long path — SPD = n−1, the dense bill's worst case
   // and the frontier's best.
   {
     const Vertex n = 2048;
@@ -70,10 +74,7 @@ void emit_counters(std::ostream& os) {
     ScalarDistanceAlgebra alg;
     std::vector<Weight> x0(n, inf_weight());
     x0[0] = 0.0;
-    reports.push_back(
-        run_scenario("sssp_path_dense", g, alg, x0, MbfMode::kDense));
-    reports.push_back(
-        run_scenario("sssp_path_frontier", g, alg, x0, MbfMode::kAuto));
+    reports.push_back(run_scenario("sssp_path_frontier", g, alg, x0));
   }
 
   // Scalar SSSP on a weighted grid — a 2D wavefront.
@@ -82,21 +83,18 @@ void emit_counters(std::ostream& os) {
     ScalarDistanceAlgebra alg;
     std::vector<Weight> x0(g.num_vertices(), inf_weight());
     x0[0] = 0.0;
-    reports.push_back(
-        run_scenario("sssp_grid_dense", g, alg, x0, MbfMode::kDense));
-    reports.push_back(
-        run_scenario("sssp_grid_frontier", g, alg, x0, MbfMode::kAuto));
+    reports.push_back(run_scenario("sssp_grid_frontier", g, alg, x0));
   }
 
   // LE lists on a low-diameter ER graph — the frontier stays broad for a
-  // few rounds, exercising the dense-fallback threshold.
+  // few rounds.
   {
     Rng rng(7);
     const auto g = make_gnm(512, 1536, {1.0, 4.0}, rng);
     const auto order = VertexOrder::random(g.num_vertices(), rng);
     const LeListAlgebra alg;
     reports.push_back(run_scenario("le_lists_gnm_frontier", g, alg,
-                                   le_initial_state(order), MbfMode::kAuto));
+                                   le_initial_state(order)));
   }
 
   // Source detection on a star — one round of fan-out, then collapse.
@@ -109,7 +107,7 @@ void emit_counters(std::ostream& os) {
       x0[s] = DistanceMap::singleton(s, 0.0);
     }
     reports.push_back(run_scenario("source_detection_star_frontier", g, alg,
-                                   std::move(x0), MbfMode::kAuto));
+                                   std::move(x0)));
   }
 
   bench::emit_counters(os, reports);

@@ -11,6 +11,8 @@
 #include "src/apps/distance_sketches.hpp"
 #include "src/frt/pipelines.hpp"
 #include "src/graph/shortest_paths.hpp"
+#include "src/serve/frt_ensemble.hpp"
+#include "src/serve/hot_pair_cache.hpp"
 #include "src/serve/workloads.hpp"
 
 namespace pmte::bench {
@@ -20,7 +22,7 @@ namespace {
 /// find the LCA by climbing both leaves' ancestor rows in lockstep (2 node
 /// visits per level climbed) and read the tree's LCA-level distance table
 /// — the same doubles the flat index serves, so the result hash must equal
-/// the EnsembleSketches scenario's.
+/// the flat min-policy scenario's.
 Weight tree_climb_min(const std::vector<FrtTree>& trees, Vertex u, Vertex v,
                       std::uint64_t* node_visits) {
   Weight best = inf_weight();
@@ -54,8 +56,8 @@ void run_counters() {
   serve::EnsembleOptions eopts;
   eopts.trees = k;
   eopts.pipeline = serve::EnsemblePipeline::direct;
-  auto sk = EnsembleSketches::from_ensemble(serve::FrtEnsemble::build(
-      inst.graph, master, eopts));
+  const auto ensemble = serve::FrtEnsemble::build(inst.graph, master, eopts);
+  constexpr auto kMin = serve::AggregatePolicy::min;
 
   serve::WorkloadOptions wopts;
   wopts.pairs = 100000;
@@ -79,7 +81,7 @@ void run_counters() {
   }
   {
     std::vector<Weight> out;
-    const auto st = sk.query_batch(uniform, out);
+    const auto st = ensemble.query_batch(uniform, kMin, out);
     scenarios.push_back(
         CounterScenario{"sketches_flat_uniform_gnm_256",
                         {{"queries", st.pairs},
@@ -97,7 +99,7 @@ void run_counters() {
                                          zrng);
   {
     std::vector<Weight> out;
-    const auto st = sk.query_batch(zipf, out);
+    const auto st = ensemble.query_batch(zipf, kMin, out);
     scenarios.push_back(
         CounterScenario{"sketches_flat_zipf_gnm_256",
                         {{"queries", st.pairs},
@@ -106,10 +108,9 @@ void run_counters() {
                          {"result_hash32", result_hash32(out)}}});
   }
   {
-    sk.enable_cache(1 << 15);
+    serve::HotPairCache cache(1 << 15);
     std::vector<Weight> out;
-    const auto st = sk.query_batch(zipf, out);
-    sk.enable_cache(0);
+    const auto st = ensemble.query_batch(zipf, kMin, out, &cache);
     scenarios.push_back(
         CounterScenario{"sketches_flat_zipf_cached_gnm_256",
                         {{"queries", st.pairs},

@@ -63,35 +63,4 @@ double DistanceSketches::average_entries_per_vertex() const {
   return static_cast<double>(total) / static_cast<double>(n_);
 }
 
-EnsembleSketches EnsembleSketches::build(const Graph& g, std::size_t trees,
-                                         std::uint64_t master_seed,
-                                         const serve::EnsembleOptions& base) {
-  serve::EnsembleOptions opts = base;
-  opts.trees = trees;
-  return from_ensemble(serve::FrtEnsemble::build(g, master_seed, opts));
-}
-
-EnsembleSketches EnsembleSketches::from_ensemble(serve::FrtEnsemble e) {
-  PMTE_CHECK(e.num_trees() >= 1, "EnsembleSketches: empty ensemble");
-  EnsembleSketches s;
-  s.ensemble_ = std::move(e);
-  return s;
-}
-
-Weight EnsembleSketches::query(Vertex u, Vertex v) const {
-  return ensemble_.query(u, v, serve::AggregatePolicy::min);
-}
-
-serve::FrtEnsemble::BatchStats EnsembleSketches::query_batch(
-    const std::vector<std::pair<Vertex, Vertex>>& pairs,
-    std::vector<Weight>& out) {
-  return ensemble_.query_batch(pairs, serve::AggregatePolicy::min, out,
-                               cache_ ? &*cache_ : nullptr);
-}
-
-void EnsembleSketches::enable_cache(std::size_t capacity) {
-  cache_.reset();
-  if (capacity > 0) cache_.emplace(capacity);
-}
-
 }  // namespace pmte

@@ -16,26 +16,12 @@
 // This is a natural "extension" application of the paper's machinery: the
 // sketches can be built with any of the LE-list pipelines, including the
 // oracle pipeline at polylog depth.
-//
-// EnsembleSketches is the serving-layer counterpart: instead of storing
-// per-vertex LE lists and intersecting them at O(T·log n) per query, it
-// holds a serve::FrtEnsemble — k flat FRT indices — and serves the min
-// over k O(1) tree-distance lookups through FrtEnsemble::query_batch
-// (parallel batches, deterministic counters, optional hot-pair cache).
-// Every FRT tree dominates dist_G under the dominating weight rule, so the
-// min is a valid upper-bound sketch just like the LE intersection, and the
-// answers are bit-identical to folding FrtTree::distance over the same k
-// trees (pinned by test_sketches' differential suite).
 
 #include <cstddef>
-#include <cstdint>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "src/frt/le_lists.hpp"
 #include "src/graph/graph.hpp"
-#include "src/serve/frt_ensemble.hpp"
 #include "src/util/rng.hpp"
 
 namespace pmte {
@@ -65,56 +51,6 @@ class DistanceSketches {
  private:
   std::vector<std::vector<DistanceMap>> runs_;  // per permutation, per vertex
   Vertex n_ = 0;
-};
-
-/// Distance sketches served through the flat FRT-ensemble layer: k
-/// independently-seeded serving indices, answers = min over the k O(1)
-/// tree-distance lookups.  Dominating trees make every answer an upper
-/// bound on dist_G; more trees only tighten it.
-class EnsembleSketches {
- public:
-  /// Build k trees over `g` from one master seed (the FrtEnsemble seeding
-  /// scheme — reproducible at any build parallelism).
-  [[nodiscard]] static EnsembleSketches build(
-      const Graph& g, std::size_t trees, std::uint64_t master_seed,
-      const serve::EnsembleOptions& base = {});
-
-  /// Serve from an already-built (or loaded) ensemble.
-  [[nodiscard]] static EnsembleSketches from_ensemble(serve::FrtEnsemble e);
-
-  /// Upper-bound distance estimate; exact 0 for u == v.
-  [[nodiscard]] Weight query(Vertex u, Vertex v) const;
-
-  /// Batched queries through FrtEnsemble::query_batch (min policy):
-  /// bit-identical outputs and deterministic counters at any thread
-  /// count.  With enable_cache(), repeated pairs are served from the
-  /// hot-pair cache — same values, fewer tree lookups.  Non-const
-  /// because a batch mutates the attached cache (one batch at a time;
-  /// point query() stays const and cache-free).
-  serve::FrtEnsemble::BatchStats query_batch(
-      const std::vector<std::pair<Vertex, Vertex>>& pairs,
-      std::vector<Weight>& out);
-
-  /// Attach a hot-pair cache of (at least) `capacity` slots to this
-  /// sketch's query stream; capacity 0 detaches it.
-  void enable_cache(std::size_t capacity);
-
-  [[nodiscard]] std::size_t trees() const noexcept {
-    return ensemble_.num_trees();
-  }
-  [[nodiscard]] Vertex num_vertices() const noexcept {
-    return ensemble_.num_vertices();
-  }
-  [[nodiscard]] const serve::FrtEnsemble& ensemble() const noexcept {
-    return ensemble_;
-  }
-  [[nodiscard]] const serve::HotPairCache* cache() const noexcept {
-    return cache_ ? &*cache_ : nullptr;
-  }
-
- private:
-  serve::FrtEnsemble ensemble_;
-  std::optional<serve::HotPairCache> cache_;
 };
 
 }  // namespace pmte

@@ -193,7 +193,7 @@ SkeletonRun congest_frt_skeleton(const Graph& g, const SkeletonOptions& opts,
   // spanner is global knowledge), zero rounds.  Simulated by iterating the
   // LE algebra on the spanner edges.  Non-skeleton vertices are isolated
   // in the spanner graph — they stay singleton and make no offers — so the
-  // engine starts from the skeleton support instead of a full frontier.
+  // engine starts from the skeleton support instead of supp(x⁽⁰⁾) = V.
   const LeListAlgebra alg;
   std::vector<WeightedEdge> spanner_on_v;
   for (const auto& e : spanner.spanner.edge_list()) {

@@ -8,7 +8,7 @@ DynamicFrt::DynamicFrt(const SimulatedGraph& h, Rng& rng,
       opts_(opts),
       beta_(sample_beta(rng)),  // β before the order — the pipeline's draw
       order_(VertexOrder::random(h.num_vertices(), rng)),
-      oracle_(h, alg_, le_initial_state(order_), opts.mbf) {
+      oracle_(h, alg_, le_initial_state(order_)) {
   oracle_.run(opts_.max_iterations);
   hint_ = min_distance_hint(h.base());
   tree_ = FrtTree::build(lists(), order_, beta_, hint_, opts_.rule);

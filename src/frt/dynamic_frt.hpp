@@ -38,8 +38,8 @@ class DynamicFrt {
  public:
   /// Replicates sample_frt_oracle_on(h, rng, opts) bit-for-bit: draws β
   /// then the order from `rng`, runs the LE oracle to its fixpoint and
-  /// builds the tree.  Oracle pipeline only (`opts.mbf` feeds the retained
-  /// oracle); `h` must outlive the maintainer.
+  /// builds the tree.  Oracle pipeline only; `h` must outlive the
+  /// maintainer.
   DynamicFrt(const SimulatedGraph& h, Rng& rng, const FrtOptions& opts = {});
 
   DynamicFrt(const DynamicFrt&) = delete;

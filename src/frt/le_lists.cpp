@@ -74,12 +74,13 @@ LeListsResult le_lists_iteration(const Graph& g, const VertexOrder& order,
 
 LeListsResult le_lists_oracle(const SimulatedGraph& h,
                               const VertexOrder& order,
-                              unsigned max_h_iterations, MbfOptions opts) {
+                              unsigned max_h_iterations,
+                              MbfOptions /*unused*/) {
   PMTE_CHECK(order.n() == h.num_vertices(), "order size mismatch");
   const LeListAlgebra alg;
   OracleStats stats;
   auto run = oracle_run(h, alg, le_initial_state(order), max_h_iterations,
-                        &stats, opts);
+                        &stats);
   LeListsResult r;
   r.lists = std::move(run.states);
   r.iterations = stats.h_iterations;

@@ -130,11 +130,13 @@ struct LeListsResult {
 /// The paper's pipeline (Theorem 7.9): run the LE algebra on the simulated
 /// graph H through the oracle — O(log² n) H-iterations w.h.p.  Levels are
 /// reused across H-iterations (skips + warm restarts, see mbf_oracle.hpp).
-/// `max_h_iterations` = 0 selects MbfOracle::run's automatic cap.
+/// `max_h_iterations` = 0 selects MbfOracle::run's automatic cap.  The
+/// last parameter has no effect; it stays because the frozen lifecycle
+/// benchmark (lifecycle_bench/lifecycle.cpp) passes FrtOptions::mbf.
 [[nodiscard]] LeListsResult le_lists_oracle(const SimulatedGraph& h,
                                             const VertexOrder& order,
                                             unsigned max_h_iterations = 0,
-                                            MbfOptions opts = {});
+                                            MbfOptions unused = {});
 
 /// Sequential baseline (Cohen [12] / Mendel–Schwob [33] style): sources in
 /// ascending rank order, pruned Dijkstras.  Exact; O(m log² n) expected.

@@ -89,7 +89,7 @@ FrtSample sample_frt_oracle_on(const SimulatedGraph& h, Rng& rng,
   const WorkDepthScope scope;
   const double beta = sample_beta(rng);
   auto order = VertexOrder::random(h.num_vertices(), rng);
-  auto le = le_lists_oracle(h, order, opts.max_iterations, opts.mbf);
+  auto le = le_lists_oracle(h, order, opts.max_iterations);
   // Distances in H lower-bound to the minimum edge weight of G' (every H
   // edge weighs (1+ε̂)^{≥0}·dist^d ≥ dist ≥ min edge weight).
   return finish_sample(std::move(le), std::move(order), beta,

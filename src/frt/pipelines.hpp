@@ -34,7 +34,9 @@ struct FrtOptions {
   double eps_hat = 0.0;
   HubHopSetParams hopset;
   unsigned max_iterations = 0;  ///< 0 = automatic bound
-  /// Engine/oracle tunables (P-H pipeline): mode and density threshold.
+  /// Has no effect: nothing reads it.  It stays because the frozen
+  /// lifecycle benchmark (lifecycle_bench/lifecycle.cpp) passes it to
+  /// le_lists_oracle.
   MbfOptions mbf;
 };
 

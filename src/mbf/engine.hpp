@@ -7,7 +7,8 @@
 // i.e. per iteration every vertex *propagates* its state along incident
 // edges, *aggregates* incoming states, and *filters* the result.
 //
-// The engine is templated over an Algebra policy:
+// The engine is templated over an Algebra policy (MbfAlgebra, whose doc
+// states what the engine requires of it):
 //
 //   struct Algebra {
 //     using State = …;                       // an element of M
@@ -27,39 +28,33 @@
 // Because the adjacency diagonal is the semiring one (1 ⊙ x = x by (2.1)),
 // x⁽ⁱ⁺¹⁾_v is a function of x⁽ⁱ⁾_v and the states of v's neighbours.  So v
 // can only change in iteration i+1 if v itself or a neighbour changed in
-// iteration i — the changed set (the *frontier*) shrinks as the iteration
-// converges, and once it is empty the filtered fixpoint is reached.
-// MbfEngine exploits this: each step recomputes only the vertices affected
-// by the previous frontier and relaxes only edges whose source is in the
-// frontier, falling back to the dense all-edges pull when the frontier is
-// too large for sparsity to pay off (direction-optimizing style).
-//
-// Restricting relaxation to frontier sources is exact — not merely
-// ~-equivalent — because every semimodule aggregation ⊕ of the framework
-// is associative, commutative and idempotent, and every filter r is an
-// idempotent selection: an offer w ⊙ x_u already made in an earlier
-// iteration is either contained in x_v (idempotence) or was discarded by r
-// in favour of entries that are still present (selection stability), so
-// repeating it cannot change r(x_v ⊕ …).  All Section-3 algebras and the
-// LE-list algebra (Section 7) satisfy this; an algebra that does not can
-// force MbfMode::kDense.
+// iteration i.  MbfEngine keeps that changed set, the *frontier*, and runs
+// every round as one gather: it recomputes only the vertices in or next to
+// the frontier, from the offers of their frontier neighbours.  reset()
+// seeds the frontier with supp(x⁽⁰⁾), the vertices whose state is not ⊥:
+// a ⊥ state makes no offer and r(⊥) = ⊥, so no other vertex can change in
+// the first round.  Once the frontier is empty the filtered fixpoint is
+// reached.  Under MbfAlgebra's precondition the gather is exact, not
+// merely ~-equivalent: an offer w ⊙ x_u made in an earlier iteration is
+// either contained in x_v (idempotence) or was discarded by r in favour of
+// entries that are still present (selection stability), so repeating it
+// cannot change r(x_v ⊕ …).
 //
 // The same argument holds per entry.  A frontier vertex u went from
 // out_[u] (its state before its last change, which commit() swapped out)
 // to cur_[u], and every neighbour v has already absorbed w ⊙ out_[u]: u
 // offered that state when it last changed, or, never having changed since
-// reset_with_frontier, u is covered by that call's contract.  Let δ be
-// the entries of cur_[u] that are not entries of out_[u].  Then
-// cur ⊕ out = δ ⊕ out, and with a congruent filter
+// its reset, u was in the first round's frontier or is covered by
+// reset_with_frontier's contract.  Let δ be the entries of cur_[u] that
+// are not entries of out_[u].  Then cur ⊕ out = δ ⊕ out, and with a
+// congruent filter
 //     r(x_v ⊕ w⊙cur) = r(x_v ⊕ w⊙out ⊕ w⊙δ) = r(x_v ⊕ w⊙δ),
 // so u offers only δ.  Algebras opt in through offer_delta
 // (DeltaOfferAlgebra); of the library's algebras only LeListAlgebra does.
-// States, frontiers and relaxation counts stay those of full offers.  The
-// merge work falls, but computing δ costs |cur_[u]| + |out_[u]| per
-// frontier vertex and round: on degree-2 paths that outweighs the saving
-// and the net `work` counter rises by about 2% (wall time on such inputs
-// is unmeasured).  The first round after a reset keeps full offers,
-// because out_ is stale then.
+// States, frontiers and relaxation counts stay those of full offers; the
+// merge work falls, and computing δ costs |cur_[u]| + |out_[u]| per
+// frontier vertex and round.  The first round after a reset keeps full
+// offers, because out_ is stale then.
 //
 // Each affected vertex v is recomputed by one call to the algebra with
 // all of its offers (mbf_gather): its frontier neighbours' states (or
@@ -71,12 +66,9 @@
 // twelve 1024-vertex oracle builds 92% of offers are absorbed whole by the
 // receiver's state at the start of the round, so it tests every offered
 // entry against that unchanged staircase and merges only the entries
-// that beat it (DistanceMap::gather_least_elements).  The direct
-// pipeline's dense rounds send fewer, fuller offers (about six per
-// receiver on 4096-vertex gnm graphs, 65% absorbed), and there the gather
-// still beats one ⊕ per offer.  A receiver whose gather reports no change
-// leaves out_[v] unwritten: only changed vertices are committed, and only
-// the frontier's out_ entries are read.
+// that beat it (DistanceMap::gather_least_elements).  A receiver whose
+// gather reports no change leaves out_[v] unwritten: only changed vertices
+// are committed, and only the frontier's out_ entries are read.
 //
 // The affected set frontier ∪ N(frontier) is claimed by per-vertex marks:
 // the first visit to a vertex claims its mark with an atomic exchange and
@@ -107,6 +99,14 @@
 
 namespace pmte {
 
+/// The engine's precondition on every algebra: ⊕ is associative,
+/// commutative and idempotent, ⊥ is its neutral element and every edge
+/// maps ⊥ to ⊥ (w ⊙ ⊥ = ⊥), and r is an idempotent selection with
+/// r(⊥) = ⊥ that is the representative projection of a congruence
+/// (Corollary 2.17).  Under it a round that gathers only the frontier's
+/// offers, from a frontier seeded with supp(x⁽⁰⁾), is exact ("Frontier-
+/// driven iteration").  All Section-3 algebras and the LE-list algebra
+/// (Section 7) satisfy it.
 template <typename A>
 concept MbfAlgebra = requires(const A& alg, typename A::State& acc,
                               const typename A::State& x, Weight w, Vertex u,
@@ -164,22 +164,9 @@ void mbf_filter(const Algebra& alg,
   WorkDepth::add_depth_serial(1);
 }
 
-/// Iteration mode of MbfEngine.
-enum class MbfMode : std::uint8_t {
-  kAuto,    ///< frontier-driven, dense fallback above the density threshold
-  kDense,   ///< always the dense all-edges pull (the reference behaviour)
-  /// Sparse frontier gathers regardless of density — what MbfOracle runs
-  /// (mbf_oracle.hpp).  The first round after reset() still executes as
-  /// the dense pull: with every vertex in the frontier the two are the
-  /// same edge set, and the dense pull skips the pointless membership
-  /// tests.
-  kSparse,
-};
-
 /// Tunables of MbfEngine.
 struct MbfOptions {
   double weight_scale = 1.0;  ///< edge-weight prescale (Lemma 5.1)
-  MbfMode mode = MbfMode::kAuto;
   /// Apply r^V to x⁽⁰⁾ on construction/reset (harmless by Corollary 2.17;
   /// disable when x⁽⁰⁾ is known to be filtered already).
   bool filter_initial = true;
@@ -203,8 +190,8 @@ class MbfEngine {
  public:
   using State = typename Algebra::State;
 
-  /// Engine with an empty (all-⊥-like, default-constructed) state vector;
-  /// call reset() before stepping.  The graph and algebra must outlive the
+  /// Engine with an empty frontier and default-constructed states; call
+  /// reset() before stepping.  The graph and algebra must outlive the
   /// engine.
   MbfEngine(const Graph& g, const Algebra& alg, MbfOptions opts = {})
       : g_(&g), alg_(&alg), opts_(opts) {
@@ -215,7 +202,6 @@ class MbfEngine {
     in_frontier_.assign(n, 0);
     affected_mark_.assign(n, 0);
     changed_.assign(n, 0);
-    frontier_all_ = false;  // nothing to do until reset()
   }
 
   MbfEngine(const Graph& g, const Algebra& alg, std::vector<State> x0,
@@ -224,42 +210,54 @@ class MbfEngine {
     reset(std::move(x0));
   }
 
-  /// Install a fresh x⁽⁰⁾ (must have one state per vertex) and restart the
-  /// iteration with a full frontier.  Buffers are reused, so resetting an
-  /// engine is cheaper than constructing one.
+  /// Install a fresh x⁽⁰⁾ (one state per vertex), filtered unless
+  /// opts.filter_initial is off, and restart the iteration from the
+  /// frontier supp(x⁽⁰⁾): the vertices whose state is not ⊥, ascending.
+  /// Buffers are reused, so resetting an engine is cheaper than
+  /// constructing one.
   void reset(std::vector<State> x0) {
     PMTE_CHECK(x0.size() == g_->num_vertices(),
                "MbfEngine: state vector size mismatch");
     cur_ = std::move(x0);
     if (opts_.filter_initial) mbf_filter(*alg_, cur_);
-    frontier_.clear();
-    frontier_all_ = true;
+    const State bottom = alg_->bottom();
+    buffers_.clear();
+    parallel_for(cur_.size(), [&](std::size_t vi) {
+      if (!alg_->equal(cur_[vi], bottom)) {
+        buffers_.local().push_back(static_cast<Vertex>(vi));
+      }
+    });
+    buffers_.drain_sorted(frontier_);
     iterations_ = 0;
   }
 
   /// Install x⁽⁰⁾ together with an explicit initial frontier (sorted
-  /// ascending, duplicate-free) instead of the implicit all-vertices one.
-  /// No initial filter is applied.  Exactness is the *caller's* contract:
-  /// every state must already be filtered, and every vertex outside
-  /// `frontier` must be unable to change or make a changing offer in the
-  /// first step — either its state is ⊥ (⊥ offers aggregate to nothing),
-  /// or the states are a fixpoint of this engine under the same weight
-  /// scale and only `frontier` vertices were modified since.  "Modified"
-  /// covers edge weights as well as states: every round reads e.weight
-  /// live from the graph, so an in-place weight *decrease* is absorbed by
-  /// putting the edge's endpoints into the frontier with their states
-  /// unchanged — their offers changed, not their inputs (the dynamic
-  /// update path of MbfOracle::update relies on this, docs/DYNAMIC.md).
-  /// The oracle (mbf_oracle.hpp) uses all three shapes: support-seeded
-  /// level starts, warm restarts from cached per-level fixpoints, and
-  /// post-update endpoint-seeded restarts.
+  /// ascending, duplicate-free) in place of supp(x⁽⁰⁾).  No initial filter
+  /// is applied.  Exactness is the *caller's* contract: every state must
+  /// already be filtered, and every vertex outside `frontier` must be
+  /// unable to change or make a changing offer in the first step — either
+  /// its state is ⊥, or it has no edges, or the states are a fixpoint of
+  /// this engine under the same weight scale and only `frontier` vertices
+  /// were modified since.  "Modified" covers edge weights as well as
+  /// states: every round reads e.weight live from the graph, so an
+  /// in-place weight *decrease* is absorbed by putting the edge's
+  /// endpoints into the frontier with their states unchanged — their
+  /// offers changed, not their inputs (docs/DYNAMIC.md).
+  ///
+  /// Which caller uses which shape: reset() serves every start from an
+  /// x⁽⁰⁾ — mbf_run, CONGEST's finish phase, and the oracle's full level
+  /// starts, where supp(P_λ x) is a vanishing fraction of V on high
+  /// levels.  reset_with_frontier() serves the oracle's warm restarts
+  /// from cached per-level fixpoints (the frontier is the level's
+  /// unabsorbed changed inputs, plus the endpoints of decreased edges
+  /// after MbfOracle::update) and CONGEST's jump start (the frontier
+  /// leaves out the vertices the spanner does not touch).
   void reset_with_frontier(std::vector<State> x0,
                            std::vector<Vertex> frontier) {
     PMTE_CHECK(x0.size() == g_->num_vertices(),
                "MbfEngine: state vector size mismatch");
     cur_ = std::move(x0);
     frontier_ = std::move(frontier);
-    frontier_all_ = false;
     iterations_ = 0;
   }
 
@@ -267,49 +265,20 @@ class MbfEngine {
   /// one engine across the per-level matrices A_λ).
   void set_weight_scale(double s) noexcept { opts_.weight_scale = s; }
 
-  /// kAuto switches to the dense pull when scanning the frontier's incident
-  /// edges would touch more than this fraction of all half-edges: sparse
-  /// rounds cost Σ_{v affected} deg(v) edge scans, so once the frontier
-  /// covers a constant fraction of the graph the dense pull is cheaper and
-  /// has no membership tests.
-  static constexpr double kDenseFraction = 0.25;
-
-  /// One filtered iteration x ↦ r^V(A x).  Returns true iff any state
-  /// changed; false means the filtered fixpoint was already reached.
+  /// One filtered iteration x ↦ r^V(A x), gathered over the frontier.
+  /// Returns true iff any state changed; false means the filtered fixpoint
+  /// was already reached.
   bool step() {
     if (at_fixpoint()) return false;
-    const Vertex n = g_->num_vertices();
-    const auto half_edges = static_cast<std::uint64_t>(2 * g_->num_edges());
-
-    bool dense = frontier_all_ || opts_.mode == MbfMode::kDense;
-    if (!dense && opts_.mode == MbfMode::kAuto) {
-      // Degrees are integers < 2^53: the double sum is exact, hence the
-      // threshold decision is deterministic across thread counts.
-      const double frontier_deg = parallel_reduce_sum(
-          frontier_.size(),
-          [&](std::size_t i) {
-            return static_cast<double>(g_->degree(frontier_[i]));
-          });
-      dense = frontier_deg + static_cast<double>(frontier_.size()) >
-              kDenseFraction * static_cast<double>(half_edges + n);
-    }
-
-    if (dense) {
-      dense_round();
-    } else {
-      sparse_round();
-    }
+    round();
     WorkDepth::add_depth_serial(1);
     ++iterations_;
-    frontier_all_ = false;
     frontier_.swap(next_frontier_);
     return !frontier_.empty();
   }
 
   /// True once step() can no longer change any state.
-  [[nodiscard]] bool at_fixpoint() const noexcept {
-    return !frontier_all_ && frontier_.empty();
-  }
+  [[nodiscard]] bool at_fixpoint() const noexcept { return frontier_.empty(); }
 
   [[nodiscard]] const std::vector<State>& states() const noexcept {
     return cur_;
@@ -318,12 +287,11 @@ class MbfEngine {
   /// Move the states out (the engine needs reset() afterwards).
   [[nodiscard]] std::vector<State> take_states() noexcept {
     frontier_.clear();
-    frontier_all_ = false;
     return std::move(cur_);
   }
 
-  /// Vertices whose state changed in the last step (sorted ascending).
-  /// Before the first step every vertex is implicitly in the frontier.
+  /// Vertices whose state changed in the last step (sorted ascending);
+  /// before the first step, the frontier the last reset installed.
   [[nodiscard]] const std::vector<Vertex>& frontier() const noexcept {
     return frontier_;
   }
@@ -331,31 +299,9 @@ class MbfEngine {
   [[nodiscard]] unsigned iterations() const noexcept { return iterations_; }
 
  private:
-  // Full pull: recompute every vertex from all incident edges, folding the
-  // fixpoint equality test into the same parallel loop (no serial scan).
-  void dense_round() {
-    const Vertex n = g_->num_vertices();
-    parallel_for_balanced(
-        n, [&](std::size_t vi) { return g_->degree(static_cast<Vertex>(vi)); },
-        [&](std::size_t vi) {
-          (void)recompute(static_cast<Vertex>(vi), cur_,
-                          [](Vertex) -> std::size_t { return 1; });
-        });
-    const auto half_edges = static_cast<std::uint64_t>(2 * g_->num_edges());
-    WorkDepth::add_relaxations(half_edges);
-    WorkDepth::add_edges_touched(half_edges);
-
-    buffers_.clear();
-    parallel_for(n, [&](std::size_t vi) {
-      if (changed_[vi]) buffers_.local().push_back(static_cast<Vertex>(vi));
-    });
-    buffers_.drain_sorted(next_frontier_);
-    commit();
-  }
-
-  // Sparse gather: only vertices adjacent to (or in) the frontier can
-  // change, and only offers from frontier sources can change them.
-  void sparse_round() {
+  // One gather: only vertices adjacent to (or in) the frontier can change,
+  // and only offers from frontier sources can change them.
+  void round() {
     // From the second round after a reset on, frontier vertices offer only
     // their new entries; offer_ is filled below, before the gather
     // overwrites out_.
@@ -390,10 +336,7 @@ class MbfEngine {
         affected_.size(), [&](std::size_t i) { return g_->degree(affected_[i]); },
         [&](std::size_t i) {
           const Vertex v = affected_[i];
-          const std::size_t relaxed = recompute(
-              v, senders,
-              [&](Vertex u) -> std::size_t { return in_frontier_[u]; });
-          WorkDepth::add_relaxations(relaxed);
+          WorkDepth::add_relaxations(recompute(v, senders));
           WorkDepth::add_edges_touched(
               static_cast<std::uint64_t>(g_->degree(v)));
         });
@@ -411,14 +354,12 @@ class MbfEngine {
     commit();
   }
 
-  // Recompute v from the neighbours u with take(u) = 1, whose states are
-  // read from `senders`, into out_[v] and set changed_[v]; returns the
+  // Recompute v from the offers of its frontier neighbours, whose states
+  // are read from `senders`, into out_[v] and set changed_[v]; returns the
   // number of offers.  Every neighbour writes its slot of the calling
-  // thread's offer list and take(u) advances the count, so collecting the
-  // list costs no branch per edge.
-  template <class Take>
-  std::size_t recompute(Vertex v, const std::vector<State>& senders,
-                        Take take) {
+  // thread's offer list and only a frontier sender advances the count, so
+  // collecting the list costs no branch per edge.
+  std::size_t recompute(Vertex v, const std::vector<State>& senders) {
     thread_local std::vector<Offer<State>> slots;
     const auto nbrs = g_->neighbors(v);
     if (slots.size() < nbrs.size()) slots.resize(nbrs.size());
@@ -426,7 +367,7 @@ class MbfEngine {
     std::size_t count = 0;
     for (const auto& e : nbrs) {
       slots[count] = Offer<State>{&senders[e.to], e.weight * scale, e.to};
-      count += take(e.to);
+      count += in_frontier_[e.to];
     }
     changed_[v] = mbf_gather(*alg_, out_[v], cur_[v], v,
                              std::span<const Offer<State>>(slots.data(), count))
@@ -463,22 +404,21 @@ class MbfEngine {
   std::vector<std::uint8_t> affected_mark_;
   std::vector<std::uint8_t> changed_;
   PerThreadBuffers<Vertex> buffers_;
-  bool frontier_all_ = false;  // before the first step after reset()
   unsigned iterations_ = 0;
 };
 
 /// Run up to `max_iterations` MBF-like iterations, stopping early at the
 /// filtered fixpoint x⁽ⁱ⁺¹⁾ = x⁽ⁱ⁾ (reached after ≤ SPD(G) iterations,
-/// Definition 2.11).  Frontier-driven: per iteration only edges incident
-/// to the changed set are relaxed (dense fallback per `mode`).
+/// Definition 2.11); the step that finds the fixpoint counts as an
+/// iteration.  Per iteration only edges incident to the changed set are
+/// relaxed.
 template <MbfAlgebra Algebra>
 [[nodiscard]] MbfRun<typename Algebra::State> mbf_run(
     const Graph& g, const Algebra& alg,
     std::vector<typename Algebra::State> x0, unsigned max_iterations,
-    double weight_scale = 1.0, MbfMode mode = MbfMode::kAuto) {
-  MbfEngine<Algebra> engine(
-      g, alg, std::move(x0),
-      MbfOptions{.weight_scale = weight_scale, .mode = mode});
+    double weight_scale = 1.0) {
+  MbfEngine<Algebra> engine(g, alg, std::move(x0),
+                            MbfOptions{.weight_scale = weight_scale});
   MbfRun<typename Algebra::State> run;
   for (unsigned i = 0; i < max_iterations; ++i) {
     const bool changed = engine.step();

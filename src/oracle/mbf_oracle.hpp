@@ -17,7 +17,7 @@
 // == Level reuse (MbfOracle) ==
 //
 // Applying Equation (5.9) literally is a Jacobi iteration: every
-// H-iteration restarts every level from a dense full-frontier copy of x —
+// H-iteration restarts every level from its projection P_λ x —
 // Θ(log n) full runs per H-iteration, Θ(log² n) overall, each re-deriving
 // mostly what the previous one already knew.  That operator lives on only
 // as the differential tests' reference, in tests/support.  MbfOracle
@@ -36,9 +36,9 @@
 //     whose previous run was truncated by the d-step budget fall back to a
 //     full support-seeded start (a truncation is not a closure).
 //   * Support-seeded full starts.  P_λ x assigns ⊥ below level λ, and ⊥
-//     makes no offers, so even a full (re)start seeds its frontier with
-//     supp(P_λ x) — for high levels a vanishing fraction of V — instead of
-//     the Jacobi operator's all-vertices frontier.
+//     makes no offers, so a full (re)start goes through the engine's
+//     reset(), whose frontier is supp(P_λ x) — for high levels a
+//     vanishing fraction of V.
 //   * Gauss–Seidel sweeps.  One H-iteration of run() is a sweep over
 //     the levels that merges each level's projected output into the
 //     iterate immediately, alternating ascending and descending λ (see
@@ -204,12 +204,13 @@ class MbfOracle {
 
   /// Install r^V x⁽⁰⁾ (one state per vertex of H) as the iterate.
   MbfOracle(const SimulatedGraph& h, const Algebra& alg,
-            std::vector<State> x0, MbfOptions opts = {})
+            std::vector<State> x0)
       : h_(&h),
         alg_(&alg),
         level_alg_(alg),
-        engine_(h.base(), level_alg_, engine_options(opts)),
-        bottom_(alg.bottom()),
+        // Per-level inputs are filtered (P_λ preserves that: r ⊥ = ⊥, r
+        // idempotent) and warm seeds are filtered on merge.
+        engine_(h.base(), level_alg_, MbfOptions{.filter_initial = false}),
         x0_(std::move(x0)) {
     PMTE_CHECK(x0_.size() == h.num_vertices(),
                "MbfOracle: state size mismatch");
@@ -304,21 +305,6 @@ class MbfOracle {
  private:
   enum class CacheState : std::uint8_t { kEmpty, kTruncated, kFixpoint };
 
-  static MbfOptions engine_options(MbfOptions opts) {
-    // Per-level inputs are filtered (P_λ preserves that: r ⊥ = ⊥, r
-    // idempotent) and warm seeds are filtered on merge.
-    opts.filter_initial = false;
-    // Force sparse gathers: a relax is a semimodule merge — for the
-    // map-valued oracle algebras far more expensive than the byte-sized
-    // frontier membership test the dense pull avoids — so the kAuto
-    // density heuristic (tuned for scalar states) picks the slower round
-    // shape here.  Measured on the 2048-path LE pipeline, sparse rounds
-    // cut relaxations ~2× *and* wall time ~1.4×.  kDense remains
-    // available as the escape hatch.
-    if (opts.mode == MbfMode::kAuto) opts.mode = MbfMode::kSparse;
-    return opts;
-  }
-
   // Back to the freshly constructed state; only stats_ is kept.
   void restart() {
     x_ = x0_;
@@ -366,30 +352,25 @@ class MbfOracle {
     }
   }
 
-  // Full support-seeded start: seed = P_λ x without what the bound drops,
-  // frontier = supp(seed) (⊥ entries make no offers, so they need not
-  // enter the frontier).
+  // Full start from seed = P_λ x without what the bound drops; the
+  // engine's reset() seeds the frontier with supp(seed).
   void full_start(unsigned lambda) {
     ++stats_.levels_full;
     if (obs::metrics_on()) obs_detail::oracle_obs().full.add(1);
     bound_level(lambda);
     std::vector<State> seed = std::move(cache_[lambda]);
     seed.resize(x_.size());
-    buffers_.clear();
     parallel_for(x_.size(), [&](std::size_t vi) {
-      const auto v = static_cast<Vertex>(vi);
-      if (h_->levels().level(v) >= lambda) {
+      if (h_->levels().level(static_cast<Vertex>(vi)) >= lambda) {
         seed[vi] = x_[vi];
         if constexpr (OutputBoundedAlgebra<Algebra>) {
           level_alg_.drop_bounded(seed[vi]);
         }
-        if (!alg_->equal(seed[vi], bottom_)) buffers_.local().push_back(v);
       } else {
         seed[vi] = alg_->bottom();
       }
     });
-    buffers_.drain_sorted(support_);
-    engine_.reset_with_frontier(std::move(seed), support_);
+    engine_.reset(std::move(seed));
     run_and_cache(lambda);
   }
 
@@ -549,7 +530,6 @@ class MbfOracle {
   Algebra level_alg_;   // the engine's, bounded per level run
   std::vector<Weight> bound_;  // the level bound level_alg_ reads
   MbfEngine<Algebra> engine_;
-  State bottom_;
   std::vector<State> x0_;  // r^V x⁽⁰⁾, re-installed by restart()
   std::vector<State> x_;   // the H-iterate
   std::vector<std::vector<State>> cache_;  // per level, unprojected
@@ -562,7 +542,6 @@ class MbfOracle {
   std::uint64_t sweep_count_ = 0;
   std::vector<Vertex> changed_level_;  // C_λ scratch
   std::vector<Vertex> delta_;          // unabsorbed subset of C_λ scratch
-  std::vector<Vertex> support_;        // supp(P_λ x) scratch
   std::vector<Vertex> merged_;         // per-merge changed list scratch
   std::vector<Vertex> pending_touch_;  // update() endpoints, sorted unique
   std::vector<Vertex> scratch_union_;  // delta_ ∪ pending_touch_ scratch
@@ -577,8 +556,8 @@ template <OracleAlgebra Algebra>
 [[nodiscard]] MbfRun<typename Algebra::State> oracle_run(
     const SimulatedGraph& h, const Algebra& alg,
     std::vector<typename Algebra::State> x0, unsigned max_h_iterations,
-    OracleStats* stats = nullptr, MbfOptions opts = {}) {
-  MbfOracle<Algebra> oracle(h, alg, std::move(x0), opts);
+    OracleStats* stats = nullptr) {
+  MbfOracle<Algebra> oracle(h, alg, std::move(x0));
   MbfRun<typename Algebra::State> run;
   run.reached_fixpoint = oracle.run(max_h_iterations);
   run.iterations = oracle.stats().h_iterations;

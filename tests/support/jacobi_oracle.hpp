@@ -3,11 +3,11 @@
 //
 // One H-iteration is the Jacobi operator
 //     x ↦ r^V ⊕_λ P_λ (r^V A_λ)^d P_λ x,
-// every level restarting from a dense full-frontier copy of x.  MbfOracle's
-// Gauss–Seidel sweeps with per-level caches reach the same least fixpoint
-// (both are fair monotone iterations of the same component operators), so
-// the differential tests compare the two bit for bit.  Built only on
-// MbfEngine's public API, in its default kAuto mode.
+// every level restarting from P_λ x.  MbfOracle's Gauss–Seidel sweeps with
+// per-level caches reach the same least fixpoint (both are fair monotone
+// iterations of the same component operators), so the differential tests
+// compare the two bit for bit.  Built only on MbfEngine's reset() and
+// step().
 
 #include <utility>
 #include <vector>

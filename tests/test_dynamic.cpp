@@ -21,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -180,12 +181,26 @@ SequenceResult replay_sequence(const Graph& g, std::uint64_t seed,
 /// fresh oracle run with the maintainer's own beta/order; the 2- and
 /// 8-thread replays must then reproduce the 1-thread snapshots, counters,
 /// and served doubles bit-for-bit.
-TEST(Dynamic, RebuildDifferentialOverCorpus) {
+///
+/// It runs as kCorpusSlices instances over disjoint slices of the corpus
+/// (slice s holds graphs [10s, 10s + 10)), each its own CTest entry
+/// (test_dynamic_corpus_<s>, tests/CMakeLists.txt), so that `ctest -j`
+/// replays the slices side by side.
+constexpr std::size_t kCorpusGraphs = 50;
+constexpr std::size_t kCorpusSlices = 5;
+constexpr std::size_t kGraphsPerSlice = kCorpusGraphs / kCorpusSlices;
+static_assert(kGraphsPerSlice * kCorpusSlices == kCorpusGraphs);
+
+class DynamicCorpus : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(DynamicCorpus, RebuildDifferential) {
   ThreadGuard guard;
   const auto opts = dyn_options(2);
-  const auto corpus = test::serve_graph_corpus(50, 0xD15C0);
+  const auto corpus = test::serve_graph_corpus(kCorpusGraphs, 0xD15C0);
+  const auto slice = std::span(corpus).subspan(GetParam() * kGraphsPerSlice,
+                                               kGraphsPerSlice);
   std::size_t sequences = 0;
-  for (const auto& cse : corpus) {
+  for (const auto& cse : slice) {
     for (const std::uint64_t seed : test::test_seeds(4, cse.seed)) {
       ++sequences;
       Rng rng(split_seed(seed, 9001));
@@ -232,8 +247,7 @@ TEST(Dynamic, RebuildDifferentialOverCorpus) {
               VertexOrder::random(cse.graph.num_vertices(), tree_rng);
           ASSERT_EQ(order.rank_of, m.order().rank_of) << cse.name;
           const auto le = le_lists_oracle(h, m.order(),
-                                          opts.frt.max_iterations,
-                                          opts.frt.mbf);
+                                          opts.frt.max_iterations);
           EXPECT_TRUE(le.converged);
           EXPECT_TRUE(m.converged());
           ASSERT_EQ(le.lists, m.lists())
@@ -267,8 +281,11 @@ TEST(Dynamic, RebuildDifferentialOverCorpus) {
       set_num_threads(1);
     }
   }
-  EXPECT_EQ(sequences, 200u);
+  EXPECT_EQ(sequences, 4 * kGraphsPerSlice);
 }
+
+INSTANTIATE_TEST_SUITE_P(Slices, DynamicCorpus,
+                         ::testing::Range<std::size_t>(0, kCorpusSlices));
 
 /// With zero updates the maintained state must be indistinguishable from
 /// the static build: same indices, same registry fingerprint (so

@@ -6,6 +6,8 @@
 
 #include "src/frt/le_lists.hpp"
 #include "src/graph/generators.hpp"
+#include "tests/support/fixtures.hpp"
+#include "tests/support/mbf_reference.hpp"
 #include "tests/support/reference.hpp"
 #include "tests/support/reference/shortest_paths.hpp"
 
@@ -58,6 +60,22 @@ TEST_P(LePipelines, MetricPipelineMatchesOnCompleteGraph) {
     EXPECT_TRUE(approx_equal(a.lists[v], b.lists[v])) << "vertex " << v;
   }
   EXPECT_EQ(a.iterations, 1U);  // a metric is a graph of SPD 1
+}
+
+TEST_P(LePipelines, IterationMatchesReferenceStepper) {
+  // The direct pipeline's lists, bit for bit, are those of r^V A applied
+  // to every vertex in every round (tests/support/mbf_reference.hpp).
+  Rng rng(GetParam() + 4);
+  for (const char* family : {"gnm", "grid", "path"}) {
+    const auto g = test::support_graph(family, 256, GetParam());
+    const auto order = VertexOrder::random(g.num_vertices(), rng);
+    const auto le = le_lists_iteration(g, order);
+    const auto ref = test::mbf_reference_run(
+        g, LeListAlgebra{}, le_initial_state(order), g.num_vertices());
+    EXPECT_EQ(le.iterations, ref.iterations) << family;
+    EXPECT_EQ(le.converged, ref.reached_fixpoint) << family;
+    EXPECT_TRUE(le.lists == ref.states) << family;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LePipelines,

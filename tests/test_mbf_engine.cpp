@@ -1,37 +1,24 @@
 // Tests for the generic MBF-like engine (Section 2): matrix-vector
 // semantics and Corollary 2.17 (intermediate filtering does not change the
-// filtered result) through a dense reference step, fixpoint behaviour
-// through mbf_run.
+// filtered result) through the reference step, fixpoint behaviour through
+// mbf_run, and the engine's frontier against the reference stepper.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <numeric>
 
 #include "src/frt/le_lists.hpp"
 #include "src/graph/generators.hpp"
 #include "src/mbf/algebras.hpp"
 #include "src/mbf/engine.hpp"
 #include "src/parallel/parallel.hpp"
+#include "tests/support/mbf_reference.hpp"
 
 namespace pmte {
 namespace {
 
-/// Dense reference for one MBF-like iteration x ↦ r^V(A x) (the library
-/// iterates through MbfEngine).  `weight_scale` scales the edge weights as
-/// the stretched matrices A_λ of Lemma 5.1 do; with `apply_filter` false
-/// the raw product A x is returned (~-equivalent, Corollary 2.17).
-template <MbfAlgebra Algebra>
-std::vector<typename Algebra::State> mbf_step(
-    const Graph& g, const Algebra& alg,
-    const std::vector<typename Algebra::State>& x, double weight_scale = 1.0,
-    bool apply_filter = true) {
-  auto out = x;  // diagonal: 1 ⊙ x_v = x_v   (2.1)
-  parallel_for(x.size(), [&](std::size_t vi) {
-    const auto v = static_cast<Vertex>(vi);
-    for (const auto& e : g.neighbors(v)) {
-      alg.relax(out[vi], e.weight * weight_scale, e.to, v, x[e.to]);
-    }
-    if (apply_filter) alg.filter(out[vi]);
-  });
-  return out;
-}
+using test::mbf_reference_run;
+using test::mbf_step;
 
 TEST(MbfEngine, SingleStepIsMatrixVectorProduct) {
   // x⁽¹⁾ = A x⁽⁰⁾ over Smin,+/D must equal one Bellman-Ford round.
@@ -39,7 +26,7 @@ TEST(MbfEngine, SingleStepIsMatrixVectorProduct) {
   SourceDetectionAlgebra alg;  // identity filter
   std::vector<DistanceMap> x(4);
   x[0] = DistanceMap::singleton(0, 0.0);
-  const auto y = mbf_step(g, alg, x);
+  const auto y = mbf_step(g, alg, x).states;
   EXPECT_DOUBLE_EQ(y[0].at(0), 0.0);
   EXPECT_DOUBLE_EQ(y[1].at(0), 1.0);
   EXPECT_DOUBLE_EQ(y[3].at(0), 7.0);
@@ -51,7 +38,7 @@ TEST(MbfEngine, WeightScaleStretchesEdges) {
   SourceDetectionAlgebra alg;
   std::vector<DistanceMap> x(2);
   x[0] = DistanceMap::singleton(0, 0.0);
-  const auto y = mbf_step(g, alg, x, /*weight_scale=*/2.5);
+  const auto y = mbf_step(g, alg, x, /*weight_scale=*/2.5).states;
   EXPECT_DOUBLE_EQ(y[1].at(0), 7.5);
 }
 
@@ -106,8 +93,8 @@ TEST_P(FilterExchange, SourceDetection) {
   auto filtered = x0;
   auto raw = x0;
   for (unsigned i = 0; i < h; ++i) {
-    filtered = mbf_step(g, alg, filtered, 1.0, /*filter=*/true);
-    raw = mbf_step(g, alg, raw, 1.0, /*filter=*/false);
+    filtered = mbf_step(g, alg, filtered, 1.0, /*apply_filter=*/true).states;
+    raw = mbf_step(g, alg, raw, 1.0, /*apply_filter=*/false).states;
   }
   mbf_filter(alg, raw);
   for (Vertex v = 0; v < 24; ++v) {
@@ -124,8 +111,8 @@ TEST_P(FilterExchange, LeLists) {
   auto raw = filtered;
   const unsigned h = 5;
   for (unsigned i = 0; i < h; ++i) {
-    filtered = mbf_step(g, alg, filtered, 1.0, true);
-    raw = mbf_step(g, alg, raw, 1.0, false);
+    filtered = mbf_step(g, alg, filtered, 1.0, true).states;
+    raw = mbf_step(g, alg, raw, 1.0, false).states;
   }
   mbf_filter(alg, raw);
   for (Vertex v = 0; v < 20; ++v) {
@@ -150,9 +137,60 @@ TEST(MbfEngine, WorkCountersAdvance) {
   EXPECT_GE(scope.edges_touched_delta(), scope.relaxations_delta());
 }
 
+// reset() seeds the frontier with supp(x⁽⁰⁾): a ⊥ state makes no offer
+// and r(⊥) = ⊥, so the first round gathers around the non-⊥ states only.
+TEST(MbfEngine, ResetSeedsSupport) {
+  const auto g = make_grid(12, 12, {1.0, 2.0}, Rng(29));
+  const ScalarDistanceAlgebra alg;
+  const Vertex s = 53;  // row 4, column 5: an interior vertex
+  std::vector<Weight> x0(g.num_vertices(), inf_weight());
+  x0[s] = 0.0;
+  {
+    // Single-source SSSP: s offers along its deg(s) half-edges, and only
+    // N[s] = {s} ∪ N(s) is recomputed, each vertex reading all its edges.
+    MbfEngine<ScalarDistanceAlgebra> engine(g, alg, x0);
+    EXPECT_EQ(engine.frontier(), std::vector<Vertex>{s});
+    std::vector<Vertex> nbrs;
+    std::uint64_t closed_degrees = g.degree(s);
+    for (const auto& e : g.neighbors(s)) {
+      nbrs.push_back(e.to);
+      closed_degrees += g.degree(e.to);
+    }
+    std::sort(nbrs.begin(), nbrs.end());
+    const WorkDepthScope scope;
+    ASSERT_TRUE(engine.step());
+    EXPECT_EQ(scope.relaxations_delta(), g.degree(s));
+    EXPECT_EQ(scope.edges_touched_delta(), closed_degrees);
+    EXPECT_EQ(engine.frontier(), nbrs);
+  }
+  {
+    // All-⊥: no frontier and no relaxation; the one step that finds the
+    // fixpoint still counts as an iteration.
+    const std::vector<Weight> bottom(g.num_vertices(), inf_weight());
+    const WorkDepthScope scope;
+    const auto run = mbf_run(g, alg, bottom, g.num_vertices());
+    EXPECT_EQ(scope.relaxations_delta(), 0U);
+    EXPECT_EQ(scope.edges_touched_delta(), 0U);
+    EXPECT_EQ(run.iterations, 1U);
+    EXPECT_TRUE(run.reached_fixpoint);
+    EXPECT_EQ(run.states, bottom);
+  }
+  {
+    // LE lists: every x⁽⁰⁾_v = {(rank(v), 0)} is non-⊥, so all of V.
+    Rng rng(31);
+    const auto order = VertexOrder::random(g.num_vertices(), rng);
+    const LeListAlgebra le;
+    const MbfEngine<LeListAlgebra> engine(g, le, le_initial_state(order));
+    std::vector<Vertex> all(g.num_vertices());
+    std::iota(all.begin(), all.end(), Vertex{0});
+    EXPECT_EQ(engine.frontier(), all);
+  }
+}
+
 // The point of the frontier: on long-diameter graphs the changed set is a
-// narrow wavefront, so a full fixpoint run must relax asymptotically fewer
-// edges than the dense engine's iterations × 2m.  Counter counts are
+// narrow wavefront, so a full fixpoint run must relax asymptotically
+// fewer edges than the dense bill, iterations × 2m, of recomputing every
+// vertex from all of its edges in every round.  Counter counts are
 // deterministic, so the bound is exact, not statistical.
 TEST(MbfEngine, FrontierRelaxesAsymptoticallyFewerEdgesOnPath) {
   const Vertex n = 512;
@@ -161,25 +199,21 @@ TEST(MbfEngine, FrontierRelaxesAsymptoticallyFewerEdgesOnPath) {
   std::vector<Weight> x0(n, inf_weight());
   x0[0] = 0.0;
 
-  const WorkDepthScope dense_scope;
-  const auto dense = mbf_run(g, alg, x0, n, 1.0, MbfMode::kDense);
-  const std::uint64_t dense_relax = dense_scope.relaxations_delta();
+  const auto reference = mbf_reference_run(g, alg, x0, n);
+  const WorkDepthScope scope;
+  const auto run = mbf_run(g, alg, x0, n);
+  const std::uint64_t relaxations = scope.relaxations_delta();
 
-  const WorkDepthScope sparse_scope;
-  const auto sparse = mbf_run(g, alg, x0, n, 1.0, MbfMode::kAuto);
-  const std::uint64_t sparse_relax = sparse_scope.relaxations_delta();
-
-  ASSERT_TRUE(dense.reached_fixpoint);
-  ASSERT_TRUE(sparse.reached_fixpoint);
-  EXPECT_EQ(dense.iterations, sparse.iterations);
+  ASSERT_TRUE(run.reached_fixpoint);
+  EXPECT_EQ(run.iterations, reference.iterations);
   for (Vertex v = 0; v < n; ++v) {
-    EXPECT_EQ(dense.states[v], sparse.states[v]) << "vertex " << v;
+    EXPECT_EQ(run.states[v], reference.states[v]) << "vertex " << v;
   }
-  // Dense: SPD(G)+1 iterations × 2m ≈ 2n² relaxations.  Frontier: one
-  // dense first round + an O(1)-wide wavefront per round ≈ O(n).
-  EXPECT_EQ(dense_relax,
-            static_cast<std::uint64_t>(dense.iterations) * 2 * g.num_edges());
-  EXPECT_LT(sparse_relax * 20, dense_relax);
+  // Dense bill: SPD(G)+1 iterations × 2m ≈ 2n² relaxations.  Frontier: an
+  // O(1)-wide wavefront per round ≈ O(n).
+  const std::uint64_t dense_bill =
+      static_cast<std::uint64_t>(run.iterations) * 2 * g.num_edges();
+  EXPECT_LT(relaxations * 20, dense_bill);
 }
 
 TEST(MbfEngine, FrontierRelaxesFewerEdgesOnGrid) {
@@ -188,25 +222,23 @@ TEST(MbfEngine, FrontierRelaxesFewerEdgesOnGrid) {
   std::vector<Weight> x0(g.num_vertices(), inf_weight());
   x0[0] = 0.0;
 
-  const WorkDepthScope dense_scope;
-  const auto dense =
-      mbf_run(g, alg, x0, g.num_vertices(), 1.0, MbfMode::kDense);
-  const std::uint64_t dense_relax = dense_scope.relaxations_delta();
+  const auto reference = mbf_reference_run(g, alg, x0, g.num_vertices());
+  const WorkDepthScope scope;
+  const auto run = mbf_run(g, alg, x0, g.num_vertices());
+  const std::uint64_t relaxations = scope.relaxations_delta();
 
-  const WorkDepthScope sparse_scope;
-  const auto sparse =
-      mbf_run(g, alg, x0, g.num_vertices(), 1.0, MbfMode::kAuto);
-  const std::uint64_t sparse_relax = sparse_scope.relaxations_delta();
-
+  EXPECT_EQ(run.iterations, reference.iterations);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(dense.states[v], sparse.states[v]) << "vertex " << v;
+    EXPECT_EQ(run.states[v], reference.states[v]) << "vertex " << v;
   }
-  EXPECT_LT(sparse_relax * 2, dense_relax);
+  const std::uint64_t dense_bill =
+      static_cast<std::uint64_t>(run.iterations) * 2 * g.num_edges();
+  EXPECT_LT(relaxations * 2, dense_bill);
 }
 
-// Acceptance: frontier-driven runs are bit-identical to the dense engine
-// at 1, 2, and 8 OpenMP threads — states, iteration counts, and the
-// deterministic relaxation counters.
+// Frontier-driven runs are bit-identical to the reference stepper at 1, 2,
+// and 8 OpenMP threads — states and iteration counts — and the
+// deterministic relaxation counters agree across thread counts.
 TEST(MbfEngine, FrontierBitIdenticalAcrossThreadCounts) {
   const int restore = num_threads();
   const auto g = make_grid(16, 16, {1.0, 3.0}, Rng(17));
@@ -215,17 +247,15 @@ TEST(MbfEngine, FrontierBitIdenticalAcrossThreadCounts) {
   const LeListAlgebra alg;
   const auto x0 = le_initial_state(order);
 
-  const auto dense =
-      mbf_run(g, alg, x0, g.num_vertices(), 1.0, MbfMode::kDense);
+  const auto reference = mbf_reference_run(g, alg, x0, g.num_vertices());
   std::uint64_t relax1 = 0;
   for (const int threads : {1, 2, 8}) {
     set_num_threads(threads);
     const WorkDepthScope scope;
-    const auto sparse =
-        mbf_run(g, alg, x0, g.num_vertices(), 1.0, MbfMode::kAuto);
-    EXPECT_EQ(sparse.iterations, dense.iterations) << threads << " threads";
+    const auto run = mbf_run(g, alg, x0, g.num_vertices());
+    EXPECT_EQ(run.iterations, reference.iterations) << threads << " threads";
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      EXPECT_EQ(sparse.states[v], dense.states[v])
+      EXPECT_EQ(run.states[v], reference.states[v])
           << threads << " threads, vertex " << v;
     }
     if (threads == 1) {

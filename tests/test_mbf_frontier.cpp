@@ -1,9 +1,9 @@
-// Sparse/dense equivalence of the frontier-driven MBF engine.
+// Exactness of the frontier-driven MBF engine.
 //
-// The frontier optimisation must be *exact*: for every algebra of the
-// framework, mbf_run in frontier mode (kAuto / forced kSparse) has to
-// produce states bit-identical to the dense reference (kDense), with the
-// same iteration count and fixpoint flag — on every graph family, at every
+// For every algebra of the framework, mbf_run has to produce states
+// bit-identical to the reference stepper (tests/support/mbf_reference.hpp,
+// every vertex recomputed from every edge in every round), with the same
+// iteration count and fixpoint flag — on every graph family, at every
 // OpenMP thread count.  These are randomized cross-checks at fixed seeds
 // over ER, grid, and star graphs (plus paths, the frontier's best case) at
 // 1, 2, and 8 threads.
@@ -21,6 +21,7 @@
 #include "src/mbf/engine.hpp"
 #include "src/parallel/counters.hpp"
 #include "tests/support/fixtures.hpp"
+#include "tests/support/mbf_reference.hpp"
 
 namespace pmte {
 namespace {
@@ -38,22 +39,18 @@ void expect_identical_runs(const MbfRun<State>& a, const MbfRun<State>& b,
   }
 }
 
-/// Run dense / auto / forced-sparse at 1, 2, and 8 threads and check all
-/// seven runs agree (dense @ max threads is the reference).
+/// Run the engine at 1, 2, and 8 threads and check every run against the
+/// reference stepper.
 template <MbfAlgebra Algebra>
 void cross_check(const Graph& g, const Algebra& alg,
                  const std::vector<typename Algebra::State>& x0,
                  unsigned max_iterations, const char* what) {
   const int restore = num_threads();
-  auto reference = mbf_run(g, alg, x0, max_iterations, 1.0, MbfMode::kDense);
+  const auto reference = test::mbf_reference_run(g, alg, x0, max_iterations);
   for (const int threads : {1, 2, 8}) {
     set_num_threads(threads);
-    auto dense = mbf_run(g, alg, x0, max_iterations, 1.0, MbfMode::kDense);
-    auto sparse = mbf_run(g, alg, x0, max_iterations, 1.0, MbfMode::kSparse);
-    auto hybrid = mbf_run(g, alg, x0, max_iterations, 1.0, MbfMode::kAuto);
-    expect_identical_runs(reference, dense, what);
-    expect_identical_runs(reference, sparse, what);
-    expect_identical_runs(reference, hybrid, what);
+    expect_identical_runs(reference, mbf_run(g, alg, x0, max_iterations),
+                          what);
   }
   set_num_threads(restore);
 }
@@ -129,7 +126,7 @@ TEST_P(FrontierEquivalence, Reachability) {
 }
 
 TEST_P(FrontierEquivalence, KShortestDistinctPaths) {
-  // Path sets are heavy; a small instance keeps the 9 runs fast.
+  // Path sets are heavy; a small instance keeps the 4 runs fast.
   const auto g = family_graph(family(), 20, seed());
   KsdpAlgebra alg{.target = 0, .k = 2, .distinct_weights = false};
   std::vector<PathSet> x0;
@@ -145,20 +142,19 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("er", "grid", "star", "path"),
                        ::testing::Values(101U, 202U, 303U)));
 
-TEST(FrontierEquivalence, WeightScaleMatchesDense) {
+TEST(FrontierEquivalence, WeightScaleMatchesReference) {
   Rng rng(7);
   const auto g = make_gnm(48, 144, {1.0, 4.0}, rng);
   const auto order = VertexOrder::random(g.num_vertices(), rng);
   const LeListAlgebra alg;
   const auto x0 = le_initial_state(order);
-  auto dense = mbf_run(g, alg, x0, 64, 1.75, MbfMode::kDense);
-  auto sparse = mbf_run(g, alg, x0, 64, 1.75, MbfMode::kSparse);
-  expect_identical_runs(dense, sparse, "weight scale");
+  expect_identical_runs(test::mbf_reference_run(g, alg, x0, 64, 1.75),
+                        mbf_run(g, alg, x0, 64, 1.75), "weight scale");
 }
 
 TEST(FrontierEquivalence, EngineResetReusesBuffers) {
-  // One engine, two runs from different sources: the second run must be
-  // unaffected by the first (reset reinstalls a full frontier).
+  // One engine, three runs from different sources: each run must be
+  // unaffected by the ones before (reset reinstalls the frontier).
   const auto g = make_grid(8, 8, {1.0, 2.0}, Rng(11));
   ScalarDistanceAlgebra alg;
   MbfEngine<ScalarDistanceAlgebra> engine(g, alg);
@@ -170,8 +166,7 @@ TEST(FrontierEquivalence, EngineResetReusesBuffers) {
     }
     EXPECT_TRUE(engine.at_fixpoint());
     const auto expect =
-        mbf_run(g, alg, std::move(x0), g.num_vertices(), 1.0,
-                MbfMode::kDense);
+        test::mbf_reference_run(g, alg, std::move(x0), g.num_vertices());
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       EXPECT_EQ(engine.states()[v], expect.states[v]) << "vertex " << v;
     }
@@ -197,26 +192,22 @@ TEST(FrontierEquivalence, BalancedChunkingIsThreadDeterministic) {
     std::uint64_t ref_edges = 0;
     for (const int threads : {1, 2, 8}) {
       set_num_threads(threads);
-      for (const MbfMode mode : {MbfMode::kAuto, MbfMode::kSparse}) {
-        const WorkDepthScope scope;
-        auto run = mbf_run(g, alg, x0, g.num_vertices(), 1.0, mode);
-        ASSERT_TRUE(run.reached_fixpoint) << family;
-        if (ref_states.empty()) {
-          ref_states = std::move(run.states);
-          ref_relax = scope.relaxations_delta();
-          ref_edges = scope.edges_touched_delta();
-          continue;
-        }
-        if (mode == MbfMode::kAuto) {
-          EXPECT_EQ(scope.relaxations_delta(), ref_relax)
-              << family << " @ " << threads;
-          EXPECT_EQ(scope.edges_touched_delta(), ref_edges)
-              << family << " @ " << threads;
-        }
-        for (Vertex v = 0; v < g.num_vertices(); ++v) {
-          EXPECT_EQ(run.states[v], ref_states[v])
-              << family << " @ " << threads << " vertex " << v;
-        }
+      const WorkDepthScope scope;
+      auto run = mbf_run(g, alg, x0, g.num_vertices());
+      ASSERT_TRUE(run.reached_fixpoint) << family;
+      if (ref_states.empty()) {
+        ref_states = std::move(run.states);
+        ref_relax = scope.relaxations_delta();
+        ref_edges = scope.edges_touched_delta();
+        continue;
+      }
+      EXPECT_EQ(scope.relaxations_delta(), ref_relax)
+          << family << " @ " << threads;
+      EXPECT_EQ(scope.edges_touched_delta(), ref_edges)
+          << family << " @ " << threads;
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        EXPECT_EQ(run.states[v], ref_states[v])
+            << family << " @ " << threads << " vertex " << v;
       }
     }
   }
@@ -224,29 +215,32 @@ TEST(FrontierEquivalence, BalancedChunkingIsThreadDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-round lockstep.  A sparse round claims its affected set by per-vertex
+// Per-round lockstep.  A round claims its affected set by per-vertex
 // marks; from the second round after a reset, an LE-list frontier vertex
 // offers only the entries it gained (DeltaOfferAlgebra), while source
 // detection and APSP keep full offers; and MbfOracle reuses one engine
-// across reset_with_frontier restarts at different weight scales.  None of
-// this may change a round: a kDense and a kSparse engine stepped side by
-// side must hold the same states and frontiers after every step, and a
-// reused engine must match a fresh one.
+// across reset and reset_with_frontier restarts at different weight
+// scales.  None of this may change a round: after every step an engine
+// must hold the reference stepper's states, and its frontier must be the
+// reference's changed set; a reused engine must match a fresh one.
 
-/// Step `reference` to its fixpoint and every engine in `others` with it,
-/// checking step results, frontiers and states after each step.  Returns
-/// the largest frontier a round after the first started from.
+/// Step the reference from `want` to its fixpoint, under weight scale
+/// `scale`, and every engine in `engines` with it, checking step results,
+/// frontiers and states after each step.  Returns the largest frontier a
+/// round after the first started from.
 template <MbfAlgebra Algebra>
-std::size_t step_in_lockstep(MbfEngine<Algebra>& reference,
-                             std::initializer_list<MbfEngine<Algebra>*> others,
+std::size_t step_in_lockstep(const Graph& g, const Algebra& alg, double scale,
+                             std::vector<typename Algebra::State> want,
+                             std::initializer_list<MbfEngine<Algebra>*> engines,
                              const std::string& what) {
   std::size_t widest = 0;
   for (unsigned round = 1;; ++round) {
-    const bool more = reference.step();
-    const auto& want = reference.states();
-    for (auto* engine : others) {
+    auto step = test::mbf_step(g, alg, want, scale);
+    const bool more = !step.changed.empty();
+    want = std::move(step.states);
+    for (auto* engine : engines) {
       EXPECT_EQ(engine->step(), more) << what << ", round " << round;
-      EXPECT_EQ(engine->frontier(), reference.frontier())
+      EXPECT_EQ(engine->frontier(), step.changed)
           << what << ", round " << round;
       const auto& got = engine->states();
       const auto v = static_cast<std::size_t>(
@@ -256,7 +250,7 @@ std::size_t step_in_lockstep(MbfEngine<Algebra>& reference,
           << what << ", round " << round << ": states differ at vertex " << v;
     }
     if (::testing::Test::HasFailure() || !more) return widest;
-    widest = std::max(widest, reference.frontier().size());
+    widest = std::max(widest, step.changed.size());
   }
 }
 
@@ -264,30 +258,27 @@ std::size_t step_in_lockstep(MbfEngine<Algebra>& reference,
 /// at two weight scales, then restarts alternating between the scales.
 /// Each restart seeds that scale's cached fixpoint, perturbed on a random
 /// quarter of the vertices that forms the frontier; the last restart is a
-/// support-seeded start (⊥ outside the frontier).
+/// full level start through reset() (⊥ outside that quarter).
 template <MbfAlgebra Algebra>
 void lockstep_life_cycle(const Graph& g, const Algebra& alg,
                          const std::vector<DistanceMap>& x0,
                          const std::string& what) {
   const Vertex n = g.num_vertices();
   constexpr double kScales[] = {1.0, 1.5};
-  const auto engine_opts = [](double scale, MbfMode mode) {
-    return MbfOptions{.weight_scale = scale, .mode = mode};
-  };
-  MbfEngine<Algebra> dense(g, alg, engine_opts(1.0, MbfMode::kDense));
-  MbfEngine<Algebra> sparse(g, alg, engine_opts(1.0, MbfMode::kSparse));
+  MbfEngine<Algebra> engine(g, alg);
+  std::vector<DistanceMap> filtered_x0 = x0;
+  for (auto& state : filtered_x0) alg.filter(state);
   std::vector<DistanceMap> cached[2];
   for (int s = 0; s < 2; ++s) {
-    dense.set_weight_scale(kScales[s]);
-    sparse.set_weight_scale(kScales[s]);
-    dense.reset(x0);
-    sparse.reset(x0);
-    const auto widest = step_in_lockstep(
-        dense, {&sparse}, what + ", reset " + std::to_string(s));
+    engine.set_weight_scale(kScales[s]);
+    engine.reset(x0);
+    const auto widest =
+        step_in_lockstep(g, alg, kScales[s], filtered_x0, {&engine},
+                         what + ", reset " + std::to_string(s));
     if (::testing::Test::HasFailure()) return;
     // Frontier loops only open a parallel region from 128 vertices on.
     EXPECT_GE(widest, 128U) << what;
-    cached[s] = dense.states();
+    cached[s] = engine.states();
   }
 
   Rng rng(n);
@@ -310,16 +301,19 @@ void lockstep_life_cycle(const Graph& g, const Algebra& alg,
         alg.filter(seed[v]);
       }
     }
-    dense.set_weight_scale(kScales[s]);
-    sparse.set_weight_scale(kScales[s]);
-    MbfEngine<Algebra> fresh(g, alg, engine_opts(kScales[s], MbfMode::kSparse));
-    dense.reset_with_frontier(seed, frontier);
-    sparse.reset_with_frontier(seed, frontier);
-    fresh.reset_with_frontier(std::move(seed), std::move(frontier));
-    step_in_lockstep(dense, {&sparse, &fresh},
+    engine.set_weight_scale(kScales[s]);
+    MbfEngine<Algebra> fresh(g, alg, MbfOptions{.weight_scale = kScales[s]});
+    if (support_seeded) {
+      engine.reset(seed);
+      fresh.reset(seed);
+    } else {
+      engine.reset_with_frontier(seed, frontier);
+      fresh.reset_with_frontier(seed, std::move(frontier));
+    }
+    step_in_lockstep(g, alg, kScales[s], std::move(seed), {&engine, &fresh},
                      what + ", restart " + std::to_string(restart));
     if (::testing::Test::HasFailure()) return;
-    cached[s] = dense.states();
+    cached[s] = engine.states();
   }
 }
 

@@ -1,4 +1,5 @@
-// Tests for LE-list distance sketches (src/apps/distance_sketches).
+// Tests for LE-list distance sketches (src/apps/distance_sketches) and for
+// an FrtEnsemble's min policy as a sketch.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,6 +8,8 @@
 #include "src/frt/pipelines.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/shortest_paths.hpp"
+#include "src/serve/frt_ensemble.hpp"
+#include "src/serve/hot_pair_cache.hpp"
 #include "src/serve/workloads.hpp"
 #include "tests/support/fixtures.hpp"
 #include "tests/support/reference/shortest_paths.hpp"
@@ -98,18 +101,28 @@ TEST(Sketches, RejectsBadInput) {
   EXPECT_THROW((void)DistanceSketches::from_lists({}, 5), std::logic_error);
 }
 
-// --- Ensemble-served sketches (the serving-layer rebase) ------------------
+// --- Sketches served by an FrtEnsemble under the min policy -------------
 
-TEST(EnsembleSketches, BitIdenticalToFoldingFrtTreeDistances) {
-  // The sketch's answers are served through flat indices; they must equal
-  // — bit for bit — the min over FrtTree::distance of the same k trees
-  // (re-sampled here with the ensemble's split-seed scheme).
+/// An ensemble of k trees over g from one master seed.
+serve::FrtEnsemble build_ensemble(const Graph& g, std::size_t k,
+                                  std::uint64_t seed,
+                                  serve::EnsembleOptions opts = {}) {
+  opts.trees = k;
+  return serve::FrtEnsemble::build(g, seed, opts);
+}
+
+constexpr auto kMin = serve::AggregatePolicy::min;
+
+TEST(MinPolicySketches, BitIdenticalToFoldingFrtTreeDistances) {
+  // The ensemble's answers are served through flat indices; they must
+  // equal — bit for bit — the min over FrtTree::distance of the same k
+  // trees (re-sampled here with the ensemble's split-seed scheme).
   const auto corpus = test::small_graph_corpus(50, 7001);
   for (const auto& c : corpus) {
     const std::size_t k = 3;
     serve::EnsembleOptions opts;
     opts.pipeline = serve::EnsemblePipeline::direct;
-    const auto sk = EnsembleSketches::build(c.graph, k, c.seed, opts);
+    const auto ensemble = build_ensemble(c.graph, k, c.seed, opts);
     std::vector<FrtTree> trees;
     for (std::size_t t = 0; t < k; ++t) {
       Rng rng(split_seed(c.seed, 1 + t));
@@ -120,59 +133,61 @@ TEST(EnsembleSketches, BitIdenticalToFoldingFrtTreeDistances) {
       for (Vertex v = u; v < n; ++v) {
         Weight ref = inf_weight();
         for (const auto& t : trees) ref = std::min(ref, t.distance(u, v));
-        EXPECT_EQ(sk.query(u, v), ref)
+        EXPECT_EQ(ensemble.query(u, v, kMin), ref)
             << c.name << " pair " << u << "-" << v;
       }
     }
   }
 }
 
-TEST(EnsembleSketches, EstimatesAreUpperBoundsAndTightenWithTrees) {
+TEST(MinPolicySketches, EstimatesAreUpperBoundsAndTightenWithTrees) {
   Rng grng(61);
   const auto g = make_gnm(80, 200, {1.0, 4.0}, grng);
-  const auto small = EnsembleSketches::build(g, 1, 777);
-  const auto large = EnsembleSketches::build(g, 6, 777);
+  const auto small = build_ensemble(g, 1, 777);
+  const auto large = build_ensemble(g, 6, 777);
   const auto apsp = exact_apsp(g);
   for (Vertex u = 0; u < 80; u += 3) {
     for (Vertex v = 0; v < 80; v += 5) {
       const Weight exact = apsp[static_cast<std::size_t>(u) * 80 + v];
       if (u == v) {
-        EXPECT_DOUBLE_EQ(large.query(u, v), 0.0);
+        EXPECT_DOUBLE_EQ(large.query(u, v, kMin), 0.0);
         continue;
       }
       // Dominating trees → upper bounds; tree 0 is shared, so more trees
       // can only tighten the min.
-      EXPECT_GE(large.query(u, v), exact - 1e-9);
-      EXPECT_LE(large.query(u, v), small.query(u, v));
-      EXPECT_DOUBLE_EQ(large.query(u, v), large.query(v, u));
+      EXPECT_GE(large.query(u, v, kMin), exact - 1e-9);
+      EXPECT_LE(large.query(u, v, kMin), small.query(u, v, kMin));
+      EXPECT_DOUBLE_EQ(large.query(u, v, kMin), large.query(v, u, kMin));
     }
   }
 }
 
-TEST(EnsembleSketches, BatchMatchesPointQueriesAndThreadDeterministic) {
+TEST(MinPolicySketches, BatchMatchesPointQueriesAndThreadDeterministic) {
   const auto corpus = test::serve_graph_corpus(2, 925);
   const int saved_threads = num_threads();
   for (const auto& c : corpus) {
     serve::EnsembleOptions opts;
     opts.pipeline = serve::EnsemblePipeline::direct;
-    auto sk = EnsembleSketches::build(c.graph, 4, c.seed, opts);
+    const auto ensemble = build_ensemble(c.graph, 4, c.seed, opts);
     Rng wrng(c.seed + 13);
     serve::WorkloadOptions wopts;
     wopts.pairs = 1500;
     const auto pairs = serve::make_workload(
         c.graph, serve::WorkloadKind::zipf, wopts, wrng);
     std::vector<Weight> reference;
-    const auto ref = sk.query_batch(pairs, reference);
+    const auto ref = ensemble.query_batch(pairs, kMin, reference);
     EXPECT_EQ(ref.pairs, pairs.size()) << c.name;
-    EXPECT_EQ(ref.tree_lookups, pairs.size() * sk.trees()) << c.name;
+    EXPECT_EQ(ref.tree_lookups, pairs.size() * ensemble.num_trees())
+        << c.name;
     for (std::size_t i = 0; i < 40; ++i) {
-      EXPECT_EQ(reference[i], sk.query(pairs[i].first, pairs[i].second))
+      EXPECT_EQ(reference[i],
+                ensemble.query(pairs[i].first, pairs[i].second, kMin))
           << c.name;
     }
     for (const int threads : {1, 2, 8}) {
       set_num_threads(threads);
       std::vector<Weight> out;
-      const auto st = sk.query_batch(pairs, out);
+      const auto st = ensemble.query_batch(pairs, kMin, out);
       EXPECT_EQ(out, reference) << c.name << " at " << threads;
       EXPECT_EQ(st.tree_lookups, ref.tree_lookups) << c.name;
     }
@@ -180,29 +195,25 @@ TEST(EnsembleSketches, BatchMatchesPointQueriesAndThreadDeterministic) {
   }
 }
 
-TEST(EnsembleSketches, HotPairCacheKeepsValuesAndSavesLookups) {
+TEST(MinPolicySketches, HotPairCacheKeepsValuesAndSavesLookups) {
   const auto corpus = test::serve_graph_corpus(2, 926);
   for (const auto& c : corpus) {
     serve::EnsembleOptions opts;
     opts.pipeline = serve::EnsemblePipeline::direct;
-    auto sk = EnsembleSketches::build(c.graph, 4, c.seed, opts);
+    const auto ensemble = build_ensemble(c.graph, 4, c.seed, opts);
     Rng wrng(c.seed + 29);
     serve::WorkloadOptions wopts;
     wopts.pairs = 3000;
     const auto pairs = serve::make_workload(
         c.graph, serve::WorkloadKind::zipf, wopts, wrng);
     std::vector<Weight> plain;
-    const auto ref = sk.query_batch(pairs, plain);
-    EXPECT_EQ(sk.cache(), nullptr);
-    sk.enable_cache(4096);
-    ASSERT_NE(sk.cache(), nullptr);
+    const auto ref = ensemble.query_batch(pairs, kMin, plain);
+    serve::HotPairCache cache(4096);
     std::vector<Weight> cached;
-    const auto st = sk.query_batch(pairs, cached);
+    const auto st = ensemble.query_batch(pairs, kMin, cached, &cache);
     EXPECT_EQ(cached, plain) << c.name;
     EXPECT_GT(st.cache_hits, 0U) << c.name << " (zipf repeats pairs)";
     EXPECT_LT(st.tree_lookups, ref.tree_lookups) << c.name;
-    sk.enable_cache(0);
-    EXPECT_EQ(sk.cache(), nullptr);
   }
 }
 
