@@ -1,7 +1,7 @@
 // E-serve — the serving layer: FRT-ensemble build cost and batched query
 // throughput (src/serve/).
 //
-// Claims carried: FrtIndex::distance reads two ancestor rows per query
+// Claims carried: FrtIndex::distance reads two LCA codes per query
 // (counted exactly), ensembles amortise one hop set across k trees,
 // and batch serving is embarrassingly parallel with bit-identical outputs
 // at any thread count.
@@ -220,7 +220,7 @@ void run_counters() {
 void run(const Args& args) {
   print_header(
       "E-serve: ensemble serving throughput",
-      "tree-distance queries from two ancestor rows per tree; k-tree "
+      "tree-distance queries from two LCA codes per tree; k-tree "
       "ensembles cut the served stretch (Blelloch-Gu-Sun style) at k flat "
       "lookups per query");
   const Vertex n = args.small ? 1024 : 4096;

@@ -3,14 +3,14 @@
 //
 // The apps answer every tree question against the flat serving layer
 // (serve::FrtIndex / serve::FrtEnsemble): node reads are flat array reads
-// and an LCA is two ancestor-row reads.  These counters are logical-
+// and an LCA is two code reads.  These counters are logical-
 // operation counts (thread-count independent, machine independent),
 // emitted by the app benches' --counters modes and gated in CI next to
 // the engine counters (scripts/check_bench_regression.py).
 //
 //   tree_lookups — flat node reads against an FrtIndex, one per node a
 //                  tree walk visits.
-//   lca_probes   — ancestor rows read (2 per LCA).
+//   lca_probes   — codes read (2 per LCA).
 
 #include <cstdint>
 

@@ -125,7 +125,7 @@ BabResult buy_at_bulk(const Graph& g, const std::vector<Demand>& demands,
   std::vector<double> updo(index.num_nodes(), 0.0);
   for (const auto& d : demands) {
     if (d.s == d.t) continue;
-    const auto top = index.lca(d.s, d.t);  // two ancestor rows read
+    const auto top = index.lca(d.s, d.t);  // two codes read
     out.counters.lca_probes += serve::FrtIndex::kLcaProbesPerQuery;
     updo[index.leaf_node(d.s)] += d.amount;
     updo[index.leaf_node(d.t)] += d.amount;

@@ -13,7 +13,7 @@
 // fractional lower bound Σ_j d_j·dist(s_j,t_j)·min_i c_i/u_i.
 //
 // Step (2) runs on the flat serving index: the sampled tree is compacted
-// into a serve::FrtIndex, each demand's LCA compares two ancestor rows, and
+// into a serve::FrtIndex, each demand's LCA compares two LCA codes, and
 // the bottom-up flow accumulation folds over the index's CSR children.
 // test_buyatbulk checks the resulting flows against a parent-climbing
 // reference that routes every demand edge by edge (tests/support).

@@ -18,10 +18,12 @@
 // ids, anc[v·L + l] = the node of the tuple suffix of v from level l (entry
 // 0 is v's leaf, entry L−1 the root), plus each node's leading vertex.
 // Nodes are numbered top-down as the build first meets them walking
-// v = 0, 1, …, so every parent id is smaller than its children's.
-// serve::FrtIndex adopts the rows as they are and derives (and checks) the
-// node levels, children and leaf map; path unfolding (paths.hpp) derives
-// parents from the rows.
+// v = 0, 1, …, so every parent id is smaller than its children's, and the
+// nodes v meets first are the ids after the previous vertex's leaf.
+// serve::FrtIndex encodes the rows as one LCA code per vertex (each
+// ancestor's rank among its parent's children) and derives (and checks)
+// the node ids, levels, children and leaf map from the codes; path
+// unfolding (paths.hpp) derives parents from the rows.
 
 #include <cstdint>
 #include <span>
@@ -62,10 +64,6 @@ class FrtTree {
   /// Unchecked: v must be below num_leaves().
   [[nodiscard]] std::span<const NodeId> row(Vertex v) const {
     return {anc_.data() + std::size_t{v} * levels_, levels_};
-  }
-  /// All rows back to back (anc[v·L + l]); serve::FrtIndex copies them.
-  [[nodiscard]] const std::vector<NodeId>& ancestor_rows() const noexcept {
-    return anc_;
   }
   /// Leading graph vertex of a node's tuple suffix.
   [[nodiscard]] Vertex leading(NodeId id) const { return leading_[id]; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "src/graph/shortest_paths.hpp"
 #include "src/obs/obs.hpp"
@@ -66,26 +67,31 @@ HopSet build_hub_hopset(const Graph& g, HubHopSetParams params, Rng& rng) {
 
   // One (dist, hops) Dijkstra per hub gives the exact hub-to-hub distances
   // (an edge of weight dist(a,b) can never shorten a path) and hop(hub, ·).
+  // Each search folds its hop row into h_max (the most hops from any hub)
+  // and nearest (each vertex's fewest hops to a hub) as it ends; max and
+  // min are order-free, so any schedule gives the same fold.  A search
+  // costs far more than a lock, so grain 1 deals them out one at a time.
   std::vector<std::vector<Weight>> hub_dist(hubs.size());
-  std::vector<std::vector<unsigned>> hub_hops(hubs.size());
-  parallel_for(hubs.size(), [&](std::size_t i) {
-    auto r = min_hops_on_shortest_paths(g, hubs[i]);
-    hub_dist[i].reserve(hubs.size());
-    for (const Vertex b : hubs) hub_dist[i].push_back(r.dist[b]);
-    hub_hops[i] = std::move(r.hops);
-  });
-
-  // h_max: the most hops from any hub; radius: the most hops from any
-  // vertex to its nearest hub.
   unsigned h_max = 0;
   std::vector<unsigned> nearest(n, ~0U);
-  for (const auto& hops : hub_hops) {
-    for (Vertex v = 0; v < n; ++v) {
-      if (hops[v] == ~0U) continue;
-      h_max = std::max(h_max, hops[v]);
-      nearest[v] = std::min(nearest[v], hops[v]);
-    }
-  }
+  std::mutex fold_mutex;
+  parallel_for(
+      hubs.size(),
+      [&](std::size_t i) {
+        const auto r = min_hops_on_shortest_paths(g, hubs[i]);
+        hub_dist[i].reserve(hubs.size());
+        for (const Vertex b : hubs) hub_dist[i].push_back(r.dist[b]);
+        const std::lock_guard<std::mutex> lock(fold_mutex);
+        for (Vertex v = 0; v < n; ++v) {
+          const unsigned h = r.hops[v];
+          if (h == ~0U) continue;
+          h_max = std::max(h_max, h);
+          nearest[v] = std::min(nearest[v], h);
+        }
+      },
+      /*grain=*/1);
+
+  // radius: the most hops from any vertex to its nearest hub.
   unsigned radius = 0;
   for (const unsigned h : nearest) {
     if (h != ~0U) radius = std::max(radius, h);

@@ -50,18 +50,17 @@ EnsembleObs& ensemble_obs() {
 }
 
 /// The min-over-k / median-over-k aggregate for one u ≠ v pair: one
-/// plain loop over the trees reads the pair's two ancestor rows per tree
-/// and writes the k distances to `dist` in tree order, then the policy
-/// folds them.  Each per-tree value equals FrtIndex::distance, so serving
-/// is bit-identical to the scalar path.
+/// plain loop over the trees reads the pair's two LCA codes per tree and
+/// writes the k distances to `dist` in tree order, then the policy folds
+/// them.  Each per-tree value equals FrtIndex::distance, so serving is
+/// bit-identical to the scalar path.
 [[nodiscard]] Weight aggregate(const std::vector<FrtIndex>& trees, Vertex u,
                                Vertex v, AggregatePolicy policy,
                                Weight* dist) {
   const std::size_t k = trees.size();
   for (std::size_t t = 0; t < k; ++t) {
     const FrtIndex& idx = trees[t];
-    dist[t] = idx.distance_at_lca_level(
-        idx.differing_levels(idx.row(u), idx.row(v)));
+    dist[t] = idx.distance_at_lca_level(idx.code_lca_level(u, v));
   }
   if (policy == AggregatePolicy::min) {
     Weight best = dist[0];
@@ -193,7 +192,7 @@ FrtEnsemble::BatchStats FrtEnsemble::query_batch(
 
   // Validate every pair *before* touching the cache or the parallel
   // phases: probe() claims slots at classification time, and the kernel
-  // below reads the ancestor rows unchecked.
+  // below reads the codes unchecked.
   const auto n = static_cast<Vertex>(indices_.front().num_leaves());
   for (const auto& [u, v] : pairs) {
     PMTE_CHECK(u < n && v < n,
@@ -221,7 +220,7 @@ FrtEnsemble::BatchStats FrtEnsemble::query_batch(
           out[i] = compute(pairs[i].first, pairs[i].second);
         });
     // Logical costs: every pair consults every tree; each u ≠ v lookup
-    // reads exactly kLcaProbesPerQuery ancestor rows (u==v short-circuits).
+    // reads exactly kLcaProbesPerQuery codes (u==v short-circuits).
     stats.tree_lookups = static_cast<std::uint64_t>(q) * k;
     std::uint64_t distinct = 0;
     for (const auto& [u, v] : pairs) distinct += u != v ? 1 : 0;
@@ -342,9 +341,9 @@ FrtEnsemble FrtEnsemble::parse(ImageReader& r) {
   PMTE_CHECK(trees >= 1 && trees <= (1ULL << 20),
              "FrtEnsemble: implausible tree count");
   // Every embedded index takes at least its header block (16 bytes),
-  // levels (4), β (8) and three length prefixes (24): a count the
+  // levels (4), β (8) and four length prefixes (32): a count the
   // remaining bytes cannot hold fails here, before reserving for it.
-  constexpr std::uint64_t kMinIndexBytes = 16 + 4 + 8 + 3 * 8;
+  constexpr std::uint64_t kMinIndexBytes = 16 + 4 + 8 + 4 * 8;
   PMTE_CHECK(trees <= r.remaining() / kMinIndexBytes,
              "FrtEnsemble: tree count " + std::to_string(trees) +
                  " cannot fit in the " + std::to_string(r.remaining()) +

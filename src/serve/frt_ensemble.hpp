@@ -23,7 +23,7 @@
 //                 median for even k, so it stays dominating too).
 //   Batches     — query_batch answers a pair list via
 //                 parallel_for_balanced and reports deterministic logical
-//                 counters (pairs, per-tree lookups, ancestor-row reads)
+//                 counters (pairs, per-tree lookups, LCA codes read)
 //                 for the CI bench gate; outputs are bit-identical across
 //                 thread counts.
 //   Hot pairs   — an optional caller-owned HotPairCache short-circuits
@@ -47,7 +47,7 @@
 // bit-identical between the two load paths.
 //
 // Query path: per u ≠ v pair the batch kernel loops over the trees, reads
-// the pair's two ancestor rows in each (frt_index.hpp), and folds the k
+// the pair's two LCA codes in each (frt_index.hpp), and folds the k
 // distances in tree order.
 
 #include <cstdint>
@@ -145,7 +145,7 @@ class FrtEnsemble {
     return stats_;
   }
 
-  /// Aggregated point query: k two-row lookups + the policy fold.
+  /// Aggregated point query: k two-code lookups + the policy fold.
   [[nodiscard]] Weight query(Vertex u, Vertex v,
                              AggregatePolicy policy) const;
 
@@ -155,7 +155,7 @@ class FrtEnsemble {
   struct BatchStats {
     std::uint64_t pairs = 0;
     std::uint64_t tree_lookups = 0;  ///< computed pairs × trees
-    std::uint64_t lca_probes = 0;    ///< ancestor rows read (u≠v only)
+    std::uint64_t lca_probes = 0;    ///< codes read (u≠v only)
     std::uint64_t cache_hits = 0;    ///< pairs served from the cache
     std::uint64_t cache_misses = 0;  ///< cacheable pairs computed
     std::uint64_t cache_admissions = 0;  ///< misses that claimed a slot

@@ -84,17 +84,16 @@ void BinaryWriter::u32(std::uint32_t v) { bytes(&v, sizeof(v)); }
 void BinaryWriter::u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
 void BinaryWriter::f64(double v) { bytes(&v, sizeof(v)); }
 
-void BinaryWriter::vec_u32(std::span<const std::uint32_t> v) {
+template <typename T>
+void BinaryWriter::section(std::span<const T> v) {
   u64(v.size());
   pad_to_section();
-  bytes(v.data(), v.size() * sizeof(std::uint32_t));
+  bytes(v.data(), v.size() * sizeof(T));
 }
 
-void BinaryWriter::vec_f64(std::span<const double> v) {
-  u64(v.size());
-  pad_to_section();
-  bytes(v.data(), v.size() * sizeof(double));
-}
+void BinaryWriter::vec_u32(std::span<const std::uint32_t> v) { section(v); }
+void BinaryWriter::vec_u64(std::span<const std::uint64_t> v) { section(v); }
+void BinaryWriter::vec_f64(std::span<const double> v) { section(v); }
 
 // --- MappedFile ------------------------------------------------------------
 
@@ -227,6 +226,10 @@ ArraySection<T> ImageReader::section() {
 
 ArraySection<std::uint32_t> ImageReader::vec_u32() {
   return section<std::uint32_t>();
+}
+
+ArraySection<std::uint64_t> ImageReader::vec_u64() {
+  return section<std::uint64_t>();
 }
 
 ArraySection<double> ImageReader::vec_f64() { return section<double>(); }

@@ -38,7 +38,7 @@ namespace pmte::serve {
 
 /// Format version shared by all serving-layer artefacts (the ensemble and
 /// its embedded indices), the only one the reader accepts.  History: docs/FORMAT.md.
-inline constexpr std::uint32_t kFormatVersion = 4;
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// File-offset alignment of every vec payload.  One cache line,
 /// and a multiple of every element size we serialise — mmap returns
@@ -173,9 +173,13 @@ class BinaryWriter {
   void u64(std::uint64_t v);
   void f64(double v);
   void vec_u32(std::span<const std::uint32_t> v);
+  void vec_u64(std::span<const std::uint64_t> v);
   void vec_f64(std::span<const double> v);
   void vec_u32(std::initializer_list<std::uint32_t> v) {
     vec_u32(std::span<const std::uint32_t>(v.begin(), v.size()));
+  }
+  void vec_u64(std::initializer_list<std::uint64_t> v) {
+    vec_u64(std::span<const std::uint64_t>(v.begin(), v.size()));
   }
   void vec_f64(std::initializer_list<double> v) {
     vec_f64(std::span<const double>(v.begin(), v.size()));
@@ -185,6 +189,8 @@ class BinaryWriter {
   void bytes(const void* data, std::size_t n);
   /// Zero-fill up to the next kSectionAlign boundary.
   void pad_to_section();
+  template <typename T>
+  void section(std::span<const T> v);
   std::ostream& os_;
   std::uint64_t pos_ = 0;
 };
@@ -242,6 +248,7 @@ class ImageReader {
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] double f64();
   [[nodiscard]] ArraySection<std::uint32_t> vec_u32();
+  [[nodiscard]] ArraySection<std::uint64_t> vec_u64();
   [[nodiscard]] ArraySection<double> vec_f64();
   /// Bytes not yet read.
   [[nodiscard]] std::size_t remaining() const noexcept {

@@ -117,7 +117,7 @@ struct TenantCounters {
   std::uint64_t batches = 0;       ///< serve() calls with ≥ 1 query for us
   std::uint64_t pairs = 0;
   std::uint64_t tree_lookups = 0;  ///< computed pairs × trees
-  std::uint64_t lca_probes = 0;    ///< ancestor rows read (2 per u≠v tree)
+  std::uint64_t lca_probes = 0;    ///< codes read (2 per u≠v tree)
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// Misses split by slot outcome, folded per batch into this ledger —

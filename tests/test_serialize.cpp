@@ -1,7 +1,7 @@
 // Binary format + zero-copy load path: section alignment invariants,
 // loader hostility (truncation, bad magic, endianness, other versions,
 // corrupt lengths, an impossible tree count, shaved padding, misaligned
-// bases, a writerless FIFO, ancestor rows that do not form an FRT tree) on
+// bases, a writerless FIFO, LCA codes that do not describe an FRT tree) on
 // BOTH the copying and the mmap path, a seeded bit-flip/truncation fuzz
 // sweep pinning "reject or load, never crash", and a corpus-wide
 // differential that pins mapped and copied loads to bit-identical served
@@ -10,6 +10,8 @@
 // is a use-after-free.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -23,6 +25,8 @@
 
 #include <sys/stat.h>
 
+#include "src/frt/frt_tree.hpp"
+#include "src/frt/le_lists.hpp"
 #include "src/graph/generators.hpp"
 #include "src/parallel/parallel.hpp"
 #include "src/serve/frt_ensemble.hpp"
@@ -120,6 +124,7 @@ TEST(Serialize, PrimitivesAndEmptyArraysRoundTrip) {
   w.vec_u32(std::vector<std::uint32_t>{});
   w.vec_f64({1.5, -2.25});
   w.vec_u32({3, 2, 1});
+  w.vec_u64({std::uint64_t{1} << 40, 9});
   const std::string bytes = buf.str();
   // View mode needs a 64-byte-aligned base: read the views off a mapping.
   const TempFile f("test_serialize_primitives.tmp", bytes);
@@ -143,12 +148,16 @@ TEST(Serialize, PrimitivesAndEmptyArraysRoundTrip) {
     const auto ints = r.vec_u32();
     EXPECT_EQ(std::vector<std::uint32_t>(ints.begin(), ints.end()),
               (std::vector<std::uint32_t>{3, 2, 1}));
+    const auto words = r.vec_u64();
+    EXPECT_EQ(std::vector<std::uint64_t>(words.begin(), words.end()),
+              (std::vector<std::uint64_t>{std::uint64_t{1} << 40, 9}));
+    EXPECT_EQ(words.is_mapped(), view);
     EXPECT_EQ(r.remaining(), 0u);
     r.expect_end();
     const auto& lc = serve::load_path_counters();
-    EXPECT_EQ(lc.sections_mapped, view ? 3u : 0u);
-    EXPECT_EQ(lc.sections_copied, view ? 0u : 3u);
-    EXPECT_EQ(lc.bulk_bytes_copied, view ? 0u : 2u * 8u + 3u * 4u);
+    EXPECT_EQ(lc.sections_mapped, view ? 4u : 0u);
+    EXPECT_EQ(lc.sections_copied, view ? 0u : 4u);
+    EXPECT_EQ(lc.bulk_bytes_copied, view ? 0u : 2u * 8u + 3u * 4u + 2u * 8u);
   }
 }
 
@@ -158,7 +167,7 @@ TEST(Serialize, PayloadsSitAt64ByteOffsetsWithZeroPadding) {
   const std::string bytes = save_bytes(e);
 
   // Walk the normative layout (docs/FORMAT.md): ensemble prelude, then
-  // per index the scalar block and three length-prefixed sections whose
+  // per index the scalar block and four length-prefixed sections whose
   // payloads must each start at a 64-byte file offset, preceded by zero
   // padding only.
   // Prelude: magic block(16) + master seed(8) + graph fingerprint(8) +
@@ -167,7 +176,8 @@ TEST(Serialize, PayloadsSitAt64ByteOffsetsWithZeroPadding) {
   std::uint64_t trees = 0;
   std::memcpy(&trees, bytes.data() + 16 + 8 + 8, sizeof(trees));
   ASSERT_EQ(trees, 2u);
-  const std::size_t elem[3] = {4, 8, 8};  // anc, dist table, edge weights
+  // widths, codes, dist table, edge weights
+  const std::size_t elem[4] = {4, 8, 8, 8};
   for (std::uint64_t t = 0; t < trees; ++t) {
     pos += 16 + 4 + 8;  // index magic block + levels + beta
     for (const std::size_t es : elem) {
@@ -215,8 +225,9 @@ TEST(Serialize, HostileImagesAreRejectedOnBothPaths) {
   expect_rejected_both(bad, "foreign endianness");
 
   // kFormatVersion is the only readable version: older artefacts (v3 held
-  // an Euler tour and leaf positions) and newer ones are refused by name.
-  for (const std::uint32_t v : {1U, 2U, 3U, serve::kFormatVersion + 1}) {
+  // an Euler tour and leaf positions, v4 ancestor rows) and newer ones are
+  // refused by name.
+  for (const std::uint32_t v : {1U, 2U, 3U, 4U, serve::kFormatVersion + 1}) {
     bad = good;
     std::memcpy(bad.data() + 12, &v, sizeof(v));
     expect_rejected_both(bad, "version " + std::to_string(v),
@@ -247,7 +258,7 @@ TEST(Serialize, HostileImagesAreRejectedOnBothPaths) {
 
   // A 40-byte prelude that claims 2^20 trees and holds no index: the
   // count is refused before anything is reserved for it (each embedded
-  // index takes at least 52 bytes).
+  // index takes at least 60 bytes).
   std::stringstream prelude(std::ios::in | std::ios::out | std::ios::binary);
   serve::BinaryWriter pw(prelude);
   pw.magic(serve::kEnsembleMagic);
@@ -259,10 +270,11 @@ TEST(Serialize, HostileImagesAreRejectedOnBothPaths) {
                        "tree count 1048576 cannot fit");
 }
 
-/// A one-tree ensemble image around hand-written ancestor rows of a
-/// 4-level tree (n = rows / 4; edge weights 1, 2, 4, 8, so the LCA table
-/// is 0, 2, 6, 14).
-std::string crafted_ensemble(const std::vector<std::uint32_t>& anc) {
+/// A one-tree ensemble image around hand-written LCA codes of a 4-level
+/// tree (n = codes / words; edge weights 1, 2, 4, 8, so the LCA table is
+/// 0, 2, 6, 14).
+std::string crafted_ensemble(const std::vector<std::uint32_t>& widths,
+                             const std::vector<std::uint64_t>& codes) {
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
   serve::BinaryWriter w(buf);
   w.magic(serve::kEnsembleMagic);
@@ -272,50 +284,139 @@ std::string crafted_ensemble(const std::vector<std::uint32_t>& anc) {
   w.magic(serve::kIndexMagic);
   w.u32(4);    // levels
   w.f64(1.5);  // beta
-  w.vec_u32(anc);
+  w.vec_u32(widths);
+  w.vec_u64(codes);
   w.vec_f64({0.0, 2.0, 6.0, 14.0});
   w.vec_f64({1.0, 2.0, 4.0, 8.0});
   return buf.str();
 }
 
-TEST(Serialize, AncestorRowsThatAreNotAnFrtTreeAreRejectedOnBothPaths) {
-  // Rows leaf → root.  The valid tree: root 0; level 2: 1, 2; level 1:
-  // 3, 4 (under 1), 5 (under 2); leaves 6, 7, 8, 9.
-  const std::string valid =
-      crafted_ensemble({6, 3, 1, 0, 7, 4, 1, 0, 8, 5, 2, 0, 9, 5, 2, 0});
+TEST(Serialize, CodesThatAreNotAnFrtTreeAreRejectedOnBothPaths) {
+  // The valid tree: the root has two children, the first of them two and
+  // the second one, and the last level-1 node has two leaves.  One bit per
+  // level below the root (level 0 lowest): codes 000, 010, 100, 101.  The
+  // walk numbers the nodes root 0; 1, 2, 3 (vertex 0); 4, 5 (vertex 1);
+  // 6, 7, 8 (vertex 2); 9 (vertex 3).
+  const std::vector<std::uint32_t> widths = {1, 1, 1, 0};
+  const std::string valid = crafted_ensemble(widths, {0, 2, 4, 5});
   const auto loaded = load_copied(valid);
   ASSERT_EQ(loaded.num_vertices(), 4u) << "the crafted baseline must load";
   const auto& idx = loaded.index(0);
   EXPECT_EQ(idx.num_nodes(), 10u);
-  EXPECT_EQ(idx.lca(2, 3), 5u);
+  EXPECT_EQ(idx.lca(2, 3), 7u);
+  EXPECT_EQ(idx.lca(0, 1), 1u);
+  EXPECT_EQ(idx.lca(0, 3), 0u);
+  EXPECT_EQ(idx.leaf_node(1), 5u);
   EXPECT_EQ(idx.distance(2, 3), 2.0);
+  EXPECT_EQ(idx.distance(0, 1), 6.0);
   EXPECT_EQ(idx.distance(0, 2), 14.0);
-  ASSERT_EQ(idx.children(5).size(), 2u);
-  EXPECT_EQ(idx.children(5)[0], 8u);
+  ASSERT_EQ(idx.children(7).size(), 2u);
+  EXPECT_EQ(idx.children(7)[1], 9u);
 
   // Each image breaks one rule; every rule is named by the message.
+  expect_rejected_both(crafted_ensemble(widths, {0, 2, 4, 5, 5}),
+                       "vertices 3 and 4 share code 101",
+                       "two vertices share a code");
+  expect_rejected_both(crafted_ensemble(widths, {2, 0, 4, 5}),
+                       "child 1 of node 1 met before child 0",
+                       "out of first-meet order");
+  expect_rejected_both(crafted_ensemble({2, 1, 1, 0}, {0, 4, 8, 10}),
+                       "child 2 of a level-1 node without a child 1",
+                       "out of first-meet order");
+  expect_rejected_both(crafted_ensemble(widths, {0, 2, 4, 5 | 8}),
+                       "bit 3 set above 3 used bits", "bits set above");
   expect_rejected_both(
-      crafted_ensemble({5, 3, 1, 0, 5, 3, 1, 0, 6, 4, 2, 0, 7, 4, 2, 0}),
-      "vertices 0 and 1 share leaf 5", "two vertices share a leaf");
-  expect_rejected_both(
-      crafted_ensemble({6, 3, 1, 0, 7, 4, 1, 0, 8, 5, 2, 0, 9, 2, 1, 0}),
-      "id 2 at levels 2 and 1", "appears at two levels");
-  expect_rejected_both(
-      crafted_ensemble({6, 3, 1, 0, 7, 4, 1, 0, 8, 5, 2, 0, 9, 5, 1, 0}),
-      "id 5 under parents 2 and 1", "has two parents");
-  expect_rejected_both(crafted_ensemble({6, 4, 2, 0, 7, 5, 3, 1}),
-                       "two roots, 0 and 1", "do not converge on one root");
-  expect_rejected_both(
-      crafted_ensemble({6, 3, 1, 0, 7, 4, 1, 0, 2, 5, 8, 0, 9, 5, 8, 0}),
-      "ids 2 and 8 swapped", "parent id not below child id");
-  expect_rejected_both(
-      crafted_ensemble({6, 3, 1, 0, 7, 4, 1, 0, 8, 5, 2, 0, 10, 5, 2, 0}),
-      "id 9 never referenced", "never referenced");
-  expect_rejected_both(
-      crafted_ensemble({6, 3, 1, 0, 7, 4, 1, 0, 8, 5, 2, 0, 999, 5, 2, 0}),
-      "id beyond n x levels", "node id out of range");
-  expect_rejected_both(crafted_ensemble({6, 3, 1, 0, 7, 4, 1}),
-                       "ragged rows", "not n × levels");
+      crafted_ensemble(widths, {0, 2, 4, 5 | (std::uint64_t{1} << 63)}),
+      "bit 63 set above 3 used bits", "bits set above");
+  expect_rejected_both(crafted_ensemble({1, 1, 1, 1}, {0, 2, 4, 5}),
+                       "root width 1", "non-zero root width");
+  expect_rejected_both(crafted_ensemble({1, 2, 1, 0}, {0, 2, 8, 9}),
+                       "level 1 two bits wide for child numbers 0 and 1",
+                       "is not minimal");
+  expect_rejected_both(crafted_ensemble({1, 1, 32, 0}, {0, 2, 4, 5}),
+                       "a 32-bit level", "above 31 bits");
+  expect_rejected_both(crafted_ensemble({31, 31, 31, 0}, {0, 2, 4}),
+                       "three words of two-word codes",
+                       "is not a positive multiple of 2 word(s)");
+  expect_rejected_both(crafted_ensemble(widths, {}), "no codes",
+                       "is not a positive multiple of 1 word(s)");
+}
+
+TEST(Serialize, FormatFourImagesAreRefusedByVersion) {
+  // A v4 artefact: ancestor rows (leaf first) where v5 has widths and
+  // codes.  The header's version word refuses it before any array is read.
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  serve::BinaryWriter w(buf);
+  w.magic(serve::kEnsembleMagic);
+  w.u64(1);  // master seed
+  w.u64(2);  // graph fingerprint
+  w.u64(1);  // tree count
+  w.magic(serve::kIndexMagic);
+  w.u32(4);    // levels
+  w.f64(1.5);  // beta
+  w.vec_u32({6, 3, 1, 0, 7, 4, 1, 0, 8, 5, 2, 0, 9, 5, 2, 0});
+  w.vec_f64({0.0, 2.0, 6.0, 14.0});
+  w.vec_f64({1.0, 2.0, 4.0, 8.0});
+  std::string v4 = buf.str();
+  const std::uint32_t four = 4;
+  for (const std::size_t at : {std::size_t{12}, std::size_t{40 + 12}}) {
+    std::memcpy(v4.data() + at, &four, sizeof(four));
+  }
+  expect_rejected_both(v4, "a v4 artefact", "unsupported format version 4");
+}
+
+TEST(Serialize, CodesWiderThanOneWordRoundTripOnBothPaths) {
+  // A hierarchical ultrametric whose FRT tree needs more than 64 code bits:
+  // a spine vertex and 15 points per scale s = 1..20, each at distance 4^s
+  // from every point of a lower scale and from the others of its own.  At
+  // every scale the spine's cluster splits into itself and 15 singletons,
+  // so one level per scale has a 16-child node and takes 4 bits: 80 in
+  // all, two words per code.
+  constexpr unsigned kScales = 20;
+  constexpr unsigned kPerScale = 15;
+  const Vertex n = 1 + kScales * kPerScale;
+  std::vector<unsigned> scale(n, 0);
+  for (Vertex v = 1; v < n; ++v) scale[v] = 1 + (v - 1) / kPerScale;
+  std::vector<Weight> metric(std::size_t{n} * n, 0.0);
+  for (Vertex u = 0; u < n; ++u) {
+    for (Vertex v = 0; v < n; ++v) {
+      if (u != v) {
+        metric[std::size_t{u} * n + v] =
+            std::ldexp(1.0, 2 * static_cast<int>(std::max(scale[u], scale[v])));
+      }
+    }
+  }
+  Rng rng(split_seed(0x81DE, 0));
+  const auto order = VertexOrder::random(n, rng);
+  const auto le = le_lists_from_metric(metric, order);
+  const auto tree = FrtTree::build(le.lists, order, 1.5, 4.0);
+  const auto idx = serve::FrtIndex::build(tree);
+  ASSERT_EQ(idx.code_words(), 2u) << "the tree must need two code words";
+
+  for (Vertex u = 0; u < n; ++u) {
+    const auto ru = tree.row(u);
+    for (Vertex v = 0; v < n; ++v) {
+      const auto rv = tree.row(v);
+      unsigned differ = 0;
+      for (unsigned l = 0; l < tree.num_levels(); ++l) differ += ru[l] != rv[l];
+      ASSERT_EQ(idx.lca_level(u, v), differ) << u << "-" << v;
+      ASSERT_EQ(idx.lca(u, v), ru[differ]) << u << "-" << v;
+      ASSERT_EQ(idx.distance(u, v), tree.distance(u, v)) << u << "-" << v;
+    }
+  }
+
+  std::vector<serve::FrtIndex> indices;
+  indices.push_back(idx);
+  const auto e = serve::FrtEnsemble::assemble(std::move(indices), 3, 4);
+  const std::string bytes = save_bytes(e);
+  const TempFile f("test_serialize_wide.tmp", bytes);
+  const auto copied = load_copied(bytes);
+  const auto mapped = serve::FrtEnsemble::load_mapped(f.path());
+  EXPECT_TRUE(copied == e);
+  EXPECT_TRUE(mapped == e);
+  EXPECT_EQ(save_bytes(copied), bytes);
+  EXPECT_EQ(save_bytes(mapped), bytes);
+  EXPECT_EQ(mapped.index(0).lca(0, n - 1), idx.lca(0, n - 1));
 }
 
 TEST(Serialize, RandomizedHostileImageSweep) {
@@ -421,16 +522,16 @@ TEST(Serialize, MappedFileRefusesFifoWithoutWriter) {
 TEST(Serialize, GoldenArtefactBytes) {
   // The artefacts `serve_queries --graph=gnm --n=96 --trees=3 --seed=7
   // --pipeline=P --save=FILE` writes, pinned by an FNV-1a-64 of their
-  // bytes.  Renumbering the tree nodes keeps every served distance,
-  // fingerprint and gated counter but moves these bytes, so this is the
-  // check that the node numbering (and the format) stay put.  Change the
-  // constants only with a deliberate format or numbering change.
+  // bytes: the check that the format and the sampled trees stay put.  The
+  // codes hold child numbers, not node ids; that the ids derived from
+  // them are the trees' own is FrtIndex.CodesAgreeWithTreeRowsOnEveryPipeline's
+  // check.  Change the constants only with a deliberate format change.
   const auto g = make_family_graph("gnm", 96, 7);
   const struct {
     serve::EnsemblePipeline pipeline;
     std::uint64_t fnv;
-  } kGolden[] = {{serve::EnsemblePipeline::oracle, 0xc365271de14d4fcdULL},
-                 {serve::EnsemblePipeline::direct, 0x3e59a9edd4ea9f9fULL}};
+  } kGolden[] = {{serve::EnsemblePipeline::oracle, 0x91a9a05c15427e9fULL},
+                 {serve::EnsemblePipeline::direct, 0xc7a05d1f71cd7459ULL}};
   const ThreadGuard guard;
   for (const int threads : {1, 4}) {
     set_num_threads(threads);
@@ -443,7 +544,7 @@ TEST(Serialize, GoldenArtefactBytes) {
       for (const char byte : bytes) {
         hash = fnv1a_fold(hash, static_cast<unsigned char>(byte));
       }
-      EXPECT_EQ(bytes.size(), 7336U) << threads << " threads";
+      EXPECT_EQ(bytes.size(), 3304U) << threads << " threads";
       EXPECT_EQ(hash, golden.fnv) << threads << " threads";
     }
   }
@@ -513,8 +614,8 @@ TEST(Serialize, MappedAndCopiedLoadsAgreeAcrossCorpusAndThreads) {
       }
     }
   }
-  // 3 sections per index, 2 indices per ensemble, 50 ensembles.
-  EXPECT_EQ(total_mapped_sections, 3u * 2u * 50u);
+  // 4 sections per index, 2 indices per ensemble, 50 ensembles.
+  EXPECT_EQ(total_mapped_sections, 4u * 2u * 50u);
 }
 
 TEST(Serialize, MappedEnsembleSurvivesRegistrySwapAndFileUnlink) {

@@ -83,23 +83,14 @@ TEST(FrtIndex, MatchesBruteForceTreeMetricAndLca) {
 TEST(FrtIndex, RowsAreLeafToRootPaths) {
   // Row v lists the nodes of v's tuple suffixes bottom-up (§7.1): two rows
   // share their level-l entry exactly when the tuples, computed from the
-  // definition, agree from level l upwards.  The index serves the tree's
-  // rows and places each entry at its row position's level.
+  // definition, agree from level l upwards.
   const auto corpus = test::small_graph_corpus(kCorpusSize, kCorpusSeed);
   for (const auto& c : corpus) {
     Rng rng(c.seed);
     const auto s = sample_frt_direct(c.graph, rng);
-    const auto idx = serve::FrtIndex::build(s.tree);
     const auto ref = test::brute_force_tuples(c.graph, s.order, s.tree);
     const unsigned levels = s.tree.num_levels();
     const Vertex n = c.graph.num_vertices();
-    for (Vertex v = 0; v < n; ++v) {
-      for (unsigned l = 0; l < levels; ++l) {
-        const auto id = s.tree.row(v)[l];
-        EXPECT_EQ(idx.row(v)[l], id) << c.name << " vertex " << v;
-        EXPECT_EQ(idx.level(id), l) << c.name << " node " << id;
-      }
-    }
     for (Vertex u = 0; u < n; ++u) {
       for (Vertex v = 0; v < n; ++v) {
         bool suffixes_agree = true;
@@ -108,6 +99,51 @@ TEST(FrtIndex, RowsAreLeafToRootPaths) {
               suffixes_agree && ref.tuple(u)[l] == ref.tuple(v)[l];
           EXPECT_EQ(s.tree.row(u)[l] == s.tree.row(v)[l], suffixes_agree)
               << c.name << " pair " << u << "-" << v << " level " << l;
+        }
+      }
+    }
+  }
+}
+
+TEST(FrtIndex, CodesAgreeWithTreeRowsOnEveryPipeline) {
+  // The index keeps one LCA code per vertex, not the rows, and derives the
+  // node numbering from the codes.  Whatever pipeline sampled the tree,
+  // the LCA level must be the number of levels at which two rows differ,
+  // the LCA the row entry there, each leaf the row's first entry, and each
+  // row entry's level its position.
+  const auto corpus = test::small_graph_corpus(kCorpusSize, kCorpusSeed);
+  const struct {
+    const char* name;
+    FrtSample (*sample)(const Graph&, Rng&, const FrtOptions&);
+  } kPipelines[] = {{"direct", sample_frt_direct},
+                    {"oracle", sample_frt_oracle},
+                    {"sequential", sample_frt_sequential}};
+  for (const auto& c : corpus) {
+    for (const auto& pipeline : kPipelines) {
+      Rng rng(c.seed);
+      const auto s = pipeline.sample(c.graph, rng, {});
+      const auto idx = serve::FrtIndex::build(s.tree);
+      const std::string where = c.name + " " + pipeline.name;
+      ASSERT_EQ(idx.num_nodes(), s.tree.num_nodes()) << where;
+      const unsigned levels = s.tree.num_levels();
+      const Vertex n = c.graph.num_vertices();
+      for (Vertex v = 0; v < n; ++v) {
+        const auto row = s.tree.row(v);
+        EXPECT_EQ(idx.leaf_node(v), row[0]) << where << " vertex " << v;
+        for (unsigned l = 0; l < levels; ++l) {
+          EXPECT_EQ(idx.level(row[l]), l) << where << " node " << row[l];
+        }
+      }
+      for (Vertex u = 0; u < n; ++u) {
+        for (Vertex v = 0; v < n; ++v) {
+          const auto ru = s.tree.row(u);
+          const auto rv = s.tree.row(v);
+          unsigned differ = 0;
+          for (unsigned l = 0; l < levels; ++l) differ += ru[l] != rv[l];
+          EXPECT_EQ(idx.lca_level(u, v), differ)
+              << where << " pair " << u << "-" << v;
+          EXPECT_EQ(idx.lca(u, v), ru[differ])
+              << where << " pair " << u << "-" << v;
         }
       }
     }
@@ -440,21 +476,22 @@ TEST(FrtEnsemble, LoadRejectsCorruptLengthPrefix) {
   const auto e =
       serve::FrtEnsemble::build(c.graph, c.seed, small_ensemble_options(2));
   std::string bytes = save_bytes(e);
-  // The first index payload starts right after the ensemble header —
-  // magic(8) + endian probe(4) + version(4) + seed(8) + fingerprint(8) +
-  // count(8) — and its own magic block(16) + levels(4) + beta(8); the
-  // next 8 bytes are the ancestor rows' length prefix — blow it up.
-  const std::size_t len_off = 16 + 8 + 8 + 8 + 16 + 4 + 8;
-  // Large enough that len·4 bytes cannot fit in the file, small enough
+  // The first index starts right after the ensemble header — magic(8) +
+  // endian probe(4) + version(4) + seed(8) + fingerprint(8) + count(8) —
+  // with its own magic block(16) + levels(4) + beta(8) and the widths'
+  // length prefix (8), whose Λ u32 payload starts at the 64-byte boundary
+  // 128.  The next 8 bytes are the codes' length prefix — blow it up.
+  const std::size_t len_off = 128 + 4 * std::size_t{e.index(0).num_levels()};
+  // Large enough that len·8 bytes cannot fit in the file, small enough
   // that a missing pre-allocation guard would really try to allocate.
   const std::uint64_t absurd = 1ULL << 33;
   // Guard the offset arithmetic: the bytes being corrupted must currently
-  // decode to the length of the ancestor rows (n × levels).
-  const std::uint64_t rows_len =
-      std::uint64_t{e.index(0).num_leaves()} * e.index(0).num_levels();
+  // decode to the length of the code array (n × words).
+  const std::uint64_t codes_len =
+      std::uint64_t{e.index(0).num_leaves()} * e.index(0).code_words();
   std::uint64_t decoded = 0;
   std::memcpy(&decoded, bytes.data() + len_off, sizeof(decoded));
-  ASSERT_EQ(decoded, rows_len) << "layout drifted; fix len_off";
+  ASSERT_EQ(decoded, codes_len) << "layout drifted; fix len_off";
   std::memcpy(bytes.data() + len_off, &absurd, sizeof(absurd));
   EXPECT_THROW((void)load_bytes(bytes), std::logic_error);
 }
