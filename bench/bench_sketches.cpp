@@ -19,7 +19,7 @@ namespace pmte::bench {
 namespace {
 
 /// The pre-serving sketch query path, counters included: per (pair, tree),
-/// find the LCA by climbing both leaves' ancestor rows in lockstep (2 node
+/// find the LCA by climbing both leaves' parent links in lockstep (2 node
 /// visits per level climbed) and read the tree's LCA-level distance table
 /// — the same doubles the flat index serves, so the result hash must equal
 /// the flat min-policy scenario's.
@@ -27,10 +27,12 @@ Weight tree_climb_min(const std::vector<FrtTree>& trees, Vertex u, Vertex v,
                       std::uint64_t* node_visits) {
   Weight best = inf_weight();
   for (const auto& t : trees) {
-    const auto a = t.row(u);
-    const auto b = t.row(v);
+    FrtTree::NodeId a = t.leaf(u);
+    FrtTree::NodeId b = t.leaf(v);
     unsigned level = 0;
-    while (a[level] != b[level]) {
+    while (a != b) {
+      a = t.parent(a);
+      b = t.parent(b);
       ++level;
       *node_visits += 2;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <unordered_map>
 #include <utility>
 
@@ -88,6 +89,7 @@ FrtTree FrtTree::build(const std::vector<DistanceMap>& le_lists,
   // Number the suffixes top-down: the root is 0, and a child is keyed by
   // (parent, leading rank at its level) and numbered when first met.
   t.leading_.push_back(order.vertex_of[tuples[levels - 1]]);
+  t.parent_.push_back(0);
   struct KeyHash {
     std::size_t operator()(const std::pair<NodeId, Vertex>& k) const {
       return std::hash<std::uint64_t>{}(
@@ -96,21 +98,35 @@ FrtTree FrtTree::build(const std::vector<DistanceMap>& le_lists,
   };
   // pmte-lint: ordered-ok(find/emplace only, never iterated — nodes are numbered by the deterministic v = 0..n-1 leaf walk)
   std::unordered_map<std::pair<NodeId, Vertex>, NodeId, KeyHash> child_index;
-  t.anc_.assign(tuples.size(), 0);
+  t.leaf_.assign(n, 0);
   for (Vertex v = 0; v < n; ++v) {
-    const std::size_t base = std::size_t{v} * levels;
-    const Vertex* tuple = tuples.data() + base;
+    const Vertex* tuple = tuples.data() + std::size_t{v} * levels;
     PMTE_CHECK(tuple[levels - 1] == tuples[levels - 1],
                "root tuple mismatch — is the graph connected?");
+    const std::size_t known = t.parent_.size();
     NodeId cur = 0;
     for (unsigned l = levels - 1; l-- > 0;) {
-      const auto next = static_cast<NodeId>(t.leading_.size());
+      const auto next = static_cast<NodeId>(t.parent_.size());
       const auto [it, fresh] =
           child_index.try_emplace(std::make_pair(cur, tuple[l]), next);
-      if (fresh) t.leading_.push_back(order.vertex_of[tuple[l]]);
+      if (fresh) {
+        t.leading_.push_back(order.vertex_of[tuple[l]]);
+        t.parent_.push_back(cur);
+      }
       cur = it->second;
-      t.anc_[base + l] = cur;
     }
+    // A new node's children are all new, so a vertex that meets no new
+    // node lands on an earlier vertex's leaf.
+    if (v != 0 && t.parent_.size() == known) {
+      const auto u = std::find(t.leaf_.begin(), t.leaf_.begin() + v, cur) -
+                     t.leaf_.begin();
+      std::ostringstream msg;
+      msg << "FrtTree: vertices " << u << " and " << v
+          << " share a leaf — dist_min_hint " << dist_min_hint
+          << " is above their distance";
+      PMTE_CHECK(false, msg.str());
+    }
+    t.leaf_[v] = cur;
   }
   return t;
 }
@@ -118,11 +134,14 @@ FrtTree FrtTree::build(const std::vector<DistanceMap>& le_lists,
 Weight FrtTree::distance(Vertex u, Vertex v) const {
   PMTE_CHECK(u < num_leaves() && v < num_leaves(),
              "distance: vertex out of range");
-  const auto ru = row(u);
-  const auto rv = row(v);
-  unsigned differ = 0;
-  for (unsigned l = 0; l < levels_; ++l) differ += ru[l] != rv[l] ? 1U : 0U;
-  return dist_by_lca_level_[differ];
+  NodeId a = leaf_[u];
+  NodeId b = leaf_[v];
+  unsigned level = 0;
+  for (; a != b; ++level) {
+    a = parent_[a];
+    b = parent_[b];
+  }
+  return dist_by_lca_level_[level];
 }
 
 }  // namespace pmte

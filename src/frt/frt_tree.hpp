@@ -14,19 +14,15 @@
 // guarantees dist_T ≥ dist_G deterministically and keeps the expected
 // stretch O(log n) (only the constant changes).
 //
-// The tree is stored as what Lemma 7.2 makes it: n ancestor rows of L node
-// ids, anc[v·L + l] = the node of the tuple suffix of v from level l (entry
-// 0 is v's leaf, entry L−1 the root), plus each node's leading vertex.
+// The tree is stored as what Lemma 7.2 makes it: each node's parent (the
+// next-shorter suffix), each vertex's leaf and each node's leading vertex.
 // Nodes are numbered top-down as the build first meets them walking
-// v = 0, 1, …, so every parent id is smaller than its children's, and the
-// nodes v meets first are the ids after the previous vertex's leaf.
-// serve::FrtIndex encodes the rows as one LCA code per vertex (each
-// ancestor's rank among its parent's children) and derives (and checks)
-// the node ids, levels, children and leaf map from the codes; path
-// unfolding (paths.hpp) derives parents from the rows.
+// v = 0, 1, …, so the root is 0 and every parent id is smaller than its
+// children's.  serve::FrtIndex packs the links into one LCA code per
+// vertex (each ancestor's rank among its parent's children); path
+// unfolding (paths.hpp) reads them directly.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/algebra/distance_map.hpp"
@@ -44,27 +40,28 @@ class FrtTree {
   /// Build the FRT tree for the given LE lists (keys = ranks).
   /// `dist_min_hint` must lower-bound the minimum positive pairwise
   /// distance of the embedded metric (e.g. the minimum edge weight).
+  /// Throws when two vertices would share a leaf: the hint is above their
+  /// distance, or they sit at distance 0 in a pseudometric.
   static FrtTree build(const std::vector<DistanceMap>& le_lists,
                        const VertexOrder& order, double beta,
                        Weight dist_min_hint,
                        FrtWeightRule rule = FrtWeightRule::dominating);
 
   [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return leading_.size();
+    return parent_.size();
   }
   [[nodiscard]] Vertex num_leaves() const noexcept {
-    return static_cast<Vertex>(anc_.size() / levels_);
+    return static_cast<Vertex>(leaf_.size());
   }
 
   /// Number of tuple positions = tree height + 1.
   [[nodiscard]] unsigned num_levels() const noexcept { return levels_; }
   [[nodiscard]] double beta() const noexcept { return beta_; }
 
-  /// v's ancestor row: num_levels() node ids, leaf first, root last.
-  /// Unchecked: v must be below num_leaves().
-  [[nodiscard]] std::span<const NodeId> row(Vertex v) const {
-    return {anc_.data() + std::size_t{v} * levels_, levels_};
-  }
+  /// Parent of a node, one level up; the root, 0, is its own parent.
+  [[nodiscard]] NodeId parent(NodeId id) const { return parent_[id]; }
+  /// Leaf node of a graph vertex (level 0).
+  [[nodiscard]] NodeId leaf(Vertex v) const { return leaf_[v]; }
   /// Leading graph vertex of a node's tuple suffix.
   [[nodiscard]] Vertex leading(NodeId id) const { return leading_[id]; }
 
@@ -74,10 +71,11 @@ class FrtTree {
   /// Weight of the edge from a level-`level` node to its parent.
   [[nodiscard]] Weight edge_weight(unsigned level) const noexcept;
 
-  /// Tree distance between the leaves of u and v: the LCA level is the
-  /// number of levels at which their rows differ (rows agree from the LCA
-  /// upwards), and the weight sum is a cached lookup (distance_at_lca_level)
-  /// — Θ(log n) per query, no recomputed root paths.
+  /// Tree distance between the leaves of u and v: both leaves climb their
+  /// parents in lockstep until they meet, which takes as many steps as the
+  /// LCA level, and the weight sum is a cached lookup
+  /// (distance_at_lca_level) — Θ(log n) per query, no recomputed root
+  /// paths.
   [[nodiscard]] Weight distance(Vertex u, Vertex v) const;
 
   /// dist_T(u,v) for leaves whose lowest common ancestor sits at `level`:
@@ -94,7 +92,8 @@ class FrtTree {
   }
 
  private:
-  std::vector<NodeId> anc_;      // v·L + l → ancestor id
+  std::vector<NodeId> parent_;   // node → parent (root 0: itself)
+  std::vector<NodeId> leaf_;     // vertex → leaf node
   std::vector<Vertex> leading_;  // node → leading vertex
   std::vector<Weight> dist_by_lca_level_;  // level → Σ_{l<level} 2·w_l
   unsigned levels_ = 1;

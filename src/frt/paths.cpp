@@ -10,21 +10,15 @@ PathUnfolder::PathUnfolder(const Graph& g, const FrtTree& tree)
     : g_(g), tree_(tree) {
   PMTE_CHECK(g.num_vertices() == tree.num_leaves(),
              "tree/graph vertex count mismatch");
-  // Row entry l + 1 is the parent of row entry l; the root is entry L−1.
   const std::size_t nodes = tree.num_nodes();
-  parent_.assign(nodes, 0);
   representative_.assign(nodes, no_vertex());
   for (Vertex v = 0; v < tree.num_leaves(); ++v) {
-    const auto row = tree.row(v);
-    for (std::size_t l = 0; l + 1 < row.size(); ++l) {
-      parent_[row[l]] = row[l + 1];
-    }
-    representative_[row[0]] = v;
+    representative_[tree.leaf(v)] = v;
   }
   // Ids descending visit children before parents (and each parent's
   // largest-id child first), so a representative is final when handed up.
   for (auto id = static_cast<FrtTree::NodeId>(nodes); id-- > 1;) {
-    Vertex& up = representative_[parent_[id]];
+    Vertex& up = representative_[tree.parent(id)];
     if (up == no_vertex()) up = representative_[id];
   }
 }
@@ -38,10 +32,10 @@ const SsspResult& PathUnfolder::sssp_from(Vertex source) {
 }
 
 UnfoldedEdge PathUnfolder::unfold(FrtTree::NodeId child) {
-  PMTE_CHECK(child > 0 && child < parent_.size(),
+  PMTE_CHECK(child > 0 && child < tree_.num_nodes(),
              "unfold: the root (id 0) has no parent edge, or no such node");
   const Vertex a = tree_.leading(child);
-  const Vertex b = tree_.leading(parent_[child]);
+  const Vertex b = tree_.leading(tree_.parent(child));
   const Vertex v0 = representative_[child];
 
   const auto& sp = sssp_from(v0);

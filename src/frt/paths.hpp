@@ -15,8 +15,8 @@
 // The common descendant of a node is its representative leaf: descend into
 // the child with the largest id until a leaf is reached.  (This is not the
 // largest vertex of the subtree; the buy-at-bulk cost and its Dijkstra
-// count depend on the exact rule.)  Parents and representatives are read
-// off the tree's ancestor rows once, at construction.
+// count depend on the exact rule.)  Parents are the tree's own links;
+// the representatives are computed from them once, at construction.
 
 #include <unordered_map>
 #include <vector>
@@ -58,8 +58,7 @@ class PathUnfolder {
 
   const Graph& g_;
   const FrtTree& tree_;
-  std::vector<FrtTree::NodeId> parent_;  // node → parent (root: itself)
-  std::vector<Vertex> representative_;   // node → representative leaf
+  std::vector<Vertex> representative_;  // node → representative leaf
   // pmte-lint: ordered-ok(memo cache: find/emplace by leaf vertex only, never iterated — unfold order is the caller's)
   std::unordered_map<Vertex, SsspResult> cache_;
 };

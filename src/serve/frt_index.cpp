@@ -42,16 +42,6 @@ constexpr std::uint32_t kMaxWidth = 31;
   return nbits == 0 || (code[k] & ((std::uint64_t{1} << nbits) - 1)) == 0;
 }
 
-/// Copies bits [nbits, 64·words) of `src` into `dst`, whose lower bits
-/// stay zero.
-void copy_high_bits(std::uint64_t* dst, const std::uint64_t* src,
-                    std::size_t words, std::uint64_t nbits) noexcept {
-  const std::size_t high = words - static_cast<std::size_t>(nbits / 64);
-  if (high == 0) return;
-  for (std::size_t k = 0; k < high; ++k) dst[k] = src[k];
-  dst[high - 1] &= ~((std::uint64_t{1} << nbits % 64) - 1);
-}
-
 /// ORs `value` (< 2^width) into bits [off, off + width) of a code.
 void set_field(std::uint64_t* code, std::size_t words, std::uint64_t off,
                std::uint32_t width, std::uint32_t value) noexcept {
@@ -93,49 +83,40 @@ FrtIndex FrtIndex::build(const FrtTree& tree) {
   for (unsigned l = 0; l < levels; ++l) edge_weight[l] = tree.edge_weight(l);
   idx.edge_weight_by_level_ = std::move(edge_weight);
 
-  // FrtTree::build numbers the nodes as the v = 0, 1, … top-down walk
-  // first meets them, so the nodes v meets first are the ids after the
-  // previous vertex's leaf up to v's own: the bottom t levels of v's row,
-  // below the node row[t] it shares.  The top one is row[t]'s next child
-  // and each below it its parent's first, so every node but the root has
-  // one child when it is met.  v's code is that child number under the
-  // fields above level t, which every vertex below row[t] shares.
+  // A parent's id is below its children's, so one ascending pass gives
+  // each node its level (its parent's − 1) and its child number (how many
+  // children its parent has so far), and each level its width.
   const std::size_t nodes = tree.num_nodes();
   const auto scratch =
-      std::make_unique_for_overwrite<std::uint32_t[]>(2 * nodes + n);
-  std::uint32_t* children = scratch.get();
-  Vertex* latest = children + nodes;  // the latest vertex below each node
-  std::uint32_t* top_child = latest + nodes;
-  std::fill(children, children + nodes, 1);
-  children[0] = 0;
-  latest[0] = 0;
+      std::make_unique_for_overwrite<std::uint32_t[]>(3 * nodes);
+  std::uint32_t* level = scratch.get();
+  std::uint32_t* child = level + nodes;
+  std::uint32_t* children = child + nodes;  // children met so far
+  std::fill(children, children + nodes, 0);
+  level[0] = levels - 1;
   std::vector<std::uint32_t> widths(levels, 0);
-  NodeId last_leaf = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    const NodeId leaf = tree.row(v)[0];
-    const NodeId t = leaf - last_leaf;
-    last_leaf = leaf;
-    if (t == 0) continue;  // a single-level tree's only vertex
-    PMTE_ASSERT(t < levels, "FrtIndex: tree not numbered by its walk");
-    const std::uint32_t c = children[tree.row(v)[t]]++;
-    top_child[v] = c;
-    widths[t - 1] = std::max(widths[t - 1],
-                             static_cast<std::uint32_t>(std::bit_width(c)));
+  for (NodeId id = 1; id < nodes; ++id) {
+    const NodeId p = tree.parent(id);
+    PMTE_ASSERT(p < id && level[p] > 0, "FrtIndex: parent not above child");
+    const std::uint32_t l = level[p] - 1;
+    const std::uint32_t c = children[p]++;
+    level[id] = l;
+    child[id] = c;
+    widths[l] =
+        std::max(widths[l], static_cast<std::uint32_t>(std::bit_width(c)));
   }
+  // Each vertex ORs the child numbers on its leaf-to-root path into its
+  // code (a zero child number sets no bit).
   const auto off = field_offsets(widths);
   const std::size_t words = words_for(off[levels - 1]);
   std::vector<std::uint64_t> codes(std::size_t{n} * words, 0);
-  last_leaf = 0;
   for (Vertex v = 0; v < n; ++v) {
-    const auto row = tree.row(v);
-    const NodeId t = row[0] - last_leaf;
-    last_leaf = row[0];
-    if (t == 0) continue;
     std::uint64_t* code = codes.data() + std::size_t{v} * words;
-    copy_high_bits(code, codes.data() + std::size_t{latest[row[t]]} * words,
-                   words, off[t]);
-    set_field(code, words, off[t - 1], widths[t - 1], top_child[v]);
-    for (unsigned l = 1; l < levels; ++l) latest[row[l]] = v;
+    for (NodeId x = tree.leaf(v); x != 0; x = tree.parent(x)) {
+      if (child[x] != 0) {
+        set_field(code, words, off[level[x]], widths[level[x]], child[x]);
+      }
+    }
   }
   idx.widths_ = std::move(widths);
   idx.codes_ = std::move(codes);

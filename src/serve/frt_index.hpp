@@ -78,8 +78,11 @@ class FrtIndex {
 
   FrtIndex() = default;
 
-  /// Encode a built FRT tree's rows as LCA codes, adopt its tables, then
-  /// check and derive the structure.  O(n·levels).
+  /// Pack a built FRT tree's parent links into LCA codes, adopt its
+  /// tables, then check and derive the structure.  One ascending pass over
+  /// the node ids numbers each node among its parent's children (it needs
+  /// only that a parent's id is below its children's); each vertex then
+  /// climbs from its leaf to the root.  O(n·levels).
   [[nodiscard]] static FrtIndex build(const FrtTree& tree);
 
   [[nodiscard]] Vertex num_leaves() const noexcept {

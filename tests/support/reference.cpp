@@ -80,20 +80,25 @@ FrtTuples brute_force_tuples(const Graph& g, const VertexOrder& order,
   return out;
 }
 
-TreeLinks tree_links(const FrtTree& tree) {
-  TreeLinks links;
-  const unsigned levels = tree.num_levels();
-  links.root = tree.row(0)[levels - 1];
-  links.parent.assign(tree.num_nodes(), links.root);
-  links.level.assign(tree.num_nodes(), 0);
-  for (Vertex v = 0; v < tree.num_leaves(); ++v) {
-    const auto row = tree.row(v);
-    for (unsigned l = 0; l < levels; ++l) {
-      links.level[row[l]] = l;
-      if (l + 1 < levels) links.parent[row[l]] = row[l + 1];
-    }
+std::vector<FrtTree::NodeId> ancestor_row(const FrtTree& tree, Vertex v) {
+  std::vector<FrtTree::NodeId> row(tree.num_levels());
+  row[0] = tree.leaf(v);
+  for (std::size_t l = 1; l < row.size(); ++l) {
+    row[l] = tree.parent(row[l - 1]);
   }
-  return links;
+  EXPECT_EQ(row.back(), 0U) << "vertex " << v << " climbs to no root";
+  return row;
+}
+
+std::vector<unsigned> node_levels(const FrtTree& tree) {
+  const unsigned top = tree.num_levels() - 1;
+  std::vector<unsigned> level(tree.num_nodes(), top);
+  for (FrtTree::NodeId id = 0; id < tree.num_nodes(); ++id) {
+    auto x = id;
+    for (; x != 0 && level[id] > 0; x = tree.parent(x)) --level[id];
+    EXPECT_EQ(x, 0U) << "node " << id << " climbs to no root";
+  }
+  return level;
 }
 
 BabTreeFlow bab_tree_flow_reference(const FrtTree& tree,
@@ -102,19 +107,21 @@ BabTreeFlow bab_tree_flow_reference(const FrtTree& tree,
   std::vector<double> flow(tree.num_nodes(), 0.0);  // over each parent edge
   for (const auto& d : demands) {
     // Leaves all sit at level 0, so the two climbs meet at the LCA.
-    const auto a = tree.row(d.s);
-    const auto b = tree.row(d.t);
-    for (unsigned l = 0; a[l] != b[l]; ++l) {
-      flow[a[l]] += d.amount;
-      flow[b[l]] += d.amount;
+    FrtTree::NodeId a = tree.leaf(d.s);
+    FrtTree::NodeId b = tree.leaf(d.t);
+    while (a != b) {
+      flow[a] += d.amount;
+      flow[b] += d.amount;
+      a = tree.parent(a);
+      b = tree.parent(b);
     }
   }
-  const auto links = tree_links(tree);
+  const auto level = node_levels(tree);
   BabTreeFlow out;
-  for (auto id = static_cast<FrtTree::NodeId>(tree.num_nodes()); id-- > 0;) {
-    if (id != links.root && flow[id] > 1e-12) {
+  for (auto id = static_cast<FrtTree::NodeId>(tree.num_nodes()); id-- > 1;) {
+    if (flow[id] > 1e-12) {
       out.tree_cost += cable_cost_per_unit_length(flow[id], cables) *
-                       tree.edge_weight(links.level[id]);
+                       tree.edge_weight(level[id]);
       ++out.loaded_tree_edges;
     }
   }

@@ -1,10 +1,10 @@
 #pragma once
 // Brute-force reference oracles shared by the test suites: Dijkstra
 // distances, exact APSP-based LE lists, the structural LE-list validator,
-// Section 7.1's tuples from exact APSP, node parents and levels read off
-// an FRT tree's ancestor rows, and buy-at-bulk's tree routing demand by
-// demand.  The oracle's Jacobi reference is a template and lives in
-// jacobi_oracle.hpp.
+// Section 7.1's tuples from exact APSP, ancestor rows and node levels
+// found by climbing an FRT tree's parent links, and buy-at-bulk's tree
+// routing demand by demand.  The oracle's Jacobi reference is a template
+// and lives in jacobi_oracle.hpp.
 
 #include <cstddef>
 #include <vector>
@@ -51,18 +51,18 @@ struct FrtTuples {
                                            const VertexOrder& order,
                                            const FrtTree& tree);
 
-/// Each node's parent and level, read off the ancestor rows: row entry l
-/// sits at level l and its parent is entry l + 1.  The root (every row's
-/// last entry) is its own parent.
-struct TreeLinks {
-  FrtTree::NodeId root = 0;
-  std::vector<FrtTree::NodeId> parent;
-  std::vector<unsigned> level;
-};
-[[nodiscard]] TreeLinks tree_links(const FrtTree& tree);
+/// v's ancestor row, climbed from its leaf along the parent links:
+/// num_levels() node ids, entry l at level l (the leaf first, the root
+/// last).
+[[nodiscard]] std::vector<FrtTree::NodeId> ancestor_row(const FrtTree& tree,
+                                                        Vertex v);
+
+/// Each node's level: num_levels() − 1 minus the parent links it climbs to
+/// reach the root, 0.
+[[nodiscard]] std::vector<unsigned> node_levels(const FrtTree& tree);
 
 /// Tree side of buy-at-bulk step (2), routed demand by demand: both leaves
-/// climb their ancestor rows in lockstep to the LCA, adding the amount to
+/// climb their parent links in lockstep to the LCA, adding the amount to
 /// every parent edge they cross; loaded edges are priced at
 /// edge_weight(level), summed in descending node id order like
 /// buy_at_bulk.

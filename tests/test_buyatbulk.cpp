@@ -168,7 +168,7 @@ TEST(BuyAtBulkFlat, FlatRoutingMatchesParentClimbOnCorpus) {
     const auto ref = test::bab_tree_flow_reference(tree, demands, kCables);
     EXPECT_EQ(a.tree_cost, ref.tree_cost) << c.name;
     EXPECT_EQ(a.loaded_tree_edges, ref.loaded_tree_edges) << c.name;
-    // 2 ancestor rows read per demand, one node read per tree node.
+    // 2 codes read per demand, one node read per tree node.
     EXPECT_EQ(a.counters.lca_probes, 2 * demands.size()) << c.name;
     EXPECT_EQ(a.counters.tree_lookups, tree.num_nodes()) << c.name;
   }

@@ -103,7 +103,7 @@ TEST(FrtProperties, LevelsShrinkGeometrically) {
 
     // ...cluster counts shrink monotonically from n leaves to one root...
     std::vector<std::size_t> per_level(s.tree.num_levels(), 0);
-    for (const unsigned level : test::tree_links(s.tree).level) {
+    for (const unsigned level : test::node_levels(s.tree)) {
       ++per_level[level];
     }
     EXPECT_EQ(per_level.front(), static_cast<std::size_t>(n)) << c.name;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "src/frt/pipelines.hpp"
 #include "src/frt/stretch.hpp"
@@ -156,6 +157,39 @@ TEST(FrtTree, RejectsInvalidInputs) {
   std::vector<DistanceMap> empty_list{DistanceMap{}};
   EXPECT_THROW((void)FrtTree::build(empty_list, order, 1.0, 1.0),
                std::logic_error);  // empty LE list
+
+  // Two vertices on one leaf would read distance 0: a hint above their
+  // distance, or a pseudometric's zero, is refused by name.
+  const auto shared_leaf = [](const std::vector<DistanceMap>& le,
+                              const VertexOrder& ord, double hint) {
+    try {
+      (void)FrtTree::build(le, ord, 1.5, hint);
+    } catch (const CheckError& err) {
+      return std::string(err.message());
+    }
+    return std::string("no error");
+  };
+  const auto path = Graph::from_edges(3, {{0, 1, 1.0}, {1, 2, 4.0}});
+  const auto order3 = VertexOrder::identity(3);
+  EXPECT_EQ(shared_leaf(le_lists_sequential(path, order3).lists, order3, 8.0),
+            "FrtTree: vertices 0 and 1 share a leaf — dist_min_hint 8 is "
+            "above their distance");
+  const auto pair = Graph::from_edges(2, {{0, 1, 1.0}});
+  const auto order2 = VertexOrder::identity(2);
+  EXPECT_EQ(
+      shared_leaf(le_lists_sequential(pair, order2).lists, order2, 100.0),
+      "FrtTree: vertices 0 and 1 share a leaf — dist_min_hint 100 is "
+      "above their distance");
+  const std::vector<Weight> pseudo{0, 0, 2, 0, 0, 2, 2, 2, 0};
+  Rng rng(8);
+  try {
+    (void)sample_frt_metric(pseudo, 3, 2.0, rng);
+    ADD_FAILURE() << "a pseudometric's zero distance was accepted";
+  } catch (const CheckError& err) {
+    EXPECT_EQ(std::string(err.message()),
+              "FrtTree: vertices 0 and 1 share a leaf — dist_min_hint 2 is "
+              "above their distance");
+  }
 }
 
 TEST(FrtTree, DisconnectedGraphIsRejected) {
@@ -197,14 +231,19 @@ TEST(FrtTree, CachedDistanceMatchesPerQueryRecomputationBitForBit) {
 }
 
 TEST(FrtTree, ParentIdsPrecedeChildIds) {
-  // PathUnfolder's representative pass and the apps' bottom-up walks over
-  // FrtIndex iterate ids descending as a children-first order.
+  // FrtIndex::build's ascending pass, PathUnfolder's representative pass
+  // and the apps' bottom-up walks over FrtIndex iterate ids descending as
+  // a children-first order.
   Rng rng(6);
   const auto g = make_gnm(20, 40, {1.0, 2.0}, rng);
   const auto t = sample_frt_direct(g, rng).tree;
-  EXPECT_EQ(t.row(0)[t.num_levels() - 1], 0U) << "the root is node 0";
+  EXPECT_EQ(t.parent(0), 0U) << "the root is node 0, its own parent";
+  for (FrtTree::NodeId id = 1; id < t.num_nodes(); ++id) {
+    EXPECT_LT(t.parent(id), id) << "node " << id;
+  }
+  // Every leaf is num_levels() − 1 strict climbs below the root.
   for (Vertex v = 0; v < t.num_leaves(); ++v) {
-    const auto row = t.row(v);
+    const auto row = test::ancestor_row(t, v);
     for (unsigned l = 0; l + 1 < t.num_levels(); ++l) {
       EXPECT_LT(row[l + 1], row[l]) << "vertex " << v << " level " << l;
     }

@@ -270,43 +270,50 @@ OracleStats expect_capped_runs_resume(
   return full;
 }
 
-TEST(Oracle, RunResumesAfterCap) {
+/// RunResumesAfterCap runs once per graph family, and CTest registers one
+/// entry per family (tests/CMakeLists.txt), so the families run side by
+/// side.
+class OracleCap : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(OracleCap, RunResumesAfterCap) {
   // Hub hop sets with a real window make d > 1, so levels truncate and a
   // truncated level must re-consume its own output in the next sweep —
   // including the first sweep of a resumed run.
   unsigned capped_runs = 0;
   bool truncated = false;
-  for (const char* family : {"gnm", "grid", "path", "powerlaw"}) {
-    const auto g = test::support_graph(family, 256, 811);
-    for (const unsigned window : {2U, 3U, 4U}) {
-      Rng rng(812 + window);
-      HubHopSetParams params;
-      params.window = window;
-      const auto hs = build_hub_hopset(g, params, rng);
-      const auto h = build_simulated_graph(g, hs, 0.08, rng);
-      const std::string what =
-          std::string(family) + ", window " + std::to_string(window);
+  const std::string& family = GetParam();
+  const auto g = test::support_graph(family, 256, 811);
+  for (const unsigned window : {2U, 3U, 4U}) {
+    Rng rng(812 + window);
+    HubHopSetParams params;
+    params.window = window;
+    const auto hs = build_hub_hopset(g, params, rng);
+    const auto h = build_simulated_graph(g, hs, 0.08, rng);
+    const std::string what = family + ", window " + std::to_string(window);
 
-      const auto order = VertexOrder::random(g.num_vertices(), rng);
-      std::vector<DistanceMap> sources(g.num_vertices());
-      for (Vertex s = 0; s < g.num_vertices(); s += 37) {
-        sources[s] = DistanceMap::singleton(s, 0.0);
-      }
-      for (const OracleStats& full :
-           {expect_capped_runs_resume(h, LeListAlgebra{},
-                                      le_initial_state(order),
-                                      what + ", LE lists"),
-            expect_capped_runs_resume(
-                h, SourceDetectionAlgebra{.k = 3, .max_dist = inf_weight()},
-                sources, what + ", source detection")}) {
-        capped_runs += full.h_iterations - 1;
-        truncated = truncated || full.levels_full > h.max_level() + 1;
-      }
+    const auto order = VertexOrder::random(g.num_vertices(), rng);
+    std::vector<DistanceMap> sources(g.num_vertices());
+    for (Vertex s = 0; s < g.num_vertices(); s += 37) {
+      sources[s] = DistanceMap::singleton(s, 0.0);
+    }
+    for (const OracleStats& full :
+         {expect_capped_runs_resume(h, LeListAlgebra{},
+                                    le_initial_state(order),
+                                    what + ", LE lists"),
+          expect_capped_runs_resume(
+              h, SourceDetectionAlgebra{.k = 3, .max_dist = inf_weight()},
+              sources, what + ", source detection")}) {
+      capped_runs += full.h_iterations - 1;
+      truncated = truncated || full.levels_full > h.max_level() + 1;
     }
   }
   EXPECT_GT(capped_runs, 0U);
   EXPECT_TRUE(truncated) << "no level truncated: the windows are too small";
 }
+
+INSTANTIATE_TEST_SUITE_P(Families, OracleCap,
+                         ::testing::Values("gnm", "grid", "path", "powerlaw"),
+                         [](const auto& info) { return info.param; });
 
 // ---------------------------------------------------------------------------
 // Differential tests: the level-reusing oracle against the Jacobi

@@ -20,14 +20,12 @@ TEST_P(Unfolding, PathsAreValidWalks) {
   Rng rng(GetParam());
   const auto g = make_gnm(36, 80, {1.0, 5.0}, rng);
   const auto sample = sample_frt_direct(g, rng);
-  const auto links = test::tree_links(sample.tree);
   PathUnfolder unfolder(g, sample.tree);
-  for (FrtTree::NodeId id = 0; id < sample.tree.num_nodes(); ++id) {
-    if (id == links.root) continue;
+  for (FrtTree::NodeId id = 1; id < sample.tree.num_nodes(); ++id) {
     const auto u = unfolder.unfold(id);
     ASSERT_FALSE(u.path.empty());
     // Endpoints are the leading vertices of parent and child.
-    EXPECT_EQ(u.path.front(), sample.tree.leading(links.parent[id]));
+    EXPECT_EQ(u.path.front(), sample.tree.leading(sample.tree.parent(id)));
     EXPECT_EQ(u.path.back(), sample.tree.leading(id));
     // Consecutive path vertices are joined by edges; weights add up.
     Weight total = 0.0;
@@ -46,12 +44,11 @@ TEST_P(Unfolding, WeightWithinPaperBound) {
   Rng rng(GetParam() + 10);
   const auto g = make_grid(6, 6, {1.0, 2.0}, rng);
   const auto sample = sample_frt_direct(g, rng);
-  const auto links = test::tree_links(sample.tree);
+  const auto levels = test::node_levels(sample.tree);
   PathUnfolder unfolder(g, sample.tree);
-  for (FrtTree::NodeId id = 0; id < sample.tree.num_nodes(); ++id) {
-    if (id == links.root) continue;
+  for (FrtTree::NodeId id = 1; id < sample.tree.num_nodes(); ++id) {
     const auto u = unfolder.unfold(id);
-    const unsigned level = links.level[id];
+    const unsigned level = levels[id];
     EXPECT_LE(u.weight, 1.5 * sample.tree.edge_weight(level) + 1e-9)
         << "tree edge at level " << level;
   }
@@ -61,11 +58,9 @@ TEST_P(Unfolding, DijkstraCacheIsShared) {
   Rng rng(GetParam() + 20);
   const auto g = make_gnm(30, 70, {1.0, 2.0}, rng);
   const auto sample = sample_frt_direct(g, rng);
-  const auto links = test::tree_links(sample.tree);
   PathUnfolder unfolder(g, sample.tree);
   std::size_t edges = 0;
-  for (FrtTree::NodeId id = 0; id < sample.tree.num_nodes(); ++id) {
-    if (id == links.root) continue;
+  for (FrtTree::NodeId id = 1; id < sample.tree.num_nodes(); ++id) {
     (void)unfolder.unfold(id);
     ++edges;
   }
@@ -81,8 +76,7 @@ TEST(Unfolding, RootHasNoParentEdge) {
   const auto g = make_path(8);
   const auto sample = sample_frt_direct(g, rng);
   PathUnfolder unfolder(g, sample.tree);
-  EXPECT_THROW((void)unfolder.unfold(test::tree_links(sample.tree).root),
-               std::logic_error);
+  EXPECT_THROW((void)unfolder.unfold(0), std::logic_error);  // the root
 }
 
 TEST(Unfolding, RepresentativeDescendsIntoTheLargestIdChild) {
@@ -95,26 +89,25 @@ TEST(Unfolding, RepresentativeDescendsIntoTheLargestIdChild) {
   for (const auto& c : corpus) {
     Rng rng(c.seed);
     const auto s = sample_frt_direct(c.graph, rng);
-    const auto links = test::tree_links(s.tree);
+    const auto level = test::node_levels(s.tree);
     const std::size_t nodes = s.tree.num_nodes();
     std::vector<FrtTree::NodeId> largest_child(nodes, 0);
-    for (FrtTree::NodeId id = 0; id < nodes; ++id) {
-      if (id == links.root) continue;
-      auto& best = largest_child[links.parent[id]];
+    for (FrtTree::NodeId id = 1; id < nodes; ++id) {
+      auto& best = largest_child[s.tree.parent(id)];
       best = std::max(best, id);
     }
     std::vector<Vertex> leaf_vertex(nodes, no_vertex());
     std::vector<Vertex> largest_vertex(nodes, 0);
     for (Vertex v = 0; v < c.graph.num_vertices(); ++v) {
-      leaf_vertex[s.tree.row(v)[0]] = v;
-      for (const auto id : s.tree.row(v)) {
+      leaf_vertex[s.tree.leaf(v)] = v;
+      for (const auto id : test::ancestor_row(s.tree, v)) {
         largest_vertex[id] = std::max(largest_vertex[id], v);
       }
     }
     const PathUnfolder unfolder(c.graph, s.tree);
     for (FrtTree::NodeId id = 0; id < nodes; ++id) {
       FrtTree::NodeId leaf = id;
-      while (links.level[leaf] > 0) leaf = largest_child[leaf];
+      while (level[leaf] > 0) leaf = largest_child[leaf];
       EXPECT_EQ(unfolder.representative(id), leaf_vertex[leaf])
           << c.name << " node " << id;
       rules_differ += leaf_vertex[leaf] != largest_vertex[id] ? 1U : 0U;

@@ -36,6 +36,7 @@
 #include "src/serve/workloads.hpp"
 #include "src/util/rng.hpp"
 #include "tests/support/fixtures.hpp"
+#include "tests/support/reference.hpp"
 
 namespace pmte {
 namespace {
@@ -394,9 +395,9 @@ TEST(Serialize, CodesWiderThanOneWordRoundTripOnBothPaths) {
   ASSERT_EQ(idx.code_words(), 2u) << "the tree must need two code words";
 
   for (Vertex u = 0; u < n; ++u) {
-    const auto ru = tree.row(u);
+    const auto ru = test::ancestor_row(tree, u);
     for (Vertex v = 0; v < n; ++v) {
-      const auto rv = tree.row(v);
+      const auto rv = test::ancestor_row(tree, v);
       unsigned differ = 0;
       for (unsigned l = 0; l < tree.num_levels(); ++l) differ += ru[l] != rv[l];
       ASSERT_EQ(idx.lca_level(u, v), differ) << u << "-" << v;

@@ -32,6 +32,15 @@ namespace {
 constexpr std::size_t kCorpusSize = 50;
 constexpr std::uint64_t kCorpusSeed = 7001;  // same corpus as frt_properties
 
+/// Every vertex's ancestor row, climbed along the tree's parent links.
+std::vector<std::vector<FrtTree::NodeId>> ancestor_rows(const FrtTree& t) {
+  std::vector<std::vector<FrtTree::NodeId>> rows;
+  for (Vertex v = 0; v < t.num_leaves(); ++v) {
+    rows.push_back(test::ancestor_row(t, v));
+  }
+  return rows;
+}
+
 TEST(FrtIndex, BitIdenticalToTreeOnPropertyCorpus) {
   const auto corpus = test::small_graph_corpus(kCorpusSize, kCorpusSeed);
   for (const auto& c : corpus) {
@@ -58,13 +67,14 @@ TEST(FrtIndex, MatchesBruteForceTreeMetricAndLca) {
   // The LCA level from Section 7.1's definition (exact APSP, the order,
   // the scales): one plus the highest level at which two tuples differ.
   // The tree and the index must serve exactly that level's distance, and
-  // the index's LCA is the node the rows hold there.
+  // the index's LCA is the node the ancestor rows hold there.
   const auto corpus = test::small_graph_corpus(kCorpusSize, kCorpusSeed);
   for (const auto& c : corpus) {
     Rng rng(c.seed);
     const auto s = sample_frt_direct(c.graph, rng);
     const auto idx = serve::FrtIndex::build(s.tree);
     const auto ref = test::brute_force_tuples(c.graph, s.order, s.tree);
+    const auto rows = ancestor_rows(s.tree);
     const Vertex n = c.graph.num_vertices();
     for (Vertex u = 0; u < n; ++u) {
       for (Vertex v = 0; v < n; ++v) {
@@ -73,7 +83,7 @@ TEST(FrtIndex, MatchesBruteForceTreeMetricAndLca) {
             << c.name << " pair " << u << "-" << v;
         EXPECT_EQ(idx.lca_level(u, v), lca)
             << c.name << " pair " << u << "-" << v;
-        EXPECT_EQ(idx.lca(u, v), s.tree.row(u)[lca])
+        EXPECT_EQ(idx.lca(u, v), rows[u][lca])
             << c.name << " pair " << u << "-" << v;
       }
     }
@@ -81,14 +91,15 @@ TEST(FrtIndex, MatchesBruteForceTreeMetricAndLca) {
 }
 
 TEST(FrtIndex, RowsAreLeafToRootPaths) {
-  // Row v lists the nodes of v's tuple suffixes bottom-up (§7.1): two rows
-  // share their level-l entry exactly when the tuples, computed from the
-  // definition, agree from level l upwards.
+  // The leaf-to-root path of v is the nodes of v's tuple suffixes
+  // bottom-up (§7.1): two paths share their level-l node exactly when the
+  // tuples, computed from the definition, agree from level l upwards.
   const auto corpus = test::small_graph_corpus(kCorpusSize, kCorpusSeed);
   for (const auto& c : corpus) {
     Rng rng(c.seed);
     const auto s = sample_frt_direct(c.graph, rng);
     const auto ref = test::brute_force_tuples(c.graph, s.order, s.tree);
+    const auto rows = ancestor_rows(s.tree);
     const unsigned levels = s.tree.num_levels();
     const Vertex n = c.graph.num_vertices();
     for (Vertex u = 0; u < n; ++u) {
@@ -97,7 +108,7 @@ TEST(FrtIndex, RowsAreLeafToRootPaths) {
         for (unsigned l = levels; l-- > 0;) {
           suffixes_agree =
               suffixes_agree && ref.tuple(u)[l] == ref.tuple(v)[l];
-          EXPECT_EQ(s.tree.row(u)[l] == s.tree.row(v)[l], suffixes_agree)
+          EXPECT_EQ(rows[u][l] == rows[v][l], suffixes_agree)
               << c.name << " pair " << u << "-" << v << " level " << l;
         }
       }
@@ -106,11 +117,12 @@ TEST(FrtIndex, RowsAreLeafToRootPaths) {
 }
 
 TEST(FrtIndex, CodesAgreeWithTreeRowsOnEveryPipeline) {
-  // The index keeps one LCA code per vertex, not the rows, and derives the
-  // node numbering from the codes.  Whatever pipeline sampled the tree,
-  // the LCA level must be the number of levels at which two rows differ,
-  // the LCA the row entry there, each leaf the row's first entry, and each
-  // row entry's level its position.
+  // The index keeps one LCA code per vertex and derives the node numbering
+  // from the codes.  Whatever pipeline sampled the tree, the LCA level
+  // must be the number of levels at which two ancestor rows (climbed along
+  // the tree's parent links) differ, the LCA the row entry there, each
+  // leaf the row's first entry, each row entry's level its position, and
+  // the distance the tree's own, bit for bit.
   const auto corpus = test::small_graph_corpus(kCorpusSize, kCorpusSeed);
   const struct {
     const char* name;
@@ -127,8 +139,9 @@ TEST(FrtIndex, CodesAgreeWithTreeRowsOnEveryPipeline) {
       ASSERT_EQ(idx.num_nodes(), s.tree.num_nodes()) << where;
       const unsigned levels = s.tree.num_levels();
       const Vertex n = c.graph.num_vertices();
+      const auto rows = ancestor_rows(s.tree);
       for (Vertex v = 0; v < n; ++v) {
-        const auto row = s.tree.row(v);
+        const auto& row = rows[v];
         EXPECT_EQ(idx.leaf_node(v), row[0]) << where << " vertex " << v;
         for (unsigned l = 0; l < levels; ++l) {
           EXPECT_EQ(idx.level(row[l]), l) << where << " node " << row[l];
@@ -136,13 +149,15 @@ TEST(FrtIndex, CodesAgreeWithTreeRowsOnEveryPipeline) {
       }
       for (Vertex u = 0; u < n; ++u) {
         for (Vertex v = 0; v < n; ++v) {
-          const auto ru = s.tree.row(u);
-          const auto rv = s.tree.row(v);
+          const auto& ru = rows[u];
+          const auto& rv = rows[v];
           unsigned differ = 0;
           for (unsigned l = 0; l < levels; ++l) differ += ru[l] != rv[l];
           EXPECT_EQ(idx.lca_level(u, v), differ)
               << where << " pair " << u << "-" << v;
           EXPECT_EQ(idx.lca(u, v), ru[differ])
+              << where << " pair " << u << "-" << v;
+          EXPECT_EQ(s.tree.distance(u, v), idx.distance(u, v))
               << where << " pair " << u << "-" << v;
         }
       }
@@ -157,7 +172,7 @@ TEST(FrtIndex, SingleVertexTree) {
   const auto idx = serve::FrtIndex::build(t);
   EXPECT_EQ(idx.num_leaves(), 1U);
   EXPECT_EQ(idx.num_nodes(), t.num_nodes());
-  EXPECT_EQ(idx.leaf_node(0), t.row(0)[0]);
+  EXPECT_EQ(idx.leaf_node(0), t.leaf(0));
   EXPECT_EQ(idx.distance(0, 0), 0.0);
 }
 
@@ -225,31 +240,31 @@ TEST(FrtIndex, LoadRejectsGarbage) {
 
 TEST(FrtIndex, FlatStructureMatchesTree) {
   // The CSR children / levels / leaf maps / per-level edge weights are the
-  // apps' view of the tree — they must mirror the parent links of the
-  // tree's rows exactly, with children in ascending id order (the apps'
+  // apps' view of the tree — they must mirror the tree's parent and leaf
+  // links exactly, with children in ascending id order (the apps'
   // floating-point folds depend on it).
   const auto corpus = test::small_graph_corpus(12, kCorpusSeed + 4);
   for (const auto& c : corpus) {
     Rng rng(c.seed);
     const auto s = sample_frt_direct(c.graph, rng);
     const auto idx = serve::FrtIndex::build(s.tree);
-    const auto links = test::tree_links(s.tree);
-    EXPECT_EQ(idx.root(), links.root) << c.name;
+    const auto level = test::node_levels(s.tree);
+    EXPECT_EQ(idx.root(), 0U) << c.name;
     std::vector<std::vector<FrtTree::NodeId>> expected(s.tree.num_nodes());
-    for (FrtTree::NodeId id = 0; id < s.tree.num_nodes(); ++id) {
-      if (id != links.root) expected[links.parent[id]].push_back(id);
+    for (FrtTree::NodeId id = 1; id < s.tree.num_nodes(); ++id) {
+      expected[s.tree.parent(id)].push_back(id);
     }
     std::vector<Vertex> leaf_vertex(s.tree.num_nodes(), no_vertex());
     for (Vertex v = 0; v < c.graph.num_vertices(); ++v) {
-      leaf_vertex[s.tree.row(v)[0]] = v;
-      EXPECT_EQ(idx.leaf_node(v), s.tree.row(v)[0]) << c.name;
+      leaf_vertex[s.tree.leaf(v)] = v;
+      EXPECT_EQ(idx.leaf_node(v), s.tree.leaf(v)) << c.name;
     }
     for (FrtTree::NodeId id = 0; id < s.tree.num_nodes(); ++id) {
       const auto kids = idx.children(id);
       EXPECT_EQ(std::vector<FrtTree::NodeId>(kids.begin(), kids.end()),
                 expected[id])
           << c.name << " node " << id;
-      EXPECT_EQ(idx.level(id), links.level[id]) << c.name << " node " << id;
+      EXPECT_EQ(idx.level(id), level[id]) << c.name << " node " << id;
       EXPECT_EQ(idx.leaf_vertex(id), leaf_vertex[id]) << c.name;
     }
     for (unsigned l = 0; l < idx.num_levels(); ++l) {
