@@ -3,7 +3,7 @@
 benchmark (BENCHMARK.json, lifecycle_bench/run.py).
 
     scripts/ab_wall.py --base <rev> --change <rev> --workload W \
-        --seed S --pairs N [--threads T]
+        --seed S --pairs N [--threads T] [--trace]
     scripts/ab_wall.py --self-test
 
 Both revisions are checked out with `git worktree add --detach` into a
@@ -23,6 +23,12 @@ and two verdicts:
          base median by more than the base's interquartile range;
   bound  the change's median is not worse than the base median by more
          than the metric's relative bound.
+
+With --trace the pairs are traced runs (`run.py --trace 1`), whose
+records carry the per-layer metrics of BENCHMARK.json instead.  For each
+per-layer metric that every record carries, the script prints both sides'
+medians and quartiles and the pairs the change won, and no verdict: the
+gain and bound rules apply to end-to-end metrics only.
 
 It ends with the failed and attempted operations of each side.  Run from
 inside the repository.
@@ -62,22 +68,45 @@ def improvement(base, change, better):
     return base - change if better == "lower" else change - base
 
 
-def summarize(base, change, better, bound):
-    """Verdicts for one metric over paired runs (base[i], change[i])."""
+def describe(base, change, better):
+    """Medians, quartiles and the change's wins over paired runs
+    (base[i], change[i])."""
     if len(base) != len(change) or not base:
         raise ValueError("need the same, non-zero number of runs per side")
     wins = sum(1 for b, c in zip(base, change) if improvement(b, c, better) > 0)
     bq1, bmed, bq3 = quartiles(base)
     cq1, cmed, cq3 = quartiles(change)
-    gap = improvement(bmed, cmed, better)
     return {
         "base": {"median": bmed, "q1": bq1, "q3": bq3},
         "change": {"median": cmed, "q1": cq1, "q3": cq3},
         "wins": wins,
         "pairs": len(base),
-        "gain": 10 * wins >= 9 * len(base) and gap > bq3 - bq1,
-        "within_bound": -gap <= bound * abs(bmed),
     }
+
+
+def summarize(base, change, better, bound):
+    """describe() plus the gain and bound verdicts of an end-to-end metric."""
+    s = describe(base, change, better)
+    bmed, bq1, bq3 = (s["base"][k] for k in ("median", "q1", "q3"))
+    gap = improvement(bmed, s["change"]["median"], better)
+    s["gain"] = 10 * s["wins"] >= 9 * s["pairs"] and gap > bq3 - bq1
+    s["within_bound"] = -gap <= bound * abs(bmed)
+    return s
+
+
+def layer_summaries(per_layer, base_records, change_records):
+    """(metric, describe()) for each per-layer metric, in BENCHMARK.json's
+    order, that every traced record carries."""
+    records = base_records + change_records
+    out = []
+    for metric in per_layer:
+        name = metric["name"]
+        if not all(name in r["metrics"] for r in records):
+            continue
+        b = [r["metrics"][name]["value"] for r in base_records]
+        c = [r["metrics"][name]["value"] for r in change_records]
+        out.append((metric, describe(b, c, metric["better"])))
+    return out
 
 
 # --- Worktrees and runs -----------------------------------------------------
@@ -112,7 +141,7 @@ class Side:
         # -B: write no bytecode into the checkout.
         cmd = [sys.executable, "-B", "lifecycle_bench/run.py",
                "--workload", args.workload, "--seed", str(args.seed),
-               "--seconds", str(seconds), "--trace", "0"]
+               "--seconds", str(seconds), "--trace", "1" if args.trace else "0"]
         if args.threads is not None:
             cmd += ["--threads", str(args.threads)]
         out = run_checked(cmd, self.tree, self.env, "%s run" % self.name)
@@ -146,7 +175,7 @@ def compare(args):
                 side.run(args, seconds)
             print("pair %d/%d done (%s first)" % (i + 1, args.pairs,
                                                    order[0].name), flush=True)
-        report(args, bench, sides, seconds)
+        (report_layers if args.trace else report)(args, bench, sides, seconds)
     finally:
         for side in sides:
             if side.tree.exists():
@@ -159,11 +188,25 @@ def compare(args):
         shutil.rmtree(scratch, ignore_errors=True)
 
 
+def report_header(args, sides, seconds, kind):
+    base, change = sides
+    print("\n%s seed %d, %d pairs, %d s %s runs, base %s, change %s" % (
+        args.workload, args.seed, args.pairs, seconds, kind,
+        base.commit[:12], change.commit[:12]))
+
+
+def report_operations(sides):
+    print()
+    for side in sides:
+        failed = sum(r["failed"] for r in side.records)
+        attempted = sum(r["attempted"] for r in side.records)
+        print("%-6s failed %d of %d operations" % (side.name, failed,
+                                                  attempted))
+
+
 def report(args, bench, sides, seconds):
     base, change = sides
-    print("\n%s seed %d, %d pairs, %d s runs, base %s, change %s" % (
-        args.workload, args.seed, args.pairs, seconds, base.commit[:12],
-        change.commit[:12]))
+    report_header(args, sides, seconds, "untraced")
     for metric in bench["end_to_end"]:
         name = metric["name"]
         b = [r["metrics"][name]["value"] for r in base.records]
@@ -180,12 +223,24 @@ def report(args, bench, sides, seconds):
         print("  change won %d/%d pairs; gain rule %s; within bound %s" % (
             s["wins"], s["pairs"], "holds" if s["gain"] else "fails",
             "yes" if s["within_bound"] else "NO"))
-    print()
-    for side in sides:
-        failed = sum(r["failed"] for r in side.records)
-        attempted = sum(r["attempted"] for r in side.records)
-        print("%-6s failed %d of %d operations" % (side.name, failed,
-                                                  attempted))
+    report_operations(sides)
+
+
+def report_layers(args, bench, sides, seconds):
+    base, change = sides
+    report_header(args, sides, seconds, "traced")
+    print("per-layer metrics: median [quartiles] per side and the pairs the "
+          "change won; no gain or bound verdict (those rules are for "
+          "end-to-end metrics)")
+    for metric, s in layer_summaries(bench["per_layer"], base.records,
+                                     change.records):
+        b, c = s["base"], s["change"]
+        print("  %-32s base %-11.6g [%.6g, %.6g]  change %-11.6g "
+              "[%.6g, %.6g]  won %d/%d (%s, %s is better)" % (
+                  metric["name"], b["median"], b["q1"], b["q3"],
+                  c["median"], c["q1"], c["q3"], s["wins"], s["pairs"],
+                  metric["unit"], metric["better"]))
+    report_operations(sides)
 
 
 # --- Self-test --------------------------------------------------------------
@@ -243,6 +298,39 @@ def self_test():
     except ValueError:
         pass
 
+    # Per-layer summaries (--trace): every metric all records carry, in
+    # BENCHMARK.json's order, with medians, quartiles and wins but no
+    # verdict.
+    per_layer = [{"name": "index.build_s", "unit": "s", "better": "lower"},
+                 {"name": "gone.s", "unit": "s", "better": "lower"},
+                 {"name": "cache.hit_ratio", "unit": "ratio",
+                  "better": "higher"}]
+
+    def record(build_s, hit_ratio, extra=None):
+        metrics = {"index.build_s": {"value": build_s, "unit": "s"},
+                   "cache.hit_ratio": {"value": hit_ratio, "unit": "ratio"}}
+        if extra is not None:
+            metrics["gone.s"] = {"value": extra, "unit": "s"}
+        return {"metrics": metrics}
+
+    base_runs = [record(0.018, 0.5, 1.0), record(0.017, 0.5, 1.0),
+                 record(0.019, 0.5, 1.0)]
+    change_runs = [record(0.012, 0.6), record(0.020, 0.4),
+                   record(0.011, 0.6)]
+    rows = layer_summaries(per_layer, base_runs, change_runs)
+    check("a metric some record lacks is skipped, order kept",
+          [m["name"] for m, _ in rows] == ["index.build_s", "cache.hit_ratio"])
+    build, hits = rows[0][1], rows[1][1]
+    check("layer medians and quartiles",
+          close(build["base"]["median"], 0.018) and
+          close(build["change"]["median"], 0.012) and
+          close(build["base"]["q1"], 0.0175) and
+          close(build["change"]["q3"], 0.016))
+    check("layer wins follow `better`",
+          build["wins"] == 2 and hits["wins"] == 2 and hits["pairs"] == 3)
+    check("layer summaries carry no verdict",
+          all("gain" not in s and "within_bound" not in s for _, s in rows))
+
     if failures:
         for f in failures:
             print("SELF-TEST FAIL: " + f, file=sys.stderr)
@@ -260,6 +348,8 @@ def main():
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--threads", type=int)
+    ap.add_argument("--trace", action="store_true",
+                    help="traced pairs; report the per-layer metrics")
     args = ap.parse_args()
     if args.self_test:
         return self_test()

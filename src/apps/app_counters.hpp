@@ -1,16 +1,14 @@
 #pragma once
 // Deterministic query-path counters shared by the paper applications.
 //
-// The apps answer every tree question against the flat serving layer
-// (serve::FrtIndex / serve::FrtEnsemble): node reads are flat array reads
-// and an LCA is two code reads.  These counters are logical-
-// operation counts (thread-count independent, machine independent),
-// emitted by the app benches' --counters modes and gated in CI next to
-// the engine counters (scripts/check_bench_regression.py).
+// k-median and buy-at-bulk walk the FrtTree they sampled (its parent
+// links, levels and leaves).  These counters are logical-operation counts
+// (thread-count independent, machine independent), emitted by the app
+// benches' --counters modes and gated in CI next to the engine counters
+// (scripts/check_bench_regression.py).
 //
-//   tree_lookups — flat node reads against an FrtIndex, one per node a
-//                  tree walk visits.
-//   lca_probes   — codes read (2 per LCA).
+//   tree_lookups — node reads, one per tree node a walk visits.
+//   lca_probes   — leaves an LCA climb starts from (2 per LCA).
 
 #include <cstdint>
 

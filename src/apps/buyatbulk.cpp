@@ -8,7 +8,6 @@
 
 #include "src/frt/paths.hpp"
 #include "src/graph/shortest_paths.hpp"
-#include "src/serve/frt_index.hpp"
 #include "src/util/assertions.hpp"
 
 namespace pmte {
@@ -77,6 +76,14 @@ BabResult buy_at_bulk(const Graph& g, const std::vector<Demand>& demands,
                       const std::vector<CableType>& cables,
                       const BabOptions& opts, Rng& rng) {
   PMTE_CHECK(!demands.empty(), "no demands");
+  PMTE_CHECK(!cables.empty(), "need at least one cable type");
+  for (std::size_t i = 0; i < cables.size(); ++i) {
+    const CableType& c = cables[i];
+    PMTE_CHECK(std::isfinite(c.capacity) && c.capacity > 0.0 &&
+                   std::isfinite(c.cost) && c.cost > 0.0,
+               "cable " + std::to_string(i) +
+                   ": capacity and cost must be finite and > 0");
+  }
   // Every later stage indexes per-vertex arrays by both endpoints.
   for (std::size_t i = 0; i < demands.size(); ++i) {
     const Demand& d = demands[i];
@@ -119,30 +126,24 @@ BabResult buy_at_bulk(const Graph& g, const std::vector<Demand>& demands,
   // --- (2) Route demands on the tree, accumulate per-edge flow -------
   // A leaf-to-leaf path climbs to the LCA; flows are accumulated bottom-up
   // with a difference trick: +amount at both leaves, −2·amount at the LCA.
-  // The flat index keeps the tree's node ids, so edge_flow is indexed like
-  // the tree in step (3).
-  const auto index = serve::FrtIndex::build(tree);
-  std::vector<double> updo(index.num_nodes(), 0.0);
+  std::vector<double> flow(tree.num_nodes(), 0.0);
   for (const auto& d : demands) {
     if (d.s == d.t) continue;
-    const auto top = index.lca(d.s, d.t);  // two codes read
-    out.counters.lca_probes += serve::FrtIndex::kLcaProbesPerQuery;
-    updo[index.leaf_node(d.s)] += d.amount;
-    updo[index.leaf_node(d.t)] += d.amount;
-    updo[top] -= 2.0 * d.amount;
+    const auto top = tree.lca(d.s, d.t);
+    out.counters.lca_probes += 2;  // its two leaves
+    flow[tree.leaf(d.s)] += d.amount;
+    flow[tree.leaf(d.t)] += d.amount;
+    flow[top] -= 2.0 * d.amount;
   }
-  // flow over a node's parent edge = Σ subtree deltas; ids descending =
-  // children before parents, CSR children in ascending id order.
-  std::vector<double> edge_flow(index.num_nodes(), 0.0);
-  const auto root = index.root();
-  for (auto id = static_cast<FrtTree::NodeId>(index.num_nodes()); id-- > 0;) {
-    ++out.counters.tree_lookups;
-    double f = updo[id];
-    for (const auto c : index.children(id)) f += edge_flow[c];
-    edge_flow[id] = f;
-    if (id != root && f > 1e-12) {
+  // Ids descending visit children before parents, so a node's flow is the
+  // one over its parent edge when it is handed up.
+  out.counters.tree_lookups += tree.num_nodes();
+  for (auto id = static_cast<FrtTree::NodeId>(tree.num_nodes()); id-- > 1;) {
+    const double f = flow[id];
+    flow[tree.parent(id)] += f;
+    if (f > 1e-12) {
       out.tree_cost += cable_cost_per_unit_length(f, cables) *
-                       index.edge_weight(index.level(id));
+                       tree.edge_weight(tree.level(id));
       ++out.loaded_tree_edges;
     }
   }
@@ -151,12 +152,12 @@ BabResult buy_at_bulk(const Graph& g, const std::vector<Demand>& demands,
   PathUnfolder unfolder(g, tree);
   std::vector<std::vector<Vertex>> g_paths;
   std::vector<double> g_amounts;
-  for (FrtTree::NodeId id = 0; id < index.num_nodes(); ++id) {
-    if (id == root || edge_flow[id] <= 1e-12) continue;
+  for (FrtTree::NodeId id = 1; id < tree.num_nodes(); ++id) {
+    if (flow[id] <= 1e-12) continue;
     auto unfolded = unfolder.unfold(id);
     if (unfolded.path.size() < 2) continue;  // degenerate: zero-length walk
     g_paths.push_back(std::move(unfolded.path));
-    g_amounts.push_back(edge_flow[id]);
+    g_amounts.push_back(flow[id]);
   }
   out.dijkstra_runs = unfolder.dijkstra_runs();
   out.cost = price_paths(g, g_paths, g_amounts, cables);

@@ -12,11 +12,14 @@
 // Baselines: direct shortest-path routing (no consolidation) and the
 // fractional lower bound Σ_j d_j·dist(s_j,t_j)·min_i c_i/u_i.
 //
-// Step (2) runs on the flat serving index: the sampled tree is compacted
-// into a serve::FrtIndex, each demand's LCA compares two LCA codes, and
-// the bottom-up flow accumulation folds over the index's CSR children.
-// test_buyatbulk checks the resulting flows against a parent-climbing
-// reference that routes every demand edge by edge (tests/support).
+// Step (2) runs on the sampled FrtTree itself: each demand finds its LCA
+// by climbing both leaves in lockstep, and one pass over the node ids,
+// descending, adds each node's flow into its parent's.  A parent's flow is
+// thus folded from its children in descending id order; the amounts of
+// the bench, test and example demands are integral, so every sum is exact
+// and the order changes no bit.  test_buyatbulk checks the resulting
+// flows against a parent-climbing reference that routes every demand edge
+// by edge (tests/support).
 
 #include <vector>
 
@@ -53,7 +56,7 @@ struct BabResult {
   double lower_bound = 0.0; ///< fractional LB (no solution can beat it)
   std::size_t loaded_tree_edges = 0;
   std::size_t dijkstra_runs = 0;  ///< path-unfolding cost
-  AppQueryCounters counters;      ///< LCA + flow-walk cost on the index
+  AppQueryCounters counters;      ///< LCA + flow-walk cost on the tree
 };
 
 struct BabOptions {
@@ -62,8 +65,10 @@ struct BabOptions {
 };
 
 /// Run the FRT-based buy-at-bulk approximation and both baselines.
-/// Throws std::logic_error naming the first demand whose endpoint is not a
-/// vertex of g or whose amount is negative or not finite.
+/// Throws std::logic_error, before any work, on an empty cable list, and
+/// naming the first cable whose capacity or cost is not finite and > 0,
+/// or the first demand whose endpoint is not a vertex of g or whose amount
+/// is negative or not finite.
 [[nodiscard]] BabResult buy_at_bulk(const Graph& g,
                                     const std::vector<Demand>& demands,
                                     const std::vector<CableType>& cables,

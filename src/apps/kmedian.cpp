@@ -93,41 +93,41 @@ struct CondensedTree {
                                  // LCA at level s; last slot = ∞ sentinel
 };
 
-/// Condense the flat index's tree top-down (explicit stack, CSR children
-/// pushed in ascending id order, popped LIFO); the walk order fixes the
-/// condensed child order and hence the DP's fold order.  Every visited
-/// node costs one children() read, counted as a tree_lookup.
-CondensedTree condense(const serve::FrtIndex& index,
-                       AppQueryCounters& counters) {
-  const unsigned levels = index.num_levels();
+/// Condense the tree from its parent links.  Kept nodes are numbered in
+/// ascending id order, so the root is 0 and parents come first, and each
+/// hangs below its nearest kept ancestor.  One descending pass fills the
+/// children lists, so each lists its kept children in descending id
+/// order; that order fixes the DP's floating-point folds.  Every node
+/// costs one tree_lookup.
+CondensedTree condense(const FrtTree& tree, AppQueryCounters& counters) {
   CondensedTree ct;
-  ct.div_dist.assign(levels + 1, 0.0);
-  for (unsigned s = 1; s < levels; ++s) {
-    ct.div_dist[s] = ct.div_dist[s - 1] + 2.0 * index.edge_weight(s - 1);
-  }
-  ct.div_dist[levels] = kInf;  // "no external facility"
+  ct.div_dist = tree.distance_by_lca_level();
+  ct.div_dist.push_back(kInf);  // "no external facility"
 
-  // Map FRT nodes to condensed ids, walking top-down; a node is kept if it
-  // is the root, a leaf, or has ≥ 2 children.
-  constexpr std::uint32_t kNoParent = ~std::uint32_t{0};
-  struct Item {
-    serve::FrtIndex::NodeId frt;
-    std::uint32_t parent;  // condensed parent
-  };
-  std::vector<Item> stack{{index.root(), kNoParent}};
-  while (!stack.empty()) {
-    const auto [id, parent] = stack.back();
-    stack.pop_back();
-    ++counters.tree_lookups;
-    const auto children = index.children(id);
-    const Vertex leaf = index.leaf_vertex(id);
-    std::uint32_t next_parent = parent;
-    if (parent == kNoParent || children.size() >= 2 || leaf != no_vertex()) {
-      next_parent = static_cast<std::uint32_t>(ct.nodes.size());
-      ct.nodes.push_back({index.level(id), {}, leaf});
-      if (parent != kNoParent) ct.nodes[parent].children.push_back(next_parent);
+  const std::size_t nodes = tree.num_nodes();
+  counters.tree_lookups += nodes;
+  std::vector<std::uint32_t> kids(nodes, 0);
+  for (FrtTree::NodeId id = 1; id < nodes; ++id) ++kids[tree.parent(id)];
+  // kept[id]: the condensed id of id's nearest kept ancestor-or-self (a
+  // parent's id is below its children's, so it is set before they read it).
+  std::vector<std::uint32_t> kept(nodes);
+  std::vector<std::uint32_t> up;  // condensed node → condensed parent
+  for (FrtTree::NodeId id = 0; id < nodes; ++id) {
+    const std::uint32_t above = kept[tree.parent(id)];
+    // The root, the leaves (no children) and every branching node.
+    if (id == 0 || kids[id] != 1) {
+      kept[id] = static_cast<std::uint32_t>(ct.nodes.size());
+      ct.nodes.push_back({tree.level(id), {}, no_vertex()});
+      up.push_back(above);
+    } else {
+      kept[id] = above;
     }
-    for (const auto c : children) stack.push_back(Item{c, next_parent});
+  }
+  for (Vertex v = 0; v < tree.num_leaves(); ++v) {
+    ct.nodes[kept[tree.leaf(v)]].leaf_vertex = v;
+  }
+  for (auto c = static_cast<std::uint32_t>(ct.nodes.size()); c-- > 1;) {
+    ct.nodes[up[c]].children.push_back(c);
   }
   return ct;
 }
@@ -336,15 +336,15 @@ class TreeDp {
 
 }  // namespace
 
-TreeKMedian solve_kmedian_on_index(const serve::FrtIndex& index,
-                                   const std::vector<double>& leaf_weight,
-                                   std::size_t k) {
-  PMTE_CHECK(leaf_weight.size() == index.num_leaves(),
+TreeKMedian solve_kmedian_on_tree(const FrtTree& tree,
+                                  const std::vector<double>& leaf_weight,
+                                  std::size_t k) {
+  PMTE_CHECK(leaf_weight.size() == tree.num_leaves(),
              "leaf weight count mismatch");
   PMTE_CHECK(k >= 1, "k must be positive");
   TreeKMedian out;
-  const auto ct = condense(index, out.counters);
-  TreeDp dp(ct, leaf_weight, std::min<std::size_t>(k, index.num_leaves()));
+  const auto ct = condense(tree, out.counters);
+  TreeDp dp(ct, leaf_weight, std::min<std::size_t>(k, tree.num_leaves()));
   out.cost = dp.best_cost();
   dp.collect_centers(out.centers);
   PMTE_CHECK(!out.centers.empty() && out.centers.size() <= k,
@@ -421,9 +421,8 @@ KMedianResult kmedian_frt(const Graph& g, std::size_t k,
     const double beta = sample_beta(rng);
     auto order = VertexOrder::random(q, rng);
     auto le = le_lists_from_metric(sub, order);
-    const auto index = serve::FrtIndex::build(
-        FrtTree::build(le.lists, order, beta, sub_min));
-    auto sol = solve_kmedian_on_index(index, weight, k);
+    const auto tree = FrtTree::build(le.lists, order, beta, sub_min);
+    auto sol = solve_kmedian_on_tree(tree, weight, k);
     best.counters += sol.counters;
     std::vector<Vertex> centers;
     centers.reserve(sol.centers.size());

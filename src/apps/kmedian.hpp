@@ -14,9 +14,8 @@
 // The returned centers are evaluated on the *graph* objective
 // Σ_v dist(v, F, G), the quantity Definition 9.1 asks for.
 //
-// The HST step runs on the flat serving index: the sampled FrtTree is
-// compacted into a serve::FrtIndex and the condensation walks the index's
-// CSR children arrays, one tree_lookup per visited node (AppQueryCounters).
+// The HST step runs on the sampled FrtTree itself: the condensation reads
+// its parent links and levels, one tree_lookup per node (AppQueryCounters).
 
 #include <cstddef>
 #include <vector>
@@ -24,7 +23,6 @@
 #include "src/apps/app_counters.hpp"
 #include "src/frt/frt_tree.hpp"
 #include "src/graph/graph.hpp"
-#include "src/serve/frt_index.hpp"
 #include "src/util/rng.hpp"
 
 namespace pmte {
@@ -62,19 +60,18 @@ struct KMedianResult {
 [[nodiscard]] KMedianResult kmedian_random(const Graph& g, std::size_t k,
                                            Rng& rng);
 
-/// Exact weighted k-median on an FRT tree, given as its flat serving index
-/// (exposed for testing): clients sit at the leaves with weights,
-/// facilities may open at any leaf, at most k open.  Unary chains are
-/// condensed away first; leaf-to-leaf distances are rebuilt from the
-/// index's per-level edge weights.  Returns chosen leaf vertices and the
-/// optimal tree cost.
+/// Exact weighted k-median on an FRT tree (exposed for testing): clients
+/// sit at the leaves with weights, facilities may open at any leaf, at
+/// most k open.  Unary chains are condensed away first; leaf-to-leaf
+/// distances are the tree's LCA-level table.  Returns chosen leaf vertices
+/// and the optimal tree cost.
 struct TreeKMedian {
   std::vector<Vertex> centers;  ///< leaf vertices (tree-local ids)
   double cost = 0.0;
   AppQueryCounters counters;
 };
-[[nodiscard]] TreeKMedian solve_kmedian_on_index(
-    const serve::FrtIndex& index, const std::vector<double>& leaf_weight,
+[[nodiscard]] TreeKMedian solve_kmedian_on_tree(
+    const FrtTree& tree, const std::vector<double>& leaf_weight,
     std::size_t k);
 
 }  // namespace pmte

@@ -90,6 +90,7 @@ FrtTree FrtTree::build(const std::vector<DistanceMap>& le_lists,
   // (parent, leading rank at its level) and numbered when first met.
   t.leading_.push_back(order.vertex_of[tuples[levels - 1]]);
   t.parent_.push_back(0);
+  t.level_.push_back(levels - 1);
   struct KeyHash {
     std::size_t operator()(const std::pair<NodeId, Vertex>& k) const {
       return std::hash<std::uint64_t>{}(
@@ -112,6 +113,7 @@ FrtTree FrtTree::build(const std::vector<DistanceMap>& le_lists,
       if (fresh) {
         t.leading_.push_back(order.vertex_of[tuple[l]]);
         t.parent_.push_back(cur);
+        t.level_.push_back(l);
       }
       cur = it->second;
     }
@@ -131,17 +133,21 @@ FrtTree FrtTree::build(const std::vector<DistanceMap>& le_lists,
   return t;
 }
 
-Weight FrtTree::distance(Vertex u, Vertex v) const {
+FrtTree::NodeId FrtTree::lca(Vertex u, Vertex v) const {
   PMTE_CHECK(u < num_leaves() && v < num_leaves(),
-             "distance: vertex out of range");
+             "FrtTree: vertex out of range");
+  // Leaves all sit at level 0, so the two climbs meet at the LCA.
   NodeId a = leaf_[u];
   NodeId b = leaf_[v];
-  unsigned level = 0;
-  for (; a != b; ++level) {
+  while (a != b) {
     a = parent_[a];
     b = parent_[b];
   }
-  return dist_by_lca_level_[level];
+  return a;
+}
+
+Weight FrtTree::distance(Vertex u, Vertex v) const {
+  return dist_by_lca_level_[level_[lca(u, v)]];
 }
 
 }  // namespace pmte

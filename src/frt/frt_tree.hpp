@@ -15,12 +15,15 @@
 // stretch O(log n) (only the constant changes).
 //
 // The tree is stored as what Lemma 7.2 makes it: each node's parent (the
-// next-shorter suffix), each vertex's leaf and each node's leading vertex.
-// Nodes are numbered top-down as the build first meets them walking
-// v = 0, 1, …, so the root is 0 and every parent id is smaller than its
-// children's.  serve::FrtIndex packs the links into one LCA code per
-// vertex (each ancestor's rank among its parent's children); path
-// unfolding (paths.hpp) reads them directly.
+// next-shorter suffix) and level, each vertex's leaf and each node's
+// leading vertex.  Nodes are numbered top-down as the build first meets
+// them walking v = 0, 1, …, so the root is 0 and every parent id is
+// smaller than its children's: iterating ids descending is a bottom-up
+// (children-first) order.  The applications walk these links directly —
+// k-median condenses them into its DP tree, buy-at-bulk folds flows up
+// them and path unfolding (paths.hpp) realises their edges in G —
+// while serve::FrtIndex packs them into one LCA code per vertex (each
+// ancestor's rank among its parent's children) for serving.
 
 #include <cstdint>
 #include <vector>
@@ -60,6 +63,8 @@ class FrtTree {
 
   /// Parent of a node, one level up; the root, 0, is its own parent.
   [[nodiscard]] NodeId parent(NodeId id) const { return parent_[id]; }
+  /// Level of a node: 0 for leaves, num_levels() − 1 for the root.
+  [[nodiscard]] unsigned level(NodeId id) const { return level_[id]; }
   /// Leaf node of a graph vertex (level 0).
   [[nodiscard]] NodeId leaf(Vertex v) const { return leaf_[v]; }
   /// Leading graph vertex of a node's tuple suffix.
@@ -71,11 +76,13 @@ class FrtTree {
   /// Weight of the edge from a level-`level` node to its parent.
   [[nodiscard]] Weight edge_weight(unsigned level) const noexcept;
 
-  /// Tree distance between the leaves of u and v: both leaves climb their
-  /// parents in lockstep until they meet, which takes as many steps as the
-  /// LCA level, and the weight sum is a cached lookup
-  /// (distance_at_lca_level) — Θ(log n) per query, no recomputed root
-  /// paths.
+  /// Lowest common ancestor of the leaves of u and v: both leaves climb
+  /// their parents in lockstep until they meet, which takes as many steps
+  /// as the LCA level — Θ(log n).
+  [[nodiscard]] NodeId lca(Vertex u, Vertex v) const;
+
+  /// Tree distance between the leaves of u and v: the cached weight sum
+  /// at the LCA's level, distance_at_lca_level(level(lca(u, v))).
   [[nodiscard]] Weight distance(Vertex u, Vertex v) const;
 
   /// dist_T(u,v) for leaves whose lowest common ancestor sits at `level`:
@@ -93,6 +100,7 @@ class FrtTree {
 
  private:
   std::vector<NodeId> parent_;   // node → parent (root 0: itself)
+  std::vector<unsigned> level_;  // node → level (leaves 0)
   std::vector<NodeId> leaf_;     // vertex → leaf node
   std::vector<Vertex> leading_;  // node → leading vertex
   std::vector<Weight> dist_by_lca_level_;  // level → Σ_{l<level} 2·w_l

@@ -39,8 +39,8 @@
 // out of an in-memory artefact image; load_mapped() mmaps the artefact
 // and runs the same parse with every index's persisted arrays left as
 // views into the file image (zero bulk bytes copied — the load-path
-// counters in serialize.hpp prove it).  Either way only the O(n·L)
-// structure maps are derived.
+// counters in serialize.hpp prove it).  Either way each index is checked
+// in one O(n·L) pass and only its LCA-level table is allocated.
 // The ensemble owns the mapping via shared_ptr, so registry entries,
 // tenants, and copies of the shared_ptr keep it alive for as long as any
 // query can touch it; served doubles and all logical counters are
@@ -179,7 +179,8 @@ class FrtEnsemble {
   void save(std::ostream& os) const;
   [[nodiscard]] static FrtEnsemble load(std::span<const std::byte> image);
   /// Zero-copy load: mmap `path` and point every index's persisted arrays
-  /// straight at the mapping; only the O(n·L) structure maps are derived.
+  /// straight at the mapping; only each index's LCA-level table is
+  /// allocated.
   /// The returned ensemble owns the mapping (shared, so moves/copies
   /// through the registry keep it alive).
   [[nodiscard]] static FrtEnsemble load_mapped(const std::string& path);

@@ -84,23 +84,21 @@ FrtIndex FrtIndex::build(const FrtTree& tree) {
   idx.edge_weight_by_level_ = std::move(edge_weight);
 
   // A parent's id is below its children's, so one ascending pass gives
-  // each node its level (its parent's − 1) and its child number (how many
-  // children its parent has so far), and each level its width.
+  // each node its child number (how many children its parent has so far)
+  // and each level its width.
   const std::size_t nodes = tree.num_nodes();
   const auto scratch =
-      std::make_unique_for_overwrite<std::uint32_t[]>(3 * nodes);
-  std::uint32_t* level = scratch.get();
-  std::uint32_t* child = level + nodes;
+      std::make_unique_for_overwrite<std::uint32_t[]>(2 * nodes);
+  std::uint32_t* child = scratch.get();
   std::uint32_t* children = child + nodes;  // children met so far
   std::fill(children, children + nodes, 0);
-  level[0] = levels - 1;
   std::vector<std::uint32_t> widths(levels, 0);
   for (NodeId id = 1; id < nodes; ++id) {
     const NodeId p = tree.parent(id);
-    PMTE_ASSERT(p < id && level[p] > 0, "FrtIndex: parent not above child");
-    const std::uint32_t l = level[p] - 1;
+    const unsigned l = tree.level(id);
+    PMTE_ASSERT(p < id && tree.level(p) == l + 1,
+                "FrtIndex: parent not above child");
     const std::uint32_t c = children[p]++;
-    level[id] = l;
     child[id] = c;
     widths[l] =
         std::max(widths[l], static_cast<std::uint32_t>(std::bit_width(c)));
@@ -114,17 +112,18 @@ FrtIndex FrtIndex::build(const FrtTree& tree) {
     std::uint64_t* code = codes.data() + std::size_t{v} * words;
     for (NodeId x = tree.leaf(v); x != 0; x = tree.parent(x)) {
       if (child[x] != 0) {
-        set_field(code, words, off[level[x]], widths[level[x]], child[x]);
+        const unsigned l = tree.level(x);
+        set_field(code, words, off[l], widths[l], child[x]);
       }
     }
   }
   idx.widths_ = std::move(widths);
   idx.codes_ = std::move(codes);
-  idx.derive_structure();
+  idx.check_tree();
   return idx;
 }
 
-void FrtIndex::derive_structure() {
+void FrtIndex::check_tree() {
   const unsigned levels = levels_;
   PMTE_CHECK(levels >= 1, "FrtIndex: no levels");
   PMTE_CHECK(beta_ >= 1.0 && beta_ < 2.0, "FrtIndex: beta outside [1,2)");
@@ -250,47 +249,46 @@ void FrtIndex::derive_structure() {
   // node's next child, the others as first children.  So v's child number
   // on level met[v] − 1 must be that node's child count so far, and all
   // its bits below must be zero.  Widths must be minimal: on each level,
-  // bit_width(largest child number).
-  // child_offset_[x] counts x's children for now.
-  child_offset_.assign(nodes + 1, 0);
-  std::vector<std::uint32_t> node_level(nodes);
-  std::vector<NodeId> parent(nodes);
-  std::vector<Vertex> leaf_vertex(nodes, no_vertex());
-  std::vector<NodeId> leaf_node(n);
+  // bit_width(largest child number).  The walk's node parents, child
+  // counts so far and vertex leaves are scratch.
+  const auto walk =
+      std::make_unique_for_overwrite<std::uint32_t[]>(2 * nodes + n);
+  NodeId* parent = walk.get();
+  std::uint32_t* kids = parent + nodes;
+  NodeId* leaf = kids + nodes;
   std::vector<std::uint32_t> most(levels, 0);
-  node_level[0] = levels - 1;
   parent[0] = 0;
+  kids[0] = 0;
   NodeId next_id = 1;
   bool out_of_order = false;
   for (std::size_t v = 0; v < n; ++v) {
     const std::uint32_t a = met[v];
     // The shared node: near[v] = u met its own nodes on the levels below
-    // met[u], the one on level l numbered leaf_node[u] − l; higher ones
-    // are ancestors of the node u shares, shared[u].
+    // met[u], the one on level l numbered leaf[u] − l; higher ones are
+    // ancestors of the node u shares, shared[u].
     NodeId x = 0;
     if (v != 0) {
       const std::uint32_t u = near[v];
       const bool own = a < met[u];
-      x = own ? leaf_node[u] - a : shared[u];
+      x = own ? leaf[u] - a : shared[u];
       for (std::uint32_t l = own ? a : met[u]; l < a; ++l) x = parent[x];
     }
     shared[v] = x;
     if (a != 0) {
       const std::uint32_t c =
           field(code(v), words, off[a - 1], widths_[a - 1]);
-      out_of_order |= c != child_offset_[x] ||
-                      !low_bits_zero(code(v), words, off[a - 1]);
-      ++child_offset_[x];
+      out_of_order |=
+          c != kids[x] || !low_bits_zero(code(v), words, off[a - 1]);
+      ++kids[x];
       most[a - 1] = std::max(most[a - 1], c);
     }
     for (std::uint32_t l = a; l-- > 0;) {
-      node_level[next_id] = l;
+      // A new inner node's child 0 is the next new node.
       parent[next_id] = x;
-      child_offset_[next_id] = l != 0 ? 1 : 0;
+      kids[next_id] = l != 0 ? 1 : 0;
       x = next_id++;
     }
-    leaf_node[v] = x;
-    leaf_vertex[x] = static_cast<Vertex>(v);
+    leaf[v] = x;
   }
   PMTE_CHECK(!out_of_order, "FrtIndex: child numbers out of first-meet order");
   for (unsigned l = 0; l + 1 < levels; ++l) {
@@ -301,33 +299,11 @@ void FrtIndex::derive_structure() {
             " is not minimal for its largest child number " +
             std::to_string(most[l]));
   }
-
-  // Children CSR: running sums turn the counts into range ends, and placing
-  // ids from the highest down moves each end to its range's start; ids
-  // ascend within each parent (children are numbered as they are met),
-  // which fixes the apps' floating-point fold order.
-  for (std::size_t id = 1; id <= nodes; ++id) {
-    child_offset_[id] += child_offset_[id - 1];
-  }
-  child_list_.resize(nodes - 1);
-  for (std::size_t id = nodes; id-- > 1;) {
-    child_list_[--child_offset_[parent[id]]] = static_cast<NodeId>(id);
-  }
-
-  node_level_ = std::move(node_level);
-  parent_ = std::move(parent);
-  node_leaf_vertex_ = std::move(leaf_vertex);
-  leaf_node_ = std::move(leaf_node);
+  nodes_ = nodes;
 }
 
 Weight FrtIndex::distance(Vertex u, Vertex v) const {
   return dist_by_lca_level_[lca_level(u, v)];
-}
-
-FrtIndex::NodeId FrtIndex::lca(Vertex u, Vertex v) const {
-  NodeId id = leaf_node_[u];
-  for (unsigned l = lca_level(u, v); l > 0; --l) id = parent_[id];
-  return id;
 }
 
 unsigned FrtIndex::lca_level(Vertex u, Vertex v) const {
@@ -356,7 +332,7 @@ FrtIndex FrtIndex::load_from(ImageReader& r) {
   idx.codes_ = r.vec_u64();
   idx.dist_by_lca_level_ = r.vec_f64();
   idx.edge_weight_by_level_ = r.vec_f64();
-  idx.derive_structure();
+  idx.check_tree();
   return idx;
 }
 

@@ -6,6 +6,7 @@
 
 #include "src/apps/buyatbulk.hpp"
 #include "src/graph/generators.hpp"
+#include "src/util/assertions.hpp"
 #include "tests/support/fixtures.hpp"
 #include "tests/support/reference.hpp"
 
@@ -145,12 +146,38 @@ TEST(BuyAtBulkBasics, RejectsOutOfRangeDemand) {
                                     {}, rng));
 }
 
+TEST(BuyAtBulkBasics, RejectsBadCables) {
+  // The cable list is checked up front, next to the demands: with
+  // self-demands only no edge carries flow, so no pricing reaches a bad
+  // cable.
+  const auto g = make_path(4);
+  const std::vector<Demand> demands{{0, 0, 1.0}, {2, 2, 3.0}};
+  const auto message = [&](const std::vector<CableType>& cables) {
+    Rng rng(6);
+    try {
+      (void)buy_at_bulk(g, demands, cables, {}, rng);
+    } catch (const CheckError& e) {
+      return std::string(e.message());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message({}), "need at least one cable type");
+  const std::string bad = ": capacity and cost must be finite and > 0";
+  EXPECT_EQ(message({{0.0, 1.0}}), "cable 0" + bad);
+  EXPECT_EQ(message({{-1.0, 1.0}}), "cable 0" + bad);
+  EXPECT_EQ(message({{1.0, -1.0}}), "cable 0" + bad);
+  EXPECT_EQ(message({{1.0, 1.0}, {inf_weight(), 1.0}}), "cable 1" + bad);
+  EXPECT_EQ(message({{1.0, 1.0}, {1.0, std::nan("")}}), "cable 1" + bad);
+  Rng rng(6);
+  EXPECT_NO_THROW((void)buy_at_bulk(g, demands, kCables, {}, rng));
+}
+
 TEST(BuyAtBulkFlat, FlatRoutingMatchesParentClimbOnCorpus) {
-  // Routing over the flat FrtIndex (row-compare LCA, difference trick, CSR
-  // flow fold) must load exactly the tree edges, and price exactly the
-  // flows, that routing each demand up the parent pointers of the same
-  // sampled tree does.  Integral amounts keep every flow sum exact, so the
-  // comparison is bitwise.
+  // Routing over the sampled tree (lockstep-climb LCA, difference trick,
+  // descending-id flow fold) must load exactly the tree edges, and price
+  // exactly the flows, that routing each demand up the parent pointers of
+  // the same tree edge by edge does.  Integral amounts keep every flow sum
+  // exact, so the comparison is bitwise.
   const auto corpus = test::small_graph_corpus(50, 7001);
   for (const auto& c : corpus) {
     Rng drng(c.seed + 7);

@@ -231,18 +231,26 @@ TEST(FrtTree, CachedDistanceMatchesPerQueryRecomputationBitForBit) {
 }
 
 TEST(FrtTree, ParentIdsPrecedeChildIds) {
-  // FrtIndex::build's ascending pass, PathUnfolder's representative pass
-  // and the apps' bottom-up walks over FrtIndex iterate ids descending as
-  // a children-first order.
+  // FrtIndex::build's ascending pass relies on it, and PathUnfolder's
+  // representative pass and the apps' bottom-up walks iterate ids
+  // descending as a children-first order.  The index and the apps read
+  // each node's recorded level, which must be the reference's climb count.
   Rng rng(6);
   const auto g = make_gnm(20, 40, {1.0, 2.0}, rng);
   const auto t = sample_frt_direct(g, rng).tree;
   EXPECT_EQ(t.parent(0), 0U) << "the root is node 0, its own parent";
+  EXPECT_EQ(t.level(0), t.num_levels() - 1) << "the root is the top level";
   for (FrtTree::NodeId id = 1; id < t.num_nodes(); ++id) {
     EXPECT_LT(t.parent(id), id) << "node " << id;
+    EXPECT_EQ(t.level(t.parent(id)), t.level(id) + 1) << "node " << id;
+  }
+  const auto level = test::node_levels(t);
+  for (FrtTree::NodeId id = 0; id < t.num_nodes(); ++id) {
+    EXPECT_EQ(t.level(id), level[id]) << "node " << id;
   }
   // Every leaf is num_levels() − 1 strict climbs below the root.
   for (Vertex v = 0; v < t.num_leaves(); ++v) {
+    EXPECT_EQ(t.level(t.leaf(v)), 0U) << "vertex " << v;
     const auto row = test::ancestor_row(t, v);
     for (unsigned l = 0; l + 1 < t.num_levels(); ++l) {
       EXPECT_LT(row[l + 1], row[l]) << "vertex " << v << " level " << l;

@@ -1,6 +1,6 @@
 // Tests for the k-median application (Section 9): the exact HST dynamic
-// program (over the flat serving index) against brute force, and
-// end-to-end quality against baselines.
+// program (over the sampled FRT tree) against brute force, and end-to-end
+// quality against baselines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include "src/apps/kmedian.hpp"
 #include "src/frt/pipelines.hpp"
 #include "src/graph/generators.hpp"
-#include "src/serve/frt_index.hpp"
 #include "tests/support/fixtures.hpp"
 
 namespace pmte {
@@ -56,8 +55,7 @@ TEST_P(TreeDpBrute, DpMatchesBruteForce) {
   std::vector<double> weight(12);
   for (auto& w : weight) w = std::floor(rng.uniform(0.0, 4.0));
   for (std::size_t k : {1U, 2U, 3U}) {
-    const auto sol =
-        solve_kmedian_on_index(serve::FrtIndex::build(sample.tree), weight, k);
+    const auto sol = solve_kmedian_on_tree(sample.tree, weight, k);
     const double brute = brute_tree_kmedian(sample.tree, weight, k);
     EXPECT_NEAR(sol.cost, brute, 1e-6) << "k=" << k;
     // Reported centers must realise the reported cost.
@@ -79,8 +77,7 @@ TEST(TreeDp, SingleFacilityCoversAll) {
   const auto g = make_star(10, {1.0, 3.0}, rng);
   const auto sample = sample_frt_direct(g, rng);
   std::vector<double> weight(10, 1.0);
-  const auto sol =
-      solve_kmedian_on_index(serve::FrtIndex::build(sample.tree), weight, 1);
+  const auto sol = solve_kmedian_on_tree(sample.tree, weight, 1);
   EXPECT_EQ(sol.centers.size(), 1U);
   EXPECT_GT(sol.cost, 0.0);
 }
@@ -90,8 +87,7 @@ TEST(TreeDp, KEqualsLeavesIsFree) {
   const auto g = make_path(8);
   const auto sample = sample_frt_direct(g, rng);
   std::vector<double> weight(8, 1.0);
-  const auto sol =
-      solve_kmedian_on_index(serve::FrtIndex::build(sample.tree), weight, 8);
+  const auto sol = solve_kmedian_on_tree(sample.tree, weight, 8);
   EXPECT_DOUBLE_EQ(sol.cost, 0.0);
   EXPECT_EQ(sol.centers.size(), 8U);
 }
@@ -137,21 +133,20 @@ TEST(KMedian, RejectsBadK) {
 }
 
 TEST(TreeDp, MatchesBruteForceOnCorpus) {
-  // The index DP against brute-force enumeration on every corpus graph;
-  // the condensation visits every index node exactly once.
+  // The tree DP against brute-force enumeration on every corpus graph;
+  // the condensation visits every tree node exactly once.
   const auto corpus = test::small_graph_corpus(50, 7001);
   for (const auto& c : corpus) {
     Rng rng(c.seed);
     const auto s = sample_frt_direct(c.graph, rng);
-    const auto idx = serve::FrtIndex::build(s.tree);
     std::vector<double> weight(c.graph.num_vertices());
     for (auto& w : weight) w = std::floor(rng.uniform(0.0, 5.0));
     for (const std::size_t k : {1U, 2U}) {
-      const auto sol = solve_kmedian_on_index(idx, weight, k);
+      const auto sol = solve_kmedian_on_tree(s.tree, weight, k);
       EXPECT_NEAR(sol.cost, brute_tree_kmedian(s.tree, weight, k), 1e-6)
           << c.name << " k=" << k;
       EXPECT_LE(sol.centers.size(), k) << c.name;
-      EXPECT_EQ(sol.counters.tree_lookups, idx.num_nodes()) << c.name;
+      EXPECT_EQ(sol.counters.tree_lookups, s.tree.num_nodes()) << c.name;
     }
   }
 }

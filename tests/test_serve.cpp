@@ -67,7 +67,8 @@ TEST(FrtIndex, MatchesBruteForceTreeMetricAndLca) {
   // The LCA level from Section 7.1's definition (exact APSP, the order,
   // the scales): one plus the highest level at which two tuples differ.
   // The tree and the index must serve exactly that level's distance, and
-  // the index's LCA is the node the ancestor rows hold there.
+  // the tree's LCA is the node the ancestor rows hold there, at that
+  // level.
   const auto corpus = test::small_graph_corpus(kCorpusSize, kCorpusSeed);
   for (const auto& c : corpus) {
     Rng rng(c.seed);
@@ -83,7 +84,9 @@ TEST(FrtIndex, MatchesBruteForceTreeMetricAndLca) {
             << c.name << " pair " << u << "-" << v;
         EXPECT_EQ(idx.lca_level(u, v), lca)
             << c.name << " pair " << u << "-" << v;
-        EXPECT_EQ(idx.lca(u, v), rows[u][lca])
+        EXPECT_EQ(s.tree.lca(u, v), rows[u][lca])
+            << c.name << " pair " << u << "-" << v;
+        EXPECT_EQ(s.tree.level(s.tree.lca(u, v)), lca)
             << c.name << " pair " << u << "-" << v;
       }
     }
@@ -117,12 +120,12 @@ TEST(FrtIndex, RowsAreLeafToRootPaths) {
 }
 
 TEST(FrtIndex, CodesAgreeWithTreeRowsOnEveryPipeline) {
-  // The index keeps one LCA code per vertex and derives the node numbering
-  // from the codes.  Whatever pipeline sampled the tree, the LCA level
+  // The index keeps one LCA code per vertex and counts the nodes the codes
+  // describe.  Whatever pipeline sampled the tree, the index's LCA level
   // must be the number of levels at which two ancestor rows (climbed along
-  // the tree's parent links) differ, the LCA the row entry there, each
-  // leaf the row's first entry, each row entry's level its position, and
-  // the distance the tree's own, bit for bit.
+  // the tree's parent links) differ, the tree's LCA the row entry there,
+  // each row entry's level (the tree's) its position, and the distance the
+  // tree's own, bit for bit.
   const auto corpus = test::small_graph_corpus(kCorpusSize, kCorpusSeed);
   const struct {
     const char* name;
@@ -141,10 +144,9 @@ TEST(FrtIndex, CodesAgreeWithTreeRowsOnEveryPipeline) {
       const Vertex n = c.graph.num_vertices();
       const auto rows = ancestor_rows(s.tree);
       for (Vertex v = 0; v < n; ++v) {
-        const auto& row = rows[v];
-        EXPECT_EQ(idx.leaf_node(v), row[0]) << where << " vertex " << v;
         for (unsigned l = 0; l < levels; ++l) {
-          EXPECT_EQ(idx.level(row[l]), l) << where << " node " << row[l];
+          EXPECT_EQ(s.tree.level(rows[v][l]), l)
+              << where << " node " << rows[v][l];
         }
       }
       for (Vertex u = 0; u < n; ++u) {
@@ -155,7 +157,7 @@ TEST(FrtIndex, CodesAgreeWithTreeRowsOnEveryPipeline) {
           for (unsigned l = 0; l < levels; ++l) differ += ru[l] != rv[l];
           EXPECT_EQ(idx.lca_level(u, v), differ)
               << where << " pair " << u << "-" << v;
-          EXPECT_EQ(idx.lca(u, v), ru[differ])
+          EXPECT_EQ(s.tree.lca(u, v), ru[differ])
               << where << " pair " << u << "-" << v;
           EXPECT_EQ(s.tree.distance(u, v), idx.distance(u, v))
               << where << " pair " << u << "-" << v;
@@ -172,7 +174,7 @@ TEST(FrtIndex, SingleVertexTree) {
   const auto idx = serve::FrtIndex::build(t);
   EXPECT_EQ(idx.num_leaves(), 1U);
   EXPECT_EQ(idx.num_nodes(), t.num_nodes());
-  EXPECT_EQ(idx.leaf_node(0), t.leaf(0));
+  EXPECT_EQ(idx.lca_level(0, 0), 0U);
   EXPECT_EQ(idx.distance(0, 0), 0.0);
 }
 
@@ -236,41 +238,6 @@ TEST(FrtIndex, LoadRejectsGarbage) {
 
   // So must bytes after the index.
   EXPECT_THROW((void)load_bytes(bytes + '\0'), std::logic_error);
-}
-
-TEST(FrtIndex, FlatStructureMatchesTree) {
-  // The CSR children / levels / leaf maps / per-level edge weights are the
-  // apps' view of the tree — they must mirror the tree's parent and leaf
-  // links exactly, with children in ascending id order (the apps'
-  // floating-point folds depend on it).
-  const auto corpus = test::small_graph_corpus(12, kCorpusSeed + 4);
-  for (const auto& c : corpus) {
-    Rng rng(c.seed);
-    const auto s = sample_frt_direct(c.graph, rng);
-    const auto idx = serve::FrtIndex::build(s.tree);
-    const auto level = test::node_levels(s.tree);
-    EXPECT_EQ(idx.root(), 0U) << c.name;
-    std::vector<std::vector<FrtTree::NodeId>> expected(s.tree.num_nodes());
-    for (FrtTree::NodeId id = 1; id < s.tree.num_nodes(); ++id) {
-      expected[s.tree.parent(id)].push_back(id);
-    }
-    std::vector<Vertex> leaf_vertex(s.tree.num_nodes(), no_vertex());
-    for (Vertex v = 0; v < c.graph.num_vertices(); ++v) {
-      leaf_vertex[s.tree.leaf(v)] = v;
-      EXPECT_EQ(idx.leaf_node(v), s.tree.leaf(v)) << c.name;
-    }
-    for (FrtTree::NodeId id = 0; id < s.tree.num_nodes(); ++id) {
-      const auto kids = idx.children(id);
-      EXPECT_EQ(std::vector<FrtTree::NodeId>(kids.begin(), kids.end()),
-                expected[id])
-          << c.name << " node " << id;
-      EXPECT_EQ(idx.level(id), level[id]) << c.name << " node " << id;
-      EXPECT_EQ(idx.leaf_vertex(id), leaf_vertex[id]) << c.name;
-    }
-    for (unsigned l = 0; l < idx.num_levels(); ++l) {
-      EXPECT_EQ(idx.edge_weight(l), s.tree.edge_weight(l)) << c.name;
-    }
-  }
 }
 
 TEST(FrtIndex, LoadRejectsUnsupportedFormatVersion) {
