@@ -7,7 +7,7 @@
 
 #include "bench/bench_common.hpp"
 #include "src/frt/pipelines.hpp"
-#include "src/frt/stretch.hpp"
+#include "tests/support/reference/stretch.hpp"
 
 namespace pmte::bench {
 namespace {

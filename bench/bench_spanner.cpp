@@ -8,8 +8,8 @@
 
 #include "bench/bench_common.hpp"
 #include "src/frt/pipelines.hpp"
-#include "src/frt/stretch.hpp"
 #include "src/spanner/baswana_sen.hpp"
+#include "tests/support/reference/stretch.hpp"
 
 namespace pmte::bench {
 namespace {

@@ -10,8 +10,8 @@
 
 #include "bench/bench_common.hpp"
 #include "src/frt/pipelines.hpp"
-#include "src/frt/stretch.hpp"
 #include "tests/support/reference/shortest_paths.hpp"
+#include "tests/support/reference/stretch.hpp"
 
 namespace pmte::bench {
 namespace {

@@ -5,20 +5,26 @@
 //
 // Walks through the library's main entry points: build a graph, sample an
 // FRT tree with the paper's oracle pipeline (hop set → simulated graph H →
-// LE lists → tree), and measure the embedding's stretch.
+// LE lists → tree), serve the distances of eight sampled trees as an
+// ensemble, and measure their stretch against every pair's exact distance
+// (n Dijkstras and n²/2 queries, so --n stops at 4096).
 
 #include <cmath>
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "src/frt/pipelines.hpp"
-#include "src/frt/stretch.hpp"
 #include "src/graph/generators.hpp"
+#include "src/serve/frt_ensemble.hpp"
+#include "src/serve/frt_index.hpp"
+#include "src/serve/stretch_report.hpp"
 #include "src/util/cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace pmte;
   const Cli cli(argc, argv,  // a simple graph with 3n edges needs n >= 7
-                {Flag::integer("n", 400, 7, 1'000'000), Flag::seed(42)});
+                {Flag::integer("n", 400, 7, 4096), Flag::seed(42)});
   Rng rng(cli.seed());
   const auto n = static_cast<Vertex>(cli.get_int("n"));
 
@@ -41,19 +47,27 @@ int main(int argc, char** argv) {
             << sample.max_list_length << "\n";
 
   // Tree distances dominate graph distances; expected stretch is O(log n).
-  const auto pairs = sample_pairs(g, 16, 300, rng);
-  std::vector<FrtTree> trees;
-  trees.push_back(sample.tree);
+  // An ensemble of 8 trees serves each pair's median (a typical tree) or
+  // minimum over the trees, and both dominate too.
+  std::vector<serve::FrtIndex> indices;
+  indices.push_back(serve::FrtIndex::build(sample.tree));
   for (int i = 0; i < 7; ++i) {
-    trees.push_back(sample_frt_oracle(g, rng).tree);
+    indices.push_back(serve::FrtIndex::build(sample_frt_oracle(g, rng).tree));
   }
-  const auto rep = measure_stretch(pairs, trees);
-  std::cout << "over " << rep.pairs << " vertex pairs and " << rep.trees
-            << " sampled trees:\n"
-            << "  avg expected stretch = " << rep.avg_expected_stretch
-            << "  (log2 n = " << std::log2(static_cast<double>(n)) << ")\n"
-            << "  max expected stretch = " << rep.max_expected_stretch << "\n"
-            << "  min single ratio     = " << rep.min_single_ratio
-            << "  (>= 1: tree distances dominate)\n";
+  const auto ensemble = serve::FrtEnsemble::assemble(
+      std::move(indices), cli.seed(), serve::FrtEnsemble::fingerprint(g));
+  for (const auto policy :
+       {serve::AggregatePolicy::median, serve::AggregatePolicy::min}) {
+    const auto q = serve::measure_stretch_quality(g, ensemble, policy);
+    std::cout << "over all " << q.pairs << " vertex pairs, the "
+              << (policy == serve::AggregatePolicy::min ? "minimum"
+                                                        : "median")
+              << " of " << ensemble.num_trees() << " trees:\n"
+              << "  mean stretch     = " << q.mean_stretch
+              << "  (log2 n = " << std::log2(static_cast<double>(n)) << ")\n"
+              << "  max stretch      = " << q.max_stretch << "\n"
+              << "  min stretch      = " << q.min_stretch
+              << "  (>= 1: tree distances dominate)\n";
+  }
   return 0;
 }

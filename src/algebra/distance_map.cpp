@@ -1,7 +1,6 @@
 #include "src/algebra/distance_map.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/parallel/parallel.hpp"  // PMTE_TSAN_ACTIVE
 #include "src/util/assertions.hpp"
@@ -285,17 +284,6 @@ bool DistanceMap::is_least_element_list() const noexcept {
   for (std::size_t i = 1; i < entries_.size(); ++i) {
     if (entries_[i - 1].key >= entries_[i].key) return false;
     if (entries_[i - 1].dist <= entries_[i].dist) return false;
-  }
-  return true;
-}
-
-bool approx_equal(const DistanceMap& a, const DistanceMap& b,
-                  double rel_tol) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].key != b[i].key) return false;
-    const double scale = std::max({1.0, std::abs(a[i].dist), std::abs(b[i].dist)});
-    if (std::abs(a[i].dist - b[i].dist) > rel_tol * scale) return false;
   }
   return true;
 }

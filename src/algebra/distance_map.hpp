@@ -138,8 +138,4 @@ class DistanceMap {
   std::vector<DistEntry> entries_;
 };
 
-/// Approximate equality for testing: same keys, distances within rel. tol.
-[[nodiscard]] bool approx_equal(const DistanceMap& a, const DistanceMap& b,
-                                double rel_tol = 1e-9);
-
 }  // namespace pmte

@@ -141,14 +141,16 @@ int run_tenants(const Graph& g, serve::FrtEnsemble base,
   const auto capacity = static_cast<std::size_t>(cli.get_int("cache-capacity"));
   opts.trees = base.num_trees();
 
-  // Every bad line of an update file is named before anything is served.
+  // Every bad line of an update file, a weight the updates would overflow
+  // or underflow included, is named before anything is served.
   std::vector<serve::UpdateEvent> updates;
+  std::vector<WeightedEdge> edge_list;
   const auto& update_path = cli.get("update-file");
   if (!update_path.empty()) {
     std::ifstream in(update_path);
     PMTE_CHECK(in.good(), "cannot open " + update_path);
-    updates =
-        serve::read_update_file(in, update_path, g.num_edges(), batches);
+    edge_list = g.edge_list();
+    updates = serve::read_update_file(in, update_path, edge_list, batches);
   }
 
   serve::Server server;
@@ -169,11 +171,9 @@ int run_tenants(const Graph& g, serve::FrtEnsemble base,
   }
 
   std::optional<serve::DynamicEnsemble> dyn;
-  std::vector<WeightedEdge> edge_list;
   if (!update_path.empty()) {
     const Timer t;
     dyn.emplace(g, seed, opts);
-    edge_list = g.edge_list();
     std::cout << "dynamic: maintaining " << opts.trees << " trees for "
               << updates.size() << " update(s), built in " << t.millis()
               << " ms\n";

@@ -58,11 +58,6 @@ HopSet build_hub_hopset(const Graph& g, HubHopSetParams params, Rng& rng) {
     if (rng.flip(p)) hubs.push_back(v);
   }
   if (hubs.empty()) hubs.push_back(static_cast<Vertex>(rng.below(n)));
-  if (params.max_hubs > 0 && hubs.size() > params.max_hubs) {
-    shuffle(hubs.begin(), hubs.end(), rng);
-    hubs.resize(params.max_hubs);
-    std::sort(hubs.begin(), hubs.end());
-  }
   hs.num_hubs = hubs.size();
 
   // One (dist, hops) Dijkstra per hub gives the exact hub-to-hub distances

@@ -49,10 +49,8 @@ struct HopSet {
 
 struct HubHopSetParams {
   /// Hitting-window length d0; 0 → auto ⌈√(n·ln n)⌉ (near-linear clique).
+  /// Every sampled hub is kept: dropping hubs would void the certified d.
   unsigned window = 0;
-  /// Hard cap on the number of hubs (0 = none); guards against parameter
-  /// choices that would produce a quadratic shortcut clique.
-  std::size_t max_hubs = 0;
 };
 
 /// Build a hub hop set for connected G.  ε̂ = 0 (w.h.p.); d = 2·window

@@ -3,8 +3,8 @@
 //
 // The paper analyses algorithms in an abstract work/depth model; we realise
 // the data parallelism with OpenMP.  All parallel loops in the library go
-// through parallel_for / parallel_reduce so that thread counts can be
-// controlled centrally (PMTE benches sweep threads for the scaling
+// through parallel_for / parallel_for_balanced so that thread counts can
+// be controlled centrally (PMTE benches sweep threads for the scaling
 // experiment E11).
 
 #include <algorithm>
@@ -183,36 +183,6 @@ void parallel_for_balanced(std::size_t n, CostFn&& cost, Body&& body,
   (void)min_chunk_cost;
 #endif
   for (std::size_t i = 0; i < n; ++i) body(i);
-}
-
-/// Parallel sum-reduction of body(i) over [0, n).
-template <typename Body>
-double parallel_reduce_sum(std::size_t n, Body&& body) {
-#if PMTE_TSAN_ACTIVE && defined(_OPENMP)
-  // The omp reduction clause merges the private copies inside the runtime,
-  // invisible to TSan; fold through parallel_for (which carries the join
-  // fence) into per-thread slots and combine serially instead.  Partial
-  // sums still depend on the schedule, exactly as with the clause — pmte
-  // only reduces exactly-representable values (0/1 flags, degrees), so the
-  // result is bit-identical either way.
-  std::vector<double> partial(
-      static_cast<std::size_t>(std::max(num_threads(), 1)), 0.0);
-  parallel_for(n, [&](std::size_t i) {
-    partial[static_cast<std::size_t>(thread_index())] += body(i);
-  });
-  double total = 0.0;
-  for (const double p : partial) total += p;
-  return total;
-#else
-  double total = 0.0;
-#ifdef _OPENMP
-#pragma omp parallel for reduction(+ : total) schedule(static)
-#endif
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    total += body(static_cast<std::size_t>(i));
-  }
-  return total;
-#endif
 }
 
 /// Per-thread append buffers for parallel set collection (frontiers, edge

@@ -1,7 +1,9 @@
 #include "src/serve/dynamic_ensemble.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <map>
 #include <sstream>
 
 #include "src/obs/obs.hpp"
@@ -155,10 +157,10 @@ FrtEnsemble DynamicEnsemble::snapshot() const {
 
 std::vector<UpdateEvent> read_update_file(std::istream& in,
                                           const std::string& name,
-                                          std::size_t num_edges,
+                                          std::span<const WeightedEdge> edges,
                                           std::size_t batches) {
   std::vector<UpdateEvent> events;
-  std::ostringstream bad;
+  std::map<std::size_t, std::string> bad;  // line number → what is wrong
   std::string line;
   for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
     const auto hash = line.find('#');
@@ -167,20 +169,44 @@ std::vector<UpdateEvent> read_update_file(std::istream& in,
     const std::vector<std::string> tokens{
         std::istream_iterator<std::string>(ls), {}};
     if (tokens.empty()) continue;
-    UpdateEvent ev;
+    UpdateEvent ev{.line = line_no};
     if (tokens.size() == 3 && parse_token(tokens[0], ev.batch) &&
         parse_token(tokens[1], ev.edge) && parse_token(tokens[2], ev.factor) &&
-        std::isfinite(ev.factor) && ev.factor > 0.0 && ev.edge < num_edges &&
-        ev.batch < batches) {
+        std::isfinite(ev.factor) && ev.factor > 0.0 &&
+        ev.edge < edges.size() && ev.batch < batches) {
       events.push_back(ev);
       continue;
     }
-    bad << (bad.tellp() > 0 ? "\n" : "") << name << ':' << line_no
-        << ": bad update line (want \"<batch> <edge-index> <factor>\", batch < "
-        << batches << ", edge-index < " << num_edges
-        << ", factor finite > 0): " << line;
+    bad[line_no] = "want \"<batch> <edge-index> <factor>\", batch < " +
+                   std::to_string(batches) + ", edge-index < " +
+                   std::to_string(edges.size()) + ", factor finite > 0): " +
+                   line;
   }
-  PMTE_CHECK(bad.tellp() == 0, bad.str());
+  // Apply the events to the weights in order, with the products
+  // `serve_queries tenants` takes, so the check sees the doubles it sets.
+  std::stable_sort(events.begin(), events.end(),
+                   [](const UpdateEvent& a, const UpdateEvent& b) {
+                     return a.batch < b.batch;
+                   });
+  std::vector<Weight> weight;
+  for (const WeightedEdge& e : edges) weight.push_back(e.weight);
+  for (const UpdateEvent& ev : events) {
+    const Weight w = weight[ev.edge] * ev.factor;
+    if (is_finite(w) && w > 0.0) {
+      weight[ev.edge] = w;
+      continue;
+    }
+    std::ostringstream what;
+    what << "edge-index " << ev.edge << "'s weight " << weight[ev.edge]
+         << " times " << ev.factor << " is " << w << ", not finite > 0)";
+    bad[ev.line] = what.str();
+  }
+  std::ostringstream message;
+  for (const auto& [line_no, what] : bad) {
+    message << (message.tellp() > 0 ? "\n" : "") << name << ':' << line_no
+            << ": bad update line (" << what;
+  }
+  PMTE_CHECK(bad.empty(), message.str());
   return events;
 }
 

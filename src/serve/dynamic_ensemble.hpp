@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <istream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -116,15 +117,18 @@ struct UpdateEvent {
   std::size_t batch = 0;
   std::size_t edge = 0;
   double factor = 1.0;
+  std::size_t line = 0;  ///< its line in the update file
 };
 
 /// Read an update file: each line, less any '#' comment, is blank or
 /// exactly "<batch> <edge-index> <factor>", every token parsed in full,
-/// with batch < `batches`, edge-index < `num_edges`, factor finite > 0.
-/// Throws CheckError naming every bad line, one "<name>:<line>: bad update
-/// line ..." per line of its message.
+/// with batch < `batches`, edge-index < edges.size(), factor finite > 0,
+/// and old · factor finite > 0 when the events are applied to `edges`
+/// (the graph's edge list) in the order returned: by batch, then in file
+/// order.  Throws CheckError naming every bad line, one "<name>:<line>:
+/// bad update line ..." per line of its message, in line order.
 [[nodiscard]] std::vector<UpdateEvent> read_update_file(
-    std::istream& in, const std::string& name, std::size_t num_edges,
-    std::size_t batches);
+    std::istream& in, const std::string& name,
+    std::span<const WeightedEdge> edges, std::size_t batches);
 
 }  // namespace pmte::serve

@@ -340,10 +340,10 @@ FrtEnsemble FrtEnsemble::parse(ImageReader& r) {
   const std::uint64_t trees = r.u64();
   PMTE_CHECK(trees >= 1 && trees <= (1ULL << 20),
              "FrtEnsemble: implausible tree count");
-  // Every embedded index takes at least its header block (16 bytes),
-  // levels (4), β (8) and four length prefixes (32): a count the
-  // remaining bytes cannot hold fails here, before reserving for it.
-  constexpr std::uint64_t kMinIndexBytes = 16 + 4 + 8 + 4 * 8;
+  // Every embedded index takes at least its header block (16 bytes) and
+  // three length prefixes (24): a count the remaining bytes cannot hold
+  // fails here, before reserving for it.
+  constexpr std::uint64_t kMinIndexBytes = 16 + 3 * 8;
   PMTE_CHECK(trees <= r.remaining() / kMinIndexBytes,
              "FrtEnsemble: tree count " + std::to_string(trees) +
                  " cannot fit in the " + std::to_string(r.remaining()) +

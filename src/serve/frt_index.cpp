@@ -74,14 +74,7 @@ FrtIndex FrtIndex::build(const FrtTree& tree) {
   FrtIndex idx;
   const unsigned levels = tree.num_levels();
   const Vertex n = tree.num_leaves();
-  idx.levels_ = levels;
-  idx.beta_ = tree.beta();
   idx.dist_by_lca_level_ = tree.distance_by_lca_level();
-  // Build into plain vectors, then hand them to the owned-or-mapped
-  // sections (ArraySection is read-only by design).
-  std::vector<Weight> edge_weight(levels);
-  for (unsigned l = 0; l < levels; ++l) edge_weight[l] = tree.edge_weight(l);
-  idx.edge_weight_by_level_ = std::move(edge_weight);
 
   // A parent's id is below its children's, so one ascending pass gives
   // each node its child number (how many children its parent has so far)
@@ -117,6 +110,8 @@ FrtIndex FrtIndex::build(const FrtTree& tree) {
       }
     }
   }
+  // Hand the plain vectors to the owned-or-mapped sections (ArraySection
+  // is read-only by design).
   idx.widths_ = std::move(widths);
   idx.codes_ = std::move(codes);
   idx.check_tree();
@@ -124,25 +119,20 @@ FrtIndex FrtIndex::build(const FrtTree& tree) {
 }
 
 void FrtIndex::check_tree() {
-  const unsigned levels = levels_;
-  PMTE_CHECK(levels >= 1, "FrtIndex: no levels");
-  PMTE_CHECK(beta_ >= 1.0 && beta_ < 2.0, "FrtIndex: beta outside [1,2)");
-  PMTE_CHECK(dist_by_lca_level_.size() == levels &&
-                 edge_weight_by_level_.size() == levels &&
-                 widths_.size() == levels,
+  // The LCA distance table: one entry per level, 0 for a leaf's own LCA,
+  // then finite and increasing (each step is twice a positive edge weight).
+  PMTE_CHECK(dist_by_lca_level_.size() == widths_.size(),
              "FrtIndex: level table size mismatch");
+  const unsigned levels = num_levels();
+  PMTE_CHECK(levels >= 1, "FrtIndex: no levels");
   PMTE_CHECK(dist_by_lca_level_[0] == 0.0,
              "FrtIndex: LCA distance table must start at 0");
-  for (unsigned l = 0; l < levels; ++l) {
-    const Weight w = edge_weight_by_level_[l];
-    PMTE_CHECK(w > 0.0 && is_finite(w), "FrtIndex: bad per-level edge weight");
-    // dist_by_lca_level_ is Σ_{l'<l} 2·w_{l'} accumulated ascending, so the
-    // two persisted tables must agree exactly (and the table increases).
-    if (l + 1 < levels) {
-      const Weight next = dist_by_lca_level_[l + 1];
-      PMTE_CHECK(next == dist_by_lca_level_[l] + 2.0 * w && is_finite(next),
-                 "FrtIndex: edge weights inconsistent with LCA table");
-    }
+  for (unsigned l = 1; l < levels; ++l) {
+    PMTE_CHECK(is_finite(dist_by_lca_level_[l]) &&
+                   dist_by_lca_level_[l] > dist_by_lca_level_[l - 1],
+               "FrtIndex: LCA distance at level " + std::to_string(l) +
+                   " is not finite and above level " + std::to_string(l - 1) +
+                   "'s");
   }
 
   // Code geometry.  Widths are bounded before they are summed.
@@ -315,23 +305,17 @@ unsigned FrtIndex::lca_level(Vertex u, Vertex v) const {
 // Field order is normative — docs/FORMAT.md documents this exact layout.
 void FrtIndex::save_into(BinaryWriter& w) const {
   w.magic(kIndexMagic);
-  w.u32(levels_);
-  w.f64(beta_);
   w.vec_u32(widths_);
   w.vec_u64(codes_);
   w.vec_f64(dist_by_lca_level_);
-  w.vec_f64(edge_weight_by_level_);
 }
 
 FrtIndex FrtIndex::load_from(ImageReader& r) {
   r.expect_magic(kIndexMagic);
   FrtIndex idx;
-  idx.levels_ = r.u32();
-  idx.beta_ = r.f64();
   idx.widths_ = r.vec_u32();
   idx.codes_ = r.vec_u64();
   idx.dist_by_lca_level_ = r.vec_f64();
-  idx.edge_weight_by_level_ = r.vec_f64();
   idx.check_tree();
   return idx;
 }

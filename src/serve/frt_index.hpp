@@ -5,8 +5,8 @@
 // level 0, the leaf of v is the tuple (v_{i0}, …, v_{itop}) and its
 // ancestors are the tuple's suffixes.  Edge weights are uniform per level,
 // so the tree metric depends only on the level of the LCA, and one packed
-// code per vertex determines that level.  FrtIndex persists the codes plus
-// three per-level tables:
+// code per vertex determines that level.  FrtIndex persists three arrays,
+// and Λ is their per-level length:
 //
 //   codes_                 v's LCA code.  Each node below the root gets a
 //                          child number, its rank among its parent's
@@ -29,11 +29,8 @@
 //                          verbatim from FrtTree::distance_by_lca_level(),
 //                          which makes distance() bit-identical to
 //                          FrtTree::distance — no re-derived floating-point
-//                          sums.
-//   edge_weight_by_level_  per-level parent-edge weight, copied verbatim
-//                          from FrtTree::edge_weight(l).  No query reads
-//                          it; the check below requires it to agree with
-//                          dist_by_lca_level_.
+//                          sums.  It starts at 0 and increases.  β and
+//                          the edge weights stay with the FrtTree.
 //
 // distance() reads one word per endpoint (words_ = 1 for trees of up to 64
 // code bits; build_oracle's take 23) and two small table entries: no
@@ -44,7 +41,7 @@
 // parents, children or leaf maps.  The applications (src/apps/) walk the
 // FrtTree they sampled instead.
 //
-// save_into()/load_from() persist the four arrays inside an ensemble
+// save_into()/load_from() persist the three arrays inside an ensemble
 // artefact through the binary format of serialize.hpp (normative layout:
 // docs/FORMAT.md), so save→load→save is byte-identical.  build() and
 // load_from() end in the same O(n·L) check, which replays FrtTree::build's
@@ -74,10 +71,10 @@ class FrtIndex {
 
   FrtIndex() = default;
 
-  /// Pack a built FRT tree's parent links into LCA codes, adopt its
-  /// tables, then check them.  One ascending pass over the node ids
-  /// numbers each node among its parent's children (it needs only that a
-  /// parent's id is below its children's); each vertex then climbs from
+  /// Pack a built FRT tree's parent links into LCA codes, adopt its LCA
+  /// distance table, then check them.  One ascending pass over the node
+  /// ids numbers each node among its parent's children (it needs only that
+  /// a parent's id is below its children's); each vertex then climbs from
   /// its leaf to the root.  O(n·levels).
   [[nodiscard]] static FrtIndex build(const FrtTree& tree);
 
@@ -86,8 +83,10 @@ class FrtIndex {
   }
   /// Node count of the tree the codes describe (counted by the check).
   [[nodiscard]] std::size_t num_nodes() const noexcept { return nodes_; }
-  [[nodiscard]] unsigned num_levels() const noexcept { return levels_; }
-  [[nodiscard]] double beta() const noexcept { return beta_; }
+  /// Λ, the length of the widths and of the LCA distance table.
+  [[nodiscard]] unsigned num_levels() const noexcept {
+    return static_cast<unsigned>(widths_.size());
+  }
   [[nodiscard]] bool empty() const noexcept { return codes_.empty(); }
   /// Whether the persisted arrays view a file mapping (zero-copy load).
   [[nodiscard]] bool is_mapped() const noexcept { return codes_.is_mapped(); }
@@ -137,14 +136,12 @@ class FrtIndex {
   void save_into(BinaryWriter& w) const;
   [[nodiscard]] static FrtIndex load_from(ImageReader& r);
 
-  /// Equality over the persisted state (the rest is a function of it).
-  /// Backs the round-trip tests; sections compare by content, so
+  /// Equality over the persisted arrays (the rest is a function of
+  /// them).  Backs the round-trip tests; sections compare by content, so
   /// a mapped index equals its by-copy twin.
   friend bool operator==(const FrtIndex& a, const FrtIndex& b) {
-    return a.levels_ == b.levels_ && a.beta_ == b.beta_ &&
-           a.widths_ == b.widths_ && a.codes_ == b.codes_ &&
-           a.dist_by_lca_level_ == b.dist_by_lca_level_ &&
-           a.edge_weight_by_level_ == b.edge_weight_by_level_;
+    return a.widths_ == b.widths_ && a.codes_ == b.codes_ &&
+           a.dist_by_lca_level_ == b.dist_by_lca_level_;
   }
 
  private:
@@ -153,14 +150,11 @@ class FrtIndex {
   /// load_from()).  Throws on violation.
   void check_tree();
 
-  unsigned levels_ = 1;
-  double beta_ = 1.0;
   // Persisted arrays: owned after build() or a copying load, mapped views
   // after a mapped one (see ArraySection).
-  ArraySection<std::uint32_t> widths_;         // level → child-number bits
-  ArraySection<std::uint64_t> codes_;          // v·words_ + w → code word
-  ArraySection<Weight> dist_by_lca_level_;     // LCA level → dist_T
-  ArraySection<Weight> edge_weight_by_level_;  // level → parent-edge weight
+  ArraySection<std::uint32_t> widths_;      // level → child-number bits
+  ArraySection<std::uint64_t> codes_;       // v·words_ + w → code word
+  ArraySection<Weight> dist_by_lca_level_;  // LCA level → dist_T
   // Set by check_tree(), never persisted.
   std::size_t words_ = 1;
   std::vector<std::uint32_t> lca_level_at_bit_;  // 64·w + clz → LCA level

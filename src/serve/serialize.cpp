@@ -82,7 +82,6 @@ void BinaryWriter::magic(const char (&m)[8]) {
 
 void BinaryWriter::u32(std::uint32_t v) { bytes(&v, sizeof(v)); }
 void BinaryWriter::u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
-void BinaryWriter::f64(double v) { bytes(&v, sizeof(v)); }
 
 template <typename T>
 void BinaryWriter::section(std::span<const T> v) {
@@ -186,12 +185,6 @@ std::uint32_t ImageReader::u32() {
 
 std::uint64_t ImageReader::u64() {
   std::uint64_t v;
-  bytes(&v, sizeof(v));
-  return v;
-}
-
-double ImageReader::f64() {
-  double v;
   bytes(&v, sizeof(v));
   return v;
 }

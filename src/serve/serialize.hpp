@@ -1,10 +1,12 @@
 #pragma once
 // Versioned binary (de)serialisation for the serving layer.
 //
-// The format is deliberately dumb: an 8-byte magic string, a u32 format
-// version, then length-prefixed flat arrays written as raw bytes.  Doubles
-// round-trip bit-exactly (the differential suites pin save→load→query
-// identity), and fixed-width integer types keep the layout unambiguous.
+// The format is deliberately dumb: an 8-byte magic string, a u32 endian
+// probe and a u32 format version, then u64 scalars (an ensemble's identity
+// words) and length-prefixed flat arrays written as raw bytes.  Doubles
+// occur only inside arrays and round-trip bit-exactly (the differential
+// suites pin save→load→query identity), and fixed-width integer types
+// keep the layout unambiguous.
 // Byte order is the native one; a u32 probe word after the magic rejects
 // files from a machine of the opposite endianness instead of silently
 // mis-reading them.  Exactly one version is readable, kFormatVersion:
@@ -38,7 +40,7 @@ namespace pmte::serve {
 
 /// Format version shared by all serving-layer artefacts (the ensemble and
 /// its embedded indices), the only one the reader accepts.  History: docs/FORMAT.md.
-inline constexpr std::uint32_t kFormatVersion = 5;
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /// File-offset alignment of every vec payload.  One cache line,
 /// and a multiple of every element size we serialise — mmap returns
@@ -171,7 +173,6 @@ class BinaryWriter {
   void magic(const char (&m)[8]);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
-  void f64(double v);
   void vec_u32(std::span<const std::uint32_t> v);
   void vec_u64(std::span<const std::uint64_t> v);
   void vec_f64(std::span<const double> v);
@@ -246,7 +247,6 @@ class ImageReader {
   void expect_magic(const char (&m)[8]);
   [[nodiscard]] std::uint32_t u32();
   [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] double f64();
   [[nodiscard]] ArraySection<std::uint32_t> vec_u32();
   [[nodiscard]] ArraySection<std::uint64_t> vec_u64();
   [[nodiscard]] ArraySection<double> vec_f64();

@@ -1,9 +1,9 @@
 #pragma once
 // Exact stretch-quality report for a served ensemble.
 //
-// The FRT guarantee bounds the *expected* stretch of a random tree;
-// src/frt/stretch.hpp estimates that expectation over sampled pairs.  A
-// serving system needs a different number: the quality of the value it
+// The FRT guarantee bounds the *expected* stretch of a random tree; the
+// test-support reference library estimates that expectation over sampled
+// pairs (tests/support/reference/stretch.hpp).  A serving system needs a different number: the quality of the value it
 // actually serves — the policy-aggregated ensemble distance.  This module
 // measures it *exactly*, against brute-force Dijkstra over every connected
 // pair u < v (n single-source runs — corpus-size graphs only, say

@@ -14,8 +14,8 @@
 
 #include "src/mbf/engine.hpp"
 #include "src/oracle/mbf_oracle.hpp"
-#include "src/parallel/parallel.hpp"
 #include "src/simgraph/simulated_graph.hpp"
+#include "tests/support/parallel_reduce.hpp"
 
 namespace pmte::test {
 

@@ -3,11 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/graph/shortest_paths.hpp"
 #include "tests/support/reference/shortest_paths.hpp"
 
 namespace pmte::test {
+
+bool approx_equal(const DistanceMap& a, const DistanceMap& b,
+                  double rel_tol) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].key != b[i].key) return false;
+    const double scale =
+        std::max({1.0, std::abs(a[i].dist), std::abs(b[i].dist)});
+    if (std::abs(a[i].dist - b[i].dist) > rel_tol * scale) return false;
+  }
+  return true;
+}
 
 std::vector<Weight> dijkstra_reference(const Graph& g, Vertex source) {
   return dijkstra(g, source).dist;

@@ -1,10 +1,10 @@
 #pragma once
-// Brute-force reference oracles shared by the test suites: Dijkstra
-// distances, exact APSP-based LE lists, the structural LE-list validator,
-// Section 7.1's tuples from exact APSP, ancestor rows and node levels
-// found by climbing an FRT tree's parent links, and buy-at-bulk's tree
-// routing demand by demand.  The oracle's Jacobi reference is a template
-// and lives in jacobi_oracle.hpp.
+// Brute-force reference oracles shared by the test suites: approximate
+// distance-map equality, Dijkstra distances, exact APSP-based LE lists,
+// the structural LE-list validator, Section 7.1's tuples from exact APSP,
+// ancestor rows and node levels found by climbing an FRT tree's parent
+// links, and buy-at-bulk's tree routing demand by demand.  The oracle's
+// Jacobi reference is a template and lives in jacobi_oracle.hpp.
 
 #include <cstddef>
 #include <vector>
@@ -16,6 +16,11 @@
 #include "src/graph/graph.hpp"
 
 namespace pmte::test {
+
+/// Approximate equality of two distance maps: the same keys, distances
+/// within `rel_tol` relative (at least absolute) difference.
+[[nodiscard]] bool approx_equal(const DistanceMap& a, const DistanceMap& b,
+                                double rel_tol = 1e-9);
 
 /// Reference single-source distances (binary-heap Dijkstra).
 [[nodiscard]] std::vector<Weight> dijkstra_reference(const Graph& g,

@@ -1,4 +1,4 @@
-#include "src/frt/stretch.hpp"
+#include "tests/support/reference/stretch.hpp"
 
 #include <algorithm>
 

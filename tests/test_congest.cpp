@@ -75,7 +75,7 @@ TEST(CongestSkeleton, ListsAreListsOfVirtualGraph) {
   const auto ref = le_lists_sequential(sk.virtual_graph, sk.order);
   std::size_t agree = 0;
   for (Vertex v = 0; v < 30; ++v) {
-    agree += approx_equal(sk.run.le.lists[v], ref.lists[v]) ? 1 : 0;
+    agree += test::approx_equal(sk.run.le.lists[v], ref.lists[v]) ? 1 : 0;
   }
   // Equation (8.9) holds w.h.p.; demand near-total agreement.
   EXPECT_GE(agree, 28U);
@@ -127,7 +127,7 @@ TEST(CongestKhan, MatchesBruteForceOverCorpusSlice) {
     ASSERT_TRUE(run.le.converged) << c.name;
     const auto ref = test::brute_force_le_lists(c.graph, order);
     for (Vertex v = 0; v < c.graph.num_vertices(); ++v) {
-      EXPECT_TRUE(approx_equal(run.le.lists[v], ref[v]))
+      EXPECT_TRUE(test::approx_equal(run.le.lists[v], ref[v]))
           << c.name << " vertex " << v;
     }
   }

@@ -14,6 +14,7 @@
 // ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -30,6 +31,7 @@
 #include "src/frt/dynamic_frt.hpp"
 #include "src/frt/le_lists.hpp"
 #include "src/frt/pipelines.hpp"
+#include "src/graph/generators.hpp"
 #include "src/parallel/parallel.hpp"
 #include "src/serve/dynamic_ensemble.hpp"
 #include "src/serve/frt_ensemble.hpp"
@@ -615,9 +617,13 @@ TEST(Dynamic, MappedSnapshotServesUpdatedMetric) {
   std::remove(path2.c_str());
 }
 
+/// The edge list of an 11-vertex path: 10 edges of weight 1.
+std::vector<WeightedEdge> path_edges() { return make_path(11).edge_list(); }
+
 TEST(UpdateFile, ReadsEventsAndNamesEveryBadLine) {
   std::istringstream good("# fixture\n1 3 0.5\n\n2 7 1.7  # increase\n");
-  const auto events = serve::read_update_file(good, "good.txt", 10, 4);
+  const auto events =
+      serve::read_update_file(good, "good.txt", path_edges(), 4);
   ASSERT_EQ(events.size(), 2U);
   EXPECT_EQ(events[0].batch, 1U);
   EXPECT_EQ(events[0].edge, 3U);
@@ -628,7 +634,7 @@ TEST(UpdateFile, ReadsEventsAndNamesEveryBadLine) {
 
   std::istringstream bad("1 3 0.5\n0 1 nan\n\n3 -1 0.5\n4 0 0.5\n0 10 2\n");
   try {
-    (void)serve::read_update_file(bad, "bad.txt", 10, 4);
+    (void)serve::read_update_file(bad, "bad.txt", path_edges(), 4);
     ADD_FAILURE() << "bad.txt was read";
   } catch (const CheckError& err) {
     const std::string message = err.message();
@@ -639,6 +645,47 @@ TEST(UpdateFile, ReadsEventsAndNamesEveryBadLine) {
     }
     EXPECT_EQ(message.find("bad.txt:1:"), std::string::npos) << message;
   }
+}
+
+TEST(UpdateFile, NamesEveryLineWhoseWeightLeavesTheFiniteRange) {
+  // Every factor is finite and > 0, but replayed in batch order the
+  // weights of edge 2 overflow to ∞ (line 6 after line 2) and those of
+  // edge 5 underflow to 0 (line 1, batch 3, after line 5, batch 2).  The
+  // pair on edge 8 stays in range, and line 7 multiplies the weight line 6
+  // left alone.
+  std::istringstream in(
+      "3 5 1e-200\n"
+      "0 2 1e200\n"
+      "0 8 1e-150\n"
+      "# batch order, not file order\n"
+      "2 5 1e-200\n"
+      "1 2 1e200\n"
+      "2 2 0.5\n"
+      "3 8 1e150\n");
+  try {
+    (void)serve::read_update_file(in, "range.txt", path_edges(), 4);
+    ADD_FAILURE() << "range.txt was read";
+  } catch (const CheckError& err) {
+    const std::string message = err.message();
+    EXPECT_EQ(message.find("range.txt:1: bad update line (edge-index 5's "
+                           "weight 1e-200 times 1e-200 is 0,"),
+              0U)
+        << message;
+    EXPECT_NE(message.find("\nrange.txt:6: bad update line (edge-index 2's "
+                           "weight 1e+200 times 1e+200 is inf,"),
+              std::string::npos)
+        << message;
+    EXPECT_EQ(std::count(message.begin(), message.end(), '\n'), 1) << message;
+  }
+  // Without those two lines the file reads, and the events come back in
+  // the order they are applied: by batch, then by line.
+  std::istringstream ok("2 5 1e-200\n0 2 1e200\n0 8 1e-150\n2 2 0.5\n");
+  std::vector<std::size_t> lines;
+  for (const auto& ev :
+       serve::read_update_file(ok, "ok.txt", path_edges(), 4)) {
+    lines.push_back(ev.line);
+  }
+  EXPECT_EQ(lines, (std::vector<std::size_t>{2, 3, 1, 4}));
 }
 
 TEST(UpdateFile, RandomizedMalformedInputSweep) {
@@ -652,6 +699,7 @@ TEST(UpdateFile, RandomizedMalformedInputSweep) {
   // event per data line.
   constexpr std::size_t kEdges = 40;
   constexpr std::size_t kBatches = 6;
+  const auto edges = make_path(kEdges + 1).edge_list();
   Rng rng(split_seed(0x0F11E, 0));
   using Lines = std::vector<std::vector<std::string>>;
   Lines good{{"#", "fixture"}};
@@ -707,7 +755,7 @@ TEST(UpdateFile, RandomizedMalformedInputSweep) {
     try {
       std::istringstream in(text);
       const auto events =
-          serve::read_update_file(in, "sweep.txt", kEdges, kBatches);
+          serve::read_update_file(in, "sweep.txt", edges, kBatches);
       ASSERT_EQ(events.size(), data_lines) << text;
       for (const auto& ev : events) {
         ASSERT_LT(ev.batch, kBatches) << text;

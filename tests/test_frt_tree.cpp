@@ -7,11 +7,11 @@
 #include <string>
 
 #include "src/frt/pipelines.hpp"
-#include "src/frt/stretch.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/shortest_paths.hpp"
 #include "src/serve/frt_index.hpp"
 #include "tests/support/reference.hpp"
+#include "tests/support/reference/stretch.hpp"
 
 namespace pmte {
 namespace {

@@ -128,17 +128,6 @@ TEST(Hopset, WindowParameterControlsHopBound) {
   EXPECT_DOUBLE_EQ(measure_hopset_stretch(g, hs, 20, rng), 1.0);
 }
 
-TEST(Hopset, MaxHubsCapRespected) {
-  const auto g = make_path(150);
-  Rng rng(9);
-  HubHopSetParams params;
-  params.window = 5;
-  params.max_hubs = 7;
-  const auto hs = build_hub_hopset(g, params, rng);
-  EXPECT_LE(hs.num_hubs, 7U);
-  EXPECT_LE(hs.edges.size(), 7U * 6 / 2);
-}
-
 TEST(Hopset, HopDistancesActuallyShrink) {
   // The point of the exercise: d-hop distances in G' reach what needs
   // SPD(G) hops in G.

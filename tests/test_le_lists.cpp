@@ -14,6 +14,7 @@
 namespace pmte {
 namespace {
 
+using test::approx_equal;
 using test::brute_force_le_lists;
 using test::expect_valid_le_lists;
 

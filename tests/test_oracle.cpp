@@ -71,7 +71,8 @@ TEST_P(OracleEquivalence, LeListsMatchWithPenalties) {
     // (scale·(a+b) vs scale·a + scale·b).
     ASSERT_EQ(via_oracle.states[v].size(), via_engine.states[v].size())
         << "vertex " << v;
-    EXPECT_TRUE(approx_equal(via_oracle.states[v], via_engine.states[v], 1e-9))
+    EXPECT_TRUE(test::approx_equal(via_oracle.states[v],
+                                   via_engine.states[v], 1e-9))
         << "vertex " << v;
   }
 }
@@ -393,7 +394,7 @@ TEST(LevelReuse, OracleMatchesBruteForceOnSmallGraphs) {
     test::expect_valid_le_lists(le.lists, order);
     const auto brute = test::brute_force_le_lists(c.graph, order);
     for (Vertex v = 0; v < c.graph.num_vertices(); ++v) {
-      EXPECT_TRUE(approx_equal(le.lists[v], brute[v]))
+      EXPECT_TRUE(test::approx_equal(le.lists[v], brute[v]))
           << c.name << " vertex " << v;
     }
   }

@@ -7,6 +7,7 @@
 
 #include "src/parallel/counters.hpp"
 #include "src/parallel/parallel.hpp"
+#include "tests/support/parallel_reduce.hpp"
 
 namespace pmte {
 namespace {
@@ -77,7 +78,7 @@ TEST(Parallel, BalancedForCountersAreThreadCountInvariant) {
 
 TEST(Parallel, ReduceSum) {
   const double s =
-      parallel_reduce_sum(1000, [](std::size_t i) { return double(i); });
+      test::parallel_reduce_sum(1000, [](std::size_t i) { return double(i); });
   EXPECT_DOUBLE_EQ(s, 999.0 * 1000.0 / 2.0);
 }
 

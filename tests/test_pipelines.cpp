@@ -7,10 +7,10 @@
 #include <cmath>
 
 #include "src/frt/pipelines.hpp"
-#include "src/frt/stretch.hpp"
 #include "src/serve/frt_index.hpp"
 #include "tests/support/fixtures.hpp"
 #include "tests/support/reference/shortest_paths.hpp"
+#include "tests/support/reference/stretch.hpp"
 
 namespace pmte {
 namespace {

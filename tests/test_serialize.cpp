@@ -11,11 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -121,7 +124,6 @@ TEST(Serialize, PrimitivesAndEmptyArraysRoundTrip) {
   w.magic(serve::kIndexMagic);
   w.u32(7);
   w.u64(0xfeedfacecafebeefULL);
-  w.f64(2.5);
   w.vec_u32(std::vector<std::uint32_t>{});
   w.vec_f64({1.5, -2.25});
   w.vec_u32({3, 2, 1});
@@ -140,7 +142,6 @@ TEST(Serialize, PrimitivesAndEmptyArraysRoundTrip) {
     r.expect_magic(serve::kIndexMagic);
     EXPECT_EQ(r.u32(), 7u);
     EXPECT_EQ(r.u64(), 0xfeedfacecafebeefULL);
-    EXPECT_EQ(r.f64(), 2.5);
     EXPECT_TRUE(r.vec_u32().empty());
     const auto doubles = r.vec_f64();
     EXPECT_EQ(std::vector<double>(doubles.begin(), doubles.end()),
@@ -168,7 +169,7 @@ TEST(Serialize, PayloadsSitAt64ByteOffsetsWithZeroPadding) {
   const std::string bytes = save_bytes(e);
 
   // Walk the normative layout (docs/FORMAT.md): ensemble prelude, then
-  // per index the scalar block and four length-prefixed sections whose
+  // per index its header block and three length-prefixed sections whose
   // payloads must each start at a 64-byte file offset, preceded by zero
   // padding only.
   // Prelude: magic block(16) + master seed(8) + graph fingerprint(8) +
@@ -177,10 +178,10 @@ TEST(Serialize, PayloadsSitAt64ByteOffsetsWithZeroPadding) {
   std::uint64_t trees = 0;
   std::memcpy(&trees, bytes.data() + 16 + 8 + 8, sizeof(trees));
   ASSERT_EQ(trees, 2u);
-  // widths, codes, dist table, edge weights
-  const std::size_t elem[4] = {4, 8, 8, 8};
+  // widths, codes, LCA distance table
+  const std::size_t elem[3] = {4, 8, 8};
   for (std::uint64_t t = 0; t < trees; ++t) {
-    pos += 16 + 4 + 8;  // index magic block + levels + beta
+    pos += 16;  // index magic block
     for (const std::size_t es : elem) {
       std::uint64_t len = 0;
       ASSERT_LE(pos + 8, bytes.size());
@@ -226,9 +227,10 @@ TEST(Serialize, HostileImagesAreRejectedOnBothPaths) {
   expect_rejected_both(bad, "foreign endianness");
 
   // kFormatVersion is the only readable version: older artefacts (v3 held
-  // an Euler tour and leaf positions, v4 ancestor rows) and newer ones are
-  // refused by name.
-  for (const std::uint32_t v : {1U, 2U, 3U, 4U, serve::kFormatVersion + 1}) {
+  // an Euler tour and leaf positions, v4 ancestor rows, v5 Λ, β and the
+  // edge-weight table) and newer ones are refused by name.
+  for (const std::uint32_t v :
+       {1U, 2U, 3U, 4U, 5U, serve::kFormatVersion + 1}) {
     bad = good;
     std::memcpy(bad.data() + 12, &v, sizeof(v));
     expect_rejected_both(bad, "version " + std::to_string(v),
@@ -236,18 +238,22 @@ TEST(Serialize, HostileImagesAreRejectedOnBothPaths) {
   }
 
   // Oversized length prefix on the first vec section (ensemble prelude 40
-  // bytes + index magic block 16 + levels 4 + beta 8).
+  // bytes + index magic block 16).
   bad = good;
   const std::uint64_t absurd = 1ULL << 33;
-  std::memcpy(bad.data() + 40 + 16 + 4 + 8, &absurd, sizeof(absurd));
+  std::memcpy(bad.data() + 40 + 16, &absurd, sizeof(absurd));
   expect_rejected_both(bad, "absurd length prefix");
 
   // Shaved padding: removing 8 zero bytes from the first padding run
   // desyncs every later offset; both readers must fail closed, not serve
-  // shifted garbage.  The first prefix ends at 76, so padding runs to the
-  // next 64-byte boundary (128).
-  ASSERT_EQ(good[76], '\0') << "layout drifted; fix the padding offset";
-  bad = good.substr(0, 76) + good.substr(84);
+  // shifted garbage.  The widths' prefix ends at 64, a section boundary,
+  // so its payload needs no padding; the first run follows the codes'
+  // prefix, which ends at 72 + 4·Λ, and reaches the boundary 128.
+  const std::size_t first_pad = 72 + 4 * std::size_t{e.index(0).num_levels()};
+  ASSERT_LE(first_pad + 8, 128U) << "layout drifted; fix the padding offset";
+  ASSERT_EQ(good.substr(first_pad, 8), std::string(8, '\0'))
+      << "layout drifted; fix the padding offset";
+  bad = good.substr(0, first_pad) + good.substr(first_pad + 8);
   expect_rejected_both(bad, "shaved section padding");
 
   // Bytes after the last array: appended text, and a second artefact
@@ -259,7 +265,7 @@ TEST(Serialize, HostileImagesAreRejectedOnBothPaths) {
 
   // A 40-byte prelude that claims 2^20 trees and holds no index: the
   // count is refused before anything is reserved for it (each embedded
-  // index takes at least 60 bytes).
+  // index takes at least 40 bytes).
   std::stringstream prelude(std::ios::in | std::ios::out | std::ios::binary);
   serve::BinaryWriter pw(prelude);
   pw.magic(serve::kEnsembleMagic);
@@ -271,11 +277,13 @@ TEST(Serialize, HostileImagesAreRejectedOnBothPaths) {
                        "tree count 1048576 cannot fit");
 }
 
-/// A one-tree ensemble image around hand-written LCA codes of a 4-level
-/// tree (n = codes / words; edge weights 1, 2, 4, 8, so the LCA table is
-/// 0, 2, 6, 14).
+/// A one-tree ensemble image around hand-written LCA codes (n = codes /
+/// words) and an LCA distance table, by default that of a 4-level tree
+/// with edge weights 1, 2, 4, 8.
 std::string crafted_ensemble(const std::vector<std::uint32_t>& widths,
-                             const std::vector<std::uint64_t>& codes) {
+                             const std::vector<std::uint64_t>& codes,
+                             const std::vector<double>& dist = {0.0, 2.0, 6.0,
+                                                                14.0}) {
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
   serve::BinaryWriter w(buf);
   w.magic(serve::kEnsembleMagic);
@@ -283,12 +291,9 @@ std::string crafted_ensemble(const std::vector<std::uint32_t>& widths,
   w.u64(2);  // graph fingerprint
   w.u64(1);  // tree count
   w.magic(serve::kIndexMagic);
-  w.u32(4);    // levels
-  w.f64(1.5);  // beta
   w.vec_u32(widths);
   w.vec_u64(codes);
-  w.vec_f64({0.0, 2.0, 6.0, 14.0});
-  w.vec_f64({1.0, 2.0, 4.0, 8.0});
+  w.vec_f64(dist);
   return buf.str();
 }
 
@@ -342,9 +347,49 @@ TEST(Serialize, CodesThatAreNotAnFrtTreeAreRejectedOnBothPaths) {
                        "is not a positive multiple of 1 word(s)");
 }
 
-TEST(Serialize, FormatFourImagesAreRefusedByVersion) {
-  // A v4 artefact: ancestor rows (leaf first) where v5 has widths and
-  // codes.  The header's version word refuses it before any array is read.
+TEST(Serialize, LcaDistanceTablesThatAreNotAnFrtTreeAreRejectedOnBothPaths) {
+  // The table holds dist_T by LCA level: one entry per level, 0 first,
+  // then finite and increasing.  The codes and widths are the valid tree's
+  // of the test above.
+  const std::vector<std::uint32_t> widths = {1, 1, 1, 0};
+  const std::vector<std::uint64_t> codes = {0, 2, 4, 5};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_EQ(load_copied(crafted_ensemble(widths, codes, {0.0, 1.0, 3.0, 4.0}))
+                .index(0)
+                .distance(0, 3),
+            4.0)
+      << "any increasing table from 0 loads";
+  expect_rejected_both(crafted_ensemble(widths, codes, {0.0, 2.0, 6.0}),
+                       "three distances for four widths",
+                       "level table size mismatch");
+  expect_rejected_both(
+      crafted_ensemble(widths, codes, {0.0, 2.0, 6.0, 14.0, 30.0}),
+      "five distances for four widths", "level table size mismatch");
+  expect_rejected_both(crafted_ensemble({}, {0}, {}), "no levels",
+                       "FrtIndex: no levels");
+  expect_rejected_both(crafted_ensemble(widths, codes, {1.0, 2.0, 6.0, 14.0}),
+                       "entry 0 is 1", "LCA distance table must start at 0");
+  const std::string at2 =
+      "LCA distance at level 2 is not finite and above level 1's";
+  expect_rejected_both(crafted_ensemble(widths, codes, {0.0, 2.0, 2.0, 14.0}),
+                       "level 2 repeats level 1", at2);
+  expect_rejected_both(crafted_ensemble(widths, codes, {0.0, 6.0, 2.0, 14.0}),
+                       "level 2 below level 1", at2);
+  expect_rejected_both(crafted_ensemble(widths, codes, {0.0, 2.0, inf, 14.0}),
+                       "an infinite entry", at2);
+  expect_rejected_both(
+      crafted_ensemble(widths, codes, {0.0, 2.0, 6.0, nan}), "a NaN entry",
+      "LCA distance at level 3 is not finite and above level 2's");
+}
+
+/// A one-tree ensemble image of the crafted 4-level tree in an older
+/// layout: `levels`, β (its raw bits; the current writer has no scalar
+/// double) and the given arrays, with `version` in both version words.
+/// The header's version word refuses it before any array is read.
+std::string older_format_image(
+    std::uint32_t version,
+    const std::function<void(serve::BinaryWriter&)>& arrays) {
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
   serve::BinaryWriter w(buf);
   w.magic(serve::kEnsembleMagic);
@@ -352,17 +397,37 @@ TEST(Serialize, FormatFourImagesAreRefusedByVersion) {
   w.u64(2);  // graph fingerprint
   w.u64(1);  // tree count
   w.magic(serve::kIndexMagic);
-  w.u32(4);    // levels
-  w.f64(1.5);  // beta
-  w.vec_u32({6, 3, 1, 0, 7, 4, 1, 0, 8, 5, 2, 0, 9, 5, 2, 0});
-  w.vec_f64({0.0, 2.0, 6.0, 14.0});
-  w.vec_f64({1.0, 2.0, 4.0, 8.0});
-  std::string v4 = buf.str();
-  const std::uint32_t four = 4;
+  w.u32(4);                                  // levels
+  w.u64(std::bit_cast<std::uint64_t>(1.5));  // beta
+  arrays(w);
+  std::string image = buf.str();
   for (const std::size_t at : {std::size_t{12}, std::size_t{40 + 12}}) {
-    std::memcpy(v4.data() + at, &four, sizeof(four));
+    std::memcpy(image.data() + at, &version, sizeof(version));
   }
+  return image;
+}
+
+TEST(Serialize, FormatFourImagesAreRefusedByVersion) {
+  // A v4 artefact: ancestor rows (leaf first) where v5 has widths and
+  // codes, then the LCA distance and edge-weight tables.
+  const std::string v4 = older_format_image(4, [](serve::BinaryWriter& w) {
+    w.vec_u32({6, 3, 1, 0, 7, 4, 1, 0, 8, 5, 2, 0, 9, 5, 2, 0});
+    w.vec_f64({0.0, 2.0, 6.0, 14.0});
+    w.vec_f64({1.0, 2.0, 4.0, 8.0});
+  });
   expect_rejected_both(v4, "a v4 artefact", "unsupported format version 4");
+}
+
+TEST(Serialize, FormatFiveImagesAreRefusedByVersion) {
+  // A v5 artefact: the v6 arrays behind Λ and β, with the per-level edge
+  // weights after the LCA distance table.
+  const std::string v5 = older_format_image(5, [](serve::BinaryWriter& w) {
+    w.vec_u32({1, 1, 1, 0});
+    w.vec_u64({0, 2, 4, 5});
+    w.vec_f64({0.0, 2.0, 6.0, 14.0});
+    w.vec_f64({1.0, 2.0, 4.0, 8.0});
+  });
+  expect_rejected_both(v5, "a v5 artefact", "unsupported format version 5");
 }
 
 TEST(Serialize, CodesWiderThanOneWordRoundTripOnBothPaths) {
@@ -531,8 +596,8 @@ TEST(Serialize, GoldenArtefactBytes) {
   const struct {
     serve::EnsemblePipeline pipeline;
     std::uint64_t fnv;
-  } kGolden[] = {{serve::EnsemblePipeline::oracle, 0x91a9a05c15427e9fULL},
-                 {serve::EnsemblePipeline::direct, 0xc7a05d1f71cd7459ULL}};
+  } kGolden[] = {{serve::EnsemblePipeline::oracle, 0xad89f4041a2ee350ULL},
+                 {serve::EnsemblePipeline::direct, 0x3d73c76701318b6aULL}};
   const ThreadGuard guard;
   for (const int threads : {1, 4}) {
     set_num_threads(threads);
@@ -545,7 +610,7 @@ TEST(Serialize, GoldenArtefactBytes) {
       for (const char byte : bytes) {
         hash = fnv1a_fold(hash, static_cast<unsigned char>(byte));
       }
-      EXPECT_EQ(bytes.size(), 3304U) << threads << " threads";
+      EXPECT_EQ(bytes.size(), 3048U) << threads << " threads";
       EXPECT_EQ(hash, golden.fnv) << threads << " threads";
     }
   }
@@ -615,8 +680,8 @@ TEST(Serialize, MappedAndCopiedLoadsAgreeAcrossCorpusAndThreads) {
       }
     }
   }
-  // 4 sections per index, 2 indices per ensemble, 50 ensembles.
-  EXPECT_EQ(total_mapped_sections, 4u * 2u * 50u);
+  // 3 sections per index, 2 indices per ensemble, 50 ensembles.
+  EXPECT_EQ(total_mapped_sections, 3u * 2u * 50u);
 }
 
 TEST(Serialize, MappedEnsembleSurvivesRegistrySwapAndFileUnlink) {

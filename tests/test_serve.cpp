@@ -460,10 +460,10 @@ TEST(FrtEnsemble, LoadRejectsCorruptLengthPrefix) {
   std::string bytes = save_bytes(e);
   // The first index starts right after the ensemble header — magic(8) +
   // endian probe(4) + version(4) + seed(8) + fingerprint(8) + count(8) —
-  // with its own magic block(16) + levels(4) + beta(8) and the widths'
-  // length prefix (8), whose Λ u32 payload starts at the 64-byte boundary
-  // 128.  The next 8 bytes are the codes' length prefix — blow it up.
-  const std::size_t len_off = 128 + 4 * std::size_t{e.index(0).num_levels()};
+  // with its own magic block(16) and the widths' length prefix (8), whose
+  // Λ u32 payload starts at the 64-byte boundary 64 with no padding.  The
+  // next 8 bytes are the codes' length prefix — blow it up.
+  const std::size_t len_off = 64 + 4 * std::size_t{e.index(0).num_levels()};
   // Large enough that len·8 bytes cannot fit in the file, small enough
   // that a missing pre-allocation guard would really try to allocate.
   const std::uint64_t absurd = 1ULL << 33;

@@ -110,13 +110,13 @@ TEST(Server, RegistryFingerprintIsHostIndependentValue) {
   // The fingerprint packs the 8 magic bytes explicitly little-endian
   // (byte i into bits 8i) — never via a native-order memcpy, which would
   // make the same artefact fingerprint differently on big-endian hosts.
-  // The pinned literal is the ground truth for 'PMTEENS1' + the v5 header
+  // The pinned literal is the ground truth for 'PMTEENS1' + the v6 header
   // words; it changes exactly when kFormatVersion does (the version is
   // folded in), so a format bump re-pins it deliberately.
   EXPECT_EQ(serve::registry_fingerprint(serve::kEnsembleMagic,
                                         0xfeedfacecafebeefULL,
                                         0x0123456789abcdefULL, 4),
-            0xb43aff68cef3a342ULL);
+            0xcb359d17c6c50ef5ULL);
 }
 
 TEST(Server, RegistryFingerprintIsContentIdentity) {
